@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .errors import NotPositiveDefinite
 
@@ -20,26 +21,36 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def cholesky_lower(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a symmetric matrix with explicit pivot checks.
 
-    Every pivot (the Schur-complement diagonal before the square root) must
-    exceed d * eps * max(diag); otherwise NotPositiveDefinite is raised with
-    the failing pivot index. No jitter, no repair.
+    LAPACK ``potrf`` computes the factor; the pivots (the Schur-complement
+    diagonal before the square root) are diag(L)^2. Pivot j must exceed
+    d * eps * a_jj, its own coordinate's scale: pivot_j / a_jj = 1 - R^2_j is
+    the share of coordinate j's variance not explained by coordinates 0..j-1,
+    so the check does not depend on the units of the coordinates. Otherwise
+    NotPositiveDefinite is raised with the first failing pivot index. No
+    jitter, no repair.
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
-    threshold = d * np.finfo(float).eps * float(np.max(np.diagonal(a)))
-    L = np.zeros_like(a)
-    for j in range(d):
-        pivot = a[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > threshold:
-            raise NotPositiveDefinite(
-                f"{what} is not positive definite: pivot {pivot:.6g} at index {j} "
-                f"is not above threshold {threshold:.6g}",
-                pivot_index=j,
-            )
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < d:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
+    L, info = dpotrf(a, lower=1, clean=1)
+    # potrf stops at the first non-positive pivot, reports info = its index + 1
+    # and leaves the pivot itself where its square root would go.
+    done = d if info == 0 else info - 1
+    pivots = np.square(np.diagonal(L)[:done])
+    thresholds = d * np.finfo(float).eps * np.diagonal(a)
+    below = np.flatnonzero(~(pivots > thresholds[:done]))
+    if below.size:
+        j = int(below[0])
+        pivot = pivots[j]
+    elif info > 0:
+        j = done
+        pivot = L[j, j]
+    else:
+        return L
+    raise NotPositiveDefinite(
+        f"{what} is not positive definite: pivot {pivot:.6g} at index {j} "
+        f"is not above threshold {thresholds[j]:.6g}",
+        pivot_index=j,
+    )
 
 
 def logdet_from_lower(L: np.ndarray) -> float:

@@ -34,6 +34,7 @@ from .errors import (
     CombinatorialLimit,
     CumulantOverflow,
     DimensionMismatch,
+    NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
     OutOfDomain,
@@ -58,6 +59,7 @@ ORACLE_TOL = 1e-9
 
 _INPUT_ERRORS = (
     DimensionMismatch,
+    NonFiniteInput,
     NotSymmetric,
     NotPositiveDefinite,
     BadPartition,
@@ -215,8 +217,8 @@ def _cmd_analyze(args):
 
     if args.t_grid:
         grid = _parse_t_grid(args.t_grid)
-        values = [cgf(model, float(t), gamma=gamma) for t in grid]  # OutOfDomain -> exit 3
-        report["cgf_grid"] = {"t": [float(t) for t in grid], "cgf": values}
+        values = cgf(model, grid, gamma=gamma)  # OutOfDomain -> exit 3
+        report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
     if args.oracle_max_l:
         rows, ok = _oracle_rows(model, gamma, args.oracle_max_l, _loop_cap())
         report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}

@@ -13,6 +13,10 @@ class NotSymmetric(InfoDensityError, ValueError):
     """Covariance asymmetry exceeds the acceptance tolerance."""
 
 
+class NonFiniteInput(InfoDensityError, ValueError):
+    """A mean, covariance or evaluation point contains NaN or +-inf."""
+
+
 class NotPositiveDefinite(InfoDensityError, ValueError):
     """Cholesky factorization failed; ``pivot_index`` is the failing pivot."""
 

@@ -24,9 +24,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
-from ._linalg import cholesky_lower, logdet_from_lower, solve_pd_from_lower
-from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, OutOfDomain
-from .model import GammaMatrix, GaussianModel, compute_gamma, compute_phi
+from ._linalg import cholesky_lower, logdet_from_lower
+from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, NonFiniteInput, OutOfDomain
+from .model import GammaMatrix, GaussianModel, _coupling_matrix, compute_gamma, compute_phi
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
@@ -69,14 +69,9 @@ def multiinformation(model: GaussianModel) -> float:
     """Multiinformation in nats via Cholesky log-determinants.
 
     Equals (sum_n ln|S_nn| - ln|S|) / 2; zero iff the blocks are mutually
-    independent.
+    independent. Both log-determinants come from the model's stored factors.
     """
-    logdet_full = logdet_from_lower(cholesky_lower(model.covariance))
-    logdet_blocks = sum(
-        logdet_from_lower(cholesky_lower(model.diagonal_block(n)))
-        for n in range(model.partition.n_blocks)
-    )
-    return 0.5 * (logdet_blocks - logdet_full)
+    return 0.5 * (logdet_from_lower(model.block_factor) - logdet_from_lower(model.factor))
 
 
 def multiinformation_from_gamma(gamma: GammaMatrix) -> float:
@@ -91,9 +86,7 @@ def multiinformation_from_gamma(gamma: GammaMatrix) -> float:
 
 def density_at(model: GaussianModel, x) -> float:
     """Evaluate the multiinformation density at a point, in nats."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (model.dimension,):
-        raise DimensionMismatch(f"point has length {x.shape[0]}, model dimension is {model.dimension}")
+    x = _point(model, x)
     phi = compute_phi(model).matrix
     r = x - model.mean
     return multiinformation(model) + 0.5 * float(r @ phi @ r)
@@ -104,14 +97,22 @@ def density_at_direct(model: GaussianModel, x) -> float:
 
     Independent of the quadratic-form path; used as its oracle.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (model.dimension,):
-        raise DimensionMismatch(f"point has length {x.shape[0]}, model dimension is {model.dimension}")
+    x = _point(model, x)
     total = _gaussian_logpdf(x, model.mean, model.covariance)
     for n in range(model.partition.n_blocks):
         sl = model.partition.block_slice(n)
         total -= _gaussian_logpdf(x[sl], model.mean[sl], model.diagonal_block(n))
     return total
+
+
+def _point(model: GaussianModel, x) -> np.ndarray:
+    """An evaluation point as a flat array, checked against the model's dimension and mean."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (model.dimension,):
+        raise DimensionMismatch(f"point has length {x.shape[0]}, model dimension is {model.dimension}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(model.mean))):
+        raise NonFiniteInput("evaluation point and mean must be finite (no NaN or inf)")
+    return x
 
 
 def _gaussian_logpdf(x, mean, cov) -> float:
@@ -136,19 +137,26 @@ def cgf_domain(gamma: GammaMatrix) -> CgfDomain:
     return CgfDomain(lower=lower, upper=upper)
 
 
-def cgf(model: GaussianModel, t: float, gamma: GammaMatrix | None = None) -> float:
+def cgf(model: GaussianModel, t, gamma: GammaMatrix | None = None):
     """Cumulant-generating function of the density at t, in nats.
 
     Evaluated as t*I - sum(ln(1 - t*lambda))/2 over the coupling spectrum.
-    Raises OutOfDomain for t on or outside the boundary of the finite range.
+    ``t`` is a scalar (a float comes back) or an array of points (an array of
+    the same shape comes back); the multiinformation is computed once either
+    way. Raises OutOfDomain for the first t on or outside the boundary of the
+    finite range.
     """
     if gamma is None:
         gamma = compute_gamma(model)
     domain = cgf_domain(gamma)
-    if not domain.contains(t):
-        raise OutOfDomain(t, domain)
+    ts = np.asarray(t, dtype=float)
+    outside = ~((domain.lower < ts) & (ts < domain.upper))
+    if np.any(outside):
+        raise OutOfDomain(float(ts.flat[np.argmax(outside)]), domain)
     lam = np.asarray(gamma.eigenvalues)
-    return t * multiinformation(model) - 0.5 * float(np.sum(np.log1p(-t * lam)))
+    logs = np.log1p(-np.multiply.outer(ts, lam))
+    values = ts * multiinformation(model) - 0.5 * np.sum(logs, axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
 def cumulants(model: GaussianModel, order: int, gamma: GammaMatrix | None = None) -> CumulantSequence:
@@ -192,25 +200,13 @@ def variance(model: GaussianModel) -> float:
     """Variance of the density from the pairwise block sum.
 
     sum_{m<n} tr(S_mn S_nn^{-1} S_nm S_mm^{-1}), i.e. the trace of the
-    product of the two opposing regression blocks for every pair. Equals
+    product of the two opposing regression blocks for every pair, evaluated
+    elementwise over the regression columns of the coupling matrix. Equals
     tr(G^2)/2 and the second cumulant.
     """
-    p = model.partition
-    # reg_cols[n] holds S_{:,n} S_nn^{-1}; its m-th block of rows is the
-    # regression block of m on n, so one solve per block serves every pair.
-    reg_cols = []
-    for n in range(p.n_blocks):
-        L_nn = cholesky_lower(model.diagonal_block(n))
-        col = p.block_slice(n)
-        reg_cols.append(solve_pd_from_lower(L_nn, model.covariance[:, col].T).T)
-    total = 0.0
-    for m in range(p.n_blocks):
-        row_m = p.block_slice(m)
-        for n in range(m + 1, p.n_blocks):
-            reg_mn = reg_cols[n][row_m]
-            reg_nm = reg_cols[m][p.block_slice(n)]
-            total += float(np.sum(reg_mn * reg_nm.T))  # tr(reg_mn @ reg_nm)
-    return total
+    g = _coupling_matrix(model)
+    # sum(G * G^T) = tr(G^2) counts every pair (m, n) twice: tr(C_mn C_nm) + tr(C_nm C_mn).
+    return 0.5 * float(np.sum(g * g.T))
 
 
 def cgf_numeric_cumulants(model: GaussianModel, order: int, step: float | None = None) -> CumulantSequence:

@@ -10,19 +10,30 @@ the coordinates into N >= 2 blocks. From it we build:
   S P = G (``PhiMatrix``),
 * the correlation-normalized model, which shares G's spectrum.
 
-All types are frozen dataclasses holding read-only arrays; every operation is
-a pure function of its inputs.
+Validation factors the covariance and its diagonal blocks once, and the model
+carries those Cholesky factors; every analytic quantity reads them instead of
+factoring again. All types are frozen dataclasses holding read-only arrays;
+every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ._linalg import cholesky_lower, solve_pd_from_lower, symmetrize
-from .errors import BadPartition, DimensionMismatch, NotPositiveDefinite, NotSymmetric, SameBlock
+from .errors import (
+    BadPartition,
+    DimensionMismatch,
+    NonFiniteInput,
+    NotPositiveDefinite,
+    NotSymmetric,
+    SameBlock,
+)
 
 SYMMETRY_RTOL = 1e-8
 
@@ -41,6 +52,7 @@ class Partition:
     """
 
     block_sizes: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.block_sizes)
@@ -49,6 +61,7 @@ class Partition:
         if any(s < 1 for s in sizes):
             raise BadPartition(f"every block size must be >= 1, got {sizes}")
         object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(sizes[:-1], initial=0)))
 
     @property
     def n_blocks(self) -> int:
@@ -56,15 +69,7 @@ class Partition:
 
     @property
     def dimension(self) -> int:
-        return sum(self.block_sizes)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for s in self.block_sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
+        return self.offsets[-1] + self.block_sizes[-1]
 
     def block_slice(self, n: int) -> slice:
         if not 0 <= n < self.n_blocks:
@@ -75,11 +80,18 @@ class Partition:
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Validated partitioned Gaussian model (construct via ``validate_model``)."""
+    """Validated partitioned Gaussian model (construct via ``validate_model``).
+
+    ``factor`` is the lower Cholesky factor L of the covariance S, and
+    ``block_factor`` the block-diagonal L_B = blockdiag(L_1..L_N) of the
+    factors of the diagonal blocks S_nn, both computed by validation.
+    """
 
     mean: np.ndarray
     covariance: np.ndarray
     partition: Partition
+    factor: np.ndarray = field(repr=False)
+    block_factor: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -120,9 +132,10 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     """Validate raw inputs and return a symmetrized, PD-checked model.
 
     Asymmetry up to a relative 1e-8 is repaired by averaging with the
-    transpose; anything larger raises NotSymmetric. Positive definiteness is
-    established by Cholesky pivots both for the full matrix and for every
-    diagonal block.
+    transpose; anything larger raises NotSymmetric, and any NaN or inf raises
+    NonFiniteInput. Positive definiteness is established by Cholesky pivots
+    both for the full matrix and for every diagonal block; the model keeps
+    those factors.
     """
     cov = np.array(covariance, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -131,6 +144,10 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     mu = np.zeros(d) if mean is None else np.array(mean, dtype=float).reshape(-1)
     if mu.shape != (d,):
         raise DimensionMismatch(f"mean has length {mu.shape[0]}, covariance is {d}x{d}")
+    for name, a in (("mean", mu), ("covariance", cov)):
+        bad = np.count_nonzero(~np.isfinite(a))
+        if bad:
+            raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
 
     partition = Partition(tuple(int(s) for s in block_sizes))
     if partition.dimension != d:
@@ -148,17 +165,24 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
         )
     cov = symmetrize(cov)
 
-    cholesky_lower(cov, what="covariance")
-    model = GaussianModel(mean=_frozen(mu), covariance=_frozen(cov), partition=partition)
+    factor = cholesky_lower(cov, what="covariance")
+    block_factor = np.zeros_like(cov)
     for n in range(partition.n_blocks):
+        sl = partition.block_slice(n)
         try:
-            cholesky_lower(model.diagonal_block(n), what=f"diagonal block {n}")
+            block_factor[sl, sl] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
         except NotPositiveDefinite as exc:  # implied by full PD; asserted independently
             raise NotPositiveDefinite(
                 f"diagonal block {n} failed positive definiteness: {exc}",
                 pivot_index=exc.pivot_index,
             ) from exc
-    return model
+    return GaussianModel(
+        mean=_frozen(mu),
+        covariance=_frozen(cov),
+        partition=partition,
+        factor=_frozen(factor),
+        block_factor=_frozen(block_factor),
+    )
 
 
 def regression_block(model: GaussianModel, m: int, n: int) -> np.ndarray:
@@ -166,9 +190,25 @@ def regression_block(model: GaussianModel, m: int, n: int) -> np.ndarray:
     if m == n:
         raise SameBlock(f"regression block requires distinct blocks, got m = n = {m}")
     s_mn = model.covariance_block(m, n)
-    L_nn = cholesky_lower(model.diagonal_block(n))
+    col = model.partition.block_slice(n)
     # Solve S_nn X^T = S_mn^T, exploiting symmetry of S_nn.
-    return solve_pd_from_lower(L_nn, s_mn.T).T
+    return solve_pd_from_lower(model.block_factor[col, col], s_mn.T).T
+
+
+def _coupling_matrix(model: GaussianModel) -> np.ndarray:
+    """G = S blockdiag(S_nn)^{-1} - I from the stored block factors.
+
+    Column block n is S_{:,n} S_nn^{-1}; its row block m is the regression
+    block of m on n. Diagonal blocks are written as exact zeros.
+    """
+    g = solve_pd_from_lower(model.block_factor, model.covariance).T
+    _zero_diagonal_blocks(g, model.partition)
+    return g
+
+
+def _zero_diagonal_blocks(a: np.ndarray, partition: Partition) -> None:
+    for start, size in zip(partition.offsets, partition.block_sizes):
+        a[start : start + size, start : start + size] = 0.0
 
 
 def compute_gamma(model: GaussianModel) -> GammaMatrix:
@@ -176,41 +216,17 @@ def compute_gamma(model: GaussianModel) -> GammaMatrix:
 
     Diagonal blocks are written as exact zeros, making the trace exactly zero
     and keeping loop-enumeration cross-checks clean. Eigenvalues come from
-    the symmetric similar matrix B G B^{-1} with B = blockdiag(S_nn^{-1/2}),
-    which is real-symmetric by construction.
+    the block-whitened W - I with W = L_B^{-1} S L_B^{-T}, which is similar
+    to G + I and real-symmetric by construction; its diagonal blocks are the
+    identity and are likewise written as exact zeros.
     """
-    p = model.partition
-    d = p.dimension
-    g = np.zeros((d, d))
-    for n in range(p.n_blocks):
-        L_nn = cholesky_lower(model.diagonal_block(n))
-        col = p.block_slice(n)
-        # One solve gives S_{:,n} S_nn^{-1}; diagonal block overwritten below.
-        g[:, col] = solve_pd_from_lower(L_nn, model.covariance[:, col].T).T
-        g[col, col] = 0.0
-
-    root, inv_root = _block_inverse_roots(model)
-    similar = symmetrize(inv_root @ g @ root)
-    eigenvalues = np.linalg.eigvalsh(similar)
-    return GammaMatrix(matrix=_frozen(g), partition=p, eigenvalues=_frozen(eigenvalues))
-
-
-def _block_inverse_roots(model: GaussianModel):
-    """Block-diagonal symmetric square root of blockdiag(S_nn) and its inverse."""
-    p = model.partition
-    d = p.dimension
-    root = np.zeros((d, d))
-    inv_root = np.zeros((d, d))
-    for n in range(p.n_blocks):
-        w, v = np.linalg.eigh(model.diagonal_block(n))
-        if w.min() <= 0:
-            raise NotPositiveDefinite(
-                f"diagonal block {n} has non-positive eigenvalue {w.min():.3g}"
-            )
-        sl = p.block_slice(n)
-        root[sl, sl] = (v * np.sqrt(w)) @ v.T
-        inv_root[sl, sl] = (v / np.sqrt(w)) @ v.T
-    return root, inv_root
+    L_B = model.block_factor
+    half = solve_triangular(L_B, model.covariance, lower=True)
+    w = solve_triangular(L_B, half.T, lower=True)
+    _zero_diagonal_blocks(w, model.partition)
+    eigenvalues = np.linalg.eigvalsh(symmetrize(w))
+    g = _coupling_matrix(model)
+    return GammaMatrix(matrix=_frozen(g), partition=model.partition, eigenvalues=_frozen(eigenvalues))
 
 
 def compute_phi(model: GaussianModel) -> PhiMatrix:
@@ -220,9 +236,7 @@ def compute_phi(model: GaussianModel) -> PhiMatrix:
     blockdiag(S_nn)^{-1} - S^{-1} to within solver roundoff, and is exactly
     zero whenever the coupling matrix is exactly zero.
     """
-    gamma = compute_gamma(model)
-    L = cholesky_lower(model.covariance)
-    phi = solve_pd_from_lower(L, gamma.matrix)
+    phi = solve_pd_from_lower(model.factor, _coupling_matrix(model))
     return PhiMatrix(matrix=_frozen(symmetrize(phi)))
 
 

@@ -67,6 +67,14 @@ class TestAnalyze:
         assert doc["error"] == "NotPositiveDefinite"
         assert doc["pivot_index"] == 1
 
+    def test_non_finite_covariance_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"covariance": [[1, NaN], [NaN, 1]], "partition": [1, 1]}')
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NonFiniteInput"
+
     def test_grid_outside_domain_exit_3(self, capsys, scalar_pair_file):
         code, _, err = run(capsys, ["analyze", scalar_pair_file, "--t-grid=0:3:4"])
         assert code == 3

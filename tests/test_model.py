@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -6,13 +9,17 @@ from conftest import random_block_diagonal_model, random_model, scalar_pair_mode
 from infodensity import (
     BadPartition,
     DimensionMismatch,
+    NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
     Partition,
     SameBlock,
     compute_gamma,
     compute_phi,
+    density_at,
+    density_at_direct,
     model_fingerprint,
+    multiinformation,
     regression_block,
     to_correlation_model,
     validate_model,
@@ -29,6 +36,24 @@ class TestValidateModel:
         with pytest.raises(NotPositiveDefinite) as exc:
             validate_model([0, 0], [[1, 1.5], [1.5, 1]], [1, 1])
         assert exc.value.pivot_index == 1
+
+    @pytest.mark.parametrize("scales", [(1e-10, 1.0), (1e-75, 1e75)])
+    def test_pd_check_is_scale_free(self, scales):
+        # Variances (1e-20, 1) failed the earlier d * eps * max(diag) threshold.
+        s = np.asarray(scales)
+        cov = np.array([[1.0, 0.5], [0.5, 1.0]]) * np.outer(s, s)
+        model = validate_model(None, cov, [1, 1])
+        assert math.isclose(multiinformation(model), -0.5 * math.log(0.75), rel_tol=0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        with pytest.raises(NonFiniteInput):
+            validate_model([0, 0], [[1.0, bad], [bad, 1.0]], [1, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(NonFiniteInput):
+            validate_model([bad, 0.0], np.eye(2), [1, 1])
 
     def test_partition_sum_mismatch(self):
         with pytest.raises(BadPartition):
@@ -202,3 +227,20 @@ class TestFingerprint:
         c = scalar_pair_model(0.6)
         assert model_fingerprint(a) == model_fingerprint(b)
         assert model_fingerprint(a) != model_fingerprint(c)
+
+
+class TestNonFinitePoint:
+    def test_density_rejects_infinite_point(self):
+        model = scalar_pair_model(0.5)
+        for density in (density_at, density_at_direct):
+            with pytest.raises(NonFiniteInput):
+                density(model, [math.inf, 0.0])
+            with pytest.raises(NonFiniteInput):
+                density(model, [0.0, math.nan])
+
+    def test_density_rejects_infinite_mean(self):
+        # validate_model refuses such a mean; the density checks it again.
+        model = dataclasses.replace(scalar_pair_model(0.5), mean=np.array([math.inf, 0.0]))
+        for density in (density_at, density_at_direct):
+            with pytest.raises(NonFiniteInput):
+                density(model, [0.0, 0.0])
