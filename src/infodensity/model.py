@@ -201,7 +201,13 @@ def _coupling_matrix(model: GaussianModel) -> np.ndarray:
     Column block n is S_{:,n} S_nn^{-1}; its row block m is the regression
     block of m on n. Diagonal blocks are written as exact zeros.
     """
-    g = solve_pd_from_lower(model.block_factor, model.covariance).T
+    half = solve_triangular(model.block_factor, model.covariance, lower=True)
+    return _coupling_from_half(model, half)
+
+
+def _coupling_from_half(model: GaussianModel, half: np.ndarray) -> np.ndarray:
+    """G from the half-solve L_B^{-1} S: G^T = L_B^{-T} half, diagonal blocks zeroed."""
+    g = solve_triangular(model.block_factor.T, half, lower=False).T
     _zero_diagonal_blocks(g, model.partition)
     return g
 
@@ -225,7 +231,7 @@ def compute_gamma(model: GaussianModel) -> GammaMatrix:
     w = solve_triangular(L_B, half.T, lower=True)
     _zero_diagonal_blocks(w, model.partition)
     eigenvalues = np.linalg.eigvalsh(symmetrize(w))
-    g = _coupling_matrix(model)
+    g = _coupling_from_half(model, half)
     return GammaMatrix(matrix=_frozen(g), partition=model.partition, eigenvalues=_frozen(eigenvalues))
 
 

@@ -22,12 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._linalg import cholesky_lower
+from ._linalg import cholesky_lower, symmetrize
 from .errors import BatchTooSmall
 from .measures import cumulants, multiinformation
 from .model import GaussianModel, compute_phi, model_fingerprint
 
 DEFAULT_CHUNK_SIZE = 65536
+# OpenBLAS runs a gemm with m*n*k at or below 65536 * 4 on the calling thread.
+_TILE_MULTIPLY_ADDS = 2**18
+# Thinner tiles reread K too often to pay (on 2 cores they won at d <= 100 and
+# lost at d >= 200); from d = 129 on a chunk is one BLAS-threaded product.
+_MIN_TILE_ROWS = 16
 _MASK64 = (1 << 64) - 1
 Z_THRESHOLD = 5.0
 
@@ -69,8 +74,11 @@ def _standard_normal_block(seed: int, chunk_index: int, count: int) -> np.ndarra
     key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
     # Top 53 bits shifted onto the half-integer grid: strictly inside (0, 1).
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 def sample_density(
@@ -82,34 +90,54 @@ def sample_density(
 ) -> SampleBatch:
     """Evaluate the density on n seeded Gaussian draws.
 
-    Each chunk c draws standard normals from the (seed, c)-keyed stream,
-    maps them through the covariance Cholesky factor, and evaluates
-    I + w^T P w / 2 on the centered draws. Chunks are concatenated in index
-    order, so the thread count never changes the output.
+    Each chunk c draws standard normals z from the (seed, c)-keyed stream and
+    evaluates I + z^T K z / 2 with the folded kernel K = L^T P L, where L is
+    the covariance Cholesky factor (w = L z are the centered draws, so
+    w^T P w = z^T K z). Each chunk writes its own slice of the output in
+    index order, so the thread count never changes the output.
+
+    For d <= 128 the chunk threads are the only parallelism: each chunk is
+    evaluated in row tiles of at least 16 rows and at most 2**18
+    multiply-adds, a product OpenBLAS runs on the calling thread, so no BLAS
+    pool competes with the chunk threads. Above d = 128 such tiles would be
+    too thin, and each chunk is one product that BLAS may thread. The d x d
+    set-up (L and K) is one LAPACK/BLAS call each. Up to d = 64 the output
+    does not depend on the BLAS thread settings; above that the set-up's
+    rounding (and above d = 128 the chunk products') can depend on them.
     """
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     d = model.dimension
     L = cholesky_lower(model.covariance)
-    phi = compute_phi(model).matrix
+    kernel = symmetrize(L.T @ compute_phi(model).matrix @ L)
     info = multiinformation(model)
+    tile = _TILE_MULTIPLY_ADDS // (d * d)
+    if tile < _MIN_TILE_ROWS:
+        tile = chunk_size
+    values = np.empty(n)
 
-    def eval_chunk(c: int) -> np.ndarray:
+    def eval_chunk(c: int) -> None:
         start = c * chunk_size
         rows = min(chunk_size, n - start)
         z = _standard_normal_block(seed, c, rows * d).reshape(rows, d)
-        w = z @ L.T
-        return info + 0.5 * np.einsum("ij,ij->i", w @ phi, w)
+        out = values[start : start + rows]
+        for t in range(0, rows, tile):
+            zt = z[t : t + tile]
+            np.einsum("ij,ij->i", zt @ kernel, zt, out=out[t : t + tile])
+        out *= 0.5
+        out += info
 
     n_chunks = -(-n // chunk_size)
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(eval_chunk, range(n_chunks)))
+            list(pool.map(eval_chunk, range(n_chunks)))
     else:
-        parts = [eval_chunk(c) for c in range(n_chunks)]
-    values = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        for c in range(n_chunks):
+            eval_chunk(c)
     values.setflags(write=False)
     return SampleBatch(values=values, seed=int(seed), fingerprint=model_fingerprint(model))
 
@@ -128,9 +156,10 @@ def k_statistics(batch) -> KStatistics:
     nf = float(n)
     k1 = float(np.mean(values))
     centered = values - k1
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    sq = centered * centered
+    m2 = float(np.mean(sq))
+    m3 = float(np.mean(np.multiply(sq, centered, out=centered)))
+    m4 = float(np.mean(np.multiply(sq, sq, out=sq)))
     k2 = nf / (nf - 1.0) * m2
     k3 = nf * nf / ((nf - 1.0) * (nf - 2.0)) * m3 if n >= 3 else math.nan
     if n >= 4:

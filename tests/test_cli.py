@@ -143,6 +143,12 @@ class TestSimulate:
         assert code == 2
         assert json.loads(err)["error"] == "BatchTooSmall"
 
+    def test_zero_threads_exit_2(self, capsys, scalar_pair_file):
+        code, out, err = run(capsys, ["simulate", scalar_pair_file, "--n", "1000", "--threads", "0"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
 
 class TestOracleCheck:
     def test_equicorrelation_rows(self, capsys, equicorrelation_file):

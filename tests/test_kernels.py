@@ -4,14 +4,27 @@
 factorization and pairwise variance sum, kept here as references. The loop
 Cholesky uses the per-coordinate pivot threshold d * eps * a_jj of the current
 ``cholesky_lower``, so the two must name the same failing pivot.
+
+``_reference_normal_block``, ``_reference_sample_density`` and
+``_reference_k_statistics`` are the earlier sampler kernels: uniforms built
+with temporaries, each chunk mapped through L and then P in two products, and
+the third and fourth central moments taken with ``**3`` and ``**4``.
 """
+
+import hashlib
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.special import ndtri
 
 from conftest import random_model, random_partition
 
+import infodensity
 from infodensity import (
     NotPositiveDefinite,
     OutOfDomain,
@@ -21,11 +34,15 @@ from infodensity import (
     compute_phi,
     cumulants,
     density_at,
+    k_statistics,
     multiinformation,
+    sample_density,
     validate_model,
     variance,
 )
 from infodensity._linalg import cholesky_lower
+from infodensity.model import _coupling_matrix
+from infodensity.sampling import _MASK64, _standard_normal_block
 
 EPS = np.finfo(float).eps
 
@@ -64,6 +81,47 @@ def _loop_variance(model):
             reg_nm = reg_cols[m][p.block_slice(n)]
             total += float(np.sum(reg_mn * reg_nm.T))
     return total
+
+
+def _reference_normal_block(seed, chunk_index, count):
+    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(count)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(u)
+
+
+def _reference_sample_density(model, n, seed, chunk_size):
+    d = model.dimension
+    L = cholesky_lower(model.covariance)
+    phi = compute_phi(model).matrix
+    info = multiinformation(model)
+    parts = []
+    for c in range(-(-n // chunk_size)):
+        rows = min(chunk_size, n - c * chunk_size)
+        z = _reference_normal_block(seed, c, rows * d).reshape(rows, d)
+        w = z @ L.T
+        parts.append(info + 0.5 * np.einsum("ij,ij->i", w @ phi, w))
+    return np.concatenate(parts)
+
+
+def _reference_k_statistics(values):
+    n = values.size
+    nf = float(n)
+    k1 = float(np.mean(values))
+    centered = values - k1
+    m2 = float(np.mean(centered**2))
+    m3 = float(np.mean(centered**3))
+    m4 = float(np.mean(centered**4))
+    k2 = nf / (nf - 1.0) * m2
+    k3 = nf * nf / ((nf - 1.0) * (nf - 2.0)) * m3 if n >= 3 else math.nan
+    if n >= 4:
+        k4 = nf * nf * ((nf + 1.0) * m4 - 3.0 * (nf - 1.0) * m2 * m2) / (
+            (nf - 1.0) * (nf - 2.0) * (nf - 3.0)
+        )
+        se2 = math.sqrt(max(k4 / nf + 2.0 * k2 * k2 / (nf - 1.0), 0.0))
+    else:
+        k4 = se2 = math.nan
+    return k1, k2, k3, k4, math.sqrt(k2 / nf), se2
 
 
 def _random_spd(rng, d):
@@ -177,3 +235,87 @@ class TestFactorOnce:
         cumulants(model, 6, gamma=gamma)
         cgf(model, np.linspace(-0.1, 0.1, 5) * cgf_domain(gamma).half_width)
         density_at(model, model.mean + 1.0)
+
+
+class TestCouplingFromHalfSolve:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gamma_matrix_matches_coupling_matrix(self, seed):
+        rng = np.random.default_rng(1400 + seed)
+        d = int(rng.integers(2, 41))
+        model = random_model(rng, d=d, sizes=random_partition(rng, d))
+        g = compute_gamma(model).matrix
+        expected = _coupling_matrix(model)
+        assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for start, size in zip(model.partition.offsets, model.partition.block_sizes):
+            assert not np.any(g[start : start + size, start : start + size])
+
+
+class TestSamplerAgainstTwoProducts:
+    # n = 2503 is a multiple of neither the chunk size nor any tile height
+    # (65536, 655, 26 and 16 rows for d = 2, 20, 100, 128). d = 200 and
+    # d = 600 take the chunk-wide product (tiles would be 6 and 0 rows).
+    @pytest.mark.parametrize("d", [2, 20, 100, 128, 200, 600])
+    def test_folded_kernel_matches_two_products(self, d):
+        rng = np.random.default_rng(1500 + d)
+        model = random_model(rng, d=d, sizes=random_partition(rng, d, max_blocks=5))
+        values = sample_density(model, 2503, seed=77, chunk_size=1000).values
+        expected = _reference_sample_density(model, 2503, 77, 1000)
+        assert values.shape == expected.shape
+        assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 + 3, -1])
+    @pytest.mark.parametrize("count", [1, 2, 999, 4096])
+    def test_normals_bit_identical(self, seed, count):
+        assert np.array_equal(
+            _standard_normal_block(seed, 3, count), _reference_normal_block(seed, 3, count)
+        )
+
+    # At d <= 64 every d x d product of the set-up is also at most 2**18
+    # multiply-adds; above that the set-up's own BLAS/LAPACK calls may round
+    # differently with their thread count (seen at d = 100 and d = 128).
+    @pytest.mark.parametrize("d", [20, 64])
+    def test_output_independent_of_blas_threads(self, tmp_path, d):
+        rng = np.random.default_rng(1530 + d)
+        sizes = [d // 4] * 4
+        cov = random_model(rng, d=d, sizes=sizes).covariance
+        np.save(tmp_path / "cov.npy", cov)
+        script = (
+            "import hashlib, sys, numpy as np\n"
+            "from infodensity import sample_density, validate_model\n"
+            f"model = validate_model(None, np.load(sys.argv[1]), {sizes})\n"
+            "values = sample_density(model, 5003, seed=8, chunk_size=1000, threads=2).values\n"
+            "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "cov.npy")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        model = validate_model(None, np.load(tmp_path / "cov.npy"), sizes)
+        values = sample_density(model, 5003, seed=8, chunk_size=1000, threads=2).values
+        assert proc.stdout.strip() == hashlib.sha256(values.tobytes()).hexdigest()
+
+
+class TestKStatisticsAgainstPow:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 1000, 200_001])
+    def test_matches_pow_reference(self, n):
+        rng = np.random.default_rng(1600 + n)
+        values = rng.gamma(2.0, 1.5, n) - 1.0
+        stats = k_statistics(values)
+        got = (stats.k1, stats.k2, stats.k3, stats.k4, stats.se1, stats.se2)
+        for a, b in zip(got, _reference_k_statistics(values)):
+            if math.isnan(b):
+                assert math.isnan(a)
+            else:
+                assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_input_array_left_unchanged(self):
+        values = np.random.default_rng(1610).standard_normal(100)
+        before = values.copy()
+        k_statistics(values)
+        assert np.array_equal(values, before)

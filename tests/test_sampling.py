@@ -30,6 +30,11 @@ class TestSampleDensity:
         one = sample_density(model, 200_000, seed=11, threads=1)
         four = sample_density(model, 200_000, seed=11, threads=4)
         assert np.array_equal(one.values, four.values)
+        # d = 20 over six chunks: two 655-row tiles per full chunk, then 3 rows.
+        model = random_model(np.random.default_rng(1520), d=20, sizes=[5, 5, 5, 5])
+        one = sample_density(model, 5003, seed=5, chunk_size=1000, threads=1)
+        three = sample_density(model, 5003, seed=5, chunk_size=1000, threads=3)
+        assert np.array_equal(one.values, three.values)
 
     def test_deterministic_rerun(self):
         model = scalar_pair_model(0.3)
@@ -46,6 +51,11 @@ class TestSampleDensity:
     def test_minimum_size(self):
         with pytest.raises(BatchTooSmall):
             sample_density(scalar_pair_model(0.5), 1, seed=0)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_must_be_positive(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            sample_density(scalar_pair_model(0.5), 1000, seed=0, threads=threads)
 
     def test_mean_within_five_se(self):
         model = scalar_pair_model(0.5)
