@@ -8,7 +8,7 @@ matrices.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
 from .errors import NotPositiveDefinite
@@ -57,10 +57,19 @@ def logdet_from_lower(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(L))))
 
 
+def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve L X = b (L^T X = b with ``transpose``) for a 2-D b by BLAS trsm.
+
+    OpenBLAS runs trsm on the calling thread below about 32 x 32, but LAPACK
+    trtrs (scipy's ``solve_triangular``) on its pool at every size; the pool
+    then spins for ~0.1 s, taking a core from the sampler's threads.
+    """
+    return dtrsm(1.0, L, b, lower=1, trans_a=int(transpose))
+
+
 def solve_pd_from_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b via two triangular solves."""
-    y = solve_triangular(L, b, lower=True)
-    return solve_triangular(L.T, y, lower=False)
+    return solve_lower(L, solve_lower(L, b), transpose=True)
 
 
 def rel_close(a: float, b: float, tol: float) -> bool:

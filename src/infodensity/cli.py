@@ -162,12 +162,17 @@ def _load_model(args):
 def _parse_t_grid(text: str) -> np.ndarray:
     try:
         a, b, steps = text.split(":")
-        return np.linspace(float(a), float(b), int(steps))
+        a, b, steps = float(a), float(b), int(steps)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"--t-grid expects 'a:b:steps', got {text!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteInput(f"--t-grid bounds must be finite, got {text!r}")
+    return np.linspace(a, b, steps)
 
 
 def _oracle_rows(model, gamma, max_l: int, cap: int):
+    if max_l < 1:
+        raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
     rows = []
     ok = True
     for l in range(1, max_l + 1):
@@ -195,7 +200,7 @@ def _cmd_analyze(args):
     info_gamma = multiinformation_from_gamma(gamma)
     agreement = abs(info_logdet - info_gamma) <= AGREEMENT_TOL
     domain = cgf_domain(gamma)
-    seq = cumulants(model, args.cumulants, gamma=gamma)
+    seq = cumulants(model, args.cumulants)
 
     report = {
         "fingerprint": model_fingerprint(model),
@@ -217,9 +222,9 @@ def _cmd_analyze(args):
 
     if args.t_grid:
         grid = _parse_t_grid(args.t_grid)
-        values = cgf(model, grid, gamma=gamma)  # OutOfDomain -> exit 3
+        values = cgf(model, grid)  # OutOfDomain -> exit 3
         report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
-    if args.oracle_max_l:
+    if args.oracle_max_l is not None:
         rows, ok = _oracle_rows(model, gamma, args.oracle_max_l, _loop_cap())
         report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}
         code = code or (0 if ok else 1)

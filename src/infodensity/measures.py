@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 
 from ._linalg import cholesky_lower, logdet_from_lower
 from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, NonFiniteInput, OutOfDomain
-from .model import GammaMatrix, GaussianModel, _coupling_matrix, compute_gamma, compute_phi
+from .model import GammaMatrix, GaussianModel, compute_gamma, compute_phi
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
@@ -137,7 +137,7 @@ def cgf_domain(gamma: GammaMatrix) -> CgfDomain:
     return CgfDomain(lower=lower, upper=upper)
 
 
-def cgf(model: GaussianModel, t, gamma: GammaMatrix | None = None):
+def cgf(model: GaussianModel, t):
     """Cumulant-generating function of the density at t, in nats.
 
     Evaluated as t*I - sum(ln(1 - t*lambda))/2 over the coupling spectrum.
@@ -146,8 +146,7 @@ def cgf(model: GaussianModel, t, gamma: GammaMatrix | None = None):
     way. Raises OutOfDomain for the first t on or outside the boundary of the
     finite range.
     """
-    if gamma is None:
-        gamma = compute_gamma(model)
+    gamma = compute_gamma(model)
     domain = cgf_domain(gamma)
     ts = np.asarray(t, dtype=float)
     outside = ~((domain.lower < ts) & (ts < domain.upper))
@@ -159,7 +158,7 @@ def cgf(model: GaussianModel, t, gamma: GammaMatrix | None = None):
     return float(values) if values.ndim == 0 else values
 
 
-def cumulants(model: GaussianModel, order: int, gamma: GammaMatrix | None = None) -> CumulantSequence:
+def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     """Cumulants of the density up to the requested order.
 
     kappa_1 is the multiinformation; higher orders use the eigenvalue power
@@ -169,9 +168,7 @@ def cumulants(model: GaussianModel, order: int, gamma: GammaMatrix | None = None
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if gamma is None:
-        gamma = compute_gamma(model)
-    lam = np.asarray(gamma.eigenvalues)
+    lam = np.asarray(compute_gamma(model).eigenvalues)
     values = [multiinformation(model)]
     abs_lam = np.abs(lam)
     nonzero = abs_lam > 0.0
@@ -201,10 +198,10 @@ def variance(model: GaussianModel) -> float:
 
     sum_{m<n} tr(S_mn S_nn^{-1} S_nm S_mm^{-1}), i.e. the trace of the
     product of the two opposing regression blocks for every pair, evaluated
-    elementwise over the regression columns of the coupling matrix. Equals
-    tr(G^2)/2 and the second cumulant.
+    elementwise over the regression columns of the model's coupling matrix.
+    Equals tr(G^2)/2 and the second cumulant.
     """
-    g = _coupling_matrix(model)
+    g = compute_gamma(model).matrix
     # sum(G * G^T) = tr(G^2) counts every pair (m, n) twice: tr(C_mn C_nm) + tr(C_nm C_mn).
     return 0.5 * float(np.sum(g * g.T))
 
@@ -220,8 +217,7 @@ def cgf_numeric_cumulants(model: GaussianModel, order: int, step: float | None =
     """
     if not 1 <= order <= 6:
         raise ValueError(f"order must be in 1..6, got {order}")
-    gamma = compute_gamma(model)
-    domain = cgf_domain(gamma)
+    domain = cgf_domain(compute_gamma(model))
     if step is None:
         step = 1e-3 * min(1.0, domain.half_width)
     values = []
@@ -232,6 +228,6 @@ def cgf_numeric_cumulants(model: GaussianModel, order: int, step: float | None =
         acc = 0.0
         for k in range(l + 1):
             node = (l / 2.0 - k) * step
-            acc += (-1.0) ** k * math.comb(l, k) * cgf(model, node, gamma=gamma)
+            acc += (-1.0) ** k * math.comb(l, k) * cgf(model, node)
         values.append(acc / step**l)
     return CumulantSequence(values=tuple(values))

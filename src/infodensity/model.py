@@ -12,8 +12,8 @@ the coordinates into N >= 2 blocks. From it we build:
 
 Validation factors the covariance and its diagonal blocks once, and the model
 carries those Cholesky factors; every analytic quantity reads them instead of
-factoring again. All types are frozen dataclasses holding read-only arrays;
-every operation is a pure function of its inputs.
+factoring again, and ``compute_gamma`` keeps G and its spectrum on it. All
+types are frozen dataclasses holding read-only arrays.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from ._linalg import cholesky_lower, solve_pd_from_lower, symmetrize
+from ._linalg import cholesky_lower, solve_lower, solve_pd_from_lower, symmetrize
 from .errors import (
     BadPartition,
     DimensionMismatch,
@@ -55,7 +54,12 @@ class Partition:
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
+        try:
+            sizes = tuple(int(s) for s in self.block_sizes)
+        except (TypeError, ValueError, OverflowError):
+            sizes = None
+        if sizes is None or sizes != tuple(self.block_sizes):
+            raise BadPartition(f"block sizes must be integers, got {tuple(self.block_sizes)}")
         if len(sizes) < 2:
             raise BadPartition(f"need at least 2 blocks, got {len(sizes)}")
         if any(s < 1 for s in sizes):
@@ -92,6 +96,7 @@ class GaussianModel:
     partition: Partition
     factor: np.ndarray = field(repr=False)
     block_factor: np.ndarray = field(repr=False)
+    _gamma: GammaMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -149,7 +154,7 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
         if bad:
             raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
 
-    partition = Partition(tuple(int(s) for s in block_sizes))
+    partition = Partition(tuple(block_sizes))
     if partition.dimension != d:
         raise BadPartition(
             f"block sizes {partition.block_sizes} sum to {partition.dimension}, "
@@ -195,44 +200,27 @@ def regression_block(model: GaussianModel, m: int, n: int) -> np.ndarray:
     return solve_pd_from_lower(model.block_factor[col, col], s_mn.T).T
 
 
-def _coupling_matrix(model: GaussianModel) -> np.ndarray:
-    """G = S blockdiag(S_nn)^{-1} - I from the stored block factors.
-
-    Column block n is S_{:,n} S_nn^{-1}; its row block m is the regression
-    block of m on n. Diagonal blocks are written as exact zeros.
-    """
-    half = solve_triangular(model.block_factor, model.covariance, lower=True)
-    return _coupling_from_half(model, half)
-
-
-def _coupling_from_half(model: GaussianModel, half: np.ndarray) -> np.ndarray:
-    """G from the half-solve L_B^{-1} S: G^T = L_B^{-T} half, diagonal blocks zeroed."""
-    g = solve_triangular(model.block_factor.T, half, lower=False).T
-    _zero_diagonal_blocks(g, model.partition)
-    return g
-
-
-def _zero_diagonal_blocks(a: np.ndarray, partition: Partition) -> None:
-    for start, size in zip(partition.offsets, partition.block_sizes):
-        a[start : start + size, start : start + size] = 0.0
-
-
 def compute_gamma(model: GaussianModel) -> GammaMatrix:
-    """Assemble the coupling matrix from regression blocks.
+    """G = S blockdiag(S_nn)^{-1} - I and its spectrum, kept on the model.
 
-    Diagonal blocks are written as exact zeros, making the trace exactly zero
-    and keeping loop-enumeration cross-checks clean. Eigenvalues come from
-    the block-whitened W - I with W = L_B^{-1} S L_B^{-T}, which is similar
-    to G + I and real-symmetric by construction; its diagonal blocks are the
-    identity and are likewise written as exact zeros.
+    From H = L_B^{-1} S: G = (L_B^{-T} H)^T (block (m, n) regresses m on n)
+    and the eigenvalues of W - I, W = L_B^{-1} H^T real-symmetric and similar
+    to G + I. Diagonal blocks of both are exact zeros, so tr G = 0 exactly.
+    Concurrent first calls may each form G and store equal values.
     """
+    if model._gamma is not None:
+        return model._gamma
     L_B = model.block_factor
-    half = solve_triangular(L_B, model.covariance, lower=True)
-    w = solve_triangular(L_B, half.T, lower=True)
-    _zero_diagonal_blocks(w, model.partition)
+    half = solve_lower(L_B, model.covariance)
+    w = solve_lower(L_B, half.T)
+    g = solve_lower(L_B, half, transpose=True).T
+    for n in range(model.partition.n_blocks):
+        sl = model.partition.block_slice(n)
+        w[sl, sl] = g[sl, sl] = 0.0
     eigenvalues = np.linalg.eigvalsh(symmetrize(w))
-    g = _coupling_from_half(model, half)
-    return GammaMatrix(matrix=_frozen(g), partition=model.partition, eigenvalues=_frozen(eigenvalues))
+    gamma = GammaMatrix(matrix=_frozen(g), partition=model.partition, eigenvalues=_frozen(eigenvalues))
+    object.__setattr__(model, "_gamma", gamma)
+    return gamma
 
 
 def compute_phi(model: GaussianModel) -> PhiMatrix:
@@ -242,7 +230,7 @@ def compute_phi(model: GaussianModel) -> PhiMatrix:
     blockdiag(S_nn)^{-1} - S^{-1} to within solver roundoff, and is exactly
     zero whenever the coupling matrix is exactly zero.
     """
-    phi = solve_pd_from_lower(model.factor, _coupling_matrix(model))
+    phi = solve_pd_from_lower(model.factor, compute_gamma(model).matrix)
     return PhiMatrix(matrix=_frozen(symmetrize(phi)))
 
 

@@ -90,7 +90,7 @@ def test_c03_variance_triple_path():
             gamma = compute_gamma(model)
             block_sum = variance(model)
             matrix_path = 0.5 * float(np.trace(gamma.matrix @ gamma.matrix))
-            eigen_path = cumulants(model, 2, gamma=gamma).kappa(2)
+            eigen_path = cumulants(model, 2).kappa(2)
             assert rel_close(block_sum, matrix_path, 1e-10)
             assert rel_close(block_sum, eigen_path, 1e-10)
         # all-scalar partitions reduce to the sum of squared correlations
@@ -147,7 +147,7 @@ def test_c06_homogeneous_closed_forms():
                 model = homogeneous_covariance(hm)
                 gamma = compute_gamma(model)
                 assert rel_close(homogeneous_mean(hm), multiinformation(model), 1e-9)
-                seq = cumulants(model, 6, gamma=gamma)
+                seq = cumulants(model, 6)
                 for l in range(2, 7):
                     assert rel_close(homogeneous_cumulant(hm, l), seq.kappa(l), 1e-9)
                 for l in range(1, 7):

@@ -58,6 +58,14 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == "BadPartition"
 
+    def test_non_integral_partition_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({"covariance": np.eye(3).tolist(), "partition": [1.5, 1.5, 1]}))
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "BadPartition"
+
     def test_not_positive_definite_exit_2(self, capsys, tmp_path):
         path = tmp_path / "npd.json"
         path.write_text(json.dumps({"covariance": [[1, 1.5], [1.5, 1]], "partition": [1, 1]}))
@@ -81,6 +89,20 @@ class TestAnalyze:
         doc = json.loads(err)
         assert doc["error"] == "OutOfDomain"
         assert doc["domain"] == {"lower": -2.0, "upper": 2.0}
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "-1:inf:3", "-inf:nan:2"])
+    def test_non_finite_grid_bound_exit_2(self, capsys, scalar_pair_file, grid):
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, f"--t-grid={grid}"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "NonFiniteInput"
+
+    @pytest.mark.parametrize("max_l", ["0", "-2"])
+    def test_oracle_max_l_below_one_exit_2(self, capsys, scalar_pair_file, max_l):
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, "--oracle-max-l", max_l])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_grid_values_reported(self, capsys, scalar_pair_file):
         code, out, _ = run(capsys, ["analyze", scalar_pair_file, "--t-grid=-1:1:3"])
@@ -167,6 +189,13 @@ class TestOracleCheck:
         for row in rows:
             if row["l"] % 2 == 1:
                 assert row["loop_sum"] == 0.0 and row["matrix_trace"] == 0.0
+
+    @pytest.mark.parametrize("max_l", ["0", "-1"])
+    def test_max_l_below_one_exit_2(self, capsys, scalar_pair_file, max_l):
+        code, out, err = run(capsys, ["oracle-check", scalar_pair_file, "--max-l", max_l])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
 
     def test_cap_exceeded_exit_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("INFODENSITY_LOOP_CAP", "100000")

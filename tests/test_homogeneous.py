@@ -98,7 +98,7 @@ class TestAgainstGeneralMachinery:
         model = homogeneous_covariance(hm)
         gamma = compute_gamma(model)
         assert rel_close(homogeneous_mean(hm), multiinformation(model), 1e-9)
-        seq = cumulants(model, 6, gamma=gamma)
+        seq = cumulants(model, 6)
         for l in range(2, 7):
             assert rel_close(homogeneous_cumulant(hm, l), seq.kappa(l), 1e-9)
         for l in range(1, 7):

@@ -4,6 +4,8 @@
 factorization and pairwise variance sum, kept here as references. The loop
 Cholesky uses the per-coordinate pivot threshold d * eps * a_jj of the current
 ``cholesky_lower``, so the two must name the same failing pivot.
+``_coupling_matrix`` is the earlier second path to G, two fresh triangular
+solves per call.
 
 ``_reference_normal_block``, ``_reference_sample_density`` and
 ``_reference_k_statistics`` are the earlier sampler kernels: uniforms built
@@ -12,6 +14,7 @@ the third and fourth central moments taken with ``**3`` and ``**4``.
 """
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -37,11 +40,12 @@ from infodensity import (
     k_statistics,
     multiinformation,
     sample_density,
+    to_correlation_model,
     validate_model,
     variance,
 )
-from infodensity._linalg import cholesky_lower
-from infodensity.model import _coupling_matrix
+from infodensity import cli
+from infodensity._linalg import cholesky_lower, solve_lower
 from infodensity.sampling import _MASK64, _standard_normal_block
 
 EPS = np.finfo(float).eps
@@ -64,6 +68,14 @@ def _loop_cholesky(a):
 
 def _loop_solve(L, b):
     return solve_triangular(L.T, solve_triangular(L, b, lower=True), lower=False)
+
+
+def _coupling_matrix(model):
+    half = solve_triangular(model.block_factor, model.covariance, lower=True)
+    g = solve_triangular(model.block_factor.T, half, lower=False).T
+    for start, size in zip(model.partition.offsets, model.partition.block_sizes):
+        g[start : start + size, start : start + size] = 0.0
+    return g
 
 
 def _loop_variance(model):
@@ -188,10 +200,10 @@ class TestCgfGrid:
         gamma = compute_gamma(model)
         dom = cgf_domain(gamma)
         grid = np.linspace(0.95 * dom.lower, 0.95 * dom.upper, 41)
-        values = cgf(model, grid, gamma=gamma)
+        values = cgf(model, grid)
         assert values.shape == grid.shape
         for t, value in zip(grid, values):
-            scalar = cgf(model, float(t), gamma=gamma)
+            scalar = cgf(model, float(t))
             assert isinstance(scalar, float)
             assert abs(value - scalar) <= 1e-13 * max(abs(value), abs(scalar))
 
@@ -232,7 +244,7 @@ class TestFactorOnce:
         compute_phi(model)
         multiinformation(model)
         variance(model)
-        cumulants(model, 6, gamma=gamma)
+        cumulants(model, 6)
         cgf(model, np.linspace(-0.1, 0.1, 5) * cgf_domain(gamma).half_width)
         density_at(model, model.mean + 1.0)
 
@@ -248,6 +260,67 @@ class TestCouplingFromHalfSolve:
         assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
         for start, size in zip(model.partition.offsets, model.partition.block_sizes):
             assert not np.any(g[start : start + size, start : start + size])
+
+
+class TestCouplingOnce:
+    def test_formed_once_per_model(self):
+        rng = np.random.default_rng(1450)
+        model = random_model(rng, d=7, sizes=[3, 1, 3])
+        gamma = compute_gamma(model)
+        assert compute_gamma(model) is gamma
+        scales, corr = to_correlation_model(model)
+        corr_gamma = compute_gamma(corr)
+        assert corr_gamma is not gamma
+        assert compute_gamma(corr) is corr_gamma
+        # The correlation model's own G~ = D^{-1} G D, not the parent's G.
+        assert not np.array_equal(corr_gamma.matrix, gamma.matrix)
+        expected = gamma.matrix * np.outer(1.0 / scales, scales)
+        assert np.max(np.abs(corr_gamma.matrix - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @staticmethod
+    def _count_dense_calls(monkeypatch, d):
+        counts = {"model": 0, "_linalg": 0, "eigvalsh": 0}
+        for module in ("model", "_linalg"):
+
+            def counting_solve(a, b, *args, _module=module, **kwargs):
+                if np.shape(a) == (d, d) and np.shape(b) == (d, d):
+                    counts[_module] += 1
+                return solve_lower(a, b, *args, **kwargs)
+
+            monkeypatch.setattr(f"infodensity.{module}.solve_lower", counting_solve)
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(*args, **kwargs):
+            counts["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        return counts
+
+    @staticmethod
+    def _model_file(tmp_path, d):
+        rng = np.random.default_rng(1451)
+        model = random_model(rng, d=d, sizes=[d // 4] * 4)
+        path = tmp_path / "model.json"
+        doc = {"covariance": model.covariance.tolist(), "partition": list(model.partition.block_sizes)}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_analyze_solves_three_times(self, capsys, tmp_path, monkeypatch):
+        path = self._model_file(tmp_path, 24)
+        counts = self._count_dense_calls(monkeypatch, 24)
+        assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
+        capsys.readouterr()
+        # Half-solve, whitening and G, all inside compute_gamma.
+        assert counts == {"model": 3, "_linalg": 0, "eigvalsh": 1}
+
+    def test_simulate_solves_five_times(self, capsys, tmp_path, monkeypatch):
+        path = self._model_file(tmp_path, 20)
+        counts = self._count_dense_calls(monkeypatch, 20)
+        assert cli.main(["simulate", path, "--n", "2000", "--threads", "1"]) == 0
+        capsys.readouterr()
+        # compute_gamma's three, then S P = G solved against the same G.
+        assert counts == {"model": 3, "_linalg": 2, "eigvalsh": 1}
 
 
 class TestSamplerAgainstTwoProducts:

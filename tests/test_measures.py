@@ -181,7 +181,7 @@ class TestCumulants:
         rng = np.random.default_rng(600 + seed)
         model = random_model(rng)
         gamma = compute_gamma(model)
-        seq = cumulants(model, 8, gamma=gamma)
+        seq = cumulants(model, 8)
         for l in range(2, 9):
             trace = np.trace(np.linalg.matrix_power(gamma.matrix, l))
             expected = math.factorial(l - 1) / 2.0 * float(trace)
@@ -201,7 +201,7 @@ class TestCumulants:
         rng = np.random.default_rng(10)
         model = random_model(rng)
         gamma = compute_gamma(model)
-        seq = cumulants(model, 6, gamma=gamma)
+        seq = cumulants(model, 6)
         assert seq.kappa(1) == multiinformation(model)
         lam = gamma.eigenvalues
         for l in range(2, 7):

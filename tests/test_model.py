@@ -67,6 +67,18 @@ class TestValidateModel:
         with pytest.raises(BadPartition):
             Partition((2, 0))
 
+    @pytest.mark.parametrize("sizes", [[1.5, 1.5, 1], [2.5, 0.5], [math.nan, 1], [math.inf, 1]])
+    def test_non_integral_block_size_rejected(self, sizes):
+        with pytest.raises(BadPartition):
+            Partition(tuple(sizes))
+        with pytest.raises(BadPartition):
+            validate_model(None, np.eye(3), sizes)
+
+    def test_integral_block_sizes_of_any_type_accepted(self):
+        assert Partition((2.0, np.int64(1))).block_sizes == (2, 1)
+        model = validate_model(None, np.eye(3), np.array([2, 1]))
+        assert model.partition.block_sizes == (2, 1)
+
     def test_mean_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate_model([0, 0, 0], np.eye(2), [1, 1])
