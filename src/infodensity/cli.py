@@ -228,7 +228,7 @@ def _cmd_analyze(args):
         rows, ok = _oracle_rows(model, gamma, args.oracle_max_l, _loop_cap())
         report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}
         code = code or (0 if ok else 1)
-    if args.mc_n:
+    if args.mc_n is not None:
         mc = mc_validate(model, args.mc_n, args.mc_seed, args.mc_max_order, threads=args.threads)
         report["monte_carlo"] = mc
         code = code or (0 if mc["ok"] else 1)

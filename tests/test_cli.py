@@ -104,6 +104,13 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("mc_n", ["0", "-5", "3"])
+    def test_mc_n_below_four_exit_2(self, capsys, scalar_pair_file, mc_n):
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, "--mc-n", mc_n])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "BatchTooSmall"
+
     def test_grid_values_reported(self, capsys, scalar_pair_file):
         code, out, _ = run(capsys, ["analyze", scalar_pair_file, "--t-grid=-1:1:3"])
         report = json.loads(out)

@@ -1,3 +1,14 @@
+"""Tests of the loop-enumeration oracle.
+
+``_reference_walk`` is the earlier per-loop fold, kept here as the
+reference: every block looked up through ``gamma.block`` and every product
+formed again for each loop. ``_reference_loop_trace`` folds all of a loop's
+arrows that way and takes ``np.trace``.
+"""
+
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,9 +25,42 @@ from infodensity import (
     two_block_trace,
     validate_model,
 )
+from infodensity import loops as loops_module
 from infodensity._linalg import rel_close
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
+
+
+def _reference_walk(loop, gamma, arrows):
+    """Product of the blocks along the loop's first ``arrows`` arrows, the last one leftmost."""
+    nodes = loop.nodes
+    l = len(nodes)
+    product = None
+    for i in range(arrows):
+        weight = gamma.block(nodes[(i + 1) % l], nodes[i])
+        product = weight if product is None else weight @ product
+    return product
+
+
+def _reference_loop_trace(loop, gamma):
+    return float(np.trace(_reference_walk(loop, gamma, loop.length)))
+
+
+def _closing_and_walk(loop, gamma):
+    """``loop_trace``'s arguments for a loop: the block back to the root, and the walk before it."""
+    return gamma.block(loop.nodes[0], loop.nodes[-1]), _reference_walk(loop, gamma, loop.length - 1)
+
+
+def _count_loop_trace(monkeypatch):
+    calls = [0]
+    original = loops_module.loop_trace
+
+    def counted(closing, walk):
+        calls[0] += 1
+        return original(closing, walk)
+
+    monkeypatch.setattr(loops_module, "loop_trace", counted)
+    return calls
 
 
 class TestDirectedLoop:
@@ -31,6 +75,14 @@ class TestDirectedLoop:
     def test_rejects_single_arrow(self):
         with pytest.raises(ValueError):
             DirectedLoop((0,))
+
+    @pytest.mark.parametrize("nodes", [(0, 1.5), (0.5, 1), (0, -1), (-2, 0, 1), (0, "1"), (0, float("nan")), (0, None)])
+    def test_rejects_non_integral_or_negative_nodes(self, nodes):
+        with pytest.raises(ValueError):
+            DirectedLoop(nodes)
+
+    def test_integral_nodes_normalized(self):
+        assert DirectedLoop((np.int64(0), 1.0, 2)).nodes == (0, 1, 2)
 
 
 class TestEnumerateLoops:
@@ -72,15 +124,31 @@ class TestLoopTrace:
         model = random_block_diagonal_model(np.random.default_rng(1), [1, 2, 1])
         gamma = compute_gamma(model)
         for loop in enumerate_loops(3, 3):
-            assert loop_trace(loop, gamma) == 0.0
+            assert loop_trace(*_closing_and_walk(loop, gamma)) == 0.0
 
     def test_back_and_forth_pair(self):
         gamma = compute_gamma(scalar_pair_model(0.5))
-        assert loop_trace(DirectedLoop((0, 1)), gamma) == pytest.approx(0.25, abs=1e-15)
+        assert loop_trace(*_closing_and_walk(DirectedLoop((0, 1)), gamma)) == pytest.approx(0.25, abs=1e-15)
 
     def test_triangle_on_equicorrelation(self):
         gamma = compute_gamma(EQUI3)
-        assert loop_trace(DirectedLoop((0, 1, 2)), gamma) == pytest.approx(0.125, abs=1e-15)
+        assert loop_trace(*_closing_and_walk(DirectedLoop((0, 1, 2)), gamma)) == pytest.approx(0.125, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_fold(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n_blocks = int(rng.integers(2, 5))
+        sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
+        gamma = compute_gamma(random_model(rng, d=sum(sizes), sizes=sizes))
+        for l in (2, 3, 4):
+            for loop in enumerate_loops(n_blocks, l):
+                reference = _reference_loop_trace(loop, gamma)
+                assert abs(loop_trace(*_closing_and_walk(loop, gamma)) - reference) <= 1e-12 * max(1.0, abs(reference))
+
+    def test_rejects_closing_block_of_wrong_shape(self):
+        gamma = compute_gamma(random_model(np.random.default_rng(5), d=5, sizes=[2, 3]))
+        with pytest.raises(ValueError):
+            loop_trace(gamma.block(0, 1), gamma.block(0, 1))
 
 
 class TestTraceViaLoops:
@@ -116,6 +184,45 @@ class TestTraceViaLoops:
         for l in (3, 5):
             assert trace_via_loops(gamma, l) == 0.0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_fsum_of_reference_terms(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n_blocks = int(rng.integers(2, 7))
+        sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
+        gamma = compute_gamma(random_model(rng, d=sum(sizes), sizes=sizes))
+        for l in range(1, 7):
+            reference = math.fsum(_reference_loop_trace(loop, gamma) for loop in enumerate_loops(n_blocks, l))
+            assert rel_close(trace_via_loops(gamma, l), reference, 1e-12)
+
+
+class TestStreaming:
+    @pytest.mark.parametrize(
+        "sizes, length, loops", [([2] * 8, 5, 16_800), ([1, 2], 3, 0), ([2, 3], 5, 0), ([1, 2, 3], 4, 18)]
+    )
+    def test_one_loop_trace_call_per_rooted_loop(self, monkeypatch, sizes, length, loops):
+        gamma = compute_gamma(random_model(np.random.default_rng(6), d=sum(sizes), sizes=sizes))
+        calls = _count_loop_trace(monkeypatch)
+        trace_via_loops(gamma, length)
+        assert calls[0] == loops == rooted_loop_count(len(sizes), length)
+
+    def test_cap_raises_before_any_term(self, monkeypatch):
+        gamma = compute_gamma(random_model(np.random.default_rng(8), d=16, sizes=[2] * 8))
+        calls = _count_loop_trace(monkeypatch)
+        with pytest.raises(CombinatorialLimit) as exc:
+            trace_via_loops(gamma, 5, cap=16_799)
+        assert exc.value.count == 16_800
+        assert calls[0] == 0
+
+    def test_peak_memory_independent_of_loop_count(self):
+        gamma = compute_gamma(random_model(np.random.default_rng(9), d=16, sizes=[2] * 8))
+        tracemalloc.start()
+        try:
+            trace_via_loops(gamma, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
 
 class TestPerRootConsistency:
     @pytest.mark.parametrize("seed", range(5))
@@ -129,7 +236,7 @@ class TestPerRootConsistency:
             power = np.linalg.matrix_power(gamma.matrix, l)
             by_root = {n: 0.0 for n in range(n_blocks)}
             for loop in enumerate_loops(n_blocks, l):
-                by_root[loop.nodes[0]] += loop_trace(loop, gamma)
+                by_root[loop.nodes[0]] += loop_trace(*_closing_and_walk(loop, gamma))
             for n in range(n_blocks):
                 sl = model.partition.block_slice(n)
                 expected = float(np.trace(power[sl, sl]))
