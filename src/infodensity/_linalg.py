@@ -57,7 +57,7 @@ def logdet_from_lower(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(L))))
 
 
-def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Solve L X = b (L^T X = b with ``transpose``) for a 2-D b by BLAS trsm.
 
     OpenBLAS runs trsm on the calling thread below about 32 x 32, but LAPACK
@@ -69,7 +69,7 @@ def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.nda
 
 def solve_pd_from_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b via two triangular solves."""
-    return solve_lower(L, solve_lower(L, b), transpose=True)
+    return _solve_lower(L, _solve_lower(L, b), transpose=True)
 
 
 def rel_close(a: float, b: float, tol: float) -> bool:

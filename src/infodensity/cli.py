@@ -167,6 +167,8 @@ def _parse_t_grid(text: str) -> np.ndarray:
         raise ValueError(f"--t-grid expects 'a:b:steps', got {text!r}") from exc
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NonFiniteInput(f"--t-grid bounds must be finite, got {text!r}")
+    if steps < 1:
+        raise ValueError(f"--t-grid needs at least 1 step, got {steps}")
     return np.linspace(a, b, steps)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import cholesky_lower, solve_lower, solve_pd_from_lower, symmetrize
+from ._linalg import _solve_lower, cholesky_lower, solve_pd_from_lower, symmetrize
 from .errors import (
     BadPartition,
     DimensionMismatch,
@@ -211,9 +211,9 @@ def compute_gamma(model: GaussianModel) -> GammaMatrix:
     if model._gamma is not None:
         return model._gamma
     L_B = model.block_factor
-    half = solve_lower(L_B, model.covariance)
-    w = solve_lower(L_B, half.T)
-    g = solve_lower(L_B, half, transpose=True).T
+    half = _solve_lower(L_B, model.covariance)
+    w = _solve_lower(L_B, half.T)
+    g = _solve_lower(L_B, half, transpose=True).T
     for n in range(model.partition.n_blocks):
         sl = model.partition.block_slice(n)
         w[sl, sl] = g[sl, sl] = 0.0

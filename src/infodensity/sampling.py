@@ -1,11 +1,20 @@
 """Seeded Monte Carlo validation of the analytic cumulants.
 
 Draws are produced by a counter-based generator (Philox keyed by seed and
-chunk index) so that any chunk can be generated independently: the batch is
-bit-identical for a given (model, n, seed, chunk_size) no matter how many
-threads evaluate the chunks. Standard normals come from the inverse normal
-CDF applied to open-interval uniforms built from raw 64-bit draws, avoiding
-any rejection-sampling platform variability.
+chunk index) so that any chunk can be generated independently. Standard
+normals come from the inverse normal CDF applied to open-interval uniforms
+built from raw 64-bit draws, avoiding any rejection-sampling platform
+variability.
+
+Each chunk streams through its own Philox stream one row tile at a time
+(bits, uniforms, normals, kernel product, quadratic form in buffers of a few
+hundred KB) and is reduced to a central-moment summary: count, mean and the
+centered sums of powers 1..4 (the first only the mean's rounding residual).
+The summaries are merged in chunk-index order
+with the pairwise update formulas of Chan, Golub & LeVeque (1979) and Pebay
+(SAND2008-6212), so the result is bit-identical for a given
+(model, n, seed, chunk_size) whatever the thread count, and memory does not
+grow with n: no n-length array of draws is ever formed.
 
 Cumulants are estimated with the classical unbiased k-statistics; the
 validation report compares them with the analytic values using standard
@@ -15,6 +24,7 @@ model's analytic cumulants.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,21 +43,65 @@ _TILE_MULTIPLY_ADDS = 2**18
 # Thinner tiles reread K too often to pay (on 2 cores they won at d <= 100 and
 # lost at d >= 200); from d = 129 on a chunk is one BLAS-threaded product.
 _MIN_TILE_ROWS = 16
+# Raw bits are drawn at most this many at a time (256 KB of uint64), so no
+# chunk-sized bit array exists at any d.
+_BITS_BLOCK = 2**15
 _MASK64 = (1 << 64) - 1
 Z_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
-class SampleBatch:
-    """Density evaluations of seeded draws, with provenance."""
+class CentralMoments:
+    """Count, mean and centered power sums s_p = sum (x - mean)^p, p = 1..4.
 
-    values: np.ndarray
+    ``mean`` is a float near the sample mean, so s_1 is only the residual of
+    its rounding. Keeping that residual makes merging exact in the choice of
+    center: a sum about one center is moved to another by the binomial
+    expansion, and the final moments are taken about mean + s_1 / count.
+    """
+
+    count: int
+    mean: float
+    s1: float
+    s2: float
+    s3: float
+    s4: float
+
+    def shifted(self, h: float) -> tuple[float, float, float, float]:
+        """The power sums of x - mean + h, i.e. about the center mean - h."""
+        n = float(self.count)
+        s1, s2, s3, s4 = self.s1, self.s2, self.s3, self.s4
+        return (
+            s1 + n * h,
+            s2 + h * (2.0 * s1 + n * h),
+            s3 + h * (3.0 * s2 + h * (3.0 * s1 + n * h)),
+            s4 + h * (4.0 * s3 + h * (6.0 * s2 + h * (4.0 * s1 + n * h))),
+        )
+
+    def merge(self, other: CentralMoments) -> CentralMoments:
+        """Summary of the union of two samples (Chan et al. 1979; Pebay 2008).
+
+        Both summaries are moved by the binomial expansion to a common center,
+        the count-weighted mean of their centers.
+        """
+        count = self.count + other.count
+        center = self.mean + (other.mean - self.mean) * (other.count / count)
+        a = self.shifted(self.mean - center)
+        b = other.shifted(other.mean - center)
+        return CentralMoments(count, center, *(x + y for x, y in zip(a, b)))
+
+
+@dataclass(frozen=True)
+class SampleBatch:
+    """Merged central moments of seeded density draws, with provenance."""
+
+    moments: CentralMoments
     seed: int
     fingerprint: str
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.moments.count
 
 
 @dataclass(frozen=True)
@@ -70,15 +124,82 @@ class KStatistics:
         return (self.k1, self.k2, self.k3, self.k4)[order - 1]
 
 
+def _philox(seed: int, chunk_index: int) -> np.random.Philox:
+    return np.random.Philox(key=np.array([seed & _MASK64, chunk_index], dtype=np.uint64))
+
+
+def _fill_normals(bits: np.random.Philox, out: np.ndarray) -> None:
+    """Write the next ``out.size`` standard normals of the stream into 1-D ``out``.
+
+    Successive calls continue the stream, so any split of a count into calls
+    gives the same normals as one call.
+    """
+    for start in range(0, out.size, _BITS_BLOCK):
+        u = out[start : start + _BITS_BLOCK]
+        raw = bits.random_raw(u.size)
+        # Top 53 bits shifted onto the half-integer grid: strictly inside (0, 1).
+        raw >>= np.uint64(11)
+        np.add(raw, 0.5, out=u, casting="unsafe")
+        u *= 2.0**-53
+        ndtri(u, out=u)
+
+
 def _standard_normal_block(seed: int, chunk_index: int, count: int) -> np.ndarray:
-    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
-    # Top 53 bits shifted onto the half-integer grid: strictly inside (0, 1).
-    raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return ndtri(u, out=u)
+    """The first ``count`` normals of chunk ``chunk_index``'s stream."""
+    z = np.empty(count)
+    _fill_normals(_philox(seed, chunk_index), z)
+    return z
+
+
+def _folded_kernel(model: GaussianModel) -> np.ndarray:
+    """K = L^T P L for the covariance factor L: w^T P w = z^T K z for w = L z."""
+    L = cholesky_lower(model.covariance)
+    return symmetrize(L.T @ compute_phi(model).matrix @ L)
+
+
+def _chunk_values(
+    kernel: np.ndarray, info: float, seed: int, chunk_index: int, out: np.ndarray
+) -> np.ndarray:
+    """Write the density at chunk ``chunk_index``'s first ``out.size`` draws into ``out``.
+
+    For d <= 128 the draws are made and mapped in row tiles of at least 16
+    rows and at most 2**18 multiply-adds, a product OpenBLAS runs on the
+    calling thread, so each tile stays in cache from bits to quadratic form.
+    Above d = 128 such tiles would be too thin, and the chunk is one product
+    that BLAS may thread.
+    """
+    d = kernel.shape[0]
+    rows = out.size
+    tile = _TILE_MULTIPLY_ADDS // (d * d)
+    if tile < _MIN_TILE_ROWS:
+        tile = rows
+    bits = _philox(seed, chunk_index)
+    z = np.empty((min(tile, rows), d))
+    zk = np.empty_like(z)
+    for t in range(0, rows, tile):
+        zt = z[: min(tile, rows - t)]
+        zkt = zk[: len(zt)]
+        _fill_normals(bits, zt.reshape(-1))
+        np.matmul(zt, kernel, out=zkt)
+        np.einsum("ij,ij->i", zkt, zt, out=out[t : t + len(zt)])
+    out *= 0.5
+    out += info
+    return out
+
+
+def _central_moments(x: np.ndarray, centered: np.ndarray, squares: np.ndarray) -> CentralMoments:
+    """Two-pass summary of 1-D ``x``, using two x-sized work buffers.
+
+    ``centered`` may be ``x`` itself, which is then overwritten.
+    """
+    mean = float(np.mean(x))
+    np.subtract(x, mean, out=centered)
+    s1 = float(np.sum(centered))
+    np.multiply(centered, centered, out=squares)
+    s2 = float(np.sum(squares))
+    s3 = float(np.sum(np.multiply(squares, centered, out=centered)))
+    s4 = float(np.sum(np.multiply(squares, squares, out=squares)))
+    return CentralMoments(x.size, mean, s1, s2, s3, s4)
 
 
 def sample_density(
@@ -88,22 +209,24 @@ def sample_density(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> SampleBatch:
-    """Evaluate the density on n seeded Gaussian draws.
+    """Summarize the density on n seeded Gaussian draws.
 
     Each chunk c draws standard normals z from the (seed, c)-keyed stream and
     evaluates I + z^T K z / 2 with the folded kernel K = L^T P L, where L is
     the covariance Cholesky factor (w = L z are the centered draws, so
-    w^T P w = z^T K z). Each chunk writes its own slice of the output in
-    index order, so the thread count never changes the output.
+    w^T P w = z^T K z), then reduces its values to central moments. Thread w
+    of ``threads`` takes chunks w, w + threads, ... with its own chunk-sized
+    buffers; the chunk summaries are merged in chunk order, so the thread
+    count never changes the result.
 
-    For d <= 128 the chunk threads are the only parallelism: each chunk is
-    evaluated in row tiles of at least 16 rows and at most 2**18
-    multiply-adds, a product OpenBLAS runs on the calling thread, so no BLAS
-    pool competes with the chunk threads. Above d = 128 such tiles would be
-    too thin, and each chunk is one product that BLAS may thread. The d x d
-    set-up (L and K) is one LAPACK/BLAS call each. Up to d = 64 the output
-    does not depend on the BLAS thread settings; above that the set-up's
-    rounding (and above d = 128 the chunk products') can depend on them.
+    Up to d = 128 the chunk threads are the only parallelism, and each thread
+    holds about 2 * chunk_size * 8 bytes (the chunk's values and one work
+    buffer) plus two tiles of at most 2**21 / d bytes and 256 KB of raw bits.
+    Above d = 128 it also holds the chunk's normals and their product,
+    2 * chunk_size * d * 8 bytes. The d x d set-up (L and K) is one
+    LAPACK/BLAS call each. Up to d = 64 the result does not depend on the
+    BLAS thread settings; above that the set-up's rounding (and above
+    d = 128 the chunk products') can depend on them.
     """
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
@@ -111,58 +234,57 @@ def sample_density(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    d = model.dimension
-    L = cholesky_lower(model.covariance)
-    kernel = symmetrize(L.T @ compute_phi(model).matrix @ L)
+    kernel = _folded_kernel(model)
     info = multiinformation(model)
-    tile = _TILE_MULTIPLY_ADDS // (d * d)
-    if tile < _MIN_TILE_ROWS:
-        tile = chunk_size
-    values = np.empty(n)
-
-    def eval_chunk(c: int) -> None:
-        start = c * chunk_size
-        rows = min(chunk_size, n - start)
-        z = _standard_normal_block(seed, c, rows * d).reshape(rows, d)
-        out = values[start : start + rows]
-        for t in range(0, rows, tile):
-            zt = z[t : t + tile]
-            np.einsum("ij,ij->i", zt @ kernel, zt, out=out[t : t + tile])
-        out *= 0.5
-        out += info
-
     n_chunks = -(-n // chunk_size)
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(eval_chunk, range(n_chunks)))
+    workers = min(threads, n_chunks)
+    summaries: list = [None] * n_chunks
+
+    def summarize(first: int) -> None:
+        values = np.empty(min(chunk_size, n))
+        squares = np.empty_like(values)
+        for c in range(first, n_chunks, workers):
+            rows = min(chunk_size, n - c * chunk_size)
+            out = _chunk_values(kernel, info, seed, c, values[:rows])
+            summaries[c] = _central_moments(out, out, squares[:rows])
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(summarize, w) for w in range(workers)]:
+                future.result()
     else:
-        for c in range(n_chunks):
-            eval_chunk(c)
-    values.setflags(write=False)
-    return SampleBatch(values=values, seed=int(seed), fingerprint=model_fingerprint(model))
+        summarize(0)
+    moments = functools.reduce(CentralMoments.merge, summaries)
+    return SampleBatch(moments=moments, seed=int(seed), fingerprint=model_fingerprint(model))
 
 
 def k_statistics(batch) -> KStatistics:
-    """Unbiased cumulant estimates from a batch (or raw array) of values.
+    """Unbiased cumulant estimates from a batch's moments (or a raw array's).
 
     k_1 is the sample mean, k_2 the unbiased variance, and k_3, k_4 the
-    classical third and fourth k-statistics. Central moments are accumulated
-    with numpy's pairwise summation.
+    classical third and fourth k-statistics, all finalized from the count,
+    mean and centered power sums of ``CentralMoments``. An array is
+    summarized in two passes (mean, then centered sums with numpy's pairwise
+    summation, corrected by the residual sum of the centered values); a
+    batch's summary was merged from its chunks' by the pairwise updates of
+    Chan, Golub & LeVeque (1979) and Pebay (SAND2008-6212). Both stay
+    accurate where raw power sums cancel, e.g. a mean of 1e8 with unit
+    spread.
     """
-    values = np.asarray(batch.values if isinstance(batch, SampleBatch) else batch, dtype=float)
-    n = values.size
-    if n < 2:
-        raise BatchTooSmall(f"need at least 2 values, got {n}")
-    nf = float(n)
-    k1 = float(np.mean(values))
-    centered = values - k1
-    sq = centered * centered
-    m2 = float(np.mean(sq))
-    m3 = float(np.mean(np.multiply(sq, centered, out=centered)))
-    m4 = float(np.mean(np.multiply(sq, sq, out=sq)))
+    if isinstance(batch, SampleBatch):
+        moments = batch.moments
+    else:
+        values = np.asarray(batch, dtype=float).ravel()
+        if values.size < 2:
+            raise BatchTooSmall(f"need at least 2 values, got {values.size}")
+        moments = _central_moments(values, np.empty_like(values), np.empty_like(values))
+    nf = float(moments.count)
+    residual = moments.s1 / nf
+    k1 = moments.mean + residual
+    _, m2, m3, m4 = (s / nf for s in moments.shifted(-residual))
     k2 = nf / (nf - 1.0) * m2
-    k3 = nf * nf / ((nf - 1.0) * (nf - 2.0)) * m3 if n >= 3 else math.nan
-    if n >= 4:
+    k3 = nf * nf / ((nf - 1.0) * (nf - 2.0)) * m3 if moments.count >= 3 else math.nan
+    if moments.count >= 4:
         k4 = nf * nf * ((nf + 1.0) * m4 - 3.0 * (nf - 1.0) * m2 * m2) / (
             (nf - 1.0) * (nf - 2.0) * (nf - 3.0)
         )

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from infodensity import validate_model
+from infodensity import multiinformation, validate_model
+from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _folded_kernel
 
 
 def random_partition(rng, d, max_blocks=None):
@@ -48,3 +49,17 @@ def random_correlation_model(rng, d, sizes=None):
     scales = np.sqrt(np.diagonal(cov))
     corr = cov / np.outer(scales, scales)
     return validate_model(np.zeros(d), corr, sizes or [1] * d)
+
+
+def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):
+    """The n density values that ``sample_density`` summarizes, in chunk order.
+
+    ``sample_density`` keeps no draws; this concatenates the per-chunk
+    function its threads call.
+    """
+    kernel = _folded_kernel(model)
+    info = multiinformation(model)
+    chunks = range(-(-n // chunk_size))
+    return np.concatenate(
+        [_chunk_values(kernel, info, seed, c, np.empty(min(chunk_size, n - c * chunk_size))) for c in chunks]
+    )

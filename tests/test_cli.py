@@ -97,6 +97,13 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == "NonFiniteInput"
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_grid_steps_below_one_exit_2(self, capsys, scalar_pair_file, steps):
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, f"--t-grid=-0.1:0.1:{steps}"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     @pytest.mark.parametrize("max_l", ["0", "-2"])
     def test_oracle_max_l_below_one_exit_2(self, capsys, scalar_pair_file, max_l):
         code, out, err = run(capsys, ["analyze", scalar_pair_file, "--oracle-max-l", max_l])

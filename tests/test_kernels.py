@@ -25,7 +25,7 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
-from conftest import random_model, random_partition
+from conftest import random_model, random_partition, sampled_values
 
 import infodensity
 from infodensity import (
@@ -39,14 +39,13 @@ from infodensity import (
     density_at,
     k_statistics,
     multiinformation,
-    sample_density,
     to_correlation_model,
     validate_model,
     variance,
 )
 from infodensity import cli
-from infodensity._linalg import cholesky_lower, solve_lower
-from infodensity.sampling import _MASK64, _standard_normal_block
+from infodensity._linalg import _solve_lower, cholesky_lower
+from infodensity.sampling import _BITS_BLOCK, _MASK64, _fill_normals, _philox, _standard_normal_block
 
 EPS = np.finfo(float).eps
 
@@ -285,9 +284,9 @@ class TestCouplingOnce:
             def counting_solve(a, b, *args, _module=module, **kwargs):
                 if np.shape(a) == (d, d) and np.shape(b) == (d, d):
                     counts[_module] += 1
-                return solve_lower(a, b, *args, **kwargs)
+                return _solve_lower(a, b, *args, **kwargs)
 
-            monkeypatch.setattr(f"infodensity.{module}.solve_lower", counting_solve)
+            monkeypatch.setattr(f"infodensity.{module}._solve_lower", counting_solve)
         eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(*args, **kwargs):
@@ -331,7 +330,7 @@ class TestSamplerAgainstTwoProducts:
     def test_folded_kernel_matches_two_products(self, d):
         rng = np.random.default_rng(1500 + d)
         model = random_model(rng, d=d, sizes=random_partition(rng, d, max_blocks=5))
-        values = sample_density(model, 2503, seed=77, chunk_size=1000).values
+        values = sampled_values(model, 2503, seed=77, chunk_size=1000)
         expected = _reference_sample_density(model, 2503, 77, 1000)
         assert values.shape == expected.shape
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
@@ -342,6 +341,17 @@ class TestSamplerAgainstTwoProducts:
         assert np.array_equal(
             _standard_normal_block(seed, 3, count), _reference_normal_block(seed, 3, count)
         )
+
+    @pytest.mark.parametrize("seed", [4, 2**64 - 1])
+    def test_normals_over_uneven_tiles_bit_identical(self, seed):
+        pieces = [1, 7, 0, 655, _BITS_BLOCK + 3, 2, 2 * _BITS_BLOCK, 13100]
+        bits = _philox(seed, 5)
+        streamed = np.empty(sum(pieces))
+        start = 0
+        for size in pieces:
+            _fill_normals(bits, streamed[start : start + size])
+            start += size
+        assert np.array_equal(streamed, _reference_normal_block(seed, 5, streamed.size))
 
     # At d <= 64 every d x d product of the set-up is also at most 2**18
     # multiply-adds; above that the set-up's own BLAS/LAPACK calls may round
@@ -354,13 +364,15 @@ class TestSamplerAgainstTwoProducts:
         np.save(tmp_path / "cov.npy", cov)
         script = (
             "import hashlib, sys, numpy as np\n"
-            "from infodensity import sample_density, validate_model\n"
+            "from conftest import sampled_values\n"
+            "from infodensity import validate_model\n"
             f"model = validate_model(None, np.load(sys.argv[1]), {sizes})\n"
-            "values = sample_density(model, 5003, seed=8, chunk_size=1000, threads=2).values\n"
+            "values = sampled_values(model, 5003, seed=8, chunk_size=1000)\n"
             "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        tests = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, tests]))
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "cov.npy")],
             env=env,
@@ -370,7 +382,7 @@ class TestSamplerAgainstTwoProducts:
             check=True,
         )
         model = validate_model(None, np.load(tmp_path / "cov.npy"), sizes)
-        values = sample_density(model, 5003, seed=8, chunk_size=1000, threads=2).values
+        values = sampled_values(model, 5003, seed=8, chunk_size=1000)
         assert proc.stdout.strip() == hashlib.sha256(values.tobytes()).hexdigest()
 
 
