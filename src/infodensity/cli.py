@@ -10,8 +10,7 @@ homogeneous   equicorrelation closed forms vs the general machinery
 
 Exit codes: 0 pass, 1 a check failed, 2 invalid input, 3 resource or domain
 limit. Reports go to stdout as JSON (CSV for flat tables on request); errors
-go to stderr as JSON. The environment variable INFODENSITY_LOOP_CAP
-overrides the loop-enumeration cap.
+go to stderr as JSON.
 """
 
 from __future__ import annotations
@@ -139,10 +138,6 @@ def _domain_dict(domain) -> dict:
     }
 
 
-def _loop_cap() -> int:
-    return int(os.environ.get("INFODENSITY_LOOP_CAP", DEFAULT_LOOP_CAP))
-
-
 def _load_model(args):
     if getattr(args, "matrix_csv", None):
         if not getattr(args, "partition", None):
@@ -154,6 +149,8 @@ def _load_model(args):
         raise DimensionMismatch("provide a model JSON file or --matrix-csv with --partition")
     with open(args.model) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     if "covariance" not in doc or "partition" not in doc:
         raise KeyError("model file needs 'covariance' and 'partition' keys")
     return validate_model(doc.get("mean"), doc["covariance"], doc["partition"])
@@ -172,13 +169,13 @@ def _parse_t_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-def _oracle_rows(model, gamma, max_l: int, cap: int):
+def _oracle_rows(model, gamma, max_l: int):
     if max_l < 1:
         raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
     rows = []
     ok = True
     for l in range(1, max_l + 1):
-        loop_sum = trace_via_loops(gamma, l, cap=cap)
+        loop_sum = trace_via_loops(gamma, l)
         matrix_trace = float(np.trace(np.linalg.matrix_power(gamma.matrix, l)))
         row_ok = rel_close(loop_sum, matrix_trace, ORACLE_TOL)
         ok = ok and row_ok
@@ -227,7 +224,7 @@ def _cmd_analyze(args):
         values = cgf(model, grid)  # OutOfDomain -> exit 3
         report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
     if args.oracle_max_l is not None:
-        rows, ok = _oracle_rows(model, gamma, args.oracle_max_l, _loop_cap())
+        rows, ok = _oracle_rows(model, gamma, args.oracle_max_l)
         report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}
         code = code or (0 if ok else 1)
     if args.mc_n is not None:
@@ -254,11 +251,11 @@ def _cmd_simulate(args):
 def _cmd_oracle_check(args):
     model = _load_model(args)
     gamma = compute_gamma(model)
-    rows, ok = _oracle_rows(model, gamma, args.max_l, _loop_cap())
+    rows, ok = _oracle_rows(model, gamma, args.max_l)
     report = {
         "fingerprint": model_fingerprint(model),
         "max_l": args.max_l,
-        "loop_cap": _loop_cap(),
+        "loop_cap": DEFAULT_LOOP_CAP,
         "tolerance": ORACLE_TOL,
         "rows": rows,
         "ok": ok,
@@ -269,7 +266,7 @@ def _cmd_oracle_check(args):
 def _cmd_homogeneous(args):
     dims = [args.d]
     if args.sweep_d:
-        dims += [int(s) for s in args.sweep_d.split(",") if int(s) != args.d]
+        dims = list(dict.fromkeys(dims + [int(s) for s in args.sweep_d.split(",")]))
     rows = []
     for d in dims:
         hm = HomogeneousModel(dimension=d, rho=args.rho)

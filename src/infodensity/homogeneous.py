@@ -145,16 +145,3 @@ def asymptotic_standardized_limit(l: int) -> float:
         raise CumulantOverflow(l)
     return math.exp(log_value) if l > _EXACT_ORDER_MAX else 2.0 ** (l / 2.0 - 1.0) * math.factorial(l - 1)
 
-
-def normality_diagnostic(hm: HomogeneousModel, max_l: int):
-    """Rows (l, standardized cumulant, asymptotic limit) for l = 3..max_l.
-
-    The standardized cumulants approach the nonzero limits instead of zero,
-    which is how the diagnostic exhibits the lack of asymptotic normality.
-    """
-    if max_l < 3:
-        raise ValueError(f"max_l must be >= 3, got {max_l}")
-    return [
-        (l, standardized_cumulant(hm, l), asymptotic_standardized_limit(l))
-        for l in range(3, max_l + 1)
-    ]

@@ -1,9 +1,9 @@
-"""Brute-force loop enumeration oracle for traces of coupling-matrix powers.
+"""Loop-sum oracle for traces of coupling-matrix powers.
 
 On the complete digraph over the blocks (an arrow m -> n for every ordered
 pair of distinct blocks, weighted by the regression block of n on m),
 tr(G^l) equals the sum over all rooted directed l-loops of the trace of the
-ordered product of the weights along the loop. Enumerating the loops gives a
+ordered product of the weights along the loop. Summing over the loops gives a
 check on the matrix-power and eigenvalue paths that shares no linear algebra
 with them beyond the regression blocks themselves.
 """
@@ -11,7 +11,6 @@ with them beyond the regression blocks themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -20,37 +19,6 @@ from .errors import CombinatorialLimit
 from .model import GammaMatrix
 
 DEFAULT_LOOP_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class DirectedLoop:
-    """Rooted directed loop: arrows nodes[i] -> nodes[i+1], closing back to nodes[0].
-
-    Nodes are 0-based block indices, so non-negative integers; consecutive
-    nodes are distinct, including the closing step, and the length (number
-    of arrows) is >= 2.
-    """
-
-    nodes: tuple[int, ...]
-
-    def __post_init__(self):
-        try:
-            raw = tuple(self.nodes)
-            nodes = tuple(int(q) for q in raw)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"loop nodes must be non-negative integers, got {self.nodes!r}") from None
-        if nodes != raw or any(q < 0 for q in nodes):
-            raise ValueError(f"loop nodes must be non-negative integers, got {raw}")
-        if len(nodes) < 2:
-            raise ValueError(f"a loop needs at least 2 arrows, got {len(nodes)}")
-        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-            if a == b:
-                raise ValueError(f"self-connection {a} -> {b} in loop {nodes}")
-        object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes)
 
 
 def rooted_loop_count(n_blocks: int, length: int) -> int:
@@ -65,44 +33,6 @@ def rooted_loop_count(n_blocks: int, length: int) -> int:
         return 0
     n = n_blocks
     return (n - 1) ** length + (n - 1) * (-1) ** length
-
-
-def iter_loops(n_blocks: int, length: int) -> Iterator[DirectedLoop]:
-    """Yield every rooted loop once, depth-first in lexicographic node order."""
-    if n_blocks < 2 or length < 1:
-        raise ValueError("need n_blocks >= 2 and length >= 1")
-    if length == 1:
-        return
-    prefix = [0] * length
-
-    def extend(pos: int) -> Iterator[DirectedLoop]:
-        if pos == length:
-            if prefix[-1] != prefix[0]:
-                yield DirectedLoop(nodes=tuple(prefix))
-            return
-        for q in range(n_blocks):
-            if q == prefix[pos - 1]:
-                continue
-            prefix[pos] = q
-            yield from extend(pos + 1)
-
-    for root in range(n_blocks):
-        prefix[0] = root
-        yield from extend(1)
-
-
-def enumerate_loops(n_blocks: int, length: int, cap: int = DEFAULT_LOOP_CAP) -> list[DirectedLoop]:
-    """All rooted loops of the given length, or CombinatorialLimit beyond the cap.
-
-    Each cyclic arrow sequence appears once per starting node, matching the
-    per-node double sum that reproduces the trace without multiplicity
-    corrections. The count is checked against the cap in closed form before
-    any enumeration happens.
-    """
-    count = rooted_loop_count(n_blocks, length)
-    if count > cap:
-        raise CombinatorialLimit(count=count, cap=cap, length=length)
-    return list(iter_loops(n_blocks, length))
 
 
 def loop_trace(closing: np.ndarray, walk: np.ndarray) -> float:

@@ -87,7 +87,7 @@ def multiinformation_from_gamma(gamma: GammaMatrix) -> float:
 def density_at(model: GaussianModel, x) -> float:
     """Evaluate the multiinformation density at a point, in nats."""
     x = _point(model, x)
-    phi = compute_phi(model).matrix
+    phi = compute_phi(model)
     r = x - model.mean
     return multiinformation(model) + 0.5 * float(r @ phi @ r)
 

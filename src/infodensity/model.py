@@ -7,13 +7,14 @@ the coordinates into N >= 2 blocks. From it we build:
 * the coupling matrix G = S * blockdiag(S_11..S_NN)^{-1} - I with
   exact-zero diagonal blocks (``GammaMatrix``),
 * the quadratic-form kernel P = blockdiag(...)^{-1} - S^{-1} with
-  S P = G (``PhiMatrix``),
+  S P = G (``compute_phi``),
 * the correlation-normalized model, which shares G's spectrum.
 
 Validation factors the covariance and its diagonal blocks once, and the model
 carries those Cholesky factors; every analytic quantity reads them instead of
 factoring again, and ``compute_gamma`` keeps G and its spectrum on it. All
-types are frozen dataclasses holding read-only arrays.
+types are frozen dataclasses holding read-only arrays, and ``compute_phi``
+returns a read-only array.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -126,13 +134,6 @@ class GammaMatrix:
         return self.matrix[self.partition.block_slice(m), self.partition.block_slice(n)]
 
 
-@dataclass(frozen=True)
-class PhiMatrix:
-    """Symmetric quadratic-form kernel satisfying covariance @ matrix = coupling."""
-
-    matrix: np.ndarray
-
-
 def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     """Validate raw inputs and return a symmetrized, PD-checked model.
 
@@ -142,11 +143,11 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     both for the full matrix and for every diagonal block; the model keeps
     those factors.
     """
-    cov = np.array(covariance, dtype=float)
+    cov = _float_array(covariance, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")
     d = cov.shape[0]
-    mu = np.zeros(d) if mean is None else np.array(mean, dtype=float).reshape(-1)
+    mu = np.zeros(d) if mean is None else _float_array(mean, "mean").reshape(-1)
     if mu.shape != (d,):
         raise DimensionMismatch(f"mean has length {mu.shape[0]}, covariance is {d}x{d}")
     for name, a in (("mean", mu), ("covariance", cov)):
@@ -154,7 +155,11 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
         if bad:
             raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
 
-    partition = Partition(tuple(block_sizes))
+    try:
+        sizes = tuple(block_sizes)
+    except TypeError:
+        raise BadPartition(f"block sizes must be a sequence of integers, got {block_sizes!r}") from None
+    partition = Partition(sizes)
     if partition.dimension != d:
         raise BadPartition(
             f"block sizes {partition.block_sizes} sum to {partition.dimension}, "
@@ -223,15 +228,15 @@ def compute_gamma(model: GaussianModel) -> GammaMatrix:
     return gamma
 
 
-def compute_phi(model: GaussianModel) -> PhiMatrix:
-    """Quadratic-form kernel, computed as S^{-1} G so that S P = G holds tightly.
+def compute_phi(model: GaussianModel) -> np.ndarray:
+    """Quadratic-form kernel P, computed as S^{-1} G so that S P = G holds tightly.
 
-    The result is symmetrized; it agrees with the definition
+    The result is a symmetrized read-only array; it agrees with the definition
     blockdiag(S_nn)^{-1} - S^{-1} to within solver roundoff, and is exactly
     zero whenever the coupling matrix is exactly zero.
     """
     phi = solve_pd_from_lower(model.factor, compute_gamma(model).matrix)
-    return PhiMatrix(matrix=_frozen(symmetrize(phi)))
+    return _frozen(symmetrize(phi))
 
 
 def to_correlation_model(model: GaussianModel):

@@ -144,17 +144,10 @@ def _fill_normals(bits: np.random.Philox, out: np.ndarray) -> None:
         ndtri(u, out=u)
 
 
-def _standard_normal_block(seed: int, chunk_index: int, count: int) -> np.ndarray:
-    """The first ``count`` normals of chunk ``chunk_index``'s stream."""
-    z = np.empty(count)
-    _fill_normals(_philox(seed, chunk_index), z)
-    return z
-
-
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
     """K = L^T P L for the covariance factor L: w^T P w = z^T K z for w = L z."""
     L = cholesky_lower(model.covariance)
-    return symmetrize(L.T @ compute_phi(model).matrix @ L)
+    return symmetrize(L.T @ compute_phi(model) @ L)
 
 
 def _chunk_values(

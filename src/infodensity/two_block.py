@@ -11,11 +11,10 @@ coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cholesky_lower, solve_pd_from_lower
+from ._linalg import _solve_lower
 from .errors import BadPartition, BlockNotScalar, OutOfDomain
 from .measures import CgfDomain
 from .model import GaussianModel, regression_block
@@ -23,113 +22,54 @@ from .model import GaussianModel, regression_block
 _CLAMP_EIGENVALUE = 1e-12
 
 
-@dataclass(frozen=True)
-class TwoBlockModel:
-    """A two-block model with its covariance and regression blocks cached."""
-
-    model: GaussianModel
-    s11: np.ndarray
-    s12: np.ndarray
-    s21: np.ndarray
-    s22: np.ndarray
-    reg12: np.ndarray  # regression of block 0 on block 1
-    reg21: np.ndarray  # regression of block 1 on block 0
-
-
-@dataclass(frozen=True)
-class CanonicalSpectrum:
-    """Squared canonical correlations, sorted descending, each in [0, 1)."""
-
-    values: tuple[float, ...]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.values))
-
-
-def as_two_block(model) -> TwoBlockModel:
-    if isinstance(model, TwoBlockModel):
-        return model
+def _require_two_blocks(model: GaussianModel) -> None:
     if model.partition.n_blocks != 2:
         raise BadPartition(f"two-block analysis needs exactly 2 blocks, got {model.partition.n_blocks}")
-    return TwoBlockModel(
-        model=model,
-        s11=model.covariance_block(0, 0),
-        s12=model.covariance_block(0, 1),
-        s21=model.covariance_block(1, 0),
-        s22=model.covariance_block(1, 1),
-        reg12=regression_block(model, 0, 1),
-        reg21=regression_block(model, 1, 0),
-    )
 
 
-def block_chain_traces(model, l: int):
-    """Traces of the two alternating l-factor regression-block products, l even.
-
-    The first chain starts with the (block 0 on block 1) regression block,
-    the second with its opposite; the two traces coincide by the cyclic
-    property. For odd l the products sit in off-diagonal blocks of the
-    coupling power and are generally non-square, so no traces exist.
-    """
-    tb = as_two_block(model)
-    if l < 2 or l % 2 == 1:
-        raise ValueError(f"l must be a positive even integer, got {l}")
-    first = _alternating_chain(tb.reg12, tb.reg21, l)
-    second = _alternating_chain(tb.reg21, tb.reg12, l)
-    return float(np.trace(first)), float(np.trace(second))
-
-
-def _alternating_chain(a, b, l):
-    out = a
-    for i in range(1, l):
-        out = out @ (b if i % 2 == 1 else a)
-    return out
-
-
-def two_block_trace(model, l: int) -> float:
+def two_block_trace(model: GaussianModel, l: int) -> float:
     """tr(G^l) for a two-block model: 0 for odd l, 2 tr[(C_01 C_10)^{l/2}] for even l."""
+    _require_two_blocks(model)
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if l % 2 == 1:
         return 0.0
-    tb = as_two_block(model)
-    return 2.0 * float(np.trace(np.linalg.matrix_power(tb.reg12 @ tb.reg21, l // 2)))
+    product = regression_block(model, 0, 1) @ regression_block(model, 1, 0)
+    return 2.0 * float(np.trace(np.linalg.matrix_power(product, l // 2)))
 
 
-def canonical_correlations(model) -> CanonicalSpectrum:
-    """Squared canonical correlations between the two blocks.
+def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
+    """Squared canonical correlations between the two blocks, sorted descending.
 
     Computed as the spectrum of the symmetric matrix
     L^{-1} S_ab S_bb^{-1} S_ba L^{-T} with L the Cholesky factor of S_aa,
     taking the smaller block as 'a' so exactly min(n_1, n_2) values come out.
     Guaranteed real and nonnegative; values below 1e-12 are clamped to zero.
     """
-    tb = as_two_block(model)
-    if tb.s11.shape[0] <= tb.s22.shape[0]:
-        s_aa, s_ab, reg_ab = tb.s11, tb.s12, tb.reg12
-    else:
-        s_aa, s_ab, reg_ab = tb.s22, tb.s21, tb.reg21
-    L = cholesky_lower(s_aa)
+    _require_two_blocks(model)
+    sizes = model.partition.block_sizes
+    a, b = (0, 1) if sizes[0] <= sizes[1] else (1, 0)
+    sl = model.partition.block_slice(a)
+    L = model.block_factor[sl, sl]
     # M = L^{-1} (S_ab S_bb^{-1} S_ba) L^{-T}, similar to S_aa^{-1} S_ab S_bb^{-1} S_ba.
-    inner = reg_ab @ s_ab.T  # S_ab S_bb^{-1} S_ba, symmetric PSD
-    half = np.linalg.solve(L, inner)
-    m = np.linalg.solve(L, half.T)
+    inner = regression_block(model, a, b) @ model.covariance_block(b, a)  # symmetric PSD
+    half = _solve_lower(L, inner)
+    m = _solve_lower(L, half.T)
     w = np.linalg.eigvalsh((m + m.T) / 2.0)
     w = np.where(w < _CLAMP_EIGENVALUE, 0.0, w)
     values = tuple(float(v) for v in sorted(w, reverse=True))
     if values and values[0] >= 1.0:
         raise ValueError(f"squared canonical correlation {values[0]} >= 1; model is singular")
-    return CanonicalSpectrum(values=values)
+    return values
 
 
-def multiple_correlation(model) -> float:
+def multiple_correlation(model: GaussianModel) -> float:
     """Squared multiple correlation of a scalar first block on the second block."""
-    tb = as_two_block(model)
-    if tb.s11.shape != (1, 1):
-        raise BlockNotScalar(f"first block has size {tb.s11.shape[0]}, expected 1")
-    L22 = cholesky_lower(tb.s22)
-    predicted = float((tb.s12 @ solve_pd_from_lower(L22, tb.s12.T))[0, 0])
-    return predicted / float(tb.s11[0, 0])
+    _require_two_blocks(model)
+    if model.partition.block_sizes[0] != 1:
+        raise BlockNotScalar(f"first block has size {model.partition.block_sizes[0]}, expected 1")
+    predicted = float((regression_block(model, 0, 1) @ model.covariance_block(1, 0))[0, 0])
+    return predicted / float(model.covariance[0, 0])
 
 
 def scalar_pair_cgf(rho: float, t: float) -> float:

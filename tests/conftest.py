@@ -3,7 +3,7 @@
 import numpy as np
 
 from infodensity import multiinformation, validate_model
-from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _folded_kernel
+from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _fill_normals, _folded_kernel, _philox
 
 
 def random_partition(rng, d, max_blocks=None):
@@ -63,3 +63,10 @@ def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):
     return np.concatenate(
         [_chunk_values(kernel, info, seed, c, np.empty(min(chunk_size, n - c * chunk_size))) for c in chunks]
     )
+
+
+def standard_normal_block(seed, chunk_index, count):
+    """The first ``count`` normals of chunk ``chunk_index``'s stream."""
+    z = np.empty(count)
+    _fill_normals(_philox(seed, chunk_index), z)
+    return z

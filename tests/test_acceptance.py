@@ -128,7 +128,7 @@ def test_c05_two_block_identities():
             sizes = [int(rng.integers(1, 5)), int(rng.integers(1, 5))]
             model = random_model(rng, d=sum(sizes), sizes=sizes, zero_mean=True)
             spectrum = canonical_correlations(model)
-            assert abs(spectrum.total - variance(model)) < 1e-9
+            assert abs(sum(spectrum) - variance(model)) < 1e-9
         for i in range(10):
             rng = np.random.default_rng(5500 + i)
             sizes = [1, int(rng.integers(1, 5))]

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from infodensity import DEFAULT_LOOP_CAP
 from infodensity.cli import main
 
 
@@ -151,6 +152,24 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["variance"] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            ({"covariance": [[1, 0.5], [0.5, 1]], "partition": 5}, "BadPartition"),
+            ({"covariance": {"a": 1}, "partition": [1, 1]}, "ValueError"),
+            (5, "ValueError"),
+            ({"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1], "mean": {"x": 1}}, "ValueError"),
+        ],
+        ids=["partition-int", "covariance-object", "top-level-int", "mean-object"],
+    )
+    def test_wrong_json_types_exit_2(self, capsys, tmp_path, doc, error):
+        path = tmp_path / "types.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
     def test_fingerprint_stable_across_runs(self, capsys, scalar_pair_file):
         _, out1, _ = run(capsys, ["analyze", scalar_pair_file])
         _, out2, _ = run(capsys, ["analyze", scalar_pair_file])
@@ -211,16 +230,24 @@ class TestOracleCheck:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
-    def test_cap_exceeded_exit_3(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("INFODENSITY_LOOP_CAP", "100000")
-        cov = (np.full((12, 12), 0.05) + 0.95 * np.eye(12)).tolist()
+    def test_cap_exceeded_exit_3(self, capsys, tmp_path):
+        # 218 scalar blocks: 217**3 - 217 = 10,218,096 loops at l = 3, over the default cap.
+        cov = (np.full((218, 218), 0.001) + 0.999 * np.eye(218)).tolist()
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"covariance": cov, "partition": [1] * 12}))
-        code, _, err = run(capsys, ["oracle-check", str(path), "--max-l", "8"])
+        path.write_text(json.dumps({"covariance": cov, "partition": [1] * 218}))
+        code, out, err = run(capsys, ["oracle-check", str(path), "--max-l", "3"])
         assert code == 3
+        assert out == ""
         doc = json.loads(err)
         assert doc["error"] == "CombinatorialLimit"
-        assert doc["cap"] == 100000
+        assert doc["count"] == 10_218_096
+        assert doc["cap"] == 10_000_000 == DEFAULT_LOOP_CAP
+
+    def test_loop_cap_ignores_environment(self, capsys, equicorrelation_file, monkeypatch):
+        monkeypatch.setenv("INFODENSITY_LOOP_CAP", "10")  # 18 loops at l = 4 would exceed it
+        code, out, _ = run(capsys, ["oracle-check", equicorrelation_file, "--max-l", "5"])
+        assert code == 0
+        assert json.loads(out)["loop_cap"] == DEFAULT_LOOP_CAP
 
 
 class TestHomogeneous:
@@ -237,10 +264,13 @@ class TestHomogeneous:
     def test_sweep_approaches_limit(self, capsys):
         code, out, _ = run(
             capsys,
-            ["homogeneous", "--d", "10", "--rho", "0.3", "--max-l", "3", "--sweep-d", "100,1000"],
+            ["homogeneous", "--d", "10", "--rho", "0.3", "--max-l", "3", "--sweep-d", "100,10,1000,100"],
         )
         assert code == 0
-        rows = [r for r in json.loads(out)["rows"] if r["l"] == 3]
+        report = json.loads(out)
+        assert report["parameters"]["sweep_d"] == [100, 1000]
+        assert [r["d"] for r in report["rows"]] == [10] * 3 + [100] * 3 + [1000] * 3
+        rows = [r for r in report["rows"] if r["l"] == 3]
         gaps = [abs(r["standardized"] - 2.828427) for r in rows]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 0.01 * 2.828427

@@ -15,7 +15,6 @@ from infodensity import (
     homogeneous_gamma_power,
     homogeneous_mean,
     multiinformation,
-    normality_diagnostic,
     standardized_cumulant,
     validate_model,
 )
@@ -139,20 +138,22 @@ class TestStandardizedCumulants:
 
 
 class TestNormalityDiagnostic:
+    """The standardized cumulants and their nonzero large-d limits, as ``homogeneous`` reports them."""
+
     def test_rows_and_limits(self):
-        rows = normality_diagnostic(HomogeneousModel(10, 0.5), 4)
-        assert [r[0] for r in rows] == [3, 4]
-        assert rows[0][2] == pytest.approx(2.828427, abs=1e-6)
-        assert rows[1][2] == pytest.approx(12.0, abs=1e-9)
+        hm = HomogeneousModel(10, 0.5)
+        for l in (3, 4):
+            assert 0.0 < standardized_cumulant(hm, l) < asymptotic_standardized_limit(l)
+        assert asymptotic_standardized_limit(3) == pytest.approx(2.828427, abs=1e-6)
+        assert asymptotic_standardized_limit(4) == pytest.approx(12.0, abs=1e-9)
 
     def test_zero_variance_propagates(self):
         with pytest.raises(ZeroVariance):
-            normality_diagnostic(HomogeneousModel(10, 0.0), 4)
+            standardized_cumulant(HomogeneousModel(10, 0.0), 3)
 
     def test_two_dimensional_odd_orders_vanish(self):
-        rows = normality_diagnostic(HomogeneousModel(2, 0.5), 3)
-        assert rows[0][1] == 0.0  # standardized third cumulant
-        assert rows[0][2] == pytest.approx(2.828427, abs=1e-6)  # limit is a d->inf statement
+        assert standardized_cumulant(HomogeneousModel(2, 0.5), 3) == 0.0
+        assert asymptotic_standardized_limit(3) == pytest.approx(2.828427, abs=1e-6)  # limit is a d->inf statement
 
     def test_limit_function(self):
         assert asymptotic_standardized_limit(3) == pytest.approx(2 * math.sqrt(2))

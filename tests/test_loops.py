@@ -1,11 +1,14 @@
-"""Tests of the loop-enumeration oracle.
+"""Tests of the loop-sum oracle.
 
-``_reference_walk`` is the earlier per-loop fold, kept here as the
-reference: every block looked up through ``gamma.block`` and every product
-formed again for each loop. ``_reference_loop_trace`` folds all of a loop's
-arrows that way and takes ``np.trace``.
+``_enumerate_loops`` lists every rooted loop as a tuple of block indices by
+brute force over all node sequences. ``_reference_walk`` is the earlier
+per-loop fold, kept here as the reference: every block looked up through
+``gamma.block`` and every product formed again for each loop.
+``_reference_loop_trace`` folds all of a loop's arrows that way and takes
+``np.trace``.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -16,9 +19,7 @@ from conftest import random_block_diagonal_model, random_model, scalar_pair_mode
 
 from infodensity import (
     CombinatorialLimit,
-    DirectedLoop,
     compute_gamma,
-    enumerate_loops,
     loop_trace,
     rooted_loop_count,
     trace_via_loops,
@@ -31,9 +32,17 @@ from infodensity._linalg import rel_close
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
 
 
-def _reference_walk(loop, gamma, arrows):
+def _enumerate_loops(n_blocks, length):
+    """Every rooted loop in lexicographic order: node tuples with no self-arrow, the closing arrow included."""
+    return [
+        nodes
+        for nodes in itertools.product(range(n_blocks), repeat=length)
+        if all(a != b for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+    ]
+
+
+def _reference_walk(nodes, gamma, arrows):
     """Product of the blocks along the loop's first ``arrows`` arrows, the last one leftmost."""
-    nodes = loop.nodes
     l = len(nodes)
     product = None
     for i in range(arrows):
@@ -42,13 +51,13 @@ def _reference_walk(loop, gamma, arrows):
     return product
 
 
-def _reference_loop_trace(loop, gamma):
-    return float(np.trace(_reference_walk(loop, gamma, loop.length)))
+def _reference_loop_trace(nodes, gamma):
+    return float(np.trace(_reference_walk(nodes, gamma, len(nodes))))
 
 
-def _closing_and_walk(loop, gamma):
+def _closing_and_walk(nodes, gamma):
     """``loop_trace``'s arguments for a loop: the block back to the root, and the walk before it."""
-    return gamma.block(loop.nodes[0], loop.nodes[-1]), _reference_walk(loop, gamma, loop.length - 1)
+    return gamma.block(nodes[0], nodes[-1]), _reference_walk(nodes, gamma, len(nodes) - 1)
 
 
 def _count_loop_trace(monkeypatch):
@@ -63,57 +72,38 @@ def _count_loop_trace(monkeypatch):
     return calls
 
 
-class TestDirectedLoop:
-    def test_rejects_self_connection(self):
-        with pytest.raises(ValueError):
-            DirectedLoop((0, 0, 1))
-
-    def test_rejects_closing_self_connection(self):
-        with pytest.raises(ValueError):
-            DirectedLoop((0, 1, 0))  # closing arrow 0 -> 0
-
-    def test_rejects_single_arrow(self):
-        with pytest.raises(ValueError):
-            DirectedLoop((0,))
-
-    @pytest.mark.parametrize("nodes", [(0, 1.5), (0.5, 1), (0, -1), (-2, 0, 1), (0, "1"), (0, float("nan")), (0, None)])
-    def test_rejects_non_integral_or_negative_nodes(self, nodes):
-        with pytest.raises(ValueError):
-            DirectedLoop(nodes)
-
-    def test_integral_nodes_normalized(self):
-        assert DirectedLoop((np.int64(0), 1.0, 2)).nodes == (0, 1, 2)
-
-
 class TestEnumerateLoops:
     def test_two_nodes_odd_length_empty(self):
-        assert enumerate_loops(2, 3) == []
-        assert enumerate_loops(2, 5) == []
+        assert _enumerate_loops(2, 3) == []
+        assert _enumerate_loops(2, 5) == []
 
     def test_length_one_empty(self):
         for n in (2, 3, 5):
-            assert enumerate_loops(n, 1) == []
+            assert _enumerate_loops(n, 1) == []
 
     def test_four_nodes_three_arrows(self):
-        loops = enumerate_loops(4, 3)
+        loops = _enumerate_loops(4, 3)
         assert len(loops) == 24
 
     @pytest.mark.parametrize("n_blocks", [2, 3, 4, 5])
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
     def test_count_matches_closed_form(self, n_blocks, length):
-        loops = enumerate_loops(n_blocks, length)
+        loops = _enumerate_loops(n_blocks, length)
         ones = np.ones((n_blocks, n_blocks)) - np.eye(n_blocks)
         expected = round(np.trace(np.linalg.matrix_power(ones, length)))
         assert len(loops) == expected == rooted_loop_count(n_blocks, length)
 
     def test_deterministic_lexicographic_order(self):
-        first = [loop.nodes for loop in enumerate_loops(4, 4)]
-        second = [loop.nodes for loop in enumerate_loops(4, 4)]
+        first = _enumerate_loops(4, 4)
+        second = _enumerate_loops(4, 4)
         assert first == second == sorted(first)
 
-    def test_cap_enforced_before_enumeration(self):
+    def test_cap_enforced_before_enumeration(self, monkeypatch):
+        gamma = compute_gamma(random_model(np.random.default_rng(7), d=5, sizes=[1] * 5))
+        calls = _count_loop_trace(monkeypatch)
         with pytest.raises(CombinatorialLimit) as exc:
-            enumerate_loops(5, 6, cap=100)
+            trace_via_loops(gamma, 6, cap=100)
+        assert calls[0] == 0
         assert exc.value.count == rooted_loop_count(5, 6)
         assert exc.value.cap == 100
         assert exc.value.length == 6
@@ -123,16 +113,16 @@ class TestLoopTrace:
     def test_block_diagonal_weights_vanish(self):
         model = random_block_diagonal_model(np.random.default_rng(1), [1, 2, 1])
         gamma = compute_gamma(model)
-        for loop in enumerate_loops(3, 3):
+        for loop in _enumerate_loops(3, 3):
             assert loop_trace(*_closing_and_walk(loop, gamma)) == 0.0
 
     def test_back_and_forth_pair(self):
         gamma = compute_gamma(scalar_pair_model(0.5))
-        assert loop_trace(*_closing_and_walk(DirectedLoop((0, 1)), gamma)) == pytest.approx(0.25, abs=1e-15)
+        assert loop_trace(*_closing_and_walk((0, 1), gamma)) == pytest.approx(0.25, abs=1e-15)
 
     def test_triangle_on_equicorrelation(self):
         gamma = compute_gamma(EQUI3)
-        assert loop_trace(*_closing_and_walk(DirectedLoop((0, 1, 2)), gamma)) == pytest.approx(0.125, abs=1e-15)
+        assert loop_trace(*_closing_and_walk((0, 1, 2), gamma)) == pytest.approx(0.125, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_fold(self, seed):
@@ -141,7 +131,7 @@ class TestLoopTrace:
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
         gamma = compute_gamma(random_model(rng, d=sum(sizes), sizes=sizes))
         for l in (2, 3, 4):
-            for loop in enumerate_loops(n_blocks, l):
+            for loop in _enumerate_loops(n_blocks, l):
                 reference = _reference_loop_trace(loop, gamma)
                 assert abs(loop_trace(*_closing_and_walk(loop, gamma)) - reference) <= 1e-12 * max(1.0, abs(reference))
 
@@ -191,7 +181,7 @@ class TestTraceViaLoops:
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
         gamma = compute_gamma(random_model(rng, d=sum(sizes), sizes=sizes))
         for l in range(1, 7):
-            reference = math.fsum(_reference_loop_trace(loop, gamma) for loop in enumerate_loops(n_blocks, l))
+            reference = math.fsum(_reference_loop_trace(loop, gamma) for loop in _enumerate_loops(n_blocks, l))
             assert rel_close(trace_via_loops(gamma, l), reference, 1e-12)
 
 
@@ -235,8 +225,8 @@ class TestPerRootConsistency:
         for l in (2, 3, 4):
             power = np.linalg.matrix_power(gamma.matrix, l)
             by_root = {n: 0.0 for n in range(n_blocks)}
-            for loop in enumerate_loops(n_blocks, l):
-                by_root[loop.nodes[0]] += loop_trace(*_closing_and_walk(loop, gamma))
+            for loop in _enumerate_loops(n_blocks, l):
+                by_root[loop[0]] += loop_trace(*_closing_and_walk(loop, gamma))
             for n in range(n_blocks):
                 sl = model.partition.block_slice(n)
                 expected = float(np.trace(power[sl, sl]))

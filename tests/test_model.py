@@ -171,22 +171,23 @@ class TestComputeGamma:
 class TestComputePhi:
     def test_identity_covariance(self):
         phi = compute_phi(validate_model(None, np.eye(3), [1, 2]))
-        assert np.array_equal(phi.matrix, np.zeros((3, 3)))
+        assert np.array_equal(phi, np.zeros((3, 3)))
+        assert not phi.flags.writeable
 
     def test_scalar_pair_closed_form(self):
         phi = compute_phi(scalar_pair_model(0.5))
-        assert phi.matrix == pytest.approx(np.array([[-1 / 3, 2 / 3], [2 / 3, -1 / 3]]))
+        assert phi == pytest.approx(np.array([[-1 / 3, 2 / 3], [2 / 3, -1 / 3]]))
 
     def test_block_diagonal_gives_exact_zero(self):
         rng = np.random.default_rng(17)
         model = random_block_diagonal_model(rng, [2, 2, 1])
-        assert np.array_equal(compute_phi(model).matrix, np.zeros((5, 5)))
+        assert np.array_equal(compute_phi(model), np.zeros((5, 5)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_definition_and_factorization(self, seed):
         rng = np.random.default_rng(200 + seed)
         model = random_model(rng)
-        phi = compute_phi(model).matrix
+        phi = compute_phi(model)
         gamma = compute_gamma(model).matrix
         d = model.dimension
         diag = np.zeros((d, d))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_block_diagonal_model, random_model, sampled_values, scalar_pair_model
+from conftest import random_block_diagonal_model, random_model, sampled_values, scalar_pair_model, standard_normal_block
 
 from infodensity import (
     BatchTooSmall,
@@ -19,7 +19,7 @@ from infodensity import (
     sample_density,
     validate_model,
 )
-from infodensity.sampling import CentralMoments, SampleBatch, _central_moments, _standard_normal_block
+from infodensity.sampling import CentralMoments, SampleBatch, _central_moments
 
 
 def _summary(x):
@@ -110,7 +110,7 @@ class TestKStatistics:
         assert math.isnan(ks.k4)
 
     def test_standard_normal_higher_orders(self):
-        z = _standard_normal_block(seed=7, chunk_index=0, count=10**6)
+        z = standard_normal_block(seed=7, chunk_index=0, count=10**6)
         ks = k_statistics(z)
         normal_kappa = (math.nan, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         v1, v2, v3, v4 = kstat_sampling_variances(normal_kappa, 10**6)

@@ -1,3 +1,10 @@
+"""Tests of the two-block closed forms.
+
+``_chain_trace`` is the earlier second path to tr(G^l) for even l, kept
+here as the reference: the trace of an alternating l-factor product of the
+two regression blocks, taken once starting from each block.
+"""
+
 import math
 
 import numpy as np
@@ -9,13 +16,12 @@ from infodensity import (
     BadPartition,
     BlockNotScalar,
     OutOfDomain,
-    as_two_block,
-    block_chain_traces,
     canonical_correlations,
     cgf,
     compute_gamma,
     cumulants,
     multiple_correlation,
+    regression_block,
     scalar_pair_cgf,
     two_block_trace,
     validate_model,
@@ -30,14 +36,25 @@ def random_two_block(rng, max_size=4, scalar_first=False):
     return random_model(rng, d=n1 + n2, sizes=[n1, n2], zero_mean=True)
 
 
+def _chain_trace(first, second, l):
+    """Trace of the alternating product first @ second @ first @ ... of l factors."""
+    out = first
+    for i in range(1, l):
+        out = out @ (second if i % 2 == 1 else first)
+    return float(np.trace(out))
+
+
 class TestAsTwoBlock:
     def test_requires_two_blocks(self):
-        with pytest.raises(BadPartition):
-            as_two_block(validate_model(None, np.eye(3), [1, 1, 1]))
+        model = validate_model(None, np.eye(3), [1, 1, 1])
+        odd, even = (lambda m: two_block_trace(m, 3)), (lambda m: two_block_trace(m, 4))
+        for analysis in (odd, even, canonical_correlations, multiple_correlation):
+            with pytest.raises(BadPartition):
+                analysis(model)
 
     def test_cross_blocks_are_transposes(self):
-        tb = as_two_block(random_model(np.random.default_rng(0), d=5, sizes=[2, 3]))
-        assert np.array_equal(tb.s21, tb.s12.T)
+        model = random_model(np.random.default_rng(0), d=5, sizes=[2, 3])
+        assert np.array_equal(model.covariance_block(1, 0), model.covariance_block(0, 1).T)
 
 
 class TestTwoBlockTrace:
@@ -69,41 +86,39 @@ class TestChainTraces:
     def test_duality_for_even_orders(self, seed):
         rng = np.random.default_rng(60 + seed)
         model = random_two_block(rng)
+        c01, c10 = regression_block(model, 0, 1), regression_block(model, 1, 0)
         for l in (2, 4, 6, 8):
-            left, right = block_chain_traces(model, l)
+            left, right = _chain_trace(c01, c10, l), _chain_trace(c10, c01, l)
             assert abs(left - right) < 1e-10 * max(1.0, abs(left))
             assert rel_close(left + right, two_block_trace(model, l), 1e-10)
-
-    def test_odd_order_rejected(self):
-        with pytest.raises(ValueError):
-            block_chain_traces(scalar_pair_model(0.1), 3)
 
 
 class TestCanonicalCorrelations:
     def test_block_diagonal_all_zero(self):
         model = random_block_diagonal_model(np.random.default_rng(3), [2, 3])
-        assert canonical_correlations(model).values == (0.0, 0.0)
+        assert canonical_correlations(model) == (0.0, 0.0)
 
     def test_scalar_pair(self):
         spectrum = canonical_correlations(scalar_pair_model(0.5))
-        assert spectrum.values == pytest.approx([0.25], abs=1e-12)
+        assert spectrum == pytest.approx((0.25,), abs=1e-12)
 
     def test_one_against_two(self):
         cov = np.array([[1.0, 0.3, 0.4], [0.3, 1.0, 0.0], [0.4, 0.0, 1.0]])
         model = validate_model(None, cov, [1, 2])
         spectrum = canonical_correlations(model)
-        assert spectrum.values == pytest.approx([0.25], abs=1e-12)
-        assert spectrum.total == pytest.approx(variance(model), abs=1e-9)
+        assert spectrum == pytest.approx((0.25,), abs=1e-12)
+        assert sum(spectrum) == pytest.approx(variance(model), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sum_equals_variance(self, seed):
         rng = np.random.default_rng(80 + seed)
         model = random_two_block(rng)
         spectrum = canonical_correlations(model)
-        assert all(0.0 <= v < 1.0 for v in spectrum.values)
-        assert list(spectrum.values) == sorted(spectrum.values, reverse=True)
-        assert len(spectrum.values) == min(model.partition.block_sizes)
-        assert abs(spectrum.total - variance(model)) < 1e-9
+        assert isinstance(spectrum, tuple)
+        assert all(0.0 <= v < 1.0 for v in spectrum)
+        assert list(spectrum) == sorted(spectrum, reverse=True)
+        assert len(spectrum) == min(model.partition.block_sizes)
+        assert abs(sum(spectrum) - variance(model)) < 1e-9
 
 
 class TestMultipleCorrelation:
