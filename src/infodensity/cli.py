@@ -50,7 +50,7 @@ from .homogeneous import (
 )
 from .loops import DEFAULT_LOOP_CAP, rooted_loop_count, trace_via_loops
 from .measures import cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
-from .model import compute_gamma, model_fingerprint, validate_model
+from .model import model_fingerprint, validate_model
 from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         _emit_error(exc)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)
         return 2
     fmt = getattr(args, "format", "json")
@@ -152,7 +152,7 @@ def _load_model(args):
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     if "covariance" not in doc or "partition" not in doc:
-        raise KeyError("model file needs 'covariance' and 'partition' keys")
+        raise ValueError("model file needs 'covariance' and 'partition' keys")
     return validate_model(doc.get("mean"), doc["covariance"], doc["partition"])
 
 
@@ -169,14 +169,14 @@ def _parse_t_grid(text: str) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-def _oracle_rows(model, gamma, max_l: int):
+def _oracle_rows(model, max_l: int):
     if max_l < 1:
         raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
     rows = []
     ok = True
     for l in range(1, max_l + 1):
-        loop_sum = trace_via_loops(gamma, l)
-        matrix_trace = float(np.trace(np.linalg.matrix_power(gamma.matrix, l)))
+        loop_sum = trace_via_loops(model, l)
+        matrix_trace = float(np.trace(np.linalg.matrix_power(model.gamma, l)))
         row_ok = rel_close(loop_sum, matrix_trace, ORACLE_TOL)
         ok = ok and row_ok
         rows.append(
@@ -194,11 +194,10 @@ def _oracle_rows(model, gamma, max_l: int):
 
 def _cmd_analyze(args):
     model = _load_model(args)
-    gamma = compute_gamma(model)
     info_logdet = multiinformation(model)
-    info_gamma = multiinformation_from_gamma(gamma)
+    info_gamma = multiinformation_from_gamma(model)
     agreement = abs(info_logdet - info_gamma) <= AGREEMENT_TOL
-    domain = cgf_domain(gamma)
+    domain = cgf_domain(model)
     seq = cumulants(model, args.cumulants)
 
     report = {
@@ -214,7 +213,7 @@ def _cmd_analyze(args):
         },
         "variance": variance(model),
         "cumulants": list(seq.values),
-        "gamma_eigenvalues": [float(v) for v in gamma.eigenvalues],
+        "gamma_eigenvalues": [float(v) for v in model.gamma_eigenvalues],
         "cgf_domain": _domain_dict(domain),
     }
     code = 0 if agreement else 1
@@ -224,7 +223,7 @@ def _cmd_analyze(args):
         values = cgf(model, grid)  # OutOfDomain -> exit 3
         report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
     if args.oracle_max_l is not None:
-        rows, ok = _oracle_rows(model, gamma, args.oracle_max_l)
+        rows, ok = _oracle_rows(model, args.oracle_max_l)
         report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}
         code = code or (0 if ok else 1)
     if args.mc_n is not None:
@@ -250,8 +249,7 @@ def _cmd_simulate(args):
 
 def _cmd_oracle_check(args):
     model = _load_model(args)
-    gamma = compute_gamma(model)
-    rows, ok = _oracle_rows(model, gamma, args.max_l)
+    rows, ok = _oracle_rows(model, args.max_l)
     report = {
         "fingerprint": model_fingerprint(model),
         "max_l": args.max_l,

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CombinatorialLimit
-from .model import GammaMatrix
+from .model import GaussianModel
 
 DEFAULT_LOOP_CAP = 10_000_000
 
@@ -77,7 +77,7 @@ def _loop_terms(weights: list[list[np.ndarray]], length: int) -> Iterator[float]
                     stack.append((depth + 1, q, node, walk))
 
 
-def trace_via_loops(gamma: GammaMatrix, length: int, cap: int = DEFAULT_LOOP_CAP) -> float:
+def trace_via_loops(model: GaussianModel, length: int, cap: int = DEFAULT_LOOP_CAP) -> float:
     """tr(G^length) as the sum of loop_trace over every rooted loop.
 
     The loop count is checked against the cap in closed form before any
@@ -91,13 +91,13 @@ def trace_via_loops(gamma: GammaMatrix, length: int, cap: int = DEFAULT_LOOP_CAP
     """
     if length == 1:
         return 0.0
-    partition = gamma.partition
+    partition = model.partition
     count = rooted_loop_count(partition.n_blocks, length)
     if count > cap:
         raise CombinatorialLimit(count=count, cap=cap, length=length)
     spans = list(zip(partition.offsets, partition.block_sizes))
     weights = [
-        [np.ascontiguousarray(gamma.matrix[row : row + height, col : col + width]) for col, width in spans]
+        [np.ascontiguousarray(model.gamma[row : row + height, col : col + width]) for col, width in spans]
         for row, height in spans
     ]
     return math.fsum(_loop_terms(weights, length))

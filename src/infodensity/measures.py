@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 
 from ._linalg import cholesky_lower, logdet_from_lower
 from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, NonFiniteInput, OutOfDomain
-from .model import GammaMatrix, GaussianModel, compute_gamma, compute_phi
+from .model import GaussianModel, compute_phi
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
@@ -74,9 +74,9 @@ def multiinformation(model: GaussianModel) -> float:
     return 0.5 * (logdet_from_lower(model.block_factor) - logdet_from_lower(model.factor))
 
 
-def multiinformation_from_gamma(gamma: GammaMatrix) -> float:
+def multiinformation_from_gamma(model: GaussianModel) -> float:
     """Multiinformation recovered from the coupling spectrum: -sum ln(1+lambda)/2."""
-    lam = np.asarray(gamma.eigenvalues)
+    lam = model.gamma_eigenvalues
     if np.any(lam <= -1.0):
         raise EigenvalueOutOfRange(
             f"eigenvalue {lam.min():.6g} <= -1; not the spectrum of a valid coupling matrix"
@@ -122,14 +122,14 @@ def _gaussian_logpdf(x, mean, cov) -> float:
     return -0.5 * (k * math.log(2.0 * math.pi) + logdet_from_lower(L) + float(y @ y))
 
 
-def cgf_domain(gamma: GammaMatrix) -> CgfDomain:
+def cgf_domain(model: GaussianModel) -> CgfDomain:
     """Exact maximal open interval where the CGF is finite.
 
     1 - t*lambda must stay positive for every eigenvalue, so the upper end is
     1/lambda_max when lambda_max > 0 (else +inf) and the lower end 1/lambda_min
     when lambda_min < 0 (else -inf).
     """
-    lam = np.asarray(gamma.eigenvalues)
+    lam = model.gamma_eigenvalues
     lam_max = float(lam.max())
     lam_min = float(lam.min())
     upper = 1.0 / lam_max if lam_max > 0 else math.inf
@@ -146,14 +146,12 @@ def cgf(model: GaussianModel, t):
     way. Raises OutOfDomain for the first t on or outside the boundary of the
     finite range.
     """
-    gamma = compute_gamma(model)
-    domain = cgf_domain(gamma)
+    domain = cgf_domain(model)
     ts = np.asarray(t, dtype=float)
     outside = ~((domain.lower < ts) & (ts < domain.upper))
     if np.any(outside):
         raise OutOfDomain(float(ts.flat[np.argmax(outside)]), domain)
-    lam = np.asarray(gamma.eigenvalues)
-    logs = np.log1p(-np.multiply.outer(ts, lam))
+    logs = np.log1p(-np.multiply.outer(ts, model.gamma_eigenvalues))
     values = ts * multiinformation(model) - 0.5 * np.sum(logs, axis=-1)
     return float(values) if values.ndim == 0 else values
 
@@ -168,7 +166,7 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    lam = np.asarray(compute_gamma(model).eigenvalues)
+    lam = model.gamma_eigenvalues
     values = [multiinformation(model)]
     abs_lam = np.abs(lam)
     nonzero = abs_lam > 0.0
@@ -201,7 +199,7 @@ def variance(model: GaussianModel) -> float:
     elementwise over the regression columns of the model's coupling matrix.
     Equals tr(G^2)/2 and the second cumulant.
     """
-    g = compute_gamma(model).matrix
+    g = model.gamma
     # sum(G * G^T) = tr(G^2) counts every pair (m, n) twice: tr(C_mn C_nm) + tr(C_nm C_mn).
     return 0.5 * float(np.sum(g * g.T))
 
@@ -217,7 +215,7 @@ def cgf_numeric_cumulants(model: GaussianModel, order: int, step: float | None =
     """
     if not 1 <= order <= 6:
         raise ValueError(f"order must be in 1..6, got {order}")
-    domain = cgf_domain(compute_gamma(model))
+    domain = cgf_domain(model)
     if step is None:
         step = 1e-3 * min(1.0, domain.half_width)
     values = []

@@ -5,16 +5,16 @@ the coordinates into N >= 2 blocks. From it we build:
 
 * the regression-coefficient blocks C_{m|n} = S_mn S_nn^{-1},
 * the coupling matrix G = S * blockdiag(S_11..S_NN)^{-1} - I with
-  exact-zero diagonal blocks (``GammaMatrix``),
+  exact-zero diagonal blocks, and its real spectrum,
 * the quadratic-form kernel P = blockdiag(...)^{-1} - S^{-1} with
   S P = G (``compute_phi``),
 * the correlation-normalized model, which shares G's spectrum.
 
-Validation factors the covariance and its diagonal blocks once, and the model
-carries those Cholesky factors; every analytic quantity reads them instead of
-factoring again, and ``compute_gamma`` keeps G and its spectrum on it. All
-types are frozen dataclasses holding read-only arrays, and ``compute_phi``
-returns a read-only array.
+Validation factors the covariance and its diagonal blocks once, then forms G
+and its spectrum from those factors; the model carries all four, and every
+analytic quantity reads them instead of factoring again. All types are frozen
+dataclasses holding read-only arrays, and ``compute_phi`` returns a read-only
+array.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ class Partition:
             sizes = tuple(int(s) for s in self.block_sizes)
         except (TypeError, ValueError, OverflowError):
             sizes = None
-        if sizes is None or sizes != tuple(self.block_sizes):
+        # (1, True) == (1, 1), so booleans are refused by type.
+        if sizes is None or sizes != tuple(self.block_sizes) or any(
+            isinstance(s, (bool, np.bool_)) for s in self.block_sizes
+        ):
             raise BadPartition(f"block sizes must be integers, got {tuple(self.block_sizes)}")
         if len(sizes) < 2:
             raise BadPartition(f"need at least 2 blocks, got {len(sizes)}")
@@ -96,7 +99,11 @@ class GaussianModel:
 
     ``factor`` is the lower Cholesky factor L of the covariance S, and
     ``block_factor`` the block-diagonal L_B = blockdiag(L_1..L_N) of the
-    factors of the diagonal blocks S_nn, both computed by validation.
+    factors of the diagonal blocks S_nn. ``gamma`` is the coupling matrix
+    G = S blockdiag(S_nn)^{-1} - I, whose block (m, n) regresses block m on
+    block n and whose diagonal blocks are exact zeros, and
+    ``gamma_eigenvalues`` its spectrum, sorted ascending; it is real, and
+    every entry exceeds -1 for a valid model. Validation computes all four.
     """
 
     mean: np.ndarray
@@ -104,7 +111,8 @@ class GaussianModel:
     partition: Partition
     factor: np.ndarray = field(repr=False)
     block_factor: np.ndarray = field(repr=False)
-    _gamma: GammaMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    gamma: np.ndarray = field(repr=False)
+    gamma_eigenvalues: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -117,23 +125,6 @@ class GaussianModel:
         return self.covariance_block(n, n)
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """Coupling matrix with exact-zero diagonal blocks and its real spectrum.
-
-    ``eigenvalues`` is sorted ascending; it is computed from a symmetric
-    matrix similar to ``matrix``, so it is real and all entries exceed -1 for
-    a valid model.
-    """
-
-    matrix: np.ndarray
-    partition: Partition
-    eigenvalues: np.ndarray
-
-    def block(self, m: int, n: int) -> np.ndarray:
-        return self.matrix[self.partition.block_slice(m), self.partition.block_slice(n)]
-
-
 def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     """Validate raw inputs and return a symmetrized, PD-checked model.
 
@@ -141,7 +132,7 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     transpose; anything larger raises NotSymmetric, and any NaN or inf raises
     NonFiniteInput. Positive definiteness is established by Cholesky pivots
     both for the full matrix and for every diagonal block; the model keeps
-    those factors.
+    those factors, and the coupling matrix and its spectrum formed from them.
     """
     cov = _float_array(covariance, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -154,6 +145,7 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
         bad = np.count_nonzero(~np.isfinite(a))
         if bad:
             raise NonFiniteInput(f"{name} has {bad} non-finite entries (NaN or inf)")
+    del a  # else the unsymmetrized copy of the covariance lives on while G is formed
 
     try:
         sizes = tuple(block_sizes)
@@ -186,12 +178,17 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
                 f"diagonal block {n} failed positive definiteness: {exc}",
                 pivot_index=exc.pivot_index,
             ) from exc
+    # Rebinding frees the writable copies before G's d x d temporaries exist.
+    cov, factor, block_factor = _frozen(cov), _frozen(factor), _frozen(block_factor)
+    gamma, eigenvalues = compute_gamma(cov, block_factor, partition)
     return GaussianModel(
         mean=_frozen(mu),
-        covariance=_frozen(cov),
+        covariance=cov,
         partition=partition,
-        factor=_frozen(factor),
-        block_factor=_frozen(block_factor),
+        factor=factor,
+        block_factor=block_factor,
+        gamma=_frozen(gamma),
+        gamma_eigenvalues=_frozen(eigenvalues),
     )
 
 
@@ -205,27 +202,20 @@ def regression_block(model: GaussianModel, m: int, n: int) -> np.ndarray:
     return solve_pd_from_lower(model.block_factor[col, col], s_mn.T).T
 
 
-def compute_gamma(model: GaussianModel) -> GammaMatrix:
-    """G = S blockdiag(S_nn)^{-1} - I and its spectrum, kept on the model.
+def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: Partition):
+    """G = S blockdiag(S_nn)^{-1} - I and its ascending spectrum, as ``(G, eigenvalues)``.
 
     From H = L_B^{-1} S: G = (L_B^{-T} H)^T (block (m, n) regresses m on n)
     and the eigenvalues of W - I, W = L_B^{-1} H^T real-symmetric and similar
     to G + I. Diagonal blocks of both are exact zeros, so tr G = 0 exactly.
-    Concurrent first calls may each form G and store equal values.
     """
-    if model._gamma is not None:
-        return model._gamma
-    L_B = model.block_factor
-    half = _solve_lower(L_B, model.covariance)
-    w = _solve_lower(L_B, half.T)
-    g = _solve_lower(L_B, half, transpose=True).T
-    for n in range(model.partition.n_blocks):
-        sl = model.partition.block_slice(n)
+    half = _solve_lower(block_factor, covariance)
+    w = _solve_lower(block_factor, half.T)
+    g = _solve_lower(block_factor, half, transpose=True).T
+    for n in range(partition.n_blocks):
+        sl = partition.block_slice(n)
         w[sl, sl] = g[sl, sl] = 0.0
-    eigenvalues = np.linalg.eigvalsh(symmetrize(w))
-    gamma = GammaMatrix(matrix=_frozen(g), partition=model.partition, eigenvalues=_frozen(eigenvalues))
-    object.__setattr__(model, "_gamma", gamma)
-    return gamma
+    return g, np.linalg.eigvalsh(symmetrize(w))
 
 
 def compute_phi(model: GaussianModel) -> np.ndarray:
@@ -235,7 +225,7 @@ def compute_phi(model: GaussianModel) -> np.ndarray:
     blockdiag(S_nn)^{-1} - S^{-1} to within solver roundoff, and is exactly
     zero whenever the coupling matrix is exactly zero.
     """
-    phi = solve_pd_from_lower(model.factor, compute_gamma(model).matrix)
+    phi = solve_pd_from_lower(model.factor, model.gamma)
     return _frozen(symmetrize(phi))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from ._linalg import cholesky_lower, symmetrize
+from ._linalg import symmetrize
 from .errors import BatchTooSmall
 from .measures import cumulants, multiinformation
 from .model import GaussianModel, compute_phi, model_fingerprint
@@ -145,8 +145,8 @@ def _fill_normals(bits: np.random.Philox, out: np.ndarray) -> None:
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
-    """K = L^T P L for the covariance factor L: w^T P w = z^T K z for w = L z."""
-    L = cholesky_lower(model.covariance)
+    """K = L^T P L for the model's covariance factor L: w^T P w = z^T K z for w = L z."""
+    L = model.factor
     return symmetrize(L.T @ compute_phi(model) @ L)
 
 
@@ -216,9 +216,9 @@ def sample_density(
     holds about 2 * chunk_size * 8 bytes (the chunk's values and one work
     buffer) plus two tiles of at most 2**21 / d bytes and 256 KB of raw bits.
     Above d = 128 it also holds the chunk's normals and their product,
-    2 * chunk_size * d * 8 bytes. The d x d set-up (L and K) is one
-    LAPACK/BLAS call each. Up to d = 64 the result does not depend on the
-    BLAS thread settings; above that the set-up's rounding (and above
+    2 * chunk_size * d * 8 bytes. The d x d set-up reads L from
+    ``model.factor`` and forms K by BLAS products. Up to d = 64 the result
+    does not depend on the BLAS thread settings; above that the set-up's rounding (and above
     d = 128 the chunk products') can depend on them.
     """
     if n < 2:

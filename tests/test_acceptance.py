@@ -21,7 +21,6 @@ from infodensity import (
     cgf,
     cgf_domain,
     cgf_numeric_cumulants,
-    compute_gamma,
     cumulants,
     density_at,
     homogeneous_covariance,
@@ -80,16 +79,14 @@ def test_c01_scalar_pair_closed_forms():
 def test_c02_multiinformation_equivalence():
     with criterion("C02 multiinformation two-formula equivalence", 5.0):
         for model in seeded_models(1000, 50):
-            gamma = compute_gamma(model)
-            assert abs(multiinformation(model) - multiinformation_from_gamma(gamma)) < 1e-9
+            assert abs(multiinformation(model) - multiinformation_from_gamma(model)) < 1e-9
 
 
 def test_c03_variance_triple_path():
     with criterion("C03 variance triple path", 5.0):
         for model in seeded_models(1000, 50):
-            gamma = compute_gamma(model)
             block_sum = variance(model)
-            matrix_path = 0.5 * float(np.trace(gamma.matrix @ gamma.matrix))
+            matrix_path = 0.5 * float(np.trace(model.gamma @ model.gamma))
             eigen_path = cumulants(model, 2).kappa(2)
             assert rel_close(block_sum, matrix_path, 1e-10)
             assert rel_close(block_sum, eigen_path, 1e-10)
@@ -112,13 +109,12 @@ def test_c04_loop_oracle():
             n_blocks = int(rng.integers(2, 6))
             sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
             model = random_model(rng, d=sum(sizes), sizes=sizes, zero_mean=True)
-            gamma = compute_gamma(model)
             for l in range(1, 7):
-                reference = float(np.trace(np.linalg.matrix_power(gamma.matrix, l)))
-                assert rel_close(trace_via_loops(gamma, l), reference, 1e-9)
+                reference = float(np.trace(np.linalg.matrix_power(model.gamma, l)))
+                assert rel_close(trace_via_loops(model, l), reference, 1e-9)
             if n_blocks == 2:
                 for l in (3, 5):
-                    assert trace_via_loops(gamma, l) == 0.0
+                    assert trace_via_loops(model, l) == 0.0
 
 
 def test_c05_two_block_identities():
@@ -145,14 +141,13 @@ def test_c06_homogeneous_closed_forms():
             for rho in (-1.0 / (2 * (d - 1)), 0.1, 0.7):
                 hm = HomogeneousModel(d, rho)
                 model = homogeneous_covariance(hm)
-                gamma = compute_gamma(model)
                 assert rel_close(homogeneous_mean(hm), multiinformation(model), 1e-9)
                 seq = cumulants(model, 6)
                 for l in range(2, 7):
                     assert rel_close(homogeneous_cumulant(hm, l), seq.kappa(l), 1e-9)
                 for l in range(1, 7):
                     closed = homogeneous_gamma_power(hm, l)
-                    numeric = np.linalg.matrix_power(gamma.matrix, l)
+                    numeric = np.linalg.matrix_power(model.gamma, l)
                     scale = max(1.0, float(np.max(np.abs(closed))))
                     assert float(np.max(np.abs(closed - numeric))) < 1e-9 * scale
         big = HomogeneousModel(1000, 0.3)
@@ -171,7 +166,7 @@ def test_c07_variance_irrelevance():
                 model.covariance * np.outer(scales, scales),
                 model.partition.block_sizes,
             )
-            dom = cgf_domain(compute_gamma(model))
+            dom = cgf_domain(model)
             for t in np.linspace(0.9 * dom.lower, 0.9 * dom.upper, 9):
                 assert abs(cgf(model, float(t)) - cgf(scaled, float(t))) < 1e-9
             a, b = cumulants(model, 6), cumulants(scaled, 6)

@@ -159,8 +159,9 @@ class TestAnalyze:
             ({"covariance": {"a": 1}, "partition": [1, 1]}, "ValueError"),
             (5, "ValueError"),
             ({"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1], "mean": {"x": 1}}, "ValueError"),
+            ({"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, True]}, "BadPartition"),
         ],
-        ids=["partition-int", "covariance-object", "top-level-int", "mean-object"],
+        ids=["partition-int", "covariance-object", "top-level-int", "mean-object", "partition-bool"],
     )
     def test_wrong_json_types_exit_2(self, capsys, tmp_path, doc, error):
         path = tmp_path / "types.json"
@@ -169,6 +170,20 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("missing", ["covariance", "partition"])
+    def test_missing_key_exit_2(self, capsys, tmp_path, missing):
+        doc = {"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1]}
+        del doc[missing]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "model file needs 'covariance' and 'partition' keys",
+        }
 
     def test_fingerprint_stable_across_runs(self, capsys, scalar_pair_file):
         _, out1, _ = run(capsys, ["analyze", scalar_pair_file])

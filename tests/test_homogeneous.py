@@ -8,7 +8,6 @@ from infodensity import (
     NotPositiveDefinite,
     ZeroVariance,
     asymptotic_standardized_limit,
-    compute_gamma,
     cumulants,
     homogeneous_covariance,
     homogeneous_cumulant,
@@ -95,14 +94,13 @@ class TestAgainstGeneralMachinery:
         rho = {"edge": -1.0 / (2 * (d - 1)), "small": 0.1, "large": 0.7}[rho_kind]
         hm = HomogeneousModel(d, rho)
         model = homogeneous_covariance(hm)
-        gamma = compute_gamma(model)
         assert rel_close(homogeneous_mean(hm), multiinformation(model), 1e-9)
         seq = cumulants(model, 6)
         for l in range(2, 7):
             assert rel_close(homogeneous_cumulant(hm, l), seq.kappa(l), 1e-9)
         for l in range(1, 7):
             closed = homogeneous_gamma_power(hm, l)
-            numeric = np.linalg.matrix_power(gamma.matrix, l)
+            numeric = np.linalg.matrix_power(model.gamma, l)
             scale = max(1.0, np.max(np.abs(closed)))
             assert np.max(np.abs(closed - numeric)) < 1e-9 * scale
 

@@ -33,12 +33,12 @@ from infodensity import (
     OutOfDomain,
     cgf,
     cgf_domain,
-    compute_gamma,
     compute_phi,
     cumulants,
     density_at,
     k_statistics,
     multiinformation,
+    sample_density,
     to_correlation_model,
     validate_model,
     variance,
@@ -196,8 +196,7 @@ class TestCgfGrid:
     def test_grid_matches_scalar_calls(self, seed):
         rng = np.random.default_rng(1200 + seed)
         model = random_model(rng, d=int(rng.integers(2, 30)))
-        gamma = compute_gamma(model)
-        dom = cgf_domain(gamma)
+        dom = cgf_domain(model)
         grid = np.linspace(0.95 * dom.lower, 0.95 * dom.upper, 41)
         values = cgf(model, grid)
         assert values.shape == grid.shape
@@ -239,13 +238,26 @@ class TestFactorOnce:
 
         monkeypatch.setattr("infodensity.model.cholesky_lower", refuse)
         monkeypatch.setattr("infodensity.measures.cholesky_lower", refuse)
-        gamma = compute_gamma(model)
         compute_phi(model)
         multiinformation(model)
         variance(model)
         cumulants(model, 6)
-        cgf(model, np.linspace(-0.1, 0.1, 5) * cgf_domain(gamma).half_width)
+        cgf(model, np.linspace(-0.1, 0.1, 5) * cgf_domain(model).half_width)
         density_at(model, model.mean + 1.0)
+
+    def test_sampler_reads_stored_factor(self, monkeypatch):
+        model = random_model(np.random.default_rng(1302), d=6)
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return cholesky_lower(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("infodensity") and hasattr(module, "cholesky_lower"):
+                monkeypatch.setattr(module, "cholesky_lower", counted)
+        assert sample_density(model, 5000, seed=3, threads=1).n == 5000
+        assert calls[0] == 0
 
 
 class TestCouplingFromHalfSolve:
@@ -254,7 +266,7 @@ class TestCouplingFromHalfSolve:
         rng = np.random.default_rng(1400 + seed)
         d = int(rng.integers(2, 41))
         model = random_model(rng, d=d, sizes=random_partition(rng, d))
-        g = compute_gamma(model).matrix
+        g = model.gamma
         expected = _coupling_matrix(model)
         assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
         for start, size in zip(model.partition.offsets, model.partition.block_sizes):
@@ -262,19 +274,27 @@ class TestCouplingFromHalfSolve:
 
 
 class TestCouplingOnce:
-    def test_formed_once_per_model(self):
+    def test_formed_once_per_model(self, capsys, tmp_path, monkeypatch):
+        path = self._model_file(tmp_path, 24)
+        calls = [0]
+        original = infodensity.model.compute_gamma
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(infodensity.model, "compute_gamma", counted)
+        argv = ["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11", "--oracle-max-l", "3"]
+        assert cli.main(argv + ["--mc-n", "2000", "--threads", "1"]) == 0
+        capsys.readouterr()
+        assert calls[0] == 1
         rng = np.random.default_rng(1450)
         model = random_model(rng, d=7, sizes=[3, 1, 3])
-        gamma = compute_gamma(model)
-        assert compute_gamma(model) is gamma
         scales, corr = to_correlation_model(model)
-        corr_gamma = compute_gamma(corr)
-        assert corr_gamma is not gamma
-        assert compute_gamma(corr) is corr_gamma
         # The correlation model's own G~ = D^{-1} G D, not the parent's G.
-        assert not np.array_equal(corr_gamma.matrix, gamma.matrix)
-        expected = gamma.matrix * np.outer(1.0 / scales, scales)
-        assert np.max(np.abs(corr_gamma.matrix - expected)) <= 1e-10 * np.max(np.abs(expected))
+        assert not np.array_equal(corr.gamma, model.gamma)
+        expected = model.gamma * np.outer(1.0 / scales, scales)
+        assert np.max(np.abs(corr.gamma - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @staticmethod
     def _count_dense_calls(monkeypatch, d):
@@ -310,7 +330,7 @@ class TestCouplingOnce:
         counts = self._count_dense_calls(monkeypatch, 24)
         assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
         capsys.readouterr()
-        # Half-solve, whitening and G, all inside compute_gamma.
+        # Half-solve, whitening and G, all inside validation's compute_gamma.
         assert counts == {"model": 3, "_linalg": 0, "eigvalsh": 1}
 
     def test_simulate_solves_five_times(self, capsys, tmp_path, monkeypatch):

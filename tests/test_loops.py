@@ -2,8 +2,8 @@
 
 ``_enumerate_loops`` lists every rooted loop as a tuple of block indices by
 brute force over all node sequences. ``_reference_walk`` is the earlier
-per-loop fold, kept here as the reference: every block looked up through
-``gamma.block`` and every product formed again for each loop.
+per-loop fold, kept here as the reference: every block sliced from
+``model.gamma`` by ``_block`` and every product formed again for each loop.
 ``_reference_loop_trace`` folds all of a loop's arrows that way and takes
 ``np.trace``.
 """
@@ -19,7 +19,6 @@ from conftest import random_block_diagonal_model, random_model, scalar_pair_mode
 
 from infodensity import (
     CombinatorialLimit,
-    compute_gamma,
     loop_trace,
     rooted_loop_count,
     trace_via_loops,
@@ -41,23 +40,28 @@ def _enumerate_loops(n_blocks, length):
     ]
 
 
-def _reference_walk(nodes, gamma, arrows):
+def _block(model, m, n):
+    """Block (m, n) of the model's coupling matrix: the regression of block m on block n."""
+    return model.gamma[model.partition.block_slice(m), model.partition.block_slice(n)]
+
+
+def _reference_walk(nodes, model, arrows):
     """Product of the blocks along the loop's first ``arrows`` arrows, the last one leftmost."""
     l = len(nodes)
     product = None
     for i in range(arrows):
-        weight = gamma.block(nodes[(i + 1) % l], nodes[i])
+        weight = _block(model, nodes[(i + 1) % l], nodes[i])
         product = weight if product is None else weight @ product
     return product
 
 
-def _reference_loop_trace(nodes, gamma):
-    return float(np.trace(_reference_walk(nodes, gamma, len(nodes))))
+def _reference_loop_trace(nodes, model):
+    return float(np.trace(_reference_walk(nodes, model, len(nodes))))
 
 
-def _closing_and_walk(nodes, gamma):
+def _closing_and_walk(nodes, model):
     """``loop_trace``'s arguments for a loop: the block back to the root, and the walk before it."""
-    return gamma.block(nodes[0], nodes[-1]), _reference_walk(nodes, gamma, len(nodes) - 1)
+    return _block(model, nodes[0], nodes[-1]), _reference_walk(nodes, model, len(nodes) - 1)
 
 
 def _count_loop_trace(monkeypatch):
@@ -99,10 +103,10 @@ class TestEnumerateLoops:
         assert first == second == sorted(first)
 
     def test_cap_enforced_before_enumeration(self, monkeypatch):
-        gamma = compute_gamma(random_model(np.random.default_rng(7), d=5, sizes=[1] * 5))
+        model = random_model(np.random.default_rng(7), d=5, sizes=[1] * 5)
         calls = _count_loop_trace(monkeypatch)
         with pytest.raises(CombinatorialLimit) as exc:
-            trace_via_loops(gamma, 6, cap=100)
+            trace_via_loops(model, 6, cap=100)
         assert calls[0] == 0
         assert exc.value.count == rooted_loop_count(5, 6)
         assert exc.value.cap == 100
@@ -112,49 +116,45 @@ class TestEnumerateLoops:
 class TestLoopTrace:
     def test_block_diagonal_weights_vanish(self):
         model = random_block_diagonal_model(np.random.default_rng(1), [1, 2, 1])
-        gamma = compute_gamma(model)
         for loop in _enumerate_loops(3, 3):
-            assert loop_trace(*_closing_and_walk(loop, gamma)) == 0.0
+            assert loop_trace(*_closing_and_walk(loop, model)) == 0.0
 
     def test_back_and_forth_pair(self):
-        gamma = compute_gamma(scalar_pair_model(0.5))
-        assert loop_trace(*_closing_and_walk((0, 1), gamma)) == pytest.approx(0.25, abs=1e-15)
+        model = scalar_pair_model(0.5)
+        assert loop_trace(*_closing_and_walk((0, 1), model)) == pytest.approx(0.25, abs=1e-15)
 
     def test_triangle_on_equicorrelation(self):
-        gamma = compute_gamma(EQUI3)
-        assert loop_trace(*_closing_and_walk((0, 1, 2), gamma)) == pytest.approx(0.125, abs=1e-15)
+        assert loop_trace(*_closing_and_walk((0, 1, 2), EQUI3)) == pytest.approx(0.125, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_reference_fold(self, seed):
         rng = np.random.default_rng(400 + seed)
         n_blocks = int(rng.integers(2, 5))
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
-        gamma = compute_gamma(random_model(rng, d=sum(sizes), sizes=sizes))
+        model = random_model(rng, d=sum(sizes), sizes=sizes)
         for l in (2, 3, 4):
             for loop in _enumerate_loops(n_blocks, l):
-                reference = _reference_loop_trace(loop, gamma)
-                assert abs(loop_trace(*_closing_and_walk(loop, gamma)) - reference) <= 1e-12 * max(1.0, abs(reference))
+                reference = _reference_loop_trace(loop, model)
+                assert abs(loop_trace(*_closing_and_walk(loop, model)) - reference) <= 1e-12 * max(1.0, abs(reference))
 
     def test_rejects_closing_block_of_wrong_shape(self):
-        gamma = compute_gamma(random_model(np.random.default_rng(5), d=5, sizes=[2, 3]))
+        model = random_model(np.random.default_rng(5), d=5, sizes=[2, 3])
         with pytest.raises(ValueError):
-            loop_trace(gamma.block(0, 1), gamma.block(0, 1))
+            loop_trace(_block(model, 0, 1), _block(model, 0, 1))
 
 
 class TestTraceViaLoops:
     def test_length_one_is_zero(self):
-        gamma = compute_gamma(random_model(np.random.default_rng(2)))
-        assert trace_via_loops(gamma, 1) == 0.0
+        model = random_model(np.random.default_rng(2))
+        assert trace_via_loops(model, 1) == 0.0
 
     def test_equicorrelation_third_power(self):
-        gamma = compute_gamma(EQUI3)
-        assert trace_via_loops(gamma, 3) == pytest.approx(0.75, abs=1e-12)
+        assert trace_via_loops(EQUI3, 3) == pytest.approx(0.75, abs=1e-12)
 
     def test_two_block_fourth_power(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, d=5, sizes=[2, 3])
-        gamma = compute_gamma(model)
-        assert rel_close(trace_via_loops(gamma, 4), two_block_trace(model, 4), 1e-9)
+        assert rel_close(trace_via_loops(model, 4), two_block_trace(model, 4), 1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_matrix_powers(self, seed):
@@ -162,27 +162,25 @@ class TestTraceViaLoops:
         n_blocks = int(rng.integers(2, 6))
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
         model = random_model(rng, d=sum(sizes), sizes=sizes)
-        gamma = compute_gamma(model)
         for l in range(1, 7):
-            reference = float(np.trace(np.linalg.matrix_power(gamma.matrix, l)))
-            assert rel_close(trace_via_loops(gamma, l), reference, 1e-9)
+            reference = float(np.trace(np.linalg.matrix_power(model.gamma, l)))
+            assert rel_close(trace_via_loops(model, l), reference, 1e-9)
 
     def test_two_block_odd_sums_exactly_zero(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, d=6, sizes=[3, 3])
-        gamma = compute_gamma(model)
         for l in (3, 5):
-            assert trace_via_loops(gamma, l) == 0.0
+            assert trace_via_loops(model, l) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_fsum_of_reference_terms(self, seed):
         rng = np.random.default_rng(500 + seed)
         n_blocks = int(rng.integers(2, 7))
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
-        gamma = compute_gamma(random_model(rng, d=sum(sizes), sizes=sizes))
+        model = random_model(rng, d=sum(sizes), sizes=sizes)
         for l in range(1, 7):
-            reference = math.fsum(_reference_loop_trace(loop, gamma) for loop in _enumerate_loops(n_blocks, l))
-            assert rel_close(trace_via_loops(gamma, l), reference, 1e-12)
+            reference = math.fsum(_reference_loop_trace(loop, model) for loop in _enumerate_loops(n_blocks, l))
+            assert rel_close(trace_via_loops(model, l), reference, 1e-12)
 
 
 class TestStreaming:
@@ -190,24 +188,24 @@ class TestStreaming:
         "sizes, length, loops", [([2] * 8, 5, 16_800), ([1, 2], 3, 0), ([2, 3], 5, 0), ([1, 2, 3], 4, 18)]
     )
     def test_one_loop_trace_call_per_rooted_loop(self, monkeypatch, sizes, length, loops):
-        gamma = compute_gamma(random_model(np.random.default_rng(6), d=sum(sizes), sizes=sizes))
+        model = random_model(np.random.default_rng(6), d=sum(sizes), sizes=sizes)
         calls = _count_loop_trace(monkeypatch)
-        trace_via_loops(gamma, length)
+        trace_via_loops(model, length)
         assert calls[0] == loops == rooted_loop_count(len(sizes), length)
 
     def test_cap_raises_before_any_term(self, monkeypatch):
-        gamma = compute_gamma(random_model(np.random.default_rng(8), d=16, sizes=[2] * 8))
+        model = random_model(np.random.default_rng(8), d=16, sizes=[2] * 8)
         calls = _count_loop_trace(monkeypatch)
         with pytest.raises(CombinatorialLimit) as exc:
-            trace_via_loops(gamma, 5, cap=16_799)
+            trace_via_loops(model, 5, cap=16_799)
         assert exc.value.count == 16_800
         assert calls[0] == 0
 
     def test_peak_memory_independent_of_loop_count(self):
-        gamma = compute_gamma(random_model(np.random.default_rng(9), d=16, sizes=[2] * 8))
+        model = random_model(np.random.default_rng(9), d=16, sizes=[2] * 8)
         tracemalloc.start()
         try:
-            trace_via_loops(gamma, 5)
+            trace_via_loops(model, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -221,12 +219,11 @@ class TestPerRootConsistency:
         n_blocks = int(rng.integers(2, 5))
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
         model = random_model(rng, d=sum(sizes), sizes=sizes)
-        gamma = compute_gamma(model)
         for l in (2, 3, 4):
-            power = np.linalg.matrix_power(gamma.matrix, l)
+            power = np.linalg.matrix_power(model.gamma, l)
             by_root = {n: 0.0 for n in range(n_blocks)}
             for loop in _enumerate_loops(n_blocks, l):
-                by_root[loop[0]] += loop_trace(*_closing_and_walk(loop, gamma))
+                by_root[loop[0]] += loop_trace(*_closing_and_walk(loop, model))
             for n in range(n_blocks):
                 sl = model.partition.block_slice(n)
                 expected = float(np.trace(power[sl, sl]))

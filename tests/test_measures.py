@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,10 @@ from infodensity import (
     CumulantOverflow,
     DimensionMismatch,
     EigenvalueOutOfRange,
-    GammaMatrix,
     OutOfDomain,
-    Partition,
     cgf,
     cgf_domain,
     cgf_numeric_cumulants,
-    compute_gamma,
     cumulants,
     density_at,
     density_at_direct,
@@ -54,27 +52,22 @@ class TestMultiinformation:
 
 class TestMultiinformationFromGamma:
     def test_zero_coupling(self):
-        gamma = compute_gamma(validate_model(None, np.eye(3), [1, 2]))
-        assert multiinformation_from_gamma(gamma) == 0.0
+        model = validate_model(None, np.eye(3), [1, 2])
+        assert multiinformation_from_gamma(model) == 0.0
 
     def test_scalar_pair(self):
-        gamma = compute_gamma(scalar_pair_model(0.5))
+        model = scalar_pair_model(0.5)
         expected = -0.5 * (math.log(0.5) + math.log(1.5))
-        assert multiinformation_from_gamma(gamma) == pytest.approx(expected, abs=1e-12)
+        assert multiinformation_from_gamma(model) == pytest.approx(expected, abs=1e-12)
 
     def test_equicorrelation(self):
-        gamma = compute_gamma(EQUI3)
-        assert multiinformation_from_gamma(gamma) == pytest.approx(0.346574, abs=1e-6)
-        assert multiinformation_from_gamma(gamma) == pytest.approx(
+        assert multiinformation_from_gamma(EQUI3) == pytest.approx(0.346574, abs=1e-6)
+        assert multiinformation_from_gamma(EQUI3) == pytest.approx(
             multiinformation(EQUI3), abs=1e-9
         )
 
     def test_invalid_spectrum_rejected(self):
-        bad = GammaMatrix(
-            matrix=np.zeros((2, 2)),
-            partition=Partition((1, 1)),
-            eigenvalues=np.array([-1.2, 0.3]),
-        )
+        bad = dataclasses.replace(scalar_pair_model(0.5), gamma_eigenvalues=np.array([-1.2, 0.3]))
         with pytest.raises(EigenvalueOutOfRange):
             multiinformation_from_gamma(bad)
 
@@ -117,16 +110,15 @@ class TestDensity:
 
 class TestCgfDomain:
     def test_zero_coupling_unbounded(self):
-        gamma = compute_gamma(validate_model(None, np.eye(4), [2, 2]))
-        dom = cgf_domain(gamma)
+        dom = cgf_domain(validate_model(None, np.eye(4), [2, 2]))
         assert dom.lower == -math.inf and dom.upper == math.inf
 
     def test_scalar_pair(self):
-        dom = cgf_domain(compute_gamma(scalar_pair_model(0.5)))
+        dom = cgf_domain(scalar_pair_model(0.5))
         assert (dom.lower, dom.upper) == pytest.approx((-2.0, 2.0))
 
     def test_equicorrelation(self):
-        dom = cgf_domain(compute_gamma(EQUI3))
+        dom = cgf_domain(EQUI3)
         assert (dom.lower, dom.upper) == pytest.approx((-2.0, 1.0))
 
 
@@ -147,12 +139,11 @@ class TestCgf:
     def test_logdet_path_agreement(self, seed):
         rng = np.random.default_rng(500 + seed)
         model = random_model(rng, d=int(rng.integers(2, 9)))
-        gamma = compute_gamma(model)
-        dom = cgf_domain(gamma)
+        dom = cgf_domain(model)
         info = multiinformation(model)
         for t in np.linspace(0.9 * dom.lower, 0.9 * dom.upper, 10):
             sign, logabsdet = np.linalg.slogdet(
-                np.eye(model.dimension) - t * gamma.matrix
+                np.eye(model.dimension) - t * model.gamma
             )
             assert sign > 0
             direct = t * info - 0.5 * logabsdet
@@ -180,10 +171,9 @@ class TestCumulants:
     def test_matches_matrix_power_traces(self, seed):
         rng = np.random.default_rng(600 + seed)
         model = random_model(rng)
-        gamma = compute_gamma(model)
         seq = cumulants(model, 8)
         for l in range(2, 9):
-            trace = np.trace(np.linalg.matrix_power(gamma.matrix, l))
+            trace = np.trace(np.linalg.matrix_power(model.gamma, l))
             expected = math.factorial(l - 1) / 2.0 * float(trace)
             assert rel_close(seq.kappa(l), expected, 1e-9)
 
@@ -200,10 +190,9 @@ class TestCumulants:
     def test_shift_relation(self):
         rng = np.random.default_rng(10)
         model = random_model(rng)
-        gamma = compute_gamma(model)
         seq = cumulants(model, 6)
         assert seq.kappa(1) == multiinformation(model)
-        lam = gamma.eigenvalues
+        lam = model.gamma_eigenvalues
         for l in range(2, 7):
             centered = math.factorial(l - 1) / 2.0 * float(np.sum(lam**l))
             assert seq.kappa(l) == centered
@@ -281,7 +270,7 @@ class TestVarianceIrrelevance:
             model.covariance * np.outer(scales, scales),
             model.partition.block_sizes,
         )
-        dom = cgf_domain(compute_gamma(model))
+        dom = cgf_domain(model)
         for t in np.linspace(0.9 * dom.lower, 0.9 * dom.upper, 9):
             assert abs(cgf(model, float(t)) - cgf(scaled, float(t))) < 1e-9
         a = cumulants(model, 6)
@@ -295,8 +284,7 @@ class TestTaylorConsistency:
     def test_partial_sum_matches_cgf(self, seed):
         rng = np.random.default_rng(900 + seed)
         model = random_model(rng)
-        gamma = compute_gamma(model)
-        lam = gamma.eigenvalues
+        lam = model.gamma_eigenvalues
         lam_abs = np.max(np.abs(lam))
         info = multiinformation(model)
         d = model.dimension

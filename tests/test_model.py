@@ -14,7 +14,6 @@ from infodensity import (
     NotSymmetric,
     Partition,
     SameBlock,
-    compute_gamma,
     compute_phi,
     density_at,
     density_at_direct,
@@ -67,7 +66,9 @@ class TestValidateModel:
         with pytest.raises(BadPartition):
             Partition((2, 0))
 
-    @pytest.mark.parametrize("sizes", [[1.5, 1.5, 1], [2.5, 0.5], [math.nan, 1], [math.inf, 1]])
+    @pytest.mark.parametrize(
+        "sizes", [[1.5, 1.5, 1], [2.5, 0.5], [math.nan, 1], [math.inf, 1], [2, True], [np.bool_(True), 2]]
+    )
     def test_non_integral_block_size_rejected(self, sizes):
         with pytest.raises(BadPartition):
             Partition(tuple(sizes))
@@ -125,26 +126,25 @@ class TestRegressionBlock:
 class TestComputeGamma:
     def test_identity_covariance(self):
         model = validate_model(None, np.eye(4), [2, 2])
-        gamma = compute_gamma(model)
-        assert np.array_equal(gamma.matrix, np.zeros((4, 4)))
-        assert np.max(np.abs(gamma.eigenvalues)) < 1e-13
+        assert np.array_equal(model.gamma, np.zeros((4, 4)))
+        assert np.max(np.abs(model.gamma_eigenvalues)) < 1e-13
+        assert not model.gamma.flags.writeable and not model.gamma_eigenvalues.flags.writeable
 
     def test_scalar_pair(self):
-        gamma = compute_gamma(scalar_pair_model(0.5))
-        assert gamma.matrix == pytest.approx(np.array([[0, 0.5], [0.5, 0]]))
-        assert gamma.eigenvalues == pytest.approx([-0.5, 0.5])
+        model = scalar_pair_model(0.5)
+        assert model.gamma == pytest.approx(np.array([[0, 0.5], [0.5, 0]]))
+        assert model.gamma_eigenvalues == pytest.approx([-0.5, 0.5])
 
     def test_equicorrelation_spectrum(self):
         cov = np.full((3, 3), 0.5)
         np.fill_diagonal(cov, 1.0)
-        gamma = compute_gamma(validate_model(None, cov, [1, 1, 1]))
-        assert sorted(gamma.eigenvalues) == pytest.approx([-0.5, -0.5, 1.0])
+        model = validate_model(None, cov, [1, 1, 1])
+        assert sorted(model.gamma_eigenvalues) == pytest.approx([-0.5, -0.5, 1.0])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_direct_evaluation(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng)
-        gamma = compute_gamma(model)
         d = model.dimension
         diag = np.zeros((d, d))
         for n in range(model.partition.n_blocks):
@@ -152,20 +152,21 @@ class TestComputeGamma:
             diag[sl, sl] = model.diagonal_block(n)
         direct = model.covariance @ np.linalg.inv(diag) - np.eye(d)
         scale = max(1.0, np.max(np.abs(direct)))
-        assert np.max(np.abs(gamma.matrix - direct)) < 1e-10 * scale
+        assert np.max(np.abs(model.gamma - direct)) < 1e-10 * scale
         # exact-zero diagonal blocks and exact-zero trace
         for n in range(model.partition.n_blocks):
-            assert np.array_equal(gamma.block(n, n), np.zeros_like(gamma.block(n, n)))
-        assert np.trace(gamma.matrix) == 0.0
+            sl = model.partition.block_slice(n)
+            assert np.array_equal(model.gamma[sl, sl], np.zeros_like(model.gamma[sl, sl]))
+        assert np.trace(model.gamma) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_eigenvalues_real_above_minus_one(self, seed):
         rng = np.random.default_rng(100 + seed)
-        gamma = compute_gamma(random_model(rng))
-        assert gamma.eigenvalues.min() > -1.0
+        model = random_model(rng)
+        assert model.gamma_eigenvalues.min() > -1.0
         # spectrum of the similar symmetric matrix matches the raw matrix
-        raw = np.sort(np.linalg.eigvals(gamma.matrix).real)
-        assert np.max(np.abs(raw - np.sort(gamma.eigenvalues))) < 1e-9
+        raw = np.sort(np.linalg.eigvals(model.gamma).real)
+        assert np.max(np.abs(raw - np.sort(model.gamma_eigenvalues))) < 1e-9
 
 
 class TestComputePhi:
@@ -188,7 +189,7 @@ class TestComputePhi:
         rng = np.random.default_rng(200 + seed)
         model = random_model(rng)
         phi = compute_phi(model)
-        gamma = compute_gamma(model).matrix
+        gamma = model.gamma
         d = model.dimension
         diag = np.zeros((d, d))
         for n in range(model.partition.n_blocks):
@@ -219,16 +220,16 @@ class TestCorrelationModel:
         model = random_model(rng, d=5)
         scales, corr = to_correlation_model(model)
         assert np.max(np.abs(np.diagonal(corr.covariance) - 1.0)) < 1e-12
-        eig_a = np.sort(compute_gamma(model).eigenvalues)
-        eig_b = np.sort(compute_gamma(corr).eigenvalues)
+        eig_a = np.sort(model.gamma_eigenvalues)
+        eig_b = np.sort(corr.gamma_eigenvalues)
         assert np.max(np.abs(eig_a - eig_b)) < 1e-9
 
     def test_gamma_similarity(self):
         rng = np.random.default_rng(34)
         model = random_model(rng, d=6)
         scales, corr = to_correlation_model(model)
-        g = compute_gamma(model).matrix
-        g_tilde = compute_gamma(corr).matrix
+        g = model.gamma
+        g_tilde = corr.gamma
         recovered = np.diag(scales) @ g_tilde @ np.diag(1.0 / scales)
         assert np.max(np.abs(g - recovered)) < 1e-10 * max(1.0, np.max(np.abs(g)))
 
