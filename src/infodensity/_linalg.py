@@ -2,14 +2,18 @@
 
 Log-determinants are always taken from Cholesky factors, never from raw
 determinant products, so they stay finite for large well-conditioned
-matrices.
+matrices. Every LAPACK/BLAS call of the analytic path goes through scipy's
+wrappers here, so it runs on one OpenBLAS build with one thread pool. numpy
+and scipy each ship their own build, and on 2 vCPUs a process alternating
+between the two pools took 22.8 ms for a 100 x 100 ``eigvalsh`` that takes
+0.45 ms with one BLAS thread.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dsyevd
 
 from .errors import NotPositiveDefinite
 
@@ -53,6 +57,18 @@ def cholesky_lower(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     )
 
 
+def _scalar_factors(variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of many 1 x 1 matrices at once, and which pass the pivot check.
+
+    The factor of [a] is sqrt(a), bit-identical to ``cholesky_lower([[a]])``,
+    and ``ok`` applies that function's check (pivot sqrt(a)^2 above 1 * eps * a)
+    to each; a failing entry's factor is meaningless.
+    """
+    with np.errstate(invalid="ignore"):
+        roots = np.sqrt(variances)
+    return roots, np.square(roots) > np.finfo(float).eps * variances
+
+
 def logdet_from_lower(L: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(L))))
 
@@ -70,6 +86,17 @@ def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.nd
 def solve_pd_from_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L^T) x = b via two triangular solves."""
     return _solve_lower(L, _solve_lower(L, b), transpose=True)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (its lower triangle) by LAPACK ``syevd``.
+
+    The same driver as ``np.linalg.eigvalsh``, run on scipy's build.
+    """
+    w, _, info = dsyevd(a, compute_v=0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevd failed with info = {info}")
+    return w
 
 
 def rel_close(a: float, b: float, tol: float) -> bool:

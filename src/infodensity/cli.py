@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -310,7 +311,9 @@ def _add_model_arguments(sub):
     sub.add_argument("--partition", help="comma-separated block sizes, used with --matrix-csv")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="infodensity",
         description="Analytic and Monte Carlo analysis of the multiinformation density "

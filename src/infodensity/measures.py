@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
-from ._linalg import cholesky_lower, logdet_from_lower
+from ._linalg import _solve_lower, cholesky_lower, logdet_from_lower
 from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, NonFiniteInput, OutOfDomain
 from .model import GaussianModel, compute_phi
 
@@ -117,7 +115,7 @@ def _point(model: GaussianModel, x) -> np.ndarray:
 
 def _gaussian_logpdf(x, mean, cov) -> float:
     L = cholesky_lower(cov)
-    y = solve_triangular(L, x - mean, lower=True)
+    y = _solve_lower(L, (x - mean)[:, None])[:, 0]
     k = len(x)
     return -0.5 * (k * math.log(2.0 * math.pi) + logdet_from_lower(L) + float(y @ y))
 
@@ -179,7 +177,10 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
 def _kappa_from_spectrum(lam: np.ndarray, log_abs: np.ndarray | None, l: int) -> float:
     if log_abs is None:
         return 0.0
-    log_bound = math.lgamma(l) - math.log(2.0) + float(logsumexp(l * log_abs))
+    # log sum |lambda|^l, shifted by its largest term so that no exp overflows.
+    scaled = l * log_abs
+    top = float(scaled.max())
+    log_bound = math.lgamma(l) - math.log(2.0) + top + math.log(float(np.sum(np.exp(scaled - top))))
     if log_bound > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
     if l <= _EXACT_FACTORIAL_MAX_ORDER:

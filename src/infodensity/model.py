@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _solve_lower, cholesky_lower, solve_pd_from_lower, symmetrize
+from ._linalg import _eigvalsh, _scalar_factors, _solve_lower, cholesky_lower, solve_pd_from_lower, symmetrize
 from .errors import (
     BadPartition,
     DimensionMismatch,
@@ -169,7 +169,16 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
 
     factor = cholesky_lower(cov, what="covariance")
     block_factor = np.zeros_like(cov)
-    for n in range(partition.n_blocks):
+    # Size-1 blocks are factored together; a failing one, and every larger
+    # block, goes through cholesky_lower in block order, so the first failing
+    # block raises the same error either way.
+    sizes = np.array(partition.block_sizes)
+    scalar = np.array(partition.offsets)[sizes == 1]
+    roots, passed = _scalar_factors(cov[scalar, scalar])
+    block_factor[scalar, scalar] = roots
+    unfactored = sizes > 1
+    unfactored[sizes == 1] = ~passed
+    for n in np.flatnonzero(unfactored):
         sl = partition.block_slice(n)
         try:
             block_factor[sl, sl] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
@@ -205,17 +214,30 @@ def regression_block(model: GaussianModel, m: int, n: int) -> np.ndarray:
 def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: Partition):
     """G = S blockdiag(S_nn)^{-1} - I and its ascending spectrum, as ``(G, eigenvalues)``.
 
-    From H = L_B^{-1} S: G = (L_B^{-T} H)^T (block (m, n) regresses m on n)
-    and the eigenvalues of W - I, W = L_B^{-1} H^T real-symmetric and similar
-    to G + I. Diagonal blocks of both are exact zeros, so tr G = 0 exactly.
+    Block by block, with H = L_B^{-1} S: G's block column n is (L_n^{-T} H_n)^T
+    for the row strip H_n of block n (block (m, n) regresses m on n), and the
+    spectrum is that of W - I, W = H L_B^{-T} real-symmetric and similar to
+    G + I. A size-1 block is a scaling: its column of G is divided by s_jj,
+    its row of H and column of W by sqrt(s_jj). A larger block solves its
+    b x d strips against its own factor. Diagonal blocks of G and W - I are
+    exact zeros, so tr G = 0 exactly.
     """
-    half = _solve_lower(block_factor, covariance)
-    w = _solve_lower(block_factor, half.T)
-    g = _solve_lower(block_factor, half, transpose=True).T
-    for n in range(partition.n_blocks):
-        sl = partition.block_slice(n)
+    sizes = np.array(partition.block_sizes)
+    scalar = np.array(partition.offsets)[sizes == 1]
+    larger = [partition.block_slice(n) for n in np.flatnonzero(sizes > 1)]
+    # Scaling every row and column serves the size-1 blocks; the strips of the
+    # larger blocks are then overwritten by their solves.
+    half = covariance / np.diagonal(block_factor)[:, None]
+    g = covariance / np.diagonal(covariance)
+    for sl in larger:
+        half[sl] = _solve_lower(block_factor[sl, sl], covariance[sl])
+        g[:, sl] = _solve_lower(block_factor[sl, sl], half[sl], transpose=True).T
+    w = half / np.diagonal(block_factor)
+    for sl in larger:
+        w[:, sl] = _solve_lower(block_factor[sl, sl], half[:, sl].T).T
         w[sl, sl] = g[sl, sl] = 0.0
-    return g, np.linalg.eigvalsh(symmetrize(w))
+    w[scalar, scalar] = g[scalar, scalar] = 0.0
+    return g, _eigvalsh(symmetrize(w))
 
 
 def compute_phi(model: GaussianModel) -> np.ndarray:

@@ -334,10 +334,13 @@ def mc_validate(
     sampling-variance formulas at the analytic cumulants), the z-score, and
     a pass flag at |z| <= 5. ``corrupt_order`` shifts one analytic value by
     25 standard errors; it exists only so a harness can verify that the
-    check actually fails when the analytic side is wrong.
+    check actually fails when the analytic side is wrong, so an order
+    outside 1..max_order, which would shift nothing, raises ValueError.
     """
     if not 1 <= max_order <= 4:
         raise ValueError(f"max_order must be in 1..4, got {max_order}")
+    if corrupt_order is not None and not 1 <= corrupt_order <= max_order:
+        raise ValueError(f"corrupt_order must be in 1..max_order = {max_order}, got {corrupt_order}")
     if n < 4:
         raise BatchTooSmall(f"need at least 4 draws for finite standard errors, got {n}")
     batch = sample_density(model, n, seed, chunk_size=chunk_size, threads=threads)

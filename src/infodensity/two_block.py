@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ._linalg import _solve_lower
+from ._linalg import _eigvalsh, _solve_lower
 from .errors import BadPartition, BlockNotScalar, OutOfDomain
 from .measures import CgfDomain
 from .model import GaussianModel, regression_block
@@ -55,7 +55,7 @@ def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
     inner = regression_block(model, a, b) @ model.covariance_block(b, a)  # symmetric PSD
     half = _solve_lower(L, inner)
     m = _solve_lower(L, half.T)
-    w = np.linalg.eigvalsh((m + m.T) / 2.0)
+    w = _eigvalsh((m + m.T) / 2.0)
     w = np.where(w < _CLAMP_EIGENVALUE, 0.0, w)
     values = tuple(float(v) for v in sorted(w, reverse=True))
     if values and values[0] >= 1.0:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from infodensity import DEFAULT_LOOP_CAP
-from infodensity.cli import main
+from infodensity.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -208,6 +208,19 @@ class TestSimulate:
         assert code == 1
         assert not json.loads(out)["ok"]
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--corrupt-order", "0"], ["--corrupt-order", "-1"], ["--corrupt-order", "9"],
+         ["--corrupt-order", "4", "--max-order", "2"]],
+    )
+    def test_corrupt_order_outside_checked_orders_exit_2(self, capsys, scalar_pair_file, extra):
+        code, out, err = run(capsys, ["simulate", scalar_pair_file, "--n", "100", *extra])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert "corrupt_order" in doc["message"]
+
     def test_tiny_sample_exit_2(self, capsys, scalar_pair_file):
         code, _, err = run(capsys, ["simulate", scalar_pair_file, "--n", "1"])
         assert code == 2
@@ -310,3 +323,34 @@ class TestHomogeneous:
                     assert float(crow[key]) == value
                 else:
                     assert type(value)(crow[key]) == value
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a call must not see the previous call's options."""
+
+    @staticmethod
+    def _fresh(capsys, argv):
+        _build_parser.cache_clear()
+        return run(capsys, argv)
+
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_analyze_without_grid_after_grid(self, capsys, equicorrelation_file):
+        with_grid = ["analyze", equicorrelation_file, "--t-grid=-0.5:0.5:5"]
+        without = ["analyze", equicorrelation_file]
+        first = run(capsys, with_grid)
+        second = run(capsys, without)
+        assert first[0] == second[0] == 0
+        assert "cgf_grid" in json.loads(first[1]) and "cgf_grid" not in json.loads(second[1])
+        assert self._fresh(capsys, with_grid) == first
+        assert self._fresh(capsys, without) == second
+
+    def test_simulate_without_corruption_after_corruption(self, capsys, scalar_pair_file):
+        corrupted = ["simulate", scalar_pair_file, "--n", "20000", "--seed", "42", "--corrupt-order", "2"]
+        plain = corrupted[:-2]
+        first = run(capsys, corrupted)
+        second = run(capsys, plain)
+        assert (first[0], second[0]) == (1, 0)
+        assert self._fresh(capsys, corrupted) == first
+        assert self._fresh(capsys, plain) == second

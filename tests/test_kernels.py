@@ -4,8 +4,8 @@
 factorization and pairwise variance sum, kept here as references. The loop
 Cholesky uses the per-coordinate pivot threshold d * eps * a_jj of the current
 ``cholesky_lower``, so the two must name the same failing pivot.
-``_coupling_matrix`` is the earlier second path to G, two fresh triangular
-solves per call.
+``_coupling_matrix`` is the earlier dense path to G and W, three d x d
+triangular solves against the block-diagonal L_B.
 
 ``_reference_normal_block``, ``_reference_sample_density`` and
 ``_reference_k_statistics`` are the earlier sampler kernels: uniforms built
@@ -31,6 +31,7 @@ import infodensity
 from infodensity import (
     NotPositiveDefinite,
     OutOfDomain,
+    canonical_correlations,
     cgf,
     cgf_domain,
     compute_phi,
@@ -44,7 +45,7 @@ from infodensity import (
     variance,
 )
 from infodensity import cli
-from infodensity._linalg import _solve_lower, cholesky_lower
+from infodensity._linalg import _eigvalsh, _scalar_factors, _solve_lower, cholesky_lower
 from infodensity.sampling import _BITS_BLOCK, _MASK64, _fill_normals, _philox
 
 EPS = np.finfo(float).eps
@@ -70,11 +71,14 @@ def _loop_solve(L, b):
 
 
 def _coupling_matrix(model):
+    """(G, W) from H = L_B^{-1} S: G = (L_B^{-T} H)^T, W = L_B^{-1} H^T, diagonal blocks zeroed."""
     half = solve_triangular(model.block_factor, model.covariance, lower=True)
+    w = solve_triangular(model.block_factor, half.T, lower=True)
     g = solve_triangular(model.block_factor.T, half, lower=False).T
     for start, size in zip(model.partition.offsets, model.partition.block_sizes):
         g[start : start + size, start : start + size] = 0.0
-    return g
+        w[start : start + size, start : start + size] = 0.0
+    return g, w
 
 
 def _loop_variance(model):
@@ -267,7 +271,7 @@ class TestCouplingFromHalfSolve:
         d = int(rng.integers(2, 41))
         model = random_model(rng, d=d, sizes=random_partition(rng, d))
         g = model.gamma
-        expected = _coupling_matrix(model)
+        expected, _ = _coupling_matrix(model)
         assert np.max(np.abs(g - expected)) <= 1e-12 * np.max(np.abs(expected))
         for start, size in zip(model.partition.offsets, model.partition.block_sizes):
             assert not np.any(g[start : start + size, start : start + size])
@@ -307,39 +311,104 @@ class TestCouplingOnce:
                 return _solve_lower(a, b, *args, **kwargs)
 
             monkeypatch.setattr(f"infodensity.{module}._solve_lower", counting_solve)
-        eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(*args, **kwargs):
             counts["eigvalsh"] += 1
-            return eigvalsh(*args, **kwargs)
+            return _eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr("infodensity.model._eigvalsh", counting_eigvalsh)
         return counts
 
     @staticmethod
-    def _model_file(tmp_path, d):
+    def _model_file(tmp_path, d, sizes=None):
         rng = np.random.default_rng(1451)
-        model = random_model(rng, d=d, sizes=[d // 4] * 4)
+        model = random_model(rng, d=d, sizes=sizes or [d // 4] * 4)
         path = tmp_path / "model.json"
         doc = {"covariance": model.covariance.tolist(), "partition": list(model.partition.block_sizes)}
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def test_analyze_solves_three_times(self, capsys, tmp_path, monkeypatch):
+    def test_analyze_solves_no_dense_system(self, capsys, tmp_path, monkeypatch):
         path = self._model_file(tmp_path, 24)
         counts = self._count_dense_calls(monkeypatch, 24)
         assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
         capsys.readouterr()
-        # Half-solve, whitening and G, all inside validation's compute_gamma.
-        assert counts == {"model": 3, "_linalg": 0, "eigvalsh": 1}
+        # compute_gamma solves 6 x 24 strips only; one spectrum, on scipy's LAPACK.
+        assert counts == {"model": 0, "_linalg": 0, "eigvalsh": 1}
 
-    def test_simulate_solves_five_times(self, capsys, tmp_path, monkeypatch):
+    def test_simulate_solves_twice(self, capsys, tmp_path, monkeypatch):
         path = self._model_file(tmp_path, 20)
         counts = self._count_dense_calls(monkeypatch, 20)
         assert cli.main(["simulate", path, "--n", "2000", "--threads", "1"]) == 0
         capsys.readouterr()
-        # compute_gamma's three, then S P = G solved against the same G.
-        assert counts == {"model": 3, "_linalg": 2, "eigvalsh": 1}
+        # Only S P = G, solved against the stored factor of S.
+        assert counts == {"model": 0, "_linalg": 2, "eigvalsh": 1}
+
+    def test_analyze_stays_off_numpy_lapack(self, capsys, tmp_path, monkeypatch):
+        path = self._model_file(tmp_path, 12, sizes=[1] * 12)
+        calls = [0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the analytic path called numpy's LAPACK")
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return cholesky_lower(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("infodensity") and hasattr(module, "cholesky_lower"):
+                monkeypatch.setattr(module, "cholesky_lower", counted)
+        assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
+        capsys.readouterr()
+        # The covariance only: the twelve 1 x 1 blocks are one vectorised sqrt.
+        assert calls[0] == 1
+        pair = random_model(np.random.default_rng(1452), d=5, sizes=[2, 3])
+        assert len(canonical_correlations(pair)) == 2
+
+
+class TestBlockStructuredCoupling:
+    PARTITIONS = {"scalar": [1] * 30, "four-blocks": [6] * 4, "mixed": [1, 3, 1, 5, 2]}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(PARTITIONS))
+    def test_matches_dense_reference(self, kind, seed):
+        sizes = self.PARTITIONS[kind]
+        model = random_model(np.random.default_rng(1460 + seed), d=sum(sizes), sizes=sizes)
+        g, w = _coupling_matrix(model)
+        assert np.max(np.abs(model.gamma - g)) <= 1e-12 * np.max(np.abs(g))
+        expected = np.linalg.eigvalsh((w + w.T) / 2.0)
+        lam = model.gamma_eigenvalues
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.max(np.abs(lam - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind", sorted(PARTITIONS))
+    def test_block_factor_as_per_block_cholesky(self, kind):
+        sizes = self.PARTITIONS[kind]
+        model = random_model(np.random.default_rng(1470), d=sum(sizes), sizes=sizes)
+        expected = np.zeros_like(model.covariance)
+        for n in range(model.partition.n_blocks):
+            sl = model.partition.block_slice(n)
+            expected[sl, sl] = cholesky_lower(model.covariance[sl, sl])
+        assert np.array_equal(model.block_factor, expected)
+
+    def test_scalar_factors_as_one_by_one_cholesky(self):
+        tiny = np.finfo(float).tiny
+        variances = np.array([1.0, 2.0, 1e-300, 5e-324, tiny, 1e300, 0.0, -1.0, -0.0, 3.7])
+        roots, ok = _scalar_factors(variances)
+        for v, root, passed in zip(variances, roots, ok):
+            try:
+                factor = cholesky_lower(np.array([[v]]))
+            except NotPositiveDefinite:
+                assert not passed
+            else:
+                assert passed and root == factor[0, 0]
+
+    def test_eigvalsh_matches_numpy(self):
+        a = _random_spd(np.random.default_rng(1480), 40)
+        expected = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(_eigvalsh(a) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestSamplerAgainstTwoProducts:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import random_block_diagonal_model, random_model, scalar_pair_model
 
@@ -186,6 +187,30 @@ class TestCumulants:
         # every order below the failing one is representable
         seq = cumulants(model, exc.value.order - 1)
         assert all(math.isfinite(v) for v in seq.values)
+
+    @pytest.mark.parametrize("size", [1, 3, 50])
+    def test_overflow_order_as_logsumexp(self, size):
+        rng = np.random.default_rng(640 + size)
+        base = scalar_pair_model(0.5)
+        log_max = math.log(np.finfo(float).max)
+        for log10_scale in [0.0, 0.5, 1.0, 2.0, 3.5, 7.0, 20.0, 60.0, 150.0, 300.0]:
+            lam = rng.uniform(-1.0, 1.0, size) * 10.0**log10_scale
+            lam[0] = 10.0**log10_scale  # repeated magnitudes at the top
+            log_abs = np.log(np.abs(lam))
+            expected = next(
+                l for l in range(2, 400) if math.lgamma(l) - math.log(2.0) + logsumexp(l * log_abs) > log_max
+            )
+            model = dataclasses.replace(base, gamma_eigenvalues=lam)
+            with pytest.raises(CumulantOverflow) as exc:
+                cumulants(model, 400)
+            assert exc.value.order == expected
+            assert all(math.isfinite(v) for v in cumulants(model, expected - 1).values)
+
+    def test_zero_spectrum_gives_zero(self):
+        model = dataclasses.replace(scalar_pair_model(0.5), gamma_eigenvalues=np.zeros(2))
+        assert cumulants(model, 30).values[1:] == (0.0,) * 29
+        model = dataclasses.replace(model, gamma_eigenvalues=np.array([0.0, -0.25, 0.0, 0.25]))
+        assert cumulants(model, 30).values[2::2] == (0.0,) * 14
 
     def test_shift_relation(self):
         rng = np.random.default_rng(10)
