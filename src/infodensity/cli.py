@@ -25,6 +25,7 @@ import os
 import sys
 
 import numpy as np
+import orjson
 
 from ._linalg import rel_close
 from .errors import (
@@ -68,7 +69,7 @@ _INPUT_ERRORS = (
     ZeroVariance,
     BatchTooSmall,
 )
-_LIMIT_ERRORS = (OutOfDomain, CombinatorialLimit, CumulantOverflow)
+_LIMIT_ERRORS = (OutOfDomain, CombinatorialLimit, CumulantOverflow, MemoryError)
 
 
 def main(argv=None) -> int:
@@ -89,12 +90,30 @@ def main(argv=None) -> int:
     if fmt == "csv":
         sys.stdout.write(_render_csv(payload))
     else:
-        print(json.dumps(_jsonable(payload, exact=args.exact), indent=2))
+        print(_render_json(payload, args.exact))
     return code
 
 
+def _render_json(payload, exact: bool) -> str:
+    """The report as indented JSON, walking it with ``_jsonable`` only when needed.
+
+    Plain payloads (finite floats, ints, bools, strings, None, lists, tuples,
+    dicts) serialize as they are. ``--exact``, a non-finite float or a numpy
+    scalar other than float64 takes the walk, which gives the same bytes for
+    everything the direct call accepts.
+    """
+    if not exact:
+        try:
+            return json.dumps(payload, indent=2, allow_nan=False)
+        except (TypeError, ValueError):
+            pass
+    return json.dumps(_jsonable(payload, exact), indent=2)
+
+
 def _emit_error(exc) -> None:
-    doc = {"error": type(exc).__name__, "message": str(exc)}
+    # numpy raises a private MemoryError subclass; report the public name.
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    doc = {"error": name, "message": str(exc)}
     for attr in ("pivot_index", "order", "count", "cap", "length", "t"):
         if hasattr(exc, attr):
             doc[attr] = getattr(exc, attr)
@@ -148,8 +167,16 @@ def _load_model(args):
         return validate_model(None, cov, sizes)
     if not args.model:
         raise DimensionMismatch("provide a model JSON file or --matrix-csv with --partition")
-    with open(args.model) as fh:
-        doc = json.load(fh)
+    with open(args.model, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        # orjson refuses what the standard library reads leniently (NaN and
+        # Infinity literals, numbers beyond the double range) and every file
+        # that is not JSON; reading the same bytes as UTF-8 text again gives
+        # those inputs the standard library's result or error message.
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     if "covariance" not in doc or "partition" not in doc:

@@ -29,6 +29,11 @@ from .model import GaussianModel, compute_phi
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
+# Highest cumulant order ``cumulants`` computes. A spectrum of order-one
+# magnitude overflows long before it ((l-1)! outgrows any power), but a zero
+# or tiny one does not, and each order costs O(d) work and one more reported
+# value, so without a bound both grow linearly in the requested order.
+MAX_CUMULANT_ORDER = 10_000
 
 
 @dataclass(frozen=True)
@@ -160,10 +165,15 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     kappa_1 is the multiinformation; higher orders use the eigenvalue power
     sums of the coupling matrix. Factorials switch to log-space beyond order
     20, and an order whose magnitude bound (l-1)! * sum|lambda|^l exceeds the
-    double range raises CumulantOverflow rather than saturating.
+    double range raises CumulantOverflow rather than saturating. An order
+    above MAX_CUMULANT_ORDER raises CumulantOverflow before any work.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if order > MAX_CUMULANT_ORDER:
+        raise CumulantOverflow(
+            order, f"cumulant order {order} exceeds the cap of {MAX_CUMULANT_ORDER} (MAX_CUMULANT_ORDER)"
+        )
     lam = model.gamma_eigenvalues
     values = [multiinformation(model)]
     abs_lam = np.abs(lam)

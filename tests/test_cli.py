@@ -3,10 +3,29 @@ import io
 import json
 
 import numpy as np
+import orjson
 import pytest
 
-from infodensity import DEFAULT_LOOP_CAP
-from infodensity.cli import _build_parser, main
+from infodensity import DEFAULT_LOOP_CAP, model_fingerprint, validate_model
+from infodensity.cli import _build_parser, _jsonable, _render_json, main
+from infodensity.measures import MAX_CUMULANT_ORDER
+
+FLOAT_EXTREMES = [
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,  # largest subnormal
+    2.2250738585072014e-308,  # smallest normal
+    np.finfo(float).max,
+    -np.finfo(float).max,
+    -0.0,
+    0.0,
+]
+
+
+def random_finite_doubles(rng, n):
+    """Doubles from uniformly random bit patterns, every exponent alike, non-finite ones dropped."""
+    values = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    return values[np.isfinite(values)]
 
 
 @pytest.fixture
@@ -160,8 +179,10 @@ class TestAnalyze:
             (5, "ValueError"),
             ({"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1], "mean": {"x": 1}}, "ValueError"),
             ({"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, True]}, "BadPartition"),
+            # orjson reads an integer beyond 64 bits as a float
+            ({"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 2**64 + 1]}, "BadPartition"),
         ],
-        ids=["partition-int", "covariance-object", "top-level-int", "mean-object", "partition-bool"],
+        ids=["partition-int", "covariance-object", "top-level-int", "mean-object", "partition-bool", "partition-bigint"],
     )
     def test_wrong_json_types_exit_2(self, capsys, tmp_path, doc, error):
         path = tmp_path / "types.json"
@@ -189,6 +210,93 @@ class TestAnalyze:
         _, out1, _ = run(capsys, ["analyze", scalar_pair_file])
         _, out2, _ = run(capsys, ["analyze", scalar_pair_file])
         assert json.loads(out1)["fingerprint"] == json.loads(out2)["fingerprint"]
+
+    def test_fingerprint_matches_standard_library_parse(self, capsys, tmp_path):
+        rng = np.random.default_rng(17)
+        d = 40
+        mean = np.concatenate([FLOAT_EXTREMES, random_finite_doubles(rng, 2 * d)])[:d]
+        # Off-diagonal entries down to the subnormal range, one of them -0.0.
+        off = rng.standard_normal((d, d)) * 10.0 ** rng.integers(-322, 0, size=(d, d))
+        cov = np.tril(off, -1) + np.tril(off, -1).T + d * np.eye(d)
+        cov[0, 1] = cov[1, 0] = -0.0
+        text = json.dumps({"covariance": cov.tolist(), "partition": [10] * 4, "mean": mean.tolist()})
+        path = tmp_path / "doubles.json"
+        path.write_text(text)
+        code, out, _ = run(capsys, ["analyze", str(path)])
+        assert code == 0
+        doc = json.loads(text)
+        expected = model_fingerprint(validate_model(doc["mean"], doc["covariance"], doc["partition"]))
+        assert json.loads(out)["fingerprint"] == expected
+
+    def test_orjson_reads_doubles_as_the_standard_library_does(self):
+        values = np.concatenate([FLOAT_EXTREMES, random_finite_doubles(np.random.default_rng(18), 100_000)])
+        text = json.dumps(values.tolist())
+        fast = np.array(orjson.loads(text), dtype=np.float64)
+        assert np.array_equal(fast.view(np.uint64), np.array(json.loads(text)).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "data, doc",
+        [
+            (
+                b'{"covariance": [[1, 0.5], [0.5, 1]], "partition": [1,',
+                {"error": "JSONDecodeError", "message": "Expecting value: line 1 column 54 (char 53)"},
+            ),
+            (
+                b'{"covariance": [[1, 0.5],\r\n [0.5, 1]],\r\n "partition": [1,',
+                {"error": "JSONDecodeError", "message": "Expecting value: line 3 column 18 (char 55)"},
+            ),
+            (
+                b'{"covariance": [[1, Infinity], [Infinity, 1]], "partition": [1, 1]}',
+                {"error": "NonFiniteInput", "message": "covariance has 2 non-finite entries (NaN or inf)"},
+            ),
+            (
+                b'{"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1], "mean": [-Infinity, 0]}',
+                {"error": "NonFiniteInput", "message": "mean has 1 non-finite entries (NaN or inf)"},
+            ),
+            (
+                b'{"covariance": [[1e400, 0.5], [0.5, 1]], "partition": [1, 1]}',
+                {"error": "NonFiniteInput", "message": "covariance has 1 non-finite entries (NaN or inf)"},
+            ),
+            (
+                b"[[1, 0.5], [0.5, 1]]",
+                {"error": "ValueError", "message": "model file must hold a JSON object, got list"},
+            ),
+            (
+                b'\xef\xbb\xbf{"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1]}',
+                {
+                    "error": "JSONDecodeError",
+                    "message": "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+                },
+            ),
+            (
+                b'{"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1], "n": "\xff"}',
+                {
+                    "error": "UnicodeDecodeError",
+                    "message": "'utf-8' codec can't decode byte 0xff in position 64: invalid start byte",
+                },
+            ),
+            (b"", {"error": "JSONDecodeError", "message": "Expecting value: line 1 column 1 (char 0)"}),
+        ],
+        ids=["truncated", "truncated-crlf", "infinity", "minus-infinity-mean", "beyond-double-range",
+             "top-level-array", "utf8-bom", "invalid-utf8", "empty"],
+    )
+    def test_rejected_by_orjson_keeps_standard_library_error(self, capsys, tmp_path, data, doc):
+        path = tmp_path / "rejected.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == doc
+
+    def test_cumulant_order_over_cap_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps({"covariance": np.eye(3).tolist(), "partition": [1, 2]}))
+        code, out, err = run(capsys, ["analyze", str(path), "--cumulants", str(MAX_CUMULANT_ORDER + 1)])
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "CumulantOverflow"
+        assert doc["order"] == MAX_CUMULANT_ORDER + 1
 
 
 class TestSimulate:
@@ -308,6 +416,24 @@ class TestHomogeneous:
         assert code == 2
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_max_l_over_cap_exit_3(self, capsys):
+        # Without the cap the rows would fail later, at the order where the
+        # asymptotic limit 2^(l/2-1) (l-1)! overflows, after the full loop.
+        code, out, err = run(capsys, ["homogeneous", "--d", "3", "--rho", "0", "--max-l", str(MAX_CUMULANT_ORDER + 1)])
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "CumulantOverflow"
+        assert doc["order"] == MAX_CUMULANT_ORDER + 1
+
+    def test_unallocatable_dimension_exit_3(self, capsys):
+        # The 10**7 x 10**7 covariance (727 TiB) is larger than a 47-bit user
+        # address space, so its allocation is refused at once, before any work.
+        code, out, err = run(capsys, ["homogeneous", "--d", "10000000", "--rho", "0.5"])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "MemoryError"
+
     def test_csv_and_json_carry_identical_values(self, capsys):
         args = ["homogeneous", "--d", "5", "--rho", "0.4", "--max-l", "4"]
         _, json_out, _ = run(capsys, args)
@@ -323,6 +449,33 @@ class TestHomogeneous:
                     assert float(crow[key]) == value
                 else:
                     assert type(value)(crow[key]) == value
+
+
+class TestRenderJson:
+    """Reports skip the ``_jsonable`` walk when they can, with the same bytes either way."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"a": 0.1, "b": [1, 2.5e-9, None, True, "s"], "t": (1.0, -0.0, 1e300), "n": {"x": []}},
+            {"x": float("inf"), "y": [float("-inf")]},
+            {"x": [1.0, float("nan")]},
+            {"x": np.float64(0.1), "y": [np.float64(-2e-9)]},
+            {"x": np.bool_(True), "y": [np.bool_(False)]},
+            {"x": np.int64(-3)},
+            {"inf": float("inf"), "nan": float("nan"), "f": np.float64(1e-9), "b": np.bool_(True), "i": np.int64(7)},
+        ],
+        ids=["plain", "inf", "nan", "np-float64", "np-bool", "np-int64", "all"],
+    )
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_same_bytes_as_the_walk(self, payload, exact):
+        assert _render_json(payload, exact) == json.dumps(_jsonable(payload, exact), indent=2)
+
+    def test_non_finite_and_numpy_values_rendered(self):
+        payload = {"inf": float("inf"), "nan": float("nan"), "f": np.float64(1e-9), "b": np.bool_(True), "i": np.int64(7)}
+        assert _render_json(payload, False) == (
+            '{\n  "inf": "inf",\n  "nan": "nan",\n  "f": 1e-09,\n  "b": true,\n  "i": 7\n}'
+        )
 
 
 class TestParserReuse:

@@ -24,6 +24,7 @@ from infodensity import (
     variance,
 )
 from infodensity._linalg import rel_close
+from infodensity.measures import MAX_CUMULANT_ORDER
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
 
@@ -211,6 +212,21 @@ class TestCumulants:
         assert cumulants(model, 30).values[1:] == (0.0,) * 29
         model = dataclasses.replace(model, gamma_eigenvalues=np.array([0.0, -0.25, 0.0, 0.25]))
         assert cumulants(model, 30).values[2::2] == (0.0,) * 14
+
+    def test_order_cap_on_independent_blocks(self):
+        # A zero spectrum never overflows, so only the cap bounds the work.
+        model = random_block_diagonal_model(np.random.default_rng(660), [2, 3])
+        seq = cumulants(model, MAX_CUMULANT_ORDER)
+        assert seq.order == MAX_CUMULANT_ORDER
+        assert seq.values[1:] == (0.0,) * (MAX_CUMULANT_ORDER - 1)
+        with pytest.raises(CumulantOverflow) as exc:
+            cumulants(model, MAX_CUMULANT_ORDER + 1)
+        assert exc.value.order == MAX_CUMULANT_ORDER + 1
+
+    def test_order_cap_checked_before_the_spectrum_is_read(self):
+        model = dataclasses.replace(scalar_pair_model(0.5), gamma_eigenvalues=None)
+        with pytest.raises(CumulantOverflow):
+            cumulants(model, MAX_CUMULANT_ORDER + 1)
 
     def test_shift_relation(self):
         rng = np.random.default_rng(10)
