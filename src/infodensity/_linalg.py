@@ -99,6 +99,11 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return w
 
 
+def _rel_bound(a: float, b: float, tol: float) -> float:
+    """The bound on |a-b| that ``rel_close`` applies: tol * max(1, |a|, |b|)."""
+    return tol * max(1.0, abs(a), abs(b))
+
+
 def rel_close(a: float, b: float, tol: float) -> bool:
     """Mixed absolute/relative comparison: |a-b| <= tol * max(1, |a|, |b|)."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= _rel_bound(a, b, tol)

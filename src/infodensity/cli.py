@@ -8,9 +8,12 @@ simulate      seeded Monte Carlo validation of the analytic cumulants
 oracle-check  loop-enumeration sums vs matrix-power traces
 homogeneous   equicorrelation closed forms vs the general machinery
 
-Exit codes: 0 pass, 1 a check failed, 2 invalid input, 3 resource or domain
-limit. Reports go to stdout as JSON (CSV for flat tables on request); errors
-go to stderr as JSON.
+Every agreement a report makes is a check record: a dict with ``abs_diff``
+(or ``z``), ``margin`` (|difference| / bound, or |z| / threshold) and ``ok``.
+
+Exit codes: 0 pass, 1 some check record in the report has ``"ok": false``,
+2 invalid input, 3 resource or domain limit. Reports go to stdout as JSON
+(CSV for flat tables on request); errors go to stderr as JSON.
 """
 
 from __future__ import annotations
@@ -27,21 +30,8 @@ import sys
 import numpy as np
 import orjson
 
-from ._linalg import rel_close
-from .errors import (
-    BadPartition,
-    BatchTooSmall,
-    BlockNotScalar,
-    CombinatorialLimit,
-    CumulantOverflow,
-    DimensionMismatch,
-    NonFiniteInput,
-    NotPositiveDefinite,
-    NotSymmetric,
-    OutOfDomain,
-    SameBlock,
-    ZeroVariance,
-)
+from ._linalg import _rel_bound
+from .errors import CombinatorialLimit, CumulantOverflow, NonFiniteInput, OutOfDomain
 from .homogeneous import (
     HomogeneousModel,
     asymptotic_standardized_limit,
@@ -58,56 +48,68 @@ from .sampling import mc_validate
 AGREEMENT_TOL = 1e-9
 ORACLE_TOL = 1e-9
 
-_INPUT_ERRORS = (
-    DimensionMismatch,
-    NonFiniteInput,
-    NotSymmetric,
-    NotPositiveDefinite,
-    BadPartition,
-    SameBlock,
-    BlockNotScalar,
-    ZeroVariance,
-    BatchTooSmall,
-)
 _LIMIT_ERRORS = (OutOfDomain, CombinatorialLimit, CumulantOverflow, MemoryError)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        payload, code = args.handler(args)
+        report = args.handler(args)
     except _LIMIT_ERRORS as exc:
         _emit_error(exc)
         return 3
-    except _INPUT_ERRORS as exc:
+    except (ValueError, OSError) as exc:  # every input error of the package is a ValueError
         _emit_error(exc)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _emit_error(exc)
-        return 2
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        sys.stdout.write(_render_csv(payload))
-    else:
-        print(_render_json(payload, args.exact))
-    return code
+    try:
+        if getattr(args, "format", "json") == "csv":
+            sys.stdout.write(_render_csv(report))
+        else:
+            print(_render_json(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe; send the rest of the output, and the
+        # flush at interpreter exit, to devnull instead of a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return _exit_code(report)
 
 
-def _render_json(payload, exact: bool) -> str:
+def _check(value: float, reference: float, bound: float) -> dict:
+    """A check record: |value - reference| against ``bound``, and that difference over the bound."""
+    abs_diff = abs(value - reference)
+    return {"abs_diff": abs_diff, "margin": abs_diff / bound, "ok": abs_diff <= bound}
+
+
+def _exit_code(report: dict) -> int:
+    """1 when some check record (a dict with an ``ok`` key) in the report failed, else 0.
+
+    Walks nested dicts and lists of dicts; lists of numbers are not entered.
+    """
+    pending = [report]
+    while pending:
+        record = pending.pop()
+        if not record.get("ok", True):
+            return 1
+        for value in record.values():
+            if isinstance(value, dict):
+                pending.append(value)
+            elif isinstance(value, list) and value and isinstance(value[0], dict):
+                pending.extend(value)
+    return 0
+
+
+def _render_json(payload) -> str:
     """The report as indented JSON, walking it with ``_jsonable`` only when needed.
 
     Plain payloads (finite floats, ints, bools, strings, None, lists, tuples,
-    dicts) serialize as they are. ``--exact``, a non-finite float or a numpy
-    scalar other than float64 takes the walk, which gives the same bytes for
-    everything the direct call accepts.
+    dicts) serialize as they are. A non-finite float or a numpy scalar other
+    than float64 takes the walk, which gives the same bytes for everything
+    the direct call accepts.
     """
-    if not exact:
-        try:
-            return json.dumps(payload, indent=2, allow_nan=False)
-        except (TypeError, ValueError):
-            pass
-    return json.dumps(_jsonable(payload, exact), indent=2)
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False)
+    except (TypeError, ValueError):
+        return json.dumps(_jsonable(payload), indent=2)
 
 
 def _emit_error(exc) -> None:
@@ -119,22 +121,20 @@ def _emit_error(exc) -> None:
             doc[attr] = getattr(exc, attr)
     if isinstance(exc, OutOfDomain):
         doc["domain"] = _domain_dict(exc.domain)
-    print(json.dumps(_jsonable(doc, exact=False)), file=sys.stderr)
+    print(json.dumps(_jsonable(doc)), file=sys.stderr)
 
 
-def _jsonable(value, exact: bool):
-    """Make a payload JSON-safe; with exact=True floats become 17-digit strings."""
+def _jsonable(value):
+    """Make a payload JSON-safe: numpy scalars become Python ones, non-finite floats strings."""
     if isinstance(value, dict):
-        return {k: _jsonable(v, exact) for k, v in value.items()}
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v, exact) for v in value]
+        return [_jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        if not math.isfinite(v):
-            return repr(v)
-        return format(v, ".17g") if exact else v
+        return v if math.isfinite(v) else repr(v)
     if isinstance(value, np.integer):
         return int(value)
     return value
@@ -159,14 +159,8 @@ def _domain_dict(domain) -> dict:
 
 
 def _load_model(args):
-    if getattr(args, "matrix_csv", None):
-        if not getattr(args, "partition", None):
-            raise BadPartition("--matrix-csv requires --partition \"n1,n2,...\"")
-        cov = np.loadtxt(args.matrix_csv, delimiter=",", ndmin=2)
-        sizes = [int(s) for s in args.partition.split(",")]
-        return validate_model(None, cov, sizes)
     if not args.model:
-        raise DimensionMismatch("provide a model JSON file or --matrix-csv with --partition")
+        raise ValueError("provide a model JSON file")
     with open(args.model, "rb") as fh:
         data = fh.read()
     try:
@@ -201,30 +195,25 @@ def _oracle_rows(model, max_l: int):
     if max_l < 1:
         raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
     rows = []
-    ok = True
     for l in range(1, max_l + 1):
         loop_sum = trace_via_loops(model, l)
         matrix_trace = float(np.trace(np.linalg.matrix_power(model.gamma, l)))
-        row_ok = rel_close(loop_sum, matrix_trace, ORACLE_TOL)
-        ok = ok and row_ok
         rows.append(
             {
                 "l": l,
                 "loop_count": rooted_loop_count(model.partition.n_blocks, l),
                 "loop_sum": loop_sum,
                 "matrix_trace": matrix_trace,
-                "abs_diff": abs(loop_sum - matrix_trace),
-                "ok": row_ok,
+                **_check(loop_sum, matrix_trace, _rel_bound(loop_sum, matrix_trace, ORACLE_TOL)),
             }
         )
-    return rows, ok
+    return rows, all(row["ok"] for row in rows)
 
 
 def _cmd_analyze(args):
     model = _load_model(args)
     info_logdet = multiinformation(model)
     info_gamma = multiinformation_from_gamma(model)
-    agreement = abs(info_logdet - info_gamma) <= AGREEMENT_TOL
     domain = cgf_domain(model)
     seq = cumulants(model, args.cumulants)
 
@@ -235,16 +224,14 @@ def _cmd_analyze(args):
         "multiinformation": info_logdet,
         "multiinformation_from_gamma": info_gamma,
         "multiinformation_agreement": {
-            "abs_diff": abs(info_logdet - info_gamma),
             "tolerance": AGREEMENT_TOL,
-            "ok": agreement,
+            **_check(info_logdet, info_gamma, AGREEMENT_TOL),
         },
         "variance": variance(model),
         "cumulants": list(seq.values),
         "gamma_eigenvalues": [float(v) for v in model.gamma_eigenvalues],
         "cgf_domain": _domain_dict(domain),
     }
-    code = 0 if agreement else 1
 
     if args.t_grid:
         grid = _parse_t_grid(args.t_grid)
@@ -253,12 +240,10 @@ def _cmd_analyze(args):
     if args.oracle_max_l is not None:
         rows, ok = _oracle_rows(model, args.oracle_max_l)
         report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}
-        code = code or (0 if ok else 1)
     if args.mc_n is not None:
         mc = mc_validate(model, args.mc_n, args.mc_seed, args.mc_max_order, threads=args.threads)
         report["monte_carlo"] = mc
-        code = code or (0 if mc["ok"] else 1)
-    return report, code
+    return report
 
 
 def _cmd_simulate(args):
@@ -272,13 +257,13 @@ def _cmd_simulate(args):
         corrupt_order=args.corrupt_order,
     )
     report["threads"] = args.threads
-    return report, 0 if report["ok"] else 1
+    return report
 
 
 def _cmd_oracle_check(args):
     model = _load_model(args)
     rows, ok = _oracle_rows(model, args.max_l)
-    report = {
+    return {
         "fingerprint": model_fingerprint(model),
         "max_l": args.max_l,
         "loop_cap": DEFAULT_LOOP_CAP,
@@ -286,7 +271,6 @@ def _cmd_oracle_check(args):
         "rows": rows,
         "ok": ok,
     }
-    return report, 0 if ok else 1
 
 
 def _cmd_homogeneous(args):
@@ -313,6 +297,8 @@ def _cmd_homogeneous(args):
         )
         for l in range(2, args.max_l + 1):
             closed = homogeneous_cumulant(hm, l)
+            standardized = None if args.rho == 0 else _within_double_range(standardized_cumulant, hm, l)
+            limit = None if standardized is None else _within_double_range(asymptotic_standardized_limit, l)
             rows.append(
                 {
                     "d": d,
@@ -321,21 +307,27 @@ def _cmd_homogeneous(args):
                     "closed_form": closed,
                     "general": seq.kappa(l),
                     "abs_diff": abs(closed - seq.kappa(l)),
-                    "standardized": standardized_cumulant(hm, l) if args.rho != 0 else None,
-                    "asymptotic_limit": asymptotic_standardized_limit(l),
+                    "standardized": standardized,
+                    "asymptotic_limit": limit,
                 }
             )
-    report = {
+    return {
         "parameters": {"d": args.d, "rho": args.rho, "max_l": args.max_l, "sweep_d": dims[1:]},
         "rows": rows,
     }
-    return report, 0
+
+
+def _within_double_range(ratio, *args):
+    """``ratio(*args)``, or None when it lies beyond the double range."""
+    try:
+        return ratio(*args)
+    except CumulantOverflow:
+        return None
 
 
 def _add_model_arguments(sub):
+    # Optional here, so that a missing model exits 2 with a JSON error document.
     sub.add_argument("model", nargs="?", help="model JSON file (covariance, partition, optional mean)")
-    sub.add_argument("--matrix-csv", help="headerless d x d covariance CSV (alternative input)")
-    sub.add_argument("--partition", help="comma-separated block sizes, used with --matrix-csv")
 
 
 @functools.cache
@@ -357,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--mc-seed", type=int, default=0)
     analyze.add_argument("--mc-max-order", type=int, default=4)
     analyze.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    analyze.add_argument("--exact", action="store_true", help="floats as 17-significant-digit strings")
     analyze.set_defaults(handler=_cmd_analyze)
 
     simulate = commands.add_parser("simulate", help="Monte Carlo validation")
@@ -372,13 +363,11 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="L",
         help="harness self-test: corrupt one analytic order so the run must fail",
     )
-    simulate.add_argument("--exact", action="store_true")
     simulate.set_defaults(handler=_cmd_simulate)
 
     oracle = commands.add_parser("oracle-check", help="loop sums vs matrix-power traces")
     _add_model_arguments(oracle)
     oracle.add_argument("--max-l", type=int, default=6)
-    oracle.add_argument("--exact", action="store_true")
     oracle.set_defaults(handler=_cmd_oracle_check)
 
     hom = commands.add_parser("homogeneous", help="equicorrelation closed forms")
@@ -387,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--max-l", type=int, default=4)
     hom.add_argument("--sweep-d", metavar="D1,D2,...", help="extra dimensions to tabulate")
     hom.add_argument("--format", choices=("json", "csv"), default="json")
-    hom.add_argument("--exact", action="store_true")
     hom.set_defaults(handler=_cmd_homogeneous)
 
     return parser

@@ -163,8 +163,9 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     """Cumulants of the density up to the requested order.
 
     kappa_1 is the multiinformation; higher orders use the eigenvalue power
-    sums of the coupling matrix. Factorials switch to log-space beyond order
-    20, and an order whose magnitude bound (l-1)! * sum|lambda|^l exceeds the
+    sums of the coupling matrix. Beyond order 20 the factorial and the power
+    sum, scaled by max|lambda|^l so a small spectrum does not underflow, are
+    combined in log space, and an order whose magnitude bound (l-1)! * sum|lambda|^l exceeds the
     double range raises CumulantOverflow rather than saturating. An order
     above MAX_CUMULANT_ORDER raises CumulantOverflow before any work.
     """
@@ -195,11 +196,13 @@ def _kappa_from_spectrum(lam: np.ndarray, log_abs: np.ndarray | None, l: int) ->
         raise CumulantOverflow(l)
     if l <= _EXACT_FACTORIAL_MAX_ORDER:
         return math.factorial(l - 1) / 2.0 * float(np.sum(lam**l))
-    power_sum = float(np.sum(lam**l))
-    if power_sum == 0.0:
+    # sum lambda^l = m^l * sum (lambda/m)^l with m = max|lambda| = exp(top / l):
+    # the scaled terms lie in [-1, 1], so a small spectrum does not underflow.
+    scaled_sum = float(np.sum((lam / np.abs(lam).max()) ** l))
+    if scaled_sum == 0.0:
         return 0.0
-    magnitude = math.exp(math.lgamma(l) - math.log(2.0) + math.log(abs(power_sum)))
-    return math.copysign(magnitude, power_sum)
+    magnitude = math.exp(math.lgamma(l) - math.log(2.0) + top + math.log(abs(scaled_sum)))
+    return math.copysign(magnitude, scaled_sum)
 
 
 def variance(model: GaussianModel) -> float:

@@ -331,11 +331,12 @@ def mc_validate(
 
     Returns a JSON-ready report with one row per order 1..max_order holding
     the analytic value, the estimate, the standard error (from the exact
-    sampling-variance formulas at the analytic cumulants), the z-score, and
-    a pass flag at |z| <= 5. ``corrupt_order`` shifts one analytic value by
-    25 standard errors; it exists only so a harness can verify that the
-    check actually fails when the analytic side is wrong, so an order
-    outside 1..max_order, which would shift nothing, raises ValueError.
+    sampling-variance formulas at the analytic cumulants), the z-score, its
+    margin |z|/Z_THRESHOLD, and a pass flag at |z| <= Z_THRESHOLD = 5.
+    ``corrupt_order`` shifts one analytic value by 25 standard errors; it
+    exists only so a harness can verify that the check actually fails when
+    the analytic side is wrong, so an order outside 1..max_order, which
+    would shift nothing, raises ValueError.
     """
     if not 1 <= max_order <= 4:
         raise ValueError(f"max_order must be in 1..4, got {max_order}")
@@ -371,6 +372,7 @@ def mc_validate(
                 "estimate": estimate,
                 "se": se,
                 "z": z,
+                "margin": abs(z) / Z_THRESHOLD,
                 "ok": ok,
             }
         )

@@ -1,14 +1,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import orjson
 import pytest
 
-from infodensity import DEFAULT_LOOP_CAP, model_fingerprint, validate_model
-from infodensity.cli import _build_parser, _jsonable, _render_json, main
+import infodensity
+from infodensity import DEFAULT_LOOP_CAP, cli, model_fingerprint, validate_model
+from infodensity.cli import AGREEMENT_TOL, ORACLE_TOL, _build_parser, _exit_code, _jsonable, _render_json, main
 from infodensity.measures import MAX_CUMULANT_ORDER
+from infodensity.sampling import Z_THRESHOLD
 
 FLOAT_EXTREMES = [
     5e-324,
@@ -158,18 +163,17 @@ class TestAnalyze:
         assert code == 0
         assert report["oracle"]["ok"] and report["monte_carlo"]["ok"]
 
-    def test_exact_serialization(self, capsys, scalar_pair_file):
-        code, out, _ = run(capsys, ["analyze", scalar_pair_file, "--exact"])
-        report = json.loads(out)
-        assert report["variance"] == "0.25"
-        assert float(report["multiinformation"]) == pytest.approx(0.14384103622589053)
+    def test_no_model_exit_2(self, capsys):
+        code, out, err = run(capsys, ["analyze"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": "provide a model JSON file"}
 
-    def test_matrix_csv_input(self, capsys, tmp_path):
-        path = tmp_path / "cov.csv"
-        path.write_text("1.0,0.5\n0.5,1.0\n")
-        code, out, _ = run(capsys, ["analyze", "--matrix-csv", str(path), "--partition", "1,1"])
-        assert code == 0
-        assert json.loads(out)["variance"] == pytest.approx(0.25)
+    def test_missing_model_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["analyze", str(tmp_path / "absent.json")])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "FileNotFoundError"
 
     @pytest.mark.parametrize(
         "doc, error",
@@ -417,8 +421,7 @@ class TestHomogeneous:
         assert json.loads(err)["error"] == "ValueError"
 
     def test_max_l_over_cap_exit_3(self, capsys):
-        # Without the cap the rows would fail later, at the order where the
-        # asymptotic limit 2^(l/2-1) (l-1)! overflows, after the full loop.
+        # rho = 0 gives a zero spectrum, which never overflows: only the cap stops it.
         code, out, err = run(capsys, ["homogeneous", "--d", "3", "--rho", "0", "--max-l", str(MAX_CUMULANT_ORDER + 1)])
         assert code == 3
         assert out == ""
@@ -433,6 +436,23 @@ class TestHomogeneous:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
+
+    def test_high_orders_past_the_double_range_of_the_ratios(self, capsys):
+        # kappa_170 = 3.19e-155, while kappa_170 / kappa_2^85 and the limit
+        # 2^84 * 169! both exceed the double range.
+        code, out, _ = run(capsys, ["homogeneous", "--d", "3", "--rho", "0.001", "--max-l", "170"])
+        assert code == 0
+        by_l = {row["l"]: row for row in json.loads(out)["rows"]}
+        last = by_l[170]
+        assert abs(last["general"] - last["closed_form"]) <= 1e-9 * abs(last["closed_form"])
+        assert last["standardized"] is None and last["asymptotic_limit"] is None
+        assert by_l[4]["standardized"] > 0 and by_l[4]["asymptotic_limit"] == 12.0
+
+    def test_no_limit_without_standardization(self, capsys):
+        code, out, _ = run(capsys, ["homogeneous", "--d", "3", "--rho", "0", "--max-l", "4"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert all(row["standardized"] is None and row["asymptotic_limit"] is None for row in rows)
 
     def test_csv_and_json_carry_identical_values(self, capsys):
         args = ["homogeneous", "--d", "5", "--rho", "0.4", "--max-l", "4"]
@@ -451,6 +471,139 @@ class TestHomogeneous:
                     assert type(value)(crow[key]) == value
 
 
+def check_records(report):
+    """(record, |difference|, bound) for every check record in a report, told apart by their keys.
+
+    Sections that carry ``rows`` hold the ``ok`` of their rows and are not records themselves.
+    """
+    found = []
+    pending = [report]
+    while pending:
+        node = pending.pop()
+        for value in node.values():
+            if isinstance(value, dict):
+                pending.append(value)
+            elif isinstance(value, list):
+                pending.extend(v for v in value if isinstance(v, dict))
+        if "ok" not in node or "rows" in node:
+            continue
+        if "z" in node:
+            found.append((node, abs(node["z"]), Z_THRESHOLD))
+        elif "loop_sum" in node:
+            bound = ORACLE_TOL * max(1.0, abs(node["loop_sum"]), abs(node["matrix_trace"]))
+            found.append((node, node["abs_diff"], bound))
+        else:
+            assert node["tolerance"] == AGREEMENT_TOL
+            found.append((node, node["abs_diff"], AGREEMENT_TOL))
+    return found
+
+
+def failed_records(report):
+    """The failed check records of a report, after checking every record's margin."""
+    records = check_records(report)
+    assert records
+    for record, diff, bound in records:
+        assert record["margin"] == diff / bound
+        assert (record["margin"] <= 1.0) == record["ok"]
+    return [record for record, _, _ in records if not record["ok"]]
+
+
+class TestCheckRecords:
+    """Each agreement is a check record with a margin, and the records alone set the exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{model}", "--oracle-max-l", "4", "--mc-n", "20000", "--mc-seed", "5"],
+            ["oracle-check", "{model}", "--max-l", "4"],
+            ["simulate", "{model}", "--n", "20000", "--seed", "42"],
+        ],
+        ids=["analyze", "oracle-check", "simulate"],
+    )
+    def test_passing_reports(self, capsys, equicorrelation_file, argv):
+        code, out, _ = run(capsys, [a.format(model=equicorrelation_file) for a in argv])
+        assert code == 0
+        assert failed_records(json.loads(out)) == []
+
+    def test_failing_multiinformation_agreement(self, capsys, equicorrelation_file, monkeypatch):
+        from_gamma = cli.multiinformation_from_gamma
+        monkeypatch.setattr(cli, "multiinformation_from_gamma", lambda model: from_gamma(model) + 3e-9)
+        code, out, _ = run(capsys, ["analyze", equicorrelation_file, "--oracle-max-l", "3"])
+        assert code == 1
+        report = json.loads(out)
+        assert failed_records(report) == [report["multiinformation_agreement"]]
+        assert report["multiinformation_agreement"]["margin"] > 1.0
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+    def test_failing_oracle_row(self, capsys, equicorrelation_file, monkeypatch, command):
+        loops = cli.trace_via_loops
+
+        def shifted(model, l):
+            return loops(model, l) + (1e-6 if l == 2 else 0.0)
+
+        monkeypatch.setattr(cli, "trace_via_loops", shifted)
+        flag = "--oracle-max-l" if command == "analyze" else "--max-l"
+        code, out, _ = run(capsys, [command, equicorrelation_file, flag, "4"])
+        assert code == 1
+        report = json.loads(out)
+        oracle = report["oracle"] if command == "analyze" else report
+        assert failed_records(report) == [oracle["rows"][1]]
+        assert oracle["rows"][1]["l"] == 2 and oracle["ok"] is False
+
+    def test_failing_monte_carlo_row(self, capsys, scalar_pair_file):
+        code, out, _ = run(
+            capsys, ["simulate", scalar_pair_file, "--n", "20000", "--seed", "42", "--corrupt-order", "3"]
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert failed_records(report) == [report["rows"][2]]
+        assert report["rows"][2]["order"] == 3 and report["ok"] is False
+
+    @pytest.mark.parametrize(
+        "report, code",
+        [
+            ({"rows": [{"ok": True}, {"ok": True}], "ok": True, "t": [0.0, 1.0]}, 0),
+            ({"section": {"rows": [{"ok": True}, {"ok": False}]}}, 1),
+            ({"check": {"abs_diff": 1.0, "ok": False}, "values": [1.0]}, 1),
+            ({"rows": [{"l": 1, "standardized": None}], "parameters": {"d": 3}}, 0),
+        ],
+        ids=["all-pass", "nested-row", "section-record", "no-records"],
+    )
+    def test_exit_code_from_records(self, report, code):
+        assert _exit_code(report) == code
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early ends the run without a traceback and keeps the exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["homogeneous", "--d", "3", "--rho", "0", "--max-l", "3"], 0),
+            (["simulate", "{model}", "--n", "2000", "--corrupt-order", "1"], 1),
+        ],
+        ids=["homogeneous", "failing-simulate"],
+    )
+    def test_closed_stdout(self, scalar_pair_file, argv, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from infodensity.cli import main; sys.exit(main())"]
+                + [a.format(model=scalar_pair_file) for a in argv],
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stderr == ""
+
+
 class TestRenderJson:
     """Reports skip the ``_jsonable`` walk when they can, with the same bytes either way."""
 
@@ -465,15 +618,16 @@ class TestRenderJson:
             {"x": np.int64(-3)},
             {"inf": float("inf"), "nan": float("nan"), "f": np.float64(1e-9), "b": np.bool_(True), "i": np.int64(7)},
         ],
-        ids=["plain", "inf", "nan", "np-float64", "np-bool", "np-int64", "all"],
+        # The ids keep the names these cases had next to the removed 17-digit (--exact) mode.
+        ids=["False-plain", "False-inf", "False-nan", "False-np-float64", "False-np-bool", "False-np-int64",
+             "False-all"],
     )
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_same_bytes_as_the_walk(self, payload, exact):
-        assert _render_json(payload, exact) == json.dumps(_jsonable(payload, exact), indent=2)
+    def test_same_bytes_as_the_walk(self, payload):
+        assert _render_json(payload) == json.dumps(_jsonable(payload), indent=2)
 
     def test_non_finite_and_numpy_values_rendered(self):
         payload = {"inf": float("inf"), "nan": float("nan"), "f": np.float64(1e-9), "b": np.bool_(True), "i": np.int64(7)}
-        assert _render_json(payload, False) == (
+        assert _render_json(payload) == (
             '{\n  "inf": "inf",\n  "nan": "nan",\n  "f": 1e-09,\n  "b": true,\n  "i": 7\n}'
         )
 

@@ -11,6 +11,7 @@ from infodensity import (
     CumulantOverflow,
     DimensionMismatch,
     EigenvalueOutOfRange,
+    HomogeneousModel,
     OutOfDomain,
     cgf,
     cgf_domain,
@@ -18,6 +19,8 @@ from infodensity import (
     cumulants,
     density_at,
     density_at_direct,
+    homogeneous_covariance,
+    homogeneous_cumulant,
     multiinformation,
     multiinformation_from_gamma,
     validate_model,
@@ -206,6 +209,19 @@ class TestCumulants:
                 cumulants(model, 400)
             assert exc.value.order == expected
             assert all(math.isfinite(v) for v in cumulants(model, expected - 1).values)
+
+    @pytest.mark.parametrize("d, rho", [(3, 0.001), (4, -0.002), (10, 0.05)])
+    def test_small_spectrum_at_high_orders(self, d, rho):
+        # lambda^l underflows in linear space (0.002^170 ~ 1e-459) where kappa_l does not.
+        hm = HomogeneousModel(d, rho)
+        lam = homogeneous_covariance(hm).gamma_eigenvalues
+        seq = cumulants(homogeneous_covariance(hm), 170)
+        for l in range(2, seq.order + 1):
+            if l <= 20:  # below the log-space switch the linear-space sum stands
+                assert seq.kappa(l) == math.factorial(l - 1) / 2.0 * float(np.sum(lam**l))
+            expected = homogeneous_cumulant(hm, l)
+            assert expected != 0.0
+            assert abs(seq.kappa(l) - expected) <= 1e-9 * abs(expected)
 
     def test_zero_spectrum_gives_zero(self):
         model = dataclasses.replace(scalar_pair_model(0.5), gamma_eigenvalues=np.zeros(2))
