@@ -43,7 +43,7 @@ from .homogeneous import (
 from .loops import DEFAULT_LOOP_CAP, rooted_loop_count, trace_via_loops
 from .measures import cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
 from .model import model_fingerprint, validate_model
-from .sampling import mc_validate
+from .sampling import DEFAULT_CHUNK_SIZE, _worker_count, mc_validate
 
 AGREEMENT_TOL = 1e-9
 ORACLE_TOL = 1e-9
@@ -256,7 +256,7 @@ def _cmd_simulate(args):
         threads=args.threads,
         corrupt_order=args.corrupt_order,
     )
-    report["threads"] = args.threads
+    report["threads"] = _worker_count(args.threads, args.n, DEFAULT_CHUNK_SIZE)
     return report
 
 

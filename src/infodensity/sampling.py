@@ -1,20 +1,21 @@
 """Seeded Monte Carlo validation of the analytic cumulants.
 
-Draws are produced by a counter-based generator (Philox keyed by seed and
-chunk index) so that any chunk can be generated independently. Standard
-normals come from the inverse normal CDF applied to open-interval uniforms
-built from raw 64-bit draws, avoiding any rejection-sampling platform
-variability.
+Each chunk c draws its standard normals from its own stream: numpy's
+ziggurat ``Generator.standard_normal`` (Marsaglia & Tsang 2000) on an SFC64
+bit generator seeded by ``SeedSequence([seed mod 2**64, c])``, so any chunk
+can be generated independently. A stream continues across calls, so filling
+a chunk tile by tile gives the same normals as one call. The draws are thus a
+function of (seed, chunk index, chunk size) and of numpy's ``Generator``
+algorithms, which numpy may change between versions.
 
-Each chunk streams through its own Philox stream one row tile at a time
-(bits, uniforms, normals, kernel product, quadratic form in buffers of a few
-hundred KB) and is reduced to a central-moment summary: count, mean and the
-centered sums of powers 1..4 (the first only the mean's rounding residual).
-The summaries are merged in chunk-index order
-with the pairwise update formulas of Chan, Golub & LeVeque (1979) and Pebay
-(SAND2008-6212), so the result is bit-identical for a given
-(model, n, seed, chunk_size) whatever the thread count, and memory does not
-grow with n: no n-length array of draws is ever formed.
+Each chunk streams through its stream one row tile at a time (normals,
+kernel product, quadratic form in buffers of a few hundred KB) and is
+reduced to a central-moment summary: count, mean and the centered sums of
+powers 1..4 (the first only the mean's rounding residual). The summaries are
+merged in chunk-index order with the pairwise update formulas of Chan, Golub
+& LeVeque (1979) and Pebay (SAND2008-6212), so the result is bit-identical
+for a given (model, n, seed, chunk_size) whatever the thread count, and
+memory does not grow with n: no n-length array of draws is ever formed.
 
 Cumulants are estimated with the classical unbiased k-statistics; the
 validation report compares them with the analytic values using standard
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._linalg import symmetrize
 from .errors import BatchTooSmall
@@ -43,9 +44,6 @@ _TILE_MULTIPLY_ADDS = 2**18
 # Thinner tiles reread K too often to pay (on 2 cores they won at d <= 100 and
 # lost at d >= 200); from d = 129 on a chunk is one BLAS-threaded product.
 _MIN_TILE_ROWS = 16
-# Raw bits are drawn at most this many at a time (256 KB of uint64), so no
-# chunk-sized bit array exists at any d.
-_BITS_BLOCK = 2**15
 _MASK64 = (1 << 64) - 1
 Z_THRESHOLD = 5.0
 
@@ -124,24 +122,14 @@ class KStatistics:
         return (self.k1, self.k2, self.k3, self.k4)[order - 1]
 
 
-def _philox(seed: int, chunk_index: int) -> np.random.Philox:
-    return np.random.Philox(key=np.array([seed & _MASK64, chunk_index], dtype=np.uint64))
+def _normal_stream(seed: int, chunk_index: int) -> np.random.Generator:
+    """Chunk ``chunk_index``'s generator; its ``standard_normal`` calls continue one stream."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed & _MASK64, chunk_index])))
 
 
-def _fill_normals(bits: np.random.Philox, out: np.ndarray) -> None:
-    """Write the next ``out.size`` standard normals of the stream into 1-D ``out``.
-
-    Successive calls continue the stream, so any split of a count into calls
-    gives the same normals as one call.
-    """
-    for start in range(0, out.size, _BITS_BLOCK):
-        u = out[start : start + _BITS_BLOCK]
-        raw = bits.random_raw(u.size)
-        # Top 53 bits shifted onto the half-integer grid: strictly inside (0, 1).
-        raw >>= np.uint64(11)
-        np.add(raw, 0.5, out=u, casting="unsafe")
-        u *= 2.0**-53
-        ndtri(u, out=u)
+def _worker_count(threads: int, n: int, chunk_size: int) -> int:
+    """Threads ``sample_density`` runs: ``threads``, at most one per CPU and per chunk."""
+    return min(threads, os.cpu_count() or 1, -(-n // chunk_size))
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
@@ -157,7 +145,7 @@ def _chunk_values(
 
     For d <= 128 the draws are made and mapped in row tiles of at least 16
     rows and at most 2**18 multiply-adds, a product OpenBLAS runs on the
-    calling thread, so each tile stays in cache from bits to quadratic form.
+    calling thread, so each tile stays in cache from normals to quadratic form.
     Above d = 128 such tiles would be too thin, and the chunk is one product
     that BLAS may thread.
     """
@@ -166,13 +154,13 @@ def _chunk_values(
     tile = _TILE_MULTIPLY_ADDS // (d * d)
     if tile < _MIN_TILE_ROWS:
         tile = rows
-    bits = _philox(seed, chunk_index)
+    stream = _normal_stream(seed, chunk_index)
     z = np.empty((min(tile, rows), d))
     zk = np.empty_like(z)
     for t in range(0, rows, tile):
         zt = z[: min(tile, rows - t)]
         zkt = zk[: len(zt)]
-        _fill_normals(bits, zt.reshape(-1))
+        stream.standard_normal(out=zt)
         np.matmul(zt, kernel, out=zkt)
         np.einsum("ij,ij->i", zkt, zt, out=out[t : t + len(zt)])
     out *= 0.5
@@ -204,17 +192,20 @@ def sample_density(
 ) -> SampleBatch:
     """Summarize the density on n seeded Gaussian draws.
 
-    Each chunk c draws standard normals z from the (seed, c)-keyed stream and
-    evaluates I + z^T K z / 2 with the folded kernel K = L^T P L, where L is
-    the covariance Cholesky factor (w = L z are the centered draws, so
-    w^T P w = z^T K z), then reduces its values to central moments. Thread w
-    of ``threads`` takes chunks w, w + threads, ... with its own chunk-sized
-    buffers; the chunk summaries are merged in chunk order, so the thread
-    count never changes the result.
+    Each chunk c draws standard normals z by ziggurat from its SFC64 stream
+    seeded by (seed mod 2**64, c) and evaluates I + z^T K z / 2 with the
+    folded kernel K = L^T P L, where L is the covariance Cholesky factor
+    (w = L z are the centered draws, so w^T P w = z^T K z), then reduces its
+    values to central moments. The draws depend on (seed, c, chunk_size) and
+    on numpy's ``Generator`` algorithms. ``threads`` is capped at
+    ``os.cpu_count()`` and at the number of chunks; thread w of the W that
+    run takes chunks w, w + W, ... with its own chunk-sized buffers. The
+    chunk summaries are merged in chunk order, so the thread count never
+    changes the result.
 
     Up to d = 128 the chunk threads are the only parallelism, and each thread
     holds about 2 * chunk_size * 8 bytes (the chunk's values and one work
-    buffer) plus two tiles of at most 2**21 / d bytes and 256 KB of raw bits.
+    buffer) plus two tiles of at most 2**21 / d bytes.
     Above d = 128 it also holds the chunk's normals and their product,
     2 * chunk_size * d * 8 bytes. The d x d set-up reads L from
     ``model.factor`` and forms K by BLAS products. Up to d = 64 the result
@@ -230,7 +221,7 @@ def sample_density(
     kernel = _folded_kernel(model)
     info = multiinformation(model)
     n_chunks = -(-n // chunk_size)
-    workers = min(threads, n_chunks)
+    workers = _worker_count(threads, n, chunk_size)
     summaries: list = [None] * n_chunks
 
     def summarize(first: int) -> None:

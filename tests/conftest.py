@@ -3,7 +3,7 @@
 import numpy as np
 
 from infodensity import multiinformation, validate_model
-from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _fill_normals, _folded_kernel, _philox
+from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _folded_kernel, _normal_stream
 
 
 def random_partition(rng, d, max_blocks=None):
@@ -67,6 +67,4 @@ def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):
 
 def standard_normal_block(seed, chunk_index, count):
     """The first ``count`` normals of chunk ``chunk_index``'s stream."""
-    z = np.empty(count)
-    _fill_normals(_philox(seed, chunk_index), z)
-    return z
+    return _normal_stream(seed, chunk_index).standard_normal(count)

@@ -338,6 +338,19 @@ class TestSimulate:
         assert code == 2
         assert json.loads(err)["error"] == "BatchTooSmall"
 
+    def test_report_independent_of_threads(self, capsys, monkeypatch, scalar_pair_file):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        reports = []
+        for threads in ("1", "2", "100000"):
+            code, out, _ = run(capsys, ["simulate", scalar_pair_file, "--n", "200000", "--threads", threads])
+            assert code == 0
+            reports.append(json.loads(out))
+        # The effective count: at most one thread per CPU and per chunk.
+        assert [r.pop("threads") for r in reports] == [1, 2, 2]
+        assert reports[0] == reports[1] == reports[2]
+        code, out, _ = run(capsys, ["simulate", scalar_pair_file, "--n", "1000", "--threads", "2"])
+        assert json.loads(out)["threads"] == 1
+
     def test_zero_threads_exit_2(self, capsys, scalar_pair_file):
         code, out, err = run(capsys, ["simulate", scalar_pair_file, "--n", "1000", "--threads", "0"])
         assert code == 2
@@ -571,6 +584,20 @@ class TestCheckRecords:
     )
     def test_exit_code_from_records(self, report, code):
         assert _exit_code(report) == code
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about 25 ms of import; no code path of the CLI needs it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, infodensity.cli; print('scipy.special' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestBrokenPipe:

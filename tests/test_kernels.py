@@ -8,9 +8,10 @@ Cholesky uses the per-coordinate pivot threshold d * eps * a_jj of the current
 triangular solves against the block-diagonal L_B.
 
 ``_reference_normal_block``, ``_reference_sample_density`` and
-``_reference_k_statistics`` are the earlier sampler kernels: uniforms built
-with temporaries, each chunk mapped through L and then P in two products, and
-the third and fourth central moments taken with ``**3`` and ``**4``.
+``_reference_k_statistics`` are the earlier sampler kernels: a chunk's normals
+drawn in one call from a generator built here, each chunk mapped through L
+and then P in two products, and the third and fourth central moments taken
+with ``**3`` and ``**4``.
 """
 
 import hashlib
@@ -23,7 +24,6 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
-from scipy.special import ndtri
 
 from conftest import random_model, random_partition, sampled_values, standard_normal_block
 
@@ -46,7 +46,7 @@ from infodensity import (
 )
 from infodensity import cli
 from infodensity._linalg import _eigvalsh, _scalar_factors, _solve_lower, cholesky_lower
-from infodensity.sampling import _BITS_BLOCK, _MASK64, _fill_normals, _philox
+from infodensity.sampling import _normal_stream
 
 EPS = np.finfo(float).eps
 
@@ -99,10 +99,8 @@ def _loop_variance(model):
 
 
 def _reference_normal_block(seed, chunk_index, count):
-    key = np.array([seed & _MASK64, chunk_index], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    entropy = np.random.SeedSequence([seed % 2**64, chunk_index])
+    return np.random.Generator(np.random.SFC64(entropy)).standard_normal(count)
 
 
 def _reference_sample_density(model, n, seed, chunk_size):
@@ -433,12 +431,12 @@ class TestSamplerAgainstTwoProducts:
 
     @pytest.mark.parametrize("seed", [4, 2**64 - 1])
     def test_normals_over_uneven_tiles_bit_identical(self, seed):
-        pieces = [1, 7, 0, 655, _BITS_BLOCK + 3, 2, 2 * _BITS_BLOCK, 13100]
-        bits = _philox(seed, 5)
+        pieces = [1, 7, 0, 655, 2**15 + 3, 2, 2**16, 13100]
+        stream = _normal_stream(seed, 5)
         streamed = np.empty(sum(pieces))
         start = 0
         for size in pieces:
-            _fill_normals(bits, streamed[start : start + size])
+            stream.standard_normal(out=streamed[start : start + size])
             start += size
         assert np.array_equal(streamed, _reference_normal_block(seed, 5, streamed.size))
 

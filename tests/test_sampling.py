@@ -1,10 +1,14 @@
 import functools
 import math
+import os
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_block_diagonal_model, random_model, sampled_values, scalar_pair_model, standard_normal_block
 
@@ -19,7 +23,11 @@ from infodensity import (
     sample_density,
     validate_model,
 )
+from infodensity import sampling
 from infodensity.sampling import CentralMoments, SampleBatch, _central_moments
+
+# A fixed example set, so every run (CI included) draws the same cases.
+DERANDOMIZED = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
 
 def _summary(x):
@@ -77,6 +85,35 @@ class TestSampleDensity:
     def test_thread_count_must_be_positive(self, threads):
         with pytest.raises(ValueError, match="threads"):
             sample_density(scalar_pair_model(0.5), 1000, seed=0, threads=threads)
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # 10**9 draws are 15,259 chunks: uncapped, 100,000 threads would start
+        # 15,259 workers. The recorder refuses to start any pool.
+        class PoolNotStarted(Exception):
+            pass
+
+        requested = []
+
+        def record(max_workers):
+            requested.append(max_workers)
+            raise PoolNotStarted
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        model = scalar_pair_model(0.5)
+        with pytest.raises(PoolNotStarted):
+            sample_density(model, 10**9, seed=0, threads=100_000)
+        with pytest.raises(PoolNotStarted):
+            sample_density(model, 3000, seed=0, chunk_size=1000, threads=100_000)
+        assert requested == [4, 3]
+
+    def test_unknown_cpu_count_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", None)
+        model = scalar_pair_model(0.5)
+        batch = sample_density(model, 5000, seed=3, chunk_size=1000, threads=4)
+        monkeypatch.undo()
+        assert batch == sample_density(model, 5000, seed=3, chunk_size=1000, threads=1)
 
     def test_mean_within_five_se(self):
         model = scalar_pair_model(0.5)
@@ -165,6 +202,34 @@ class TestStreaming:
             tracemalloc.stop()
         assert report["n"] == n
         assert peak < 4 * 2**20
+
+
+SEEDS = st.one_of(st.sampled_from([-1, 2**64, 2**64 + 7]), st.integers(-(2**70), 2**70))
+
+
+class TestSamplerProperties:
+    @DERANDOMIZED
+    @given(
+        model_seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 24),
+        seed=SEEDS,
+        n=st.integers(2, 3000),
+        chunk_size=st.integers(16, 1500),
+    )
+    def test_thread_invariance_and_two_pass_summary(self, model_seed, d, seed, n, chunk_size):
+        model = random_model(np.random.default_rng(model_seed), d=d)
+        # Three threads must run even on a host with fewer cores.
+        with mock.patch.object(os, "cpu_count", return_value=3):
+            batches = [sample_density(model, n, seed, chunk_size=chunk_size, threads=t) for t in (1, 2, 3)]
+        assert batches[0].moments == batches[1].moments == batches[2].moments
+        got = k_statistics(batches[0])
+        expected = k_statistics(sampled_values(model, n, seed, chunk_size))
+        for order in (1, 2, 3, 4):
+            a, b = got.estimate(order), expected.estimate(order)
+            if math.isnan(b):
+                assert math.isnan(a)
+            else:
+                assert abs(a - b) <= 1e-12 * abs(b)
 
 
 class TestMerge:
