@@ -47,6 +47,10 @@ from .sampling import DEFAULT_CHUNK_SIZE, _worker_count, mc_validate
 
 AGREEMENT_TOL = 1e-9
 ORACLE_TOL = 1e-9
+# Most steps x d terms an ``analyze --t-grid`` evaluates: ``cgf`` forms one
+# steps x d array and a temporary of its size, 32 MiB each at the cap. A grid
+# above it exits 3 before the grid itself is allocated.
+MAX_T_GRID_TERMS = 2**22
 
 _LIMIT_ERRORS = (OutOfDomain, CombinatorialLimit, CumulantOverflow, MemoryError)
 
@@ -178,7 +182,7 @@ def _load_model(args):
     return validate_model(doc.get("mean"), doc["covariance"], doc["partition"])
 
 
-def _parse_t_grid(text: str) -> np.ndarray:
+def _parse_t_grid(text: str, dimension: int) -> np.ndarray:
     try:
         a, b, steps = text.split(":")
         a, b, steps = float(a), float(b), int(steps)
@@ -188,6 +192,11 @@ def _parse_t_grid(text: str) -> np.ndarray:
         raise NonFiniteInput(f"--t-grid bounds must be finite, got {text!r}")
     if steps < 1:
         raise ValueError(f"--t-grid needs at least 1 step, got {steps}")
+    if steps * dimension > MAX_T_GRID_TERMS:
+        raise MemoryError(
+            f"--t-grid of {steps} steps at dimension {dimension} needs {steps * dimension} CGF terms, "
+            f"above the cap of {MAX_T_GRID_TERMS} (MAX_T_GRID_TERMS)"
+        )
     return np.linspace(a, b, steps)
 
 
@@ -212,6 +221,7 @@ def _oracle_rows(model, max_l: int):
 
 def _cmd_analyze(args):
     model = _load_model(args)
+    grid = _parse_t_grid(args.t_grid, model.dimension) if args.t_grid else None
     info_logdet = multiinformation(model)
     info_gamma = multiinformation_from_gamma(model)
     domain = cgf_domain(model)
@@ -233,8 +243,7 @@ def _cmd_analyze(args):
         "cgf_domain": _domain_dict(domain),
     }
 
-    if args.t_grid:
-        grid = _parse_t_grid(args.t_grid)
+    if grid is not None:
         values = cgf(model, grid)  # OutOfDomain -> exit 3
         report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
     if args.oracle_max_l is not None:

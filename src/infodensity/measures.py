@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _solve_lower, cholesky_lower, logdet_from_lower
+from ._linalg import _inverse_lower, cholesky_lower, logdet_from_lower
 from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, NonFiniteInput, OutOfDomain
 from .model import GaussianModel, compute_phi
 
@@ -120,7 +120,7 @@ def _point(model: GaussianModel, x) -> np.ndarray:
 
 def _gaussian_logpdf(x, mean, cov) -> float:
     L = cholesky_lower(cov)
-    y = _solve_lower(L, (x - mean)[:, None])[:, 0]
+    y = _inverse_lower(L) @ (x - mean)
     k = len(x)
     return -0.5 * (k * math.log(2.0 * math.pi) + logdet_from_lower(L) + float(y @ y))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _eigvalsh, _scalar_factors, _solve_lower, cholesky_lower, solve_pd_from_lower, symmetrize
+from ._linalg import _inverse_lower, _scalar_factors, cholesky_lower, solve_pd_from_lower, symmetrize
 from .errors import (
     BadPartition,
     DimensionMismatch,
@@ -218,26 +218,27 @@ def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: P
     for the row strip H_n of block n (block (m, n) regresses m on n), and the
     spectrum is that of W - I, W = H L_B^{-T} real-symmetric and similar to
     G + I. A size-1 block is a scaling: its column of G is divided by s_jj,
-    its row of H and column of W by sqrt(s_jj). A larger block solves its
-    b x d strips against its own factor. Diagonal blocks of G and W - I are
-    exact zeros, so tr G = 0 exactly.
+    its row of H and column of W by sqrt(s_jj). A larger block inverts its
+    factor once and forms its b x d strips by products with that inverse.
+    Diagonal blocks of G and W - I are exact zeros, so tr G = 0 exactly.
     """
     sizes = np.array(partition.block_sizes)
     scalar = np.array(partition.offsets)[sizes == 1]
     larger = [partition.block_slice(n) for n in np.flatnonzero(sizes > 1)]
+    inverses = [_inverse_lower(block_factor[sl, sl]) for sl in larger]
     # Scaling every row and column serves the size-1 blocks; the strips of the
-    # larger blocks are then overwritten by their solves.
+    # larger blocks are then overwritten by their products.
     half = covariance / np.diagonal(block_factor)[:, None]
     g = covariance / np.diagonal(covariance)
-    for sl in larger:
-        half[sl] = _solve_lower(block_factor[sl, sl], covariance[sl])
-        g[:, sl] = _solve_lower(block_factor[sl, sl], half[sl], transpose=True).T
+    for sl, inverse in zip(larger, inverses):
+        half[sl] = inverse @ covariance[sl]
+        g[:, sl] = half[sl].T @ inverse
     w = half / np.diagonal(block_factor)
-    for sl in larger:
-        w[:, sl] = _solve_lower(block_factor[sl, sl], half[:, sl].T).T
+    for sl, inverse in zip(larger, inverses):
+        w[:, sl] = half[:, sl] @ inverse.T
         w[sl, sl] = g[sl, sl] = 0.0
     w[scalar, scalar] = g[scalar, scalar] = 0.0
-    return g, _eigvalsh(symmetrize(w))
+    return g, np.linalg.eigvalsh(symmetrize(w), UPLO="L")
 
 
 def compute_phi(model: GaussianModel) -> np.ndarray:

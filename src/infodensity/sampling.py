@@ -16,6 +16,9 @@ merged in chunk-index order with the pairwise update formulas of Chan, Golub
 & LeVeque (1979) and Pebay (SAND2008-6212), so the result is bit-identical
 for a given (model, n, seed, chunk_size) whatever the thread count, and
 memory does not grow with n: no n-length array of draws is ever formed.
+The chunk products, like the set-up and the analytic core, run on numpy's
+OpenBLAS, the only BLAS build the package loads, so every BLAS call of a
+process shares one thread pool.
 
 Cumulants are estimated with the classical unbiased k-statistics; the
 validation report compares them with the analytic values using standard
@@ -208,7 +211,8 @@ def sample_density(
     buffer) plus two tiles of at most 2**21 / d bytes.
     Above d = 128 it also holds the chunk's normals and their product,
     2 * chunk_size * d * 8 bytes. The d x d set-up reads L from
-    ``model.factor`` and forms K by BLAS products. Up to d = 64 the result
+    ``model.factor``, inverts it once for P (``compute_phi``) and forms K by
+    BLAS products. Up to d = 64 the result
     does not depend on the BLAS thread settings; above that the set-up's rounding (and above
     d = 128 the chunk products') can depend on them.
     """

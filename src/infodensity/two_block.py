@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ._linalg import _eigvalsh, _solve_lower
+from ._linalg import _inverse_lower
 from .errors import BadPartition, BlockNotScalar, OutOfDomain
 from .measures import CgfDomain
 from .model import GaussianModel, regression_block
@@ -50,12 +50,11 @@ def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
     sizes = model.partition.block_sizes
     a, b = (0, 1) if sizes[0] <= sizes[1] else (1, 0)
     sl = model.partition.block_slice(a)
-    L = model.block_factor[sl, sl]
+    inverse = _inverse_lower(model.block_factor[sl, sl])
     # M = L^{-1} (S_ab S_bb^{-1} S_ba) L^{-T}, similar to S_aa^{-1} S_ab S_bb^{-1} S_ba.
     inner = regression_block(model, a, b) @ model.covariance_block(b, a)  # symmetric PSD
-    half = _solve_lower(L, inner)
-    m = _solve_lower(L, half.T)
-    w = _eigvalsh((m + m.T) / 2.0)
+    m = inverse @ inner @ inverse.T
+    w = np.linalg.eigvalsh((m + m.T) / 2.0, UPLO="L")
     w = np.where(w < _CLAMP_EIGENVALUE, 0.0, w)
     values = tuple(float(v) for v in sorted(w, reverse=True))
     if values and values[0] >= 1.0:

@@ -1,9 +1,13 @@
 """Shared seeded-model builders for the test suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from infodensity import multiinformation, validate_model
 from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _folded_kernel, _normal_stream
+
+# A fixed example set, so every run (CI included) draws the same cases.
+DERANDOMIZED = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
 
 def random_partition(rng, d, max_blocks=None):

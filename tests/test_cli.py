@@ -11,7 +11,17 @@ import pytest
 
 import infodensity
 from infodensity import DEFAULT_LOOP_CAP, cli, model_fingerprint, validate_model
-from infodensity.cli import AGREEMENT_TOL, ORACLE_TOL, _build_parser, _exit_code, _jsonable, _render_json, main
+from infodensity.cli import (
+    AGREEMENT_TOL,
+    MAX_T_GRID_TERMS,
+    ORACLE_TOL,
+    _build_parser,
+    _exit_code,
+    _jsonable,
+    _parse_t_grid,
+    _render_json,
+    main,
+)
 from infodensity.measures import MAX_CUMULANT_ORDER
 from infodensity.sampling import Z_THRESHOLD
 
@@ -128,6 +138,25 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("steps", [MAX_T_GRID_TERMS // 2 + 1, 10**15])
+    def test_grid_above_cap_exit_3_before_allocating(self, capsys, monkeypatch, scalar_pair_file, steps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, f"--t-grid=-0.1:0.1:{steps}"])
+        assert code == 3
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "MemoryError"
+        assert f"cap of {MAX_T_GRID_TERMS}" in doc["message"]
+
+    def test_grid_at_cap_accepted(self):
+        d = 1000
+        assert _parse_t_grid(f"-0.1:0.1:{MAX_T_GRID_TERMS // d}", d).size == MAX_T_GRID_TERMS // d
+        with pytest.raises(MemoryError):
+            _parse_t_grid(f"-0.1:0.1:{MAX_T_GRID_TERMS // d + 1}", d)
 
     @pytest.mark.parametrize("max_l", ["0", "-2"])
     def test_oracle_max_l_below_one_exit_2(self, capsys, scalar_pair_file, max_l):
@@ -586,18 +615,56 @@ class TestCheckRecords:
         assert _exit_code(report) == code
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special costs about 25 ms of import; no code path of the CLI needs it.
+_WITHOUT_SCIPY = """
+import contextlib, importlib.abc, io, json, sys
+
+attempts = []
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            attempts.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from infodensity import cli
+
+model = sys.argv[1]
+runs = [
+    ["analyze", model, "--t-grid=-0.1:0.1:5", "--oracle-max-l", "3", "--mc-n", "20000", "--threads", "2"],
+    ["simulate", model, "--n", "20000", "--threads", "2"],
+    ["oracle-check", model, "--max-l", "4"],
+    ["homogeneous", "--d", "4", "--rho", "0.3", "--max-l", "4"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "attempts": attempts, "loaded": loaded}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # The package depends on numpy and orjson only: every subcommand runs, and
+    # passes, with each import of scipy refused, and none is even attempted.
+    cov = (np.full((4, 4), 0.3) + 0.7 * np.eye(4)).tolist()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"covariance": cov, "partition": [2, 1, 1]}))
     src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, infodensity.cli; print('scipy.special' in sys.modules)"],
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(path)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "attempts": [], "loaded": []}
 
 
 class TestBrokenPipe:

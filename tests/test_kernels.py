@@ -18,20 +18,22 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import random_model, random_partition, sampled_values, standard_normal_block
+from conftest import DERANDOMIZED, random_model, random_partition, sampled_values, standard_normal_block
 
 import infodensity
 from infodensity import (
     NotPositiveDefinite,
     OutOfDomain,
-    canonical_correlations,
     cgf,
     cgf_domain,
     compute_phi,
@@ -45,7 +47,7 @@ from infodensity import (
     variance,
 )
 from infodensity import cli
-from infodensity._linalg import _eigvalsh, _scalar_factors, _solve_lower, cholesky_lower
+from infodensity._linalg import _inverse_lower, _scalar_factors, cholesky_lower
 from infodensity.sampling import _normal_stream
 
 EPS = np.finfo(float).eps
@@ -59,7 +61,7 @@ def _loop_cholesky(a):
         threshold = d * EPS * a[j, j]
         pivot = a[j, j] - L[j, :j] @ L[j, :j]
         if not pivot > threshold:
-            raise NotPositiveDefinite(f"pivot {pivot} at index {j}", pivot_index=j)
+            raise NotPositiveDefinite(f"pivot {float(pivot)!r} at index {j}", pivot_index=j)
         L[j, j] = np.sqrt(pivot)
         if j + 1 < d:
             L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
@@ -148,7 +150,55 @@ def _pivot_index(factor, a):
     return exc.value.pivot_index
 
 
+def _failing_pivot(factor, a):
+    """(index, value) of the pivot that ``factor`` refuses, the value read from its message."""
+    with pytest.raises(NotPositiveDefinite) as exc:
+        factor(a)
+    return exc.value.pivot_index, float(re.search(r"pivot (\S+) at index", str(exc.value)).group(1))
+
+
+def _failing_at(rng, d, j, kind, scale):
+    """A d x d matrix whose first failing Cholesky pivot is j, of the given kind.
+
+    a = M diag(p) M^T with M unit lower triangular, entries in {0, +-1/2, +-1},
+    pivots p_i in {1/4, 1, 4} except p_j, all scaled by 4^scale. Every factor
+    entry is then a power of two or zero and every sum a short dyadic, so any
+    order of Cholesky arithmetic computes the pivots exactly. Pivot j is
+    negative, or zero, or ("tiny") p_j = 0 with a_jj raised by one unit in the
+    last place: positive, but at most eps * a_jj, below the threshold.
+    """
+    m = np.tril(rng.integers(-2, 3, (d, d)) / 2.0, -1) + np.eye(d)
+    if j > 0:
+        m[j, j - 1] = 1.0  # a_jj > 0, so "tiny" has a unit to add
+    pivots = rng.choice([0.25, 1.0, 4.0], d)
+    pivots[j] = -rng.choice([0.25, 1.0, 4.0]) if kind == "negative" else 0.0
+    a = (m * pivots) @ m.T * 4.0**scale
+    if kind == "tiny":
+        a[j, j] += np.spacing(a[j, j])
+    return a
+
+
+# At index 0 a positive pivot is a_00 itself and always passes, so the first
+# pivot fails only by its sign.
+FAILING_PIVOTS = [("first", "negative"), ("first", "zero")] + [
+    (position, kind) for position in ("middle", "last") for kind in ("negative", "zero", "tiny")
+]
+
+
 class TestCholeskyAgainstLoop:
+    @pytest.mark.parametrize("position, kind", FAILING_PIVOTS)
+    @DERANDOMIZED
+    @given(d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), scale=st.integers(-100, 100))
+    def test_failing_pivot_matches_loop(self, position, kind, d, seed, scale):
+        j = {"first": 0, "middle": d // 2, "last": d - 1}[position]
+        assume(j > 0 or kind != "tiny")  # d = 1
+        a = _failing_at(np.random.default_rng(seed), d, j, kind, scale)
+        index, pivot = _failing_pivot(cholesky_lower, a)
+        loop_index, loop_pivot = _failing_pivot(_loop_cholesky, a)
+        assert index == loop_index == j
+        # The message prints 6 significant digits.
+        assert abs(pivot - loop_pivot) <= 1e-5 * abs(loop_pivot)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_factor_matches(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -300,21 +350,23 @@ class TestCouplingOnce:
 
     @staticmethod
     def _count_dense_calls(monkeypatch, d):
+        """Count inversions of a d x d factor, per calling module, and spectra."""
         counts = {"model": 0, "_linalg": 0, "eigvalsh": 0}
         for module in ("model", "_linalg"):
 
-            def counting_solve(a, b, *args, _module=module, **kwargs):
-                if np.shape(a) == (d, d) and np.shape(b) == (d, d):
+            def counting_inverse(L, _module=module):
+                if np.shape(L) == (d, d):
                     counts[_module] += 1
-                return _solve_lower(a, b, *args, **kwargs)
+                return _inverse_lower(L)
 
-            monkeypatch.setattr(f"infodensity.{module}._solve_lower", counting_solve)
+            monkeypatch.setattr(f"infodensity.{module}._inverse_lower", counting_inverse)
+        eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(*args, **kwargs):
             counts["eigvalsh"] += 1
-            return _eigvalsh(*args, **kwargs)
+            return eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr("infodensity.model._eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         return counts
 
     @staticmethod
@@ -331,7 +383,7 @@ class TestCouplingOnce:
         counts = self._count_dense_calls(monkeypatch, 24)
         assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
         capsys.readouterr()
-        # compute_gamma solves 6 x 24 strips only; one spectrum, on scipy's LAPACK.
+        # compute_gamma inverts the 6 x 6 block factors only; one spectrum.
         assert counts == {"model": 0, "_linalg": 0, "eigvalsh": 1}
 
     def test_simulate_solves_twice(self, capsys, tmp_path, monkeypatch):
@@ -339,22 +391,17 @@ class TestCouplingOnce:
         counts = self._count_dense_calls(monkeypatch, 20)
         assert cli.main(["simulate", path, "--n", "2000", "--threads", "1"]) == 0
         capsys.readouterr()
-        # Only S P = G, solved against the stored factor of S.
-        assert counts == {"model": 0, "_linalg": 2, "eigvalsh": 1}
+        # Only S P = G: the stored factor of S is inverted once and applied twice.
+        assert counts == {"model": 0, "_linalg": 1, "eigvalsh": 1}
 
-    def test_analyze_stays_off_numpy_lapack(self, capsys, tmp_path, monkeypatch):
+    def test_scalar_blocks_factor_the_covariance_only(self, capsys, tmp_path, monkeypatch):
         path = self._model_file(tmp_path, 12, sizes=[1] * 12)
         calls = [0]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the analytic path called numpy's LAPACK")
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return cholesky_lower(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         for name, module in list(sys.modules.items()):
             if name.startswith("infodensity") and hasattr(module, "cholesky_lower"):
                 monkeypatch.setattr(module, "cholesky_lower", counted)
@@ -362,8 +409,6 @@ class TestCouplingOnce:
         capsys.readouterr()
         # The covariance only: the twelve 1 x 1 blocks are one vectorised sqrt.
         assert calls[0] == 1
-        pair = random_model(np.random.default_rng(1452), d=5, sizes=[2, 3])
-        assert len(canonical_correlations(pair)) == 2
 
 
 class TestBlockStructuredCoupling:
@@ -404,9 +449,11 @@ class TestBlockStructuredCoupling:
                 assert passed and root == factor[0, 0]
 
     def test_eigvalsh_matches_numpy(self):
-        a = _random_spd(np.random.default_rng(1480), 40)
-        expected = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(_eigvalsh(a) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # The symmetric solver's spectrum of W - I against the general solver on G itself.
+        model = random_model(np.random.default_rng(1480), d=40, sizes=[10, 1, 9, 20])
+        expected = np.sort(np.linalg.eigvals(model.gamma).real)
+        lam = model.gamma_eigenvalues
+        assert np.max(np.abs(lam - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestSamplerAgainstTwoProducts:

@@ -7,10 +7,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_block_diagonal_model, random_model, sampled_values, scalar_pair_model, standard_normal_block
+from conftest import (
+    DERANDOMIZED,
+    random_block_diagonal_model,
+    random_model,
+    sampled_values,
+    scalar_pair_model,
+    standard_normal_block,
+)
 
 from infodensity import (
     BatchTooSmall,
@@ -25,9 +32,6 @@ from infodensity import (
 )
 from infodensity import sampling
 from infodensity.sampling import CentralMoments, SampleBatch, _central_moments
-
-# A fixed example set, so every run (CI included) draws the same cases.
-DERANDOMIZED = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
 
 def _summary(x):
