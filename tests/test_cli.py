@@ -615,6 +615,20 @@ class TestCheckRecords:
         assert _exit_code(report) == code
 
 
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about 25 ms of import; no code path of the CLI needs it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, infodensity.cli; print('scipy.special' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 _WITHOUT_SCIPY = """
 import contextlib, importlib.abc, io, json, sys
 

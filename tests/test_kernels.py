@@ -394,21 +394,32 @@ class TestCouplingOnce:
         # Only S P = G: the stored factor of S is inverted once and applied twice.
         assert counts == {"model": 0, "_linalg": 1, "eigvalsh": 1}
 
-    def test_scalar_blocks_factor_the_covariance_only(self, capsys, tmp_path, monkeypatch):
+    def test_analyze_stays_off_numpy_lapack(self, capsys, tmp_path, monkeypatch):
         path = self._model_file(tmp_path, 12, sizes=[1] * 12)
         calls = [0]
+        lapack = {}
 
         def counted(*args, **kwargs):
             calls[0] += 1
             return cholesky_lower(*args, **kwargs)
 
+        for name in ("cholesky", "eigvalsh", "eigh", "eigvals", "eig", "inv", "solve", "lstsq", "det", "slogdet"):
+
+            def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                lapack.setdefault(_name, []).append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
         for name, module in list(sys.modules.items()):
             if name.startswith("infodensity") and hasattr(module, "cholesky_lower"):
                 monkeypatch.setattr(module, "cholesky_lower", counted)
         assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
         capsys.readouterr()
-        # The covariance only: the twelve 1 x 1 blocks are one vectorised sqrt.
+        # The covariance only: the twelve 1 x 1 blocks are one vectorised sqrt
+        # and need no inverse, so numpy's LAPACK sees the covariance's factor
+        # and the one spectrum, and no per-block call.
         assert calls[0] == 1
+        assert lapack == {"cholesky": [(12, 12)], "eigvalsh": [(12, 12)]}
 
 
 class TestBlockStructuredCoupling:
