@@ -43,7 +43,7 @@ from .homogeneous import (
 from .loops import DEFAULT_LOOP_CAP, rooted_loop_count, trace_via_loops
 from .measures import cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
 from .model import model_fingerprint, validate_model
-from .sampling import DEFAULT_CHUNK_SIZE, _worker_count, mc_validate
+from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
 ORACLE_TOL = 1e-9
@@ -257,16 +257,9 @@ def _cmd_analyze(args):
 
 def _cmd_simulate(args):
     model = _load_model(args)
-    report = mc_validate(
-        model,
-        args.n,
-        args.seed,
-        args.max_order,
-        threads=args.threads,
-        corrupt_order=args.corrupt_order,
+    return mc_validate(
+        model, args.n, args.seed, args.max_order, threads=args.threads, corrupt_order=args.corrupt_order
     )
-    report["threads"] = _worker_count(args.threads, args.n, DEFAULT_CHUNK_SIZE)
-    return report
 
 
 def _cmd_oracle_check(args):
@@ -291,22 +284,11 @@ def _cmd_homogeneous(args):
         hm = HomogeneousModel(dimension=d, rho=args.rho)
         model = homogeneous_covariance(hm)
         seq = cumulants(model, args.max_l)
-        mean_closed = homogeneous_mean(hm)
-        rows.append(
-            {
-                "d": d,
-                "rho": args.rho,
-                "l": 1,
-                "closed_form": mean_closed,
-                "general": seq.kappa(1),
-                "abs_diff": abs(mean_closed - seq.kappa(1)),
-                "standardized": None,
-                "asymptotic_limit": None,
-            }
-        )
-        for l in range(2, args.max_l + 1):
-            closed = homogeneous_cumulant(hm, l)
-            standardized = None if args.rho == 0 else _within_double_range(standardized_cumulant, hm, l)
+        for l in range(1, args.max_l + 1):
+            closed = homogeneous_mean(hm) if l == 1 else homogeneous_cumulant(hm, l)
+            standardized = (
+                None if l == 1 or args.rho == 0 else _within_double_range(standardized_cumulant, hm, l)
+            )
             limit = None if standardized is None else _within_double_range(asymptotic_standardized_limit, l)
             rows.append(
                 {

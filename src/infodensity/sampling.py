@@ -9,7 +9,7 @@ function of (seed, chunk index, chunk size) and of numpy's ``Generator``
 algorithms, which numpy may change between versions.
 
 Each chunk streams through its stream one row tile at a time (normals,
-kernel product, quadratic form in buffers of a few hundred KB) and is
+kernel product, quadratic form in two tile-sized buffers) and is
 reduced to a central-moment summary: count, mean and the centered sums of
 powers 1..4 (the first only the mean's rounding residual). The summaries are
 merged in chunk-index order with the pairwise update formulas of Chan, Golub
@@ -44,9 +44,10 @@ from .model import GaussianModel, compute_phi, model_fingerprint
 DEFAULT_CHUNK_SIZE = 65536
 # OpenBLAS runs a gemm with m*n*k at or below 65536 * 4 on the calling thread.
 _TILE_MULTIPLY_ADDS = 2**18
-# Thinner tiles reread K too often to pay (on 2 cores they won at d <= 100 and
-# lost at d >= 200); from d = 129 on a chunk is one BLAS-threaded product.
+# Where such a tile would have fewer than 16 rows (d > 128), a tile has 2048 rows,
+# which ran as fast as one chunk-wide product at d = 200 and 1000.
 _MIN_TILE_ROWS = 16
+_WIDE_TILE_ROWS = 2048
 _MASK64 = (1 << 64) - 1
 Z_THRESHOLD = 5.0
 
@@ -146,17 +147,15 @@ def _chunk_values(
 ) -> np.ndarray:
     """Write the density at chunk ``chunk_index``'s first ``out.size`` draws into ``out``.
 
-    For d <= 128 the draws are made and mapped in row tiles of at least 16
-    rows and at most 2**18 multiply-adds, a product OpenBLAS runs on the
-    calling thread, so each tile stays in cache from normals to quadratic form.
-    Above d = 128 such tiles would be too thin, and the chunk is one product
-    that BLAS may thread.
+    The draws are made and mapped in row tiles of 2**18 // d**2 rows up to
+    d = 128 (a product OpenBLAS runs on the calling thread) and of 2048 rows
+    above (a product BLAS may thread).
     """
     d = kernel.shape[0]
     rows = out.size
     tile = _TILE_MULTIPLY_ADDS // (d * d)
     if tile < _MIN_TILE_ROWS:
-        tile = rows
+        tile = _WIDE_TILE_ROWS
     stream = _normal_stream(seed, chunk_index)
     z = np.empty((min(tile, rows), d))
     zk = np.empty_like(z)
@@ -206,15 +205,12 @@ def sample_density(
     chunk summaries are merged in chunk order, so the thread count never
     changes the result.
 
-    Up to d = 128 the chunk threads are the only parallelism, and each thread
-    holds about 2 * chunk_size * 8 bytes (the chunk's values and one work
-    buffer) plus two tiles of at most 2**21 / d bytes.
-    Above d = 128 it also holds the chunk's normals and their product,
-    2 * chunk_size * d * 8 bytes. The d x d set-up reads L from
-    ``model.factor``, inverts it once for P (``compute_phi``) and forms K by
-    BLAS products. Up to d = 64 the result
-    does not depend on the BLAS thread settings; above that the set-up's rounding (and above
-    d = 128 the chunk products') can depend on them.
+    Each thread holds 2 * chunk_size * 8 bytes (the chunk's values and one
+    work buffer) plus two tiles of tile * d * 8 bytes, with ``_chunk_values``'
+    tile rows. The d x d set-up reads L from ``model.factor``, inverts it
+    once for P (``compute_phi``) and forms K by BLAS products. Up to d = 64
+    the result does not depend on the BLAS thread settings; above that the
+    set-up's rounding (and above d = 128 the tile products') can depend on them.
     """
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
@@ -327,7 +323,8 @@ def mc_validate(
     Returns a JSON-ready report with one row per order 1..max_order holding
     the analytic value, the estimate, the standard error (from the exact
     sampling-variance formulas at the analytic cumulants), the z-score, its
-    margin |z|/Z_THRESHOLD, and a pass flag at |z| <= Z_THRESHOLD = 5.
+    margin |z|/Z_THRESHOLD, and a pass flag at |z| <= Z_THRESHOLD = 5; its
+    last key, ``threads``, is the number of sampler threads that ran.
     ``corrupt_order`` shifts one analytic value by 25 standard errors; it
     exists only so a harness can verify that the check actually fails when
     the analytic side is wrong, so an order outside 1..max_order, which
@@ -379,4 +376,5 @@ def mc_validate(
         "z_threshold": Z_THRESHOLD,
         "rows": rows,
         "ok": all_ok,
+        "threads": _worker_count(threads, n, chunk_size),
     }

@@ -191,6 +191,8 @@ class TestAnalyze:
         report = json.loads(out)
         assert code == 0
         assert report["oracle"]["ok"] and report["monte_carlo"]["ok"]
+        # 20000 draws are one chunk, so one sampler thread ran; the count is the section's last key.
+        assert list(report["monte_carlo"].items())[-1] == ("threads", 1)
 
     def test_no_model_exit_2(self, capsys):
         code, out, err = run(capsys, ["analyze"])

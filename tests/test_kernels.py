@@ -11,7 +11,9 @@ triangular solves against the block-diagonal L_B.
 ``_reference_k_statistics`` are the earlier sampler kernels: a chunk's normals
 drawn in one call from a generator built here, each chunk mapped through L
 and then P in two products, and the third and fourth central moments taken
-with ``**3`` and ``**4``.
+with ``**3`` and ``**4``. ``_reference_chunk_wide_values`` is the earlier
+sampler above d = 128: each chunk's normals mapped by the folded kernel in one
+chunk-wide product instead of row tiles.
 """
 
 import hashlib
@@ -48,7 +50,7 @@ from infodensity import (
 )
 from infodensity import cli
 from infodensity._linalg import _inverse_lower, _scalar_factors, cholesky_lower
-from infodensity.sampling import _normal_stream
+from infodensity.sampling import _folded_kernel, _normal_stream
 
 EPS = np.finfo(float).eps
 
@@ -116,6 +118,18 @@ def _reference_sample_density(model, n, seed, chunk_size):
         z = _reference_normal_block(seed, c, rows * d).reshape(rows, d)
         w = z @ L.T
         parts.append(info + 0.5 * np.einsum("ij,ij->i", w @ phi, w))
+    return np.concatenate(parts)
+
+
+def _reference_chunk_wide_values(model, n, seed, chunk_size):
+    d = model.dimension
+    kernel = _folded_kernel(model)
+    info = multiinformation(model)
+    parts = []
+    for c in range(-(-n // chunk_size)):
+        rows = min(chunk_size, n - c * chunk_size)
+        z = _reference_normal_block(seed, c, rows * d).reshape(rows, d)
+        parts.append(0.5 * np.einsum("ij,ij->i", z @ kernel, z) + info)
     return np.concatenate(parts)
 
 
@@ -469,8 +483,8 @@ class TestBlockStructuredCoupling:
 
 class TestSamplerAgainstTwoProducts:
     # n = 2503 is a multiple of neither the chunk size nor any tile height
-    # (65536, 655, 26 and 16 rows for d = 2, 20, 100, 128). d = 200 and
-    # d = 600 take the chunk-wide product (tiles would be 6 and 0 rows).
+    # (65536, 655, 26 and 16 rows for d = 2, 20, 100, 128). At d = 200 and
+    # d = 600 a 1000-draw chunk is one tile of the 2048 rows used above d = 128.
     @pytest.mark.parametrize("d", [2, 20, 100, 128, 200, 600])
     def test_folded_kernel_matches_two_products(self, d):
         rng = np.random.default_rng(1500 + d)
@@ -479,6 +493,15 @@ class TestSamplerAgainstTwoProducts:
         expected = _reference_sample_density(model, 2503, 77, 1000)
         assert values.shape == expected.shape
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    # 4500-draw chunks run as tiles of 2048, 2048 and 404 rows, and the last
+    # chunk as one row; each value must be the chunk-wide product's bit for bit.
+    @pytest.mark.parametrize("d", [200, 600])
+    def test_tiles_match_chunk_wide_product(self, d):
+        rng = np.random.default_rng(1540 + d)
+        model = random_model(rng, d=d, sizes=random_partition(rng, d, max_blocks=5))
+        values = sampled_values(model, 9001, seed=13, chunk_size=4500)
+        assert np.array_equal(values, _reference_chunk_wide_values(model, 9001, 13, 4500))
 
     @pytest.mark.parametrize("seed", [0, 9, 2**64 + 3, -1])
     @pytest.mark.parametrize("count", [1, 2, 999, 4096])

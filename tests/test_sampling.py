@@ -177,11 +177,19 @@ class TestKStatistics:
 
 class TestStreaming:
     def test_summaries_and_reports_identical_across_threads(self):
-        model = random_model(np.random.default_rng(1520), d=20, sizes=[5, 5, 5, 5])
-        batches = [sample_density(model, 5003, seed=5, chunk_size=1000, threads=t) for t in (1, 2, 3, 4)]
-        assert all(batch == batches[0] for batch in batches)
-        reports = [mc_validate(model, 5003, seed=5, chunk_size=1000, threads=t) for t in (1, 2, 3, 4)]
-        assert all(report == reports[0] for report in reports)
+        # At d = 200 each 2500-draw chunk runs as a 2048-row and a 452-row tile.
+        for d, chunk_size in ((20, 1000), (200, 2500)):
+            model = random_model(np.random.default_rng(1520), d=d, sizes=[d // 4] * 4)
+            threads = (1, 2, 3, 4)
+            with mock.patch.object(os, "cpu_count", return_value=4):
+                batches = [sample_density(model, 5003, 5, chunk_size=chunk_size, threads=t) for t in threads]
+                reports = [mc_validate(model, 5003, 5, chunk_size=chunk_size, threads=t) for t in threads]
+            assert all(batch == batches[0] for batch in batches)
+            # The report ends with the effective thread count: at most one per chunk.
+            n_chunks = -(-5003 // chunk_size)
+            assert [list(r)[-1] for r in reports] == ["threads"] * 4
+            assert [r.pop("threads") for r in reports] == [min(t, n_chunks) for t in threads]
+            assert all(report == reports[0] for report in reports)
 
     def test_batch_is_the_summary_of_its_draws(self):
         model = random_model(np.random.default_rng(1521), d=6, sizes=[2, 4])
@@ -206,6 +214,20 @@ class TestStreaming:
             tracemalloc.stop()
         assert report["n"] == n
         assert peak < 4 * 2**20
+
+    # Two 65536-draw chunks at d = 200 on one thread: 2048-row tiles hold
+    # 2 * 2048 * 200 * 8 bytes (6.6 MB); one chunk-wide product would hold 210 MB.
+    def test_peak_memory_bounded_above_d_128(self):
+        model = random_model(np.random.default_rng(1523), d=200, sizes=[50] * 4)
+        mc_validate(model, 1000, seed=0, threads=1)
+        tracemalloc.start()
+        try:
+            report = mc_validate(model, 2 * 65536, seed=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["n"] == 2 * 65536
+        assert peak < 24 * 2**20
 
 
 SEEDS = st.one_of(st.sampled_from([-1, 2**64, 2**64 + 7]), st.integers(-(2**70), 2**70))
