@@ -66,10 +66,6 @@ class CombinatorialLimit(InfoDensityError, RuntimeError):
         self.length = length
 
 
-class BlockNotScalar(InfoDensityError, ValueError):
-    """An operation defined only for a 1-dimensional block got a larger one."""
-
-
 class ZeroVariance(InfoDensityError, ValueError):
     """Standardization is undefined because the variance is zero."""
 

@@ -2,10 +2,10 @@
 
 A d-dimensional correlation matrix with constant off-diagonal entry rho has
 eigenvalues 1 + (d-1)rho (once) and 1 - rho (d-1 times), and its coupling
-matrix is rho * (U - I) with U the all-ones matrix. Mean, cumulants, and
-coupling powers of the density all admit closed forms, including the
-standardized cumulants whose d -> infinity limits are the nonzero constants
-2^{l/2-1} (l-1)!, the signature of non-normality in high dimension.
+matrix is rho * (U - I) with U the all-ones matrix. Mean and cumulants of
+the density admit closed forms, including the standardized cumulants whose
+d -> infinity limits are the nonzero constants 2^{l/2-1} (l-1)!, the
+signature of non-normality in high dimension.
 """
 
 from __future__ import annotations
@@ -98,21 +98,6 @@ def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
         return float(integer_part) * rho**l
     sign = -1.0 if (rho < 0 and l % 2 == 1) else 1.0
     return sign * math.exp(log_magnitude)
-
-
-def homogeneous_gamma_power(hm: HomogeneousModel, l: int) -> np.ndarray:
-    """Closed-form l-th power of the coupling matrix rho (U - I).
-
-    rho^l [(-1)^l I + ((d-1)^l - (-1)^l)/d * U]; the U coefficient is an
-    exact integer division since (d-1)^l and (-1)^l agree modulo d.
-    """
-    if l < 1:
-        raise ValueError(f"power must be >= 1, got {l}")
-    d, rho = hm.dimension, hm.rho
-    u_coef = ((d - 1) ** l - (-1) ** l) // d
-    out = float(u_coef) * np.ones((d, d))
-    out += (-1.0) ** l * np.eye(d)
-    return rho**l * out
 
 
 def standardized_cumulant(hm: HomogeneousModel, l: int) -> float:

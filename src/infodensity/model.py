@@ -7,8 +7,7 @@ the coordinates into N >= 2 blocks. From it we build:
 * the coupling matrix G = S * blockdiag(S_11..S_NN)^{-1} - I with
   exact-zero diagonal blocks, and its real spectrum,
 * the quadratic-form kernel P = blockdiag(...)^{-1} - S^{-1} with
-  S P = G (``compute_phi``),
-* the correlation-normalized model, which shares G's spectrum.
+  S P = G (``compute_phi``).
 
 Validation factors the covariance and its diagonal blocks once, then forms G
 and its spectrum from those factors; the model carries all four, and every
@@ -128,11 +127,12 @@ class GaussianModel:
 def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     """Validate raw inputs and return a symmetrized, PD-checked model.
 
-    Asymmetry up to a relative 1e-8 is repaired by averaging with the
-    transpose; anything larger raises NotSymmetric, and any NaN or inf raises
-    NonFiniteInput. Positive definiteness is established by Cholesky pivots
-    both for the full matrix and for every diagonal block; the model keeps
-    those factors, and the coupling matrix and its spectrum formed from them.
+    Asymmetry with |s_ij - s_ji| <= 1e-8 * sqrt(|s_ii s_jj|) in every pair
+    is repaired by averaging with the transpose; anything larger raises
+    NotSymmetric, and any NaN or inf raises NonFiniteInput. Positive
+    definiteness is established by Cholesky pivots both for the full matrix
+    and for every diagonal block; the model keeps those factors, and the
+    coupling matrix and its spectrum formed from them.
     """
     cov = _float_array(covariance, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -158,13 +158,16 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
             f"covariance is {d}x{d}"
         )
 
-    scale = float(np.max(np.abs(cov))) if cov.size else 0.0
-    asym = float(np.max(np.abs(cov - cov.T)))
-    if scale > 0 and asym > SYMMETRY_RTOL * scale:
+    # Scale-free per pair; the bound multiplies, so a zero s_ii divides nothing.
+    root = np.sqrt(np.abs(np.diagonal(cov)))
+    excess = abs(cov - cov.T) - SYMMETRY_RTOL * root[:, None] * root
+    i, j = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[i, j] > 0:
         raise NotSymmetric(
-            f"covariance asymmetry {asym:.3g} exceeds {SYMMETRY_RTOL:g} * max|entry| = "
-            f"{SYMMETRY_RTOL * scale:.3g}"
+            f"covariance asymmetry {abs(cov[i, j] - cov[j, i]):.3g} at ({i}, {j}) exceeds "
+            f"{SYMMETRY_RTOL:g} * sqrt(|s_ii s_jj|) = {SYMMETRY_RTOL * root[i] * root[j]:.3g}"
         )
+    del excess
     cov = symmetrize(cov)
 
     factor = cholesky_lower(cov, what="covariance")
@@ -250,21 +253,6 @@ def compute_phi(model: GaussianModel) -> np.ndarray:
     """
     phi = solve_pd_from_lower(model.factor, model.gamma)
     return _frozen(symmetrize(phi))
-
-
-def to_correlation_model(model: GaussianModel):
-    """Split the covariance into scale factors and a unit-diagonal model.
-
-    Returns ``(scales, corr_model)`` where ``scales[k]`` is the standard
-    deviation of coordinate k and ``corr_model`` has covariance
-    R = D^{-1} S D^{-1} with the same partition. The coupling matrices of the
-    two models are similar (G = D G~ D^{-1}), so they share eigenvalues, CGF,
-    and cumulants.
-    """
-    scales = np.sqrt(np.diagonal(model.covariance))
-    corr = model.covariance / np.outer(scales, scales)
-    corr_model = validate_model(model.mean / scales, corr, model.partition.block_sizes)
-    return _frozen(scales), corr_model
 
 
 def model_fingerprint(model: GaussianModel) -> str:

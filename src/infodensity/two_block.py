@@ -3,9 +3,9 @@
 With two blocks the coupling matrix is block anti-diagonal, so odd powers
 have zero trace and even powers reduce to powers of the product of the two
 regression blocks. The second cumulant is the sum of the squared canonical
-correlations; with a scalar first block everything collapses to the squared
-multiple correlation, and with two scalar blocks to the plain correlation
-coefficient.
+correlations; with a scalar block the one squared canonical correlation is
+the squared multiple correlation of that coordinate on the other block, and
+with two scalar blocks the squared correlation coefficient.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from ._linalg import _inverse_lower
-from .errors import BadPartition, BlockNotScalar, OutOfDomain
+from ._linalg import _inverse_lower, symmetrize
+from .errors import BadPartition, OutOfDomain
 from .measures import CgfDomain
 from .model import GaussianModel, regression_block
 
@@ -54,21 +54,12 @@ def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
     # M = L^{-1} (S_ab S_bb^{-1} S_ba) L^{-T}, similar to S_aa^{-1} S_ab S_bb^{-1} S_ba.
     inner = regression_block(model, a, b) @ model.covariance_block(b, a)  # symmetric PSD
     m = inverse @ inner @ inverse.T
-    w = np.linalg.eigvalsh((m + m.T) / 2.0, UPLO="L")
+    w = np.linalg.eigvalsh(symmetrize(m), UPLO="L")
     w = np.where(w < _CLAMP_EIGENVALUE, 0.0, w)
     values = tuple(float(v) for v in sorted(w, reverse=True))
     if values and values[0] >= 1.0:
         raise ValueError(f"squared canonical correlation {values[0]} >= 1; model is singular")
     return values
-
-
-def multiple_correlation(model: GaussianModel) -> float:
-    """Squared multiple correlation of a scalar first block on the second block."""
-    _require_two_blocks(model)
-    if model.partition.block_sizes[0] != 1:
-        raise BlockNotScalar(f"first block has size {model.partition.block_sizes[0]}, expected 1")
-    predicted = float((regression_block(model, 0, 1) @ model.covariance_block(1, 0))[0, 0])
-    return predicted / float(model.covariance[0, 0])
 
 
 def scalar_pair_cgf(rho: float, t: float) -> float:

@@ -46,13 +46,30 @@ def scalar_pair_model(rho):
     return validate_model([0.0, 0.0], [[1.0, rho], [rho, 1.0]], [1, 1])
 
 
+def correlation_model(model):
+    """``(scales, R-model)``: the standard deviations, and the model of x / scales."""
+    scales = np.sqrt(np.diagonal(model.covariance))
+    corr = model.covariance / np.outer(scales, scales)
+    return scales, validate_model(model.mean / scales, corr, model.partition.block_sizes)
+
+
 def random_correlation_model(rng, d, sizes=None):
     """Unit-diagonal random model, handy when correlations must be read off directly."""
     a = rng.standard_normal((d, d))
     cov = a @ a.T + 0.5 * d * np.eye(d)
-    scales = np.sqrt(np.diagonal(cov))
-    corr = cov / np.outer(scales, scales)
-    return validate_model(np.zeros(d), corr, sizes or [1] * d)
+    return correlation_model(validate_model(np.zeros(d), cov, sizes or [1] * d))[1]
+
+
+def equicorrelation_gamma_power(d, rho, l):
+    """rho^l [(-1)^l I + ((d-1)^l - (-1)^l)/d U], the l-th power of G = rho (U - I)."""
+    u_coef = float(((d - 1) ** l - (-1) ** l) // d)
+    return rho**l * (u_coef * np.ones((d, d)) + (-1.0) ** l * np.eye(d))
+
+
+def squared_multiple_correlation(model):
+    """R^2 of coordinate 0 on all the others: 1 - 1 / (s_00 (S^-1)_00)."""
+    s = model.covariance
+    return 1.0 - 1.0 / (s[0, 0] * np.linalg.inv(s)[0, 0])
 
 
 def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):

@@ -9,11 +9,13 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
+    equicorrelation_gamma_power,
     random_block_diagonal_model,
     random_correlation_model,
     random_model,
     random_partition,
     scalar_pair_model,
+    squared_multiple_correlation,
 )
 
 from infodensity import (
@@ -25,12 +27,10 @@ from infodensity import (
     density_at,
     homogeneous_covariance,
     homogeneous_cumulant,
-    homogeneous_gamma_power,
     homogeneous_mean,
     mc_validate,
     multiinformation,
     multiinformation_from_gamma,
-    multiple_correlation,
     canonical_correlations,
     scalar_pair_cgf,
     standardized_cumulant,
@@ -129,7 +129,7 @@ def test_c05_two_block_identities():
             rng = np.random.default_rng(5500 + i)
             sizes = [1, int(rng.integers(1, 5))]
             model = random_model(rng, d=sum(sizes), sizes=sizes, zero_mean=True)
-            r2 = multiple_correlation(model)
+            r2 = squared_multiple_correlation(model)
             seq = cumulants(model, 8)
             for l in (2, 4, 6, 8):
                 assert rel_close(seq.kappa(l), math.factorial(l - 1) * r2 ** (l // 2), 1e-9)
@@ -146,7 +146,7 @@ def test_c06_homogeneous_closed_forms():
                 for l in range(2, 7):
                     assert rel_close(homogeneous_cumulant(hm, l), seq.kappa(l), 1e-9)
                 for l in range(1, 7):
-                    closed = homogeneous_gamma_power(hm, l)
+                    closed = equicorrelation_gamma_power(d, rho, l)
                     numeric = np.linalg.matrix_power(model.gamma, l)
                     scale = max(1.0, float(np.max(np.abs(closed))))
                     assert float(np.max(np.abs(closed - numeric))) < 1e-9 * scale

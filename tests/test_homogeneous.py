@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import equicorrelation_gamma_power
+
 from infodensity import (
     HomogeneousModel,
     NotPositiveDefinite,
@@ -11,7 +13,6 @@ from infodensity import (
     cumulants,
     homogeneous_covariance,
     homogeneous_cumulant,
-    homogeneous_gamma_power,
     homogeneous_mean,
     multiinformation,
     standardized_cumulant,
@@ -73,19 +74,6 @@ class TestClosedForms:
     def test_zero_correlation(self):
         assert homogeneous_cumulant(HomogeneousModel(4, 0.0), 5) == 0.0
 
-    def test_gamma_power_first(self):
-        hm = HomogeneousModel(3, 0.5)
-        u_minus_i = np.ones((3, 3)) - np.eye(3)
-        assert homogeneous_gamma_power(hm, 1) == pytest.approx(0.5 * u_minus_i)
-
-    def test_gamma_power_square_d2(self):
-        assert homogeneous_gamma_power(HomogeneousModel(2, 0.5), 2) == pytest.approx(
-            0.25 * np.eye(2)
-        )
-
-    def test_gamma_power_rho_zero(self):
-        assert np.array_equal(homogeneous_gamma_power(HomogeneousModel(5, 0.0), 3), np.zeros((5, 5)))
-
 
 class TestAgainstGeneralMachinery:
     @pytest.mark.parametrize("d", [2, 5, 20])
@@ -99,7 +87,7 @@ class TestAgainstGeneralMachinery:
         for l in range(2, 7):
             assert rel_close(homogeneous_cumulant(hm, l), seq.kappa(l), 1e-9)
         for l in range(1, 7):
-            closed = homogeneous_gamma_power(hm, l)
+            closed = equicorrelation_gamma_power(d, rho, l)
             numeric = np.linalg.matrix_power(model.gamma, l)
             scale = max(1.0, np.max(np.abs(closed)))
             assert np.max(np.abs(closed - numeric)) < 1e-9 * scale

@@ -30,7 +30,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import DERANDOMIZED, random_model, random_partition, sampled_values, standard_normal_block
+from conftest import DERANDOMIZED, correlation_model, random_model, random_partition, sampled_values, standard_normal_block
 
 import infodensity
 from infodensity import (
@@ -44,7 +44,6 @@ from infodensity import (
     k_statistics,
     multiinformation,
     sample_density,
-    to_correlation_model,
     validate_model,
     variance,
 )
@@ -356,7 +355,7 @@ class TestCouplingOnce:
         assert calls[0] == 1
         rng = np.random.default_rng(1450)
         model = random_model(rng, d=7, sizes=[3, 1, 3])
-        scales, corr = to_correlation_model(model)
+        scales, corr = correlation_model(model)
         # The correlation model's own G~ = D^{-1} G D, not the parent's G.
         assert not np.array_equal(corr.gamma, model.gamma)
         expected = model.gamma * np.outer(1.0 / scales, scales)

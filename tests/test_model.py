@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_block_diagonal_model, random_model, scalar_pair_model
+from conftest import correlation_model, random_block_diagonal_model, random_model, scalar_pair_model
 
 from infodensity import (
     BadPartition,
@@ -20,7 +20,6 @@ from infodensity import (
     model_fingerprint,
     multiinformation,
     regression_block,
-    to_correlation_model,
     validate_model,
 )
 
@@ -97,6 +96,15 @@ class TestValidateModel:
         cov = np.array([[1.0, 0.6], [0.5, 1.0]])
         with pytest.raises(NotSymmetric):
             validate_model([0, 0], cov, [1, 1])
+
+    def test_asymmetry_rejected_at_every_scale(self):
+        # The rescaled copy's asymmetry, about 1e-101, is far below 1e-8 * max|S|,
+        # so only a bound per pair rejects it.
+        r = np.array([[1.0, 0.5, 0.0], [0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        d = np.diag([1e-50, 1e-50, 1e100])
+        for cov in (r, d @ r @ d):
+            with pytest.raises(NotSymmetric, match=r"at \(0, 1\)"):
+                validate_model(None, cov, [1, 1, 1])
 
     def test_default_mean_is_zero(self):
         model = validate_model(None, np.eye(3), [1, 2])
@@ -205,20 +213,20 @@ class TestComputePhi:
 class TestCorrelationModel:
     def test_explicit_two_by_two(self):
         model = validate_model([0, 0], [[4, 1], [1, 1]], [1, 1])
-        scales, corr = to_correlation_model(model)
+        scales, corr = correlation_model(model)
         assert scales == pytest.approx([2, 1])
         assert corr.covariance == pytest.approx(np.array([[1, 0.5], [0.5, 1]]))
 
     def test_already_unit_diagonal(self):
         model = scalar_pair_model(0.3)
-        scales, corr = to_correlation_model(model)
+        scales, corr = correlation_model(model)
         assert scales == pytest.approx([1, 1])
         assert corr.covariance == pytest.approx(model.covariance)
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(33)
         model = random_model(rng, d=5)
-        scales, corr = to_correlation_model(model)
+        scales, corr = correlation_model(model)
         assert np.max(np.abs(np.diagonal(corr.covariance) - 1.0)) < 1e-12
         eig_a = np.sort(model.gamma_eigenvalues)
         eig_b = np.sort(corr.gamma_eigenvalues)
@@ -227,7 +235,7 @@ class TestCorrelationModel:
     def test_gamma_similarity(self):
         rng = np.random.default_rng(34)
         model = random_model(rng, d=6)
-        scales, corr = to_correlation_model(model)
+        scales, corr = correlation_model(model)
         g = model.gamma
         g_tilde = corr.gamma
         recovered = np.diag(scales) @ g_tilde @ np.diag(1.0 / scales)

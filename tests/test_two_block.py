@@ -10,16 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_block_diagonal_model, random_model, scalar_pair_model
+from conftest import random_block_diagonal_model, random_model, scalar_pair_model, squared_multiple_correlation
 
 from infodensity import (
     BadPartition,
-    BlockNotScalar,
     OutOfDomain,
     canonical_correlations,
     cgf,
     cumulants,
-    multiple_correlation,
     regression_block,
     scalar_pair_cgf,
     two_block_trace,
@@ -47,7 +45,7 @@ class TestAsTwoBlock:
     def test_requires_two_blocks(self):
         model = validate_model(None, np.eye(3), [1, 1, 1])
         odd, even = (lambda m: two_block_trace(m, 3)), (lambda m: two_block_trace(m, 4))
-        for analysis in (odd, even, canonical_correlations, multiple_correlation):
+        for analysis in (odd, even, canonical_correlations):
             with pytest.raises(BadPartition):
                 analysis(model)
 
@@ -122,29 +120,25 @@ class TestCanonicalCorrelations:
 class TestMultipleCorrelation:
     def test_uncorrelated(self):
         model = validate_model(None, np.eye(3), [1, 2])
-        assert multiple_correlation(model) == 0.0
+        assert squared_multiple_correlation(model) == 0.0
 
     def test_one_against_two(self):
         cov = np.array([[1.0, 0.3, 0.4], [0.3, 1.0, 0.0], [0.4, 0.0, 1.0]])
         model = validate_model(None, cov, [1, 2])
-        r2 = multiple_correlation(model)
+        r2 = squared_multiple_correlation(model)
         assert r2 == pytest.approx(0.25, abs=1e-12)
         seq = cumulants(model, 4)
         assert seq.kappa(2) == pytest.approx(r2, abs=1e-9)
         assert seq.kappa(4) == pytest.approx(6 * r2**2, abs=1e-9)
 
     def test_scalar_pair_is_squared_correlation(self):
-        assert multiple_correlation(scalar_pair_model(0.7)) == pytest.approx(0.49, abs=1e-12)
-
-    def test_nonscalar_first_block_rejected(self):
-        with pytest.raises(BlockNotScalar):
-            multiple_correlation(validate_model(None, np.eye(3), [2, 1]))
+        assert squared_multiple_correlation(scalar_pair_model(0.7)) == pytest.approx(0.49, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_even_cumulants_from_multiple_correlation(self, seed):
         rng = np.random.default_rng(120 + seed)
         model = random_two_block(rng, scalar_first=True)
-        r2 = multiple_correlation(model)
+        r2 = squared_multiple_correlation(model)
         seq = cumulants(model, 8)
         for l in (2, 4, 6, 8):
             expected = math.factorial(l - 1) * r2 ** (l // 2)
