@@ -200,17 +200,37 @@ def _parse_t_grid(text: str, dimension: int) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-def _oracle_rows(model, max_l: int):
+def _oracle_loop_counts(model, max_l: int) -> list[int]:
+    """The rooted loop count of each length 1..max_l, taken before any oracle work.
+
+    The counts are closed forms, so ``max_l`` below 1, or the first length
+    whose count is over ``DEFAULT_LOOP_CAP``, is refused here with the
+    error ``trace_via_loops`` would raise, before any shorter length runs.
+    """
     if max_l < 1:
         raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
-    rows = []
+    counts = []
     for l in range(1, max_l + 1):
+        count = rooted_loop_count(model.partition.n_blocks, l)
+        if count > DEFAULT_LOOP_CAP:
+            raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=l)
+        counts.append(count)
+    return counts
+
+
+def _oracle_rows(model, loop_counts: list[int]):
+    """One row per length: the loop sum against tr(G^l), with G^l carried forward one product a row."""
+    rows = []
+    power = model.gamma
+    for l, count in enumerate(loop_counts, start=1):
+        if l > 1:
+            power = power @ model.gamma
         loop_sum = trace_via_loops(model, l)
-        matrix_trace = float(np.trace(np.linalg.matrix_power(model.gamma, l)))
+        matrix_trace = float(np.trace(power))
         rows.append(
             {
                 "l": l,
-                "loop_count": rooted_loop_count(model.partition.n_blocks, l),
+                "loop_count": count,
                 "loop_sum": loop_sum,
                 "matrix_trace": matrix_trace,
                 **_check(loop_sum, matrix_trace, _rel_bound(loop_sum, matrix_trace, ORACLE_TOL)),
@@ -222,6 +242,7 @@ def _oracle_rows(model, max_l: int):
 def _cmd_analyze(args):
     model = _load_model(args)
     grid = _parse_t_grid(args.t_grid, model.dimension) if args.t_grid else None
+    loop_counts = None if args.oracle_max_l is None else _oracle_loop_counts(model, args.oracle_max_l)
     info_logdet = multiinformation(model)
     info_gamma = multiinformation_from_gamma(model)
     domain = cgf_domain(model)
@@ -246,8 +267,8 @@ def _cmd_analyze(args):
     if grid is not None:
         values = cgf(model, grid)  # OutOfDomain -> exit 3
         report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
-    if args.oracle_max_l is not None:
-        rows, ok = _oracle_rows(model, args.oracle_max_l)
+    if loop_counts is not None:
+        rows, ok = _oracle_rows(model, loop_counts)
         report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}
     if args.mc_n is not None:
         mc = mc_validate(model, args.mc_n, args.mc_seed, args.mc_max_order, threads=args.threads)
@@ -264,7 +285,7 @@ def _cmd_simulate(args):
 
 def _cmd_oracle_check(args):
     model = _load_model(args)
-    rows, ok = _oracle_rows(model, args.max_l)
+    rows, ok = _oracle_rows(model, _oracle_loop_counts(model, args.max_l))
     return {
         "fingerprint": model_fingerprint(model),
         "max_l": args.max_l,

@@ -38,10 +38,13 @@ def rooted_loop_count(n_blocks: int, length: int) -> int:
 def loop_trace(closing: np.ndarray, walk: np.ndarray) -> float:
     """Trace of the ordered product of regression blocks along one rooted loop.
 
-    ``walk`` is the product of the blocks along the loop's first l-1 arrows,
-    the last arrow's block leftmost, so it maps the root block to the loop's
-    last node; ``closing`` is the block of the arrow from that node back to
-    the root. The result is tr(closing @ walk), the trace of a square matrix
+    The loop is split at one of its nodes n. ``walk`` is the product of the
+    blocks along the arrows from the root to n, the last arrow's block
+    leftmost, so it maps the root block to n's; ``closing`` is the product
+    along the remaining arrows, from n back to the root, so it maps n's block
+    to the root's. ``_loop_terms`` splits every loop at its last-but-one
+    node: the closing is a two-arrow product, and at l = 2 the walk is the
+    identity. The result is tr(closing @ walk), the trace of a square matrix
     sized by the root block.
     """
     if closing.shape != walk.shape[::-1]:
@@ -50,30 +53,44 @@ def loop_trace(closing: np.ndarray, walk: np.ndarray) -> float:
 
 
 def _loop_terms(weights: list[list[np.ndarray]], length: int) -> Iterator[float]:
-    """Yield loop_trace of every rooted loop, depth-first in lexicographic node order.
+    """Yield loop_trace of every rooted loop of length >= 2, depth-first in lexicographic node order.
 
-    ``weights[n][m]`` is the weight of the arrow m -> n. A stack entry
-    (depth, node, parent, parent_walk) stands for a path of ``depth`` arrows
-    from the root whose last arrow is parent -> node; ``parent_walk`` is the
-    product along the path up to parent. A node's walk is formed when its
-    entry is popped, once, and every loop below the node shares it, so the
-    stack holds at most l walks and (l-1)(n-1) entries. ``loop_trace`` is
-    looked up as a module global for every term, so a wrapper installed on
-    the module sees each call.
+    ``weights[n][m]`` is the weight of the arrow m -> n. For each root, the
+    two-arrow closings n -> q -> root, weights[root][q] @ weights[q][n] for
+    every q other than n and the root, are formed once for each node n that
+    can be a loop's last-but-one node: the root itself at l = 2, every node
+    above (the root's closings go unused at l = 3). The depth-first walk
+    then stops at depth l-2. A stack entry (depth, node, parent, walk) stands for a path of
+    ``depth`` arrows from the root whose last arrow is parent -> node, and
+    holds the product along the path up to parent; the root's entry, at
+    depth 0, holds the identity. A node's walk is formed when its entry is
+    popped, once, and every loop below the node shares it, so the stack
+    holds at most l-1 walks and (l-2)(n-1) entries (one at l = 2). Each loop
+    is one call ``loop_trace(closing, walk)``, looked up as a module global
+    so a wrapper installed on the module sees each call; no two loops'
+    closings or walks are summed before their traces are taken.
     """
     n_blocks = len(weights)
     for root in range(n_blocks):
-        closing = weights[root]
-        identity = np.eye(closing[root].shape[0])  # the root's walk; products with it are exact
-        stack = [(1, q, root, identity) for q in range(n_blocks - 1, -1, -1) if q != root]
+        back = weights[root]
+        ends = [root] if length == 2 else range(n_blocks)
+        closings = {
+            n: [np.dot(back[q], weights[q][n]) for q in range(n_blocks) if q != n and q != root] for n in ends
+        }
+        # Walks are kept in Fortran order, so the walk.T that loop_trace takes
+        # is contiguous and np.vdot reads it without a copy. Products with the
+        # identity are exact.
+        stack = [(0, root, root, np.eye(back[root].shape[0], order="F"))]
         while stack:
-            depth, node, parent, parent_walk = stack.pop()
-            walk = np.dot(weights[node][parent], parent_walk)
-            if depth == length - 1:
-                yield loop_trace(closing[node], walk)
+            depth, node, parent, walk = stack.pop()
+            if depth:
+                walk = np.dot(walk.T, weights[node][parent].T).T
+            if depth == length - 2:
+                for closing in closings[node]:
+                    yield loop_trace(closing, walk)
                 continue
             for q in range(n_blocks - 1, -1, -1):
-                if q != node and (q != root or depth < length - 2):
+                if q != node:
                     stack.append((depth + 1, q, node, walk))
 
 
@@ -82,12 +99,14 @@ def trace_via_loops(model: GaussianModel, length: int, cap: int = DEFAULT_LOOP_C
 
     The loop count is checked against the cap in closed form before any
     work. The loops are streamed from a depth-first walk that forms each
-    prefix product once, so beyond one copy of the blocks of G memory is
-    O(length * b^2) for the largest block size b, whatever the loop count;
-    G^length is never formed. The terms are summed with math.fsum, which is
-    correctly rounded, so the result does not depend on the enumeration
-    order. Returns 0 for length 1 (no loops exist, matching the exact-zero
-    trace).
+    prefix product once and stops two arrows short of the root; each loop is
+    closed by one of the root's two-arrow products, formed once per root.
+    Beyond one copy of the blocks of G, memory is O(length * b^2) for the
+    walks, for the largest block size b, plus the closings of one root, at
+    most (n-1)^2 blocks for n blocks: whatever the loop count. G^length is
+    never formed. The terms are summed with math.fsum, which is correctly
+    rounded, so the result does not depend on the enumeration order. Returns
+    0 for length 1 (no loops exist, matching the exact-zero trace).
     """
     if length == 1:
         return 0.0

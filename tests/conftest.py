@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import settings
 
-from infodensity import multiinformation, validate_model
+from infodensity import loops, multiinformation, validate_model
 from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _folded_kernel, _normal_stream
 
 # A fixed example set, so every run (CI included) draws the same cases.
@@ -64,6 +64,19 @@ def equicorrelation_gamma_power(d, rho, l):
     """rho^l [(-1)^l I + ((d-1)^l - (-1)^l)/d U], the l-th power of G = rho (U - I)."""
     u_coef = float(((d - 1) ** l - (-1) ** l) // d)
     return rho**l * (u_coef * np.ones((d, d)) + (-1.0) ** l * np.eye(d))
+
+
+def count_loop_trace(monkeypatch):
+    """Wrap ``loops.loop_trace`` for the test; the returned one-item list holds its call count."""
+    calls = [0]
+    original = loops.loop_trace
+
+    def counted(closing, walk):
+        calls[0] += 1
+        return original(closing, walk)
+
+    monkeypatch.setattr(loops, "loop_trace", counted)
+    return calls
 
 
 def squared_multiple_correlation(model):

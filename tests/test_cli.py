@@ -9,6 +9,8 @@ import numpy as np
 import orjson
 import pytest
 
+from conftest import count_loop_trace
+
 import infodensity
 from infodensity import DEFAULT_LOOP_CAP, cli, model_fingerprint, validate_model
 from infodensity.cli import (
@@ -389,6 +391,23 @@ class TestSimulate:
         assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.fixture
+def wide_file(tmp_path):
+    """218 scalar blocks: 217**3 - 217 = 10,218,096 loops at l = 3, over the default cap."""
+    cov = (np.full((218, 218), 0.001) + 0.999 * np.eye(218)).tolist()
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"covariance": cov, "partition": [1] * 218}))
+    return str(path)
+
+
+def assert_wide_cap_error(err):
+    doc = json.loads(err)
+    assert doc["error"] == "CombinatorialLimit"
+    assert doc["count"] == 10_218_096
+    assert doc["length"] == 3
+    assert doc["cap"] == 10_000_000 == DEFAULT_LOOP_CAP
+
+
 class TestOracleCheck:
     def test_equicorrelation_rows(self, capsys, equicorrelation_file):
         code, out, _ = run(capsys, ["oracle-check", equicorrelation_file, "--max-l", "4"])
@@ -414,18 +433,21 @@ class TestOracleCheck:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
-    def test_cap_exceeded_exit_3(self, capsys, tmp_path):
-        # 218 scalar blocks: 217**3 - 217 = 10,218,096 loops at l = 3, over the default cap.
-        cov = (np.full((218, 218), 0.001) + 0.999 * np.eye(218)).tolist()
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"covariance": cov, "partition": [1] * 218}))
-        code, out, err = run(capsys, ["oracle-check", str(path), "--max-l", "3"])
+    def test_cap_exceeded_exit_3(self, capsys, monkeypatch, wide_file):
+        calls = count_loop_trace(monkeypatch)
+        code, out, err = run(capsys, ["oracle-check", wide_file, "--max-l", "3"])
         assert code == 3
         assert out == ""
-        doc = json.loads(err)
-        assert doc["error"] == "CombinatorialLimit"
-        assert doc["count"] == 10_218_096
-        assert doc["cap"] == 10_000_000 == DEFAULT_LOOP_CAP
+        assert_wide_cap_error(err)
+        assert calls[0] == 0  # not even l = 2's 47,306 loops ran
+
+    def test_analyze_cap_exceeded_exit_3(self, capsys, monkeypatch, wide_file):
+        calls = count_loop_trace(monkeypatch)
+        code, out, err = run(capsys, ["analyze", wide_file, "--oracle-max-l", "3"])
+        assert code == 3
+        assert out == ""
+        assert_wide_cap_error(err)
+        assert calls[0] == 0
 
     def test_loop_cap_ignores_environment(self, capsys, equicorrelation_file, monkeypatch):
         monkeypatch.setenv("INFODENSITY_LOOP_CAP", "10")  # 18 loops at l = 4 would exceed it

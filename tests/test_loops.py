@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_block_diagonal_model, random_model, scalar_pair_model
+from conftest import count_loop_trace, random_block_diagonal_model, random_model, scalar_pair_model
 
 from infodensity import (
     CombinatorialLimit,
@@ -25,7 +25,6 @@ from infodensity import (
     two_block_trace,
     validate_model,
 )
-from infodensity import loops as loops_module
 from infodensity._linalg import rel_close
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
@@ -60,20 +59,8 @@ def _reference_loop_trace(nodes, model):
 
 
 def _closing_and_walk(nodes, model):
-    """``loop_trace``'s arguments for a loop: the block back to the root, and the walk before it."""
+    """``loop_trace``'s arguments, the loop split at its last node: the block back to the root, and the walk to it."""
     return _block(model, nodes[0], nodes[-1]), _reference_walk(nodes, model, len(nodes) - 1)
-
-
-def _count_loop_trace(monkeypatch):
-    calls = [0]
-    original = loops_module.loop_trace
-
-    def counted(closing, walk):
-        calls[0] += 1
-        return original(closing, walk)
-
-    monkeypatch.setattr(loops_module, "loop_trace", counted)
-    return calls
 
 
 class TestEnumerateLoops:
@@ -104,7 +91,7 @@ class TestEnumerateLoops:
 
     def test_cap_enforced_before_enumeration(self, monkeypatch):
         model = random_model(np.random.default_rng(7), d=5, sizes=[1] * 5)
-        calls = _count_loop_trace(monkeypatch)
+        calls = count_loop_trace(monkeypatch)
         with pytest.raises(CombinatorialLimit) as exc:
             trace_via_loops(model, 6, cap=100)
         assert calls[0] == 0
@@ -185,31 +172,44 @@ class TestTraceViaLoops:
 
 class TestStreaming:
     @pytest.mark.parametrize(
-        "sizes, length, loops", [([2] * 8, 5, 16_800), ([1, 2], 3, 0), ([2, 3], 5, 0), ([1, 2, 3], 4, 18)]
+        "sizes, length, loops",
+        [
+            ([2] * 8, 5, 16_800),
+            ([1, 2], 3, 0),
+            ([2, 3], 5, 0),
+            ([1, 2, 3], 4, 18),
+            # l = 2: every loop closes at the root itself, on the identity walk
+            ([1, 3, 2], 2, 6),
+            ([2] * 8, 2, 56),
+            # unequal blocks: closings and walks of every shape, some walks back at the root
+            ([3, 1, 2, 2], 6, 732),
+        ],
     )
     def test_one_loop_trace_call_per_rooted_loop(self, monkeypatch, sizes, length, loops):
         model = random_model(np.random.default_rng(6), d=sum(sizes), sizes=sizes)
-        calls = _count_loop_trace(monkeypatch)
+        calls = count_loop_trace(monkeypatch)
         trace_via_loops(model, length)
         assert calls[0] == loops == rooted_loop_count(len(sizes), length)
 
     def test_cap_raises_before_any_term(self, monkeypatch):
         model = random_model(np.random.default_rng(8), d=16, sizes=[2] * 8)
-        calls = _count_loop_trace(monkeypatch)
+        calls = count_loop_trace(monkeypatch)
         with pytest.raises(CombinatorialLimit) as exc:
             trace_via_loops(model, 5, cap=16_799)
         assert exc.value.count == 16_800
         assert calls[0] == 0
 
     def test_peak_memory_independent_of_loop_count(self):
+        # 16,800 loops at l = 5 and 117,656 at l = 6, under one bound.
         model = random_model(np.random.default_rng(9), d=16, sizes=[2] * 8)
-        tracemalloc.start()
-        try:
-            trace_via_loops(model, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 256 * 1024
+        for length in (5, 6):
+            tracemalloc.start()
+            try:
+                trace_via_loops(model, length)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 256 * 1024
 
 
 class TestPerRootConsistency:
