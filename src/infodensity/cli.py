@@ -206,14 +206,30 @@ def _oracle_loop_counts(model, max_l: int) -> list[int]:
     The counts are closed forms, so ``max_l`` below 1, or the first length
     whose count is over ``DEFAULT_LOOP_CAP``, is refused here with the
     error ``trace_via_loops`` would raise, before any shorter length runs.
+    So is the first length at which the walk products of all lengths so far
+    pass the same cap: length l forms n (n-1)^k walks of k arrows for
+    k = 1..l-2 on n blocks, which bounds two blocks' runs (at most 2 loops a
+    length, but 2 (l-2) products) too.
     """
     if max_l < 1:
         raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
+    n = model.partition.n_blocks
     counts = []
+    walks = total = 0  # walk products at length l, and over lengths 1..l
     for l in range(1, max_l + 1):
-        count = rooted_loop_count(model.partition.n_blocks, l)
+        count = rooted_loop_count(n, l)
         if count > DEFAULT_LOOP_CAP:
             raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=l)
+        if l > 2:
+            walks += n * (n - 1) ** (l - 2)
+        total += walks
+        if total > DEFAULT_LOOP_CAP:
+            raise CombinatorialLimit(
+                count=total,
+                cap=DEFAULT_LOOP_CAP,
+                length=l,
+                message=f"{total} walk products for loop lengths 1..{l} exceed cap {DEFAULT_LOOP_CAP}",
+            )
         counts.append(count)
     return counts
 

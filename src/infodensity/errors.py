@@ -59,8 +59,8 @@ class CumulantOverflow(InfoDensityError, OverflowError):
 class CombinatorialLimit(InfoDensityError, RuntimeError):
     """Loop enumeration would exceed the configured cap."""
 
-    def __init__(self, count, cap, length=None):
-        super().__init__(f"{count} rooted loops of length {length} exceed cap {cap}")
+    def __init__(self, count, cap, length=None, message=None):
+        super().__init__(message or f"{count} rooted loops of length {length} exceed cap {cap}")
         self.count = count
         self.cap = cap
         self.length = length

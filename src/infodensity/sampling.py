@@ -1,5 +1,11 @@
 """Seeded Monte Carlo validation of the analytic cumulants.
 
+The information density is I + (x - mu)^T P (x - mu) / 2. With x - mu = L z
+for the covariance Cholesky factor L and standard normals z, its part about
+I is y = z^T K z / 2 with the folded kernel K = L^T P L. Since tr G = 0,
+tr K = 0 too, so y has mean 0 exactly: the density's mean is the
+multiinformation I, and every cumulant from order 2 on is y's alone.
+
 Each chunk c draws its standard normals from its own stream: numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia & Tsang 2000) on an SFC64
 bit generator seeded by ``SeedSequence([seed mod 2**64, c])``, so any chunk
@@ -9,16 +15,17 @@ function of (seed, chunk index, chunk size) and of numpy's ``Generator``
 algorithms, which numpy may change between versions.
 
 Each chunk streams through its stream one row tile at a time (normals,
-kernel product, quadratic form in two tile-sized buffers) and is
-reduced to a central-moment summary: count, mean and the centered sums of
-powers 1..4 (the first only the mean's rounding residual). The summaries are
-merged in chunk-index order with the pairwise update formulas of Chan, Golub
-& LeVeque (1979) and Pebay (SAND2008-6212), so the result is bit-identical
+kernel product, quadratic form in two tile-sized buffers), writes its
+centered values y and reduces them to the power sums of y, y^2, y^3 and
+y^4. The chunks' sums are added by ``math.fsum``, which is correctly rounded
+and so independent of the order of its terms: the result is bit-identical
 for a given (model, n, seed, chunk_size) whatever the thread count, and
-memory does not grow with n: no n-length array of draws is ever formed.
-The chunk products, like the set-up and the analytic core, run on numpy's
-OpenBLAS, the only BLAS build the package loads, so every BLAS call of a
-process shares one thread pool.
+memory does not grow with n, since no n-length array of draws is ever
+formed. The sums are taken about the exact mean I, not about a sample mean,
+so they do not cancel the way raw sums of the density would when I is large
+against its spread. The chunk products, like the set-up and the analytic
+core, run on numpy's OpenBLAS, the only BLAS build the package loads, so
+every BLAS call of a process shares one thread pool.
 
 Cumulants are estimated with the classical unbiased k-statistics; the
 validation report compares them with the analytic values using standard
@@ -28,7 +35,6 @@ model's analytic cumulants.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -53,74 +59,29 @@ Z_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
-class CentralMoments:
-    """Count, mean and centered power sums s_p = sum (x - mean)^p, p = 1..4.
+class SampleBatch:
+    """n draws summarized about ``center``: s_p is the sum of (x - center)^p, p = 1..4."""
 
-    ``mean`` is a float near the sample mean, so s_1 is only the residual of
-    its rounding. Keeping that residual makes merging exact in the choice of
-    center: a sum about one center is moved to another by the binomial
-    expansion, and the final moments are taken about mean + s_1 / count.
-    """
-
-    count: int
-    mean: float
+    n: int
+    center: float
     s1: float
     s2: float
     s3: float
     s4: float
 
-    def shifted(self, h: float) -> tuple[float, float, float, float]:
-        """The power sums of x - mean + h, i.e. about the center mean - h."""
-        n = float(self.count)
-        s1, s2, s3, s4 = self.s1, self.s2, self.s3, self.s4
-        return (
-            s1 + n * h,
-            s2 + h * (2.0 * s1 + n * h),
-            s3 + h * (3.0 * s2 + h * (3.0 * s1 + n * h)),
-            s4 + h * (4.0 * s3 + h * (6.0 * s2 + h * (4.0 * s1 + n * h))),
-        )
-
-    def merge(self, other: CentralMoments) -> CentralMoments:
-        """Summary of the union of two samples (Chan et al. 1979; Pebay 2008).
-
-        Both summaries are moved by the binomial expansion to a common center,
-        the count-weighted mean of their centers.
-        """
-        count = self.count + other.count
-        center = self.mean + (other.mean - self.mean) * (other.count / count)
-        a = self.shifted(self.mean - center)
-        b = other.shifted(other.mean - center)
-        return CentralMoments(count, center, *(x + y for x, y in zip(a, b)))
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Merged central moments of seeded density draws, with provenance."""
-
-    moments: CentralMoments
-    seed: int
-    fingerprint: str
-
-    @property
-    def n(self) -> int:
-        return self.moments.count
-
 
 @dataclass(frozen=True)
 class KStatistics:
-    """Unbiased cumulant estimates k_1..k_4 with standard errors for k_1, k_2.
+    """Unbiased cumulant estimates k_1..k_4.
 
     k_3 and k_4 are NaN when the sample is too small for them (n < 3 and
-    n < 4 respectively); se2 uses the variance-of-variance formula
-    k_4/n + 2 k_2^2/(n-1) evaluated at the estimates themselves.
+    n < 4 respectively).
     """
 
     k1: float
     k2: float
     k3: float
     k4: float
-    se1: float
-    se2: float
 
     def estimate(self, order: int) -> float:
         return (self.k1, self.k2, self.k3, self.k4)[order - 1]
@@ -142,10 +103,8 @@ def _folded_kernel(model: GaussianModel) -> np.ndarray:
     return symmetrize(L.T @ compute_phi(model) @ L)
 
 
-def _chunk_values(
-    kernel: np.ndarray, info: float, seed: int, chunk_index: int, out: np.ndarray
-) -> np.ndarray:
-    """Write the density at chunk ``chunk_index``'s first ``out.size`` draws into ``out``.
+def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
+    """Write z^T K z / 2 at chunk ``chunk_index``'s first ``out.size`` draws into ``out``.
 
     The draws are made and mapped in row tiles of 2**18 // d**2 rows up to
     d = 128 (a product OpenBLAS runs on the calling thread) and of 2048 rows
@@ -166,23 +125,20 @@ def _chunk_values(
         np.matmul(zt, kernel, out=zkt)
         np.einsum("ij,ij->i", zkt, zt, out=out[t : t + len(zt)])
     out *= 0.5
-    out += info
     return out
 
 
-def _central_moments(x: np.ndarray, centered: np.ndarray, squares: np.ndarray) -> CentralMoments:
-    """Two-pass summary of 1-D ``x``, using two x-sized work buffers.
+def _power_sums(y: np.ndarray, squares: np.ndarray) -> tuple[float, float, float, float]:
+    """The sums of y, y^2, y^3 and y^4 over 1-D ``y``, which is overwritten.
 
-    ``centered`` may be ``x`` itself, which is then overwritten.
+    ``squares`` is a y-sized work buffer.
     """
-    mean = float(np.mean(x))
-    np.subtract(x, mean, out=centered)
-    s1 = float(np.sum(centered))
-    np.multiply(centered, centered, out=squares)
+    s1 = float(np.sum(y))
+    np.multiply(y, y, out=squares)
     s2 = float(np.sum(squares))
-    s3 = float(np.sum(np.multiply(squares, centered, out=centered)))
+    s3 = float(np.sum(np.multiply(squares, y, out=y)))
     s4 = float(np.sum(np.multiply(squares, squares, out=squares)))
-    return CentralMoments(x.size, mean, s1, s2, s3, s4)
+    return s1, s2, s3, s4
 
 
 def sample_density(
@@ -192,18 +148,20 @@ def sample_density(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> SampleBatch:
-    """Summarize the density on n seeded Gaussian draws.
+    """Summarize the density on n seeded Gaussian draws about its exact mean.
 
     Each chunk c draws standard normals z by ziggurat from its SFC64 stream
-    seeded by (seed mod 2**64, c) and evaluates I + z^T K z / 2 with the
+    seeded by (seed mod 2**64, c) and evaluates y = z^T K z / 2 with the
     folded kernel K = L^T P L, where L is the covariance Cholesky factor
-    (w = L z are the centered draws, so w^T P w = z^T K z), then reduces its
-    values to central moments. The draws depend on (seed, c, chunk_size) and
-    on numpy's ``Generator`` algorithms. ``threads`` is capped at
-    ``os.cpu_count()`` and at the number of chunks; thread w of the W that
-    run takes chunks w, w + W, ... with its own chunk-sized buffers. The
-    chunk summaries are merged in chunk order, so the thread count never
-    changes the result.
+    (w = L z are the centered draws, so w^T P w = z^T K z). The density is
+    I + y, so the returned batch holds, with ``center`` = I =
+    ``multiinformation(model)``, the sums of y^p for p = 1..4: each chunk's
+    sums are added by ``math.fsum``. The draws depend on (seed, c,
+    chunk_size) and on numpy's ``Generator`` algorithms. ``threads`` is
+    capped at ``os.cpu_count()`` and at the number of chunks; thread w of
+    the W that run takes chunks w, w + W, ... with its own chunk-sized
+    buffers. ``fsum`` is correctly rounded, so the thread count never
+    changes the result. For independent blocks K = 0, and every sum is 0.0.
 
     Each thread holds 2 * chunk_size * 8 bytes (the chunk's values and one
     work buffer) plus two tiles of tile * d * 8 bytes, with ``_chunk_values``'
@@ -219,65 +177,62 @@ def sample_density(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     kernel = _folded_kernel(model)
-    info = multiinformation(model)
     n_chunks = -(-n // chunk_size)
     workers = _worker_count(threads, n, chunk_size)
-    summaries: list = [None] * n_chunks
 
-    def summarize(first: int) -> None:
+    def summarize(first: int) -> list[tuple[float, float, float, float]]:
         values = np.empty(min(chunk_size, n))
         squares = np.empty_like(values)
+        sums = []
         for c in range(first, n_chunks, workers):
             rows = min(chunk_size, n - c * chunk_size)
-            out = _chunk_values(kernel, info, seed, c, values[:rows])
-            summaries[c] = _central_moments(out, out, squares[:rows])
+            sums.append(_power_sums(_chunk_values(kernel, seed, c, values[:rows]), squares[:rows]))
+        return sums
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(summarize, w) for w in range(workers)]:
-                future.result()
+            parts = list(pool.map(summarize, range(workers)))
     else:
-        summarize(0)
-    moments = functools.reduce(CentralMoments.merge, summaries)
-    return SampleBatch(moments=moments, seed=int(seed), fingerprint=model_fingerprint(model))
+        parts = [summarize(0)]
+    sums = zip(*(chunk for part in parts for chunk in part))
+    return SampleBatch(n, multiinformation(model), *map(math.fsum, sums))
 
 
 def k_statistics(batch) -> KStatistics:
-    """Unbiased cumulant estimates from a batch's moments (or a raw array's).
+    """Unbiased cumulant estimates from a batch's power sums (or a raw array's).
 
     k_1 is the sample mean, k_2 the unbiased variance, and k_3, k_4 the
-    classical third and fourth k-statistics, all finalized from the count,
-    mean and centered power sums of ``CentralMoments``. An array is
-    summarized in two passes (mean, then centered sums with numpy's pairwise
-    summation, corrected by the residual sum of the centered values); a
-    batch's summary was merged from its chunks' by the pairwise updates of
-    Chan, Golub & LeVeque (1979) and Pebay (SAND2008-6212). Both stay
-    accurate where raw power sums cancel, e.g. a mean of 1e8 with unit
-    spread.
+    classical third and fourth k-statistics. They are finalized from the
+    power sums s_p about ``batch.center``: k_1 = center + s_1 / n, and the
+    sums are moved by the binomial expansion to that sample mean. An array
+    is summarized in two passes, its mean and then the power sums about it
+    (numpy's pairwise summation), and finalized the same way. The sums about
+    a center near the mean stay accurate where raw power sums cancel, e.g.
+    a mean of 1e8 with unit spread.
     """
-    if isinstance(batch, SampleBatch):
-        moments = batch.moments
-    else:
+    if not isinstance(batch, SampleBatch):
         values = np.asarray(batch, dtype=float).ravel()
         if values.size < 2:
             raise BatchTooSmall(f"need at least 2 values, got {values.size}")
-        moments = _central_moments(values, np.empty_like(values), np.empty_like(values))
-    nf = float(moments.count)
-    residual = moments.s1 / nf
-    k1 = moments.mean + residual
-    _, m2, m3, m4 = (s / nf for s in moments.shifted(-residual))
+        center = float(np.mean(values))
+        y = values - center
+        batch = SampleBatch(values.size, center, *_power_sums(y, np.empty_like(y)))
+    nf = float(batch.n)
+    s1, s2, s3, s4 = batch.s1, batch.s2, batch.s3, batch.s4
+    h = s1 / nf
+    k1 = batch.center + h
+    m2 = (s2 - h * (2.0 * s1 - nf * h)) / nf
+    m3 = (s3 - h * (3.0 * s2 - h * (3.0 * s1 - nf * h))) / nf
+    m4 = (s4 - h * (4.0 * s3 - h * (6.0 * s2 - h * (4.0 * s1 - nf * h)))) / nf
     k2 = nf / (nf - 1.0) * m2
-    k3 = nf * nf / ((nf - 1.0) * (nf - 2.0)) * m3 if moments.count >= 3 else math.nan
-    if moments.count >= 4:
+    k3 = nf * nf / ((nf - 1.0) * (nf - 2.0)) * m3 if batch.n >= 3 else math.nan
+    if batch.n >= 4:
         k4 = nf * nf * ((nf + 1.0) * m4 - 3.0 * (nf - 1.0) * m2 * m2) / (
             (nf - 1.0) * (nf - 2.0) * (nf - 3.0)
         )
-        se2 = math.sqrt(max(k4 / nf + 2.0 * k2 * k2 / (nf - 1.0), 0.0))
     else:
         k4 = math.nan
-        se2 = math.nan
-    se1 = math.sqrt(k2 / nf)
-    return KStatistics(k1=k1, k2=k2, k3=k3, k4=k4, se1=se1, se2=se2)
+    return KStatistics(k1=k1, k2=k2, k3=k3, k4=k4)
 
 
 def kstat_sampling_variances(kappa, n: int) -> tuple[float, float, float, float]:
@@ -325,6 +280,14 @@ def mc_validate(
     sampling-variance formulas at the analytic cumulants), the z-score, its
     margin |z|/Z_THRESHOLD, and a pass flag at |z| <= Z_THRESHOLD = 5; its
     last key, ``threads``, is the number of sampler threads that ran.
+
+    The order-1 row does not test I: the sampler's center is the same
+    ``multiinformation(model)`` that k_1 is compared with, so that row
+    tests only that z^T K z / 2 has mean tr K / 2 = 0. An independent check
+    of kappa_1 belongs to ``analyze``'s planned ``--verify`` section
+    (ROADMAP item 2). Orders 2..4 compare sample statistics of the draws
+    with the spectrum's cumulants.
+
     ``corrupt_order`` shifts one analytic value by 25 standard errors; it
     exists only so a harness can verify that the check actually fails when
     the analytic side is wrong, so an order outside 1..max_order, which
@@ -369,7 +332,7 @@ def mc_validate(
             }
         )
     return {
-        "fingerprint": batch.fingerprint,
+        "fingerprint": model_fingerprint(model),
         "n": n,
         "seed": int(seed),
         "max_order": max_order,

@@ -86,17 +86,17 @@ def squared_multiple_correlation(model):
 
 
 def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):
-    """The n density values that ``sample_density`` summarizes, in chunk order.
+    """The n density values I + y, in chunk order, whose parts y ``sample_density`` summarizes.
 
     ``sample_density`` keeps no draws; this concatenates the per-chunk
-    function its threads call.
+    function its threads call and adds the multiinformation I.
     """
     kernel = _folded_kernel(model)
     info = multiinformation(model)
     chunks = range(-(-n // chunk_size))
     return np.concatenate(
-        [_chunk_values(kernel, info, seed, c, np.empty(min(chunk_size, n - c * chunk_size))) for c in chunks]
-    )
+        [_chunk_values(kernel, seed, c, np.empty(min(chunk_size, n - c * chunk_size))) for c in chunks]
+    ) + info
 
 
 def standard_normal_block(seed, chunk_index, count):

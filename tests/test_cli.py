@@ -400,6 +400,25 @@ def wide_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def two_by_two_file(tmp_path):
+    """Two blocks of 2: at most 2 rooted loops a length, but 2 (l - 2) walk products at length l."""
+    cov = [[1, 0.2, 0.4, 0.1], [0.2, 1, 0.3, 0.2], [0.4, 0.3, 1, 0.1], [0.1, 0.2, 0.1, 1]]
+    path = tmp_path / "two_by_two.json"
+    path.write_text(json.dumps({"covariance": cov, "partition": [2, 2]}))
+    return str(path)
+
+
+def assert_walk_cap_error(err):
+    # sum over l = 3..3164 of 2 (l - 2) = 3162 * 3163: the first total over the cap.
+    doc = json.loads(err)
+    assert doc["error"] == "CombinatorialLimit"
+    assert doc["count"] == 10_001_406
+    assert doc["length"] == 3164
+    assert doc["cap"] == DEFAULT_LOOP_CAP
+    assert "walk products" in doc["message"]
+
+
 def assert_wide_cap_error(err):
     doc = json.loads(err)
     assert doc["error"] == "CombinatorialLimit"
@@ -448,6 +467,22 @@ class TestOracleCheck:
         assert out == ""
         assert_wide_cap_error(err)
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("command", [["oracle-check", "--max-l"], ["analyze", "--oracle-max-l"]])
+    def test_two_block_walk_total_exceeded_exit_3(self, capsys, monkeypatch, two_by_two_file, command):
+        calls = count_loop_trace(monkeypatch)
+        code, out, err = run(capsys, [command[0], two_by_two_file, command[1], "100000"])
+        assert code == 3
+        assert out == ""
+        assert_walk_cap_error(err)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("sizes, max_l", [([2] * 8, 5), ([1] * 4, 14), ([2, 2], 3163)])
+    def test_walk_total_under_cap_accepted(self, sizes, max_l):
+        # Closed forms only: 8 blocks of 2 total 3,696 walk products through l = 5,
+        # 4 scalar blocks 4,782,888 through l = 14 and 2 blocks 9,995,082 through l = 3163.
+        model = validate_model(None, np.eye(sum(sizes)) + 0.01, sizes)
+        assert len(cli._oracle_loop_counts(model, max_l)) == max_l
 
     def test_loop_cap_ignores_environment(self, capsys, equicorrelation_file, monkeypatch):
         monkeypatch.setenv("INFODENSITY_LOOP_CAP", "10")  # 18 loops at l = 4 would exceed it
