@@ -12,8 +12,10 @@ Every agreement a report makes is a check record: a dict with ``abs_diff``
 (or ``z``), ``margin`` (|difference| / bound, or |z| / threshold) and ``ok``.
 
 Exit codes: 0 pass, 1 some check record in the report has ``"ok": false``,
-2 invalid input, 3 resource or domain limit. Reports go to stdout as JSON
-(CSV for flat tables on request); errors go to stderr as JSON.
+2 invalid input, 3 resource or domain limit. Reports go to stdout as
+indented JSON (CSV for flat tables on request); errors go to stderr as
+one-line JSON. orjson writes both: floats in their shortest round-trip
+form, a non-finite float as null, so every document is strict JSON.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .homogeneous import (
     homogeneous_mean,
     standardized_cumulant,
 )
-from .loops import DEFAULT_LOOP_CAP, rooted_loop_count, trace_via_loops
+from .loops import DEFAULT_LOOP_CAP, _walk_products, rooted_loop_count, trace_via_loops
 from .measures import cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
 from .model import model_fingerprint, validate_model
 from .sampling import mc_validate
@@ -69,7 +71,7 @@ def main(argv=None) -> int:
         if getattr(args, "format", "json") == "csv":
             sys.stdout.write(_render_csv(report))
         else:
-            print(_render_json(report))
+            print(orjson.dumps(report, option=orjson.OPT_INDENT_2).decode())
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe; send the rest of the output, and the
@@ -102,20 +104,6 @@ def _exit_code(report: dict) -> int:
     return 0
 
 
-def _render_json(payload) -> str:
-    """The report as indented JSON, walking it with ``_jsonable`` only when needed.
-
-    Plain payloads (finite floats, ints, bools, strings, None, lists, tuples,
-    dicts) serialize as they are. A non-finite float or a numpy scalar other
-    than float64 takes the walk, which gives the same bytes for everything
-    the direct call accepts.
-    """
-    try:
-        return json.dumps(payload, indent=2, allow_nan=False)
-    except (TypeError, ValueError):
-        return json.dumps(_jsonable(payload), indent=2)
-
-
 def _emit_error(exc) -> None:
     # numpy raises a private MemoryError subclass; report the public name.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
@@ -125,23 +113,7 @@ def _emit_error(exc) -> None:
             doc[attr] = getattr(exc, attr)
     if isinstance(exc, OutOfDomain):
         doc["domain"] = _domain_dict(exc.domain)
-    print(json.dumps(_jsonable(doc)), file=sys.stderr)
-
-
-def _jsonable(value):
-    """Make a payload JSON-safe: numpy scalars become Python ones, non-finite floats strings."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    print(orjson.dumps(doc).decode(), file=sys.stderr)
 
 
 def _render_csv(payload) -> str:
@@ -156,10 +128,7 @@ def _render_csv(payload) -> str:
 
 
 def _domain_dict(domain) -> dict:
-    return {
-        "lower": None if math.isinf(domain.lower) else domain.lower,
-        "upper": None if math.isinf(domain.upper) else domain.upper,
-    }
+    return {"lower": domain.lower, "upper": domain.upper}
 
 
 def _load_model(args):
@@ -207,22 +176,19 @@ def _oracle_loop_counts(model, max_l: int) -> list[int]:
     whose count is over ``DEFAULT_LOOP_CAP``, is refused here with the
     error ``trace_via_loops`` would raise, before any shorter length runs.
     So is the first length at which the walk products of all lengths so far
-    pass the same cap: length l forms n (n-1)^k walks of k arrows for
-    k = 1..l-2 on n blocks, which bounds two blocks' runs (at most 2 loops a
-    length, but 2 (l-2) products) too.
+    (``loops._walk_products``) pass the same cap, which bounds two blocks'
+    runs (at most 2 loops a length, but 2 (l-2) products) too.
     """
     if max_l < 1:
         raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
     n = model.partition.n_blocks
     counts = []
-    walks = total = 0  # walk products at length l, and over lengths 1..l
+    total = 0  # walk products over lengths 1..l
     for l in range(1, max_l + 1):
         count = rooted_loop_count(n, l)
         if count > DEFAULT_LOOP_CAP:
             raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=l)
-        if l > 2:
-            walks += n * (n - 1) ** (l - 2)
-        total += walks
+        total += _walk_products(n, l)
         if total > DEFAULT_LOOP_CAP:
             raise CombinatorialLimit(
                 count=total,

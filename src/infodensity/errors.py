@@ -49,7 +49,10 @@ class OutOfDomain(InfoDensityError, ValueError):
 
 
 class CumulantOverflow(InfoDensityError, OverflowError):
-    """A cumulant exceeds the double-precision range; ``order`` is the failing order."""
+    """A cumulant exceeds the double-precision range, or its order the cap.
+
+    ``order`` is the first order refused.
+    """
 
     def __init__(self, order, message=None):
         super().__init__(message or f"cumulant of order {order} overflows double precision")

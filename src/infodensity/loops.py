@@ -52,6 +52,22 @@ def loop_trace(closing: np.ndarray, walk: np.ndarray) -> float:
     return float(np.vdot(closing, walk.T))
 
 
+def _walk_products(n_blocks: int, length: int) -> int:
+    """Walk products ``_loop_terms`` forms at this length: n * sum_{k=1}^{l-2} (n-1)^k on n blocks.
+
+    Each root's depth-first walk forms one product for each of its (n-1)^k
+    paths of k arrows, k = 1..l-2. With two blocks that is 2 (l-2) products
+    against at most 2 loops, so this, not the loop count, bounds a long
+    length's time.
+    """
+    n, depth = n_blocks, length - 2
+    if depth < 1:
+        return 0
+    if n == 2:
+        return 2 * depth
+    return n * ((n - 1) ** (depth + 1) - (n - 1)) // (n - 2)
+
+
 def _loop_terms(weights: list[list[np.ndarray]], length: int) -> Iterator[float]:
     """Yield loop_trace of every rooted loop of length >= 2, depth-first in lexicographic node order.
 
@@ -97,10 +113,13 @@ def _loop_terms(weights: list[list[np.ndarray]], length: int) -> Iterator[float]
 def trace_via_loops(model: GaussianModel, length: int, cap: int = DEFAULT_LOOP_CAP) -> float:
     """tr(G^length) as the sum of loop_trace over every rooted loop.
 
-    The loop count is checked against the cap in closed form before any
-    work. The loops are streamed from a depth-first walk that forms each
-    prefix product once and stops two arrows short of the root; each loop is
-    closed by one of the root's two-arrow products, formed once per root.
+    The loop count, and then the number of walk products the enumeration
+    forms (``_walk_products``: two blocks have at most 2 loops a length, but
+    2 (length-2) products), are checked against the cap in closed form
+    before any work. The loops are streamed from a depth-first walk that
+    forms each prefix product once and stops two arrows short of the root;
+    each loop is closed by one of the root's two-arrow products, formed once
+    per root.
     Beyond one copy of the blocks of G, memory is O(length * b^2) for the
     walks, for the largest block size b, plus the closings of one root, at
     most (n-1)^2 blocks for n blocks: whatever the loop count. G^length is
@@ -114,6 +133,14 @@ def trace_via_loops(model: GaussianModel, length: int, cap: int = DEFAULT_LOOP_C
     count = rooted_loop_count(partition.n_blocks, length)
     if count > cap:
         raise CombinatorialLimit(count=count, cap=cap, length=length)
+    walks = _walk_products(partition.n_blocks, length)
+    if walks > cap:
+        raise CombinatorialLimit(
+            count=walks,
+            cap=cap,
+            length=length,
+            message=f"{walks} walk products for loop length {length} exceed cap {cap}",
+        )
     spans = list(zip(partition.offsets, partition.block_sizes))
     weights = [
         [np.ascontiguousarray(model.gamma[row : row + height, col : col + width]) for col, width in spans]

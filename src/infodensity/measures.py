@@ -163,17 +163,21 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     """Cumulants of the density up to the requested order.
 
     kappa_1 is the multiinformation; higher orders use the eigenvalue power
-    sums of the coupling matrix. Beyond order 20 the factorial and the power
-    sum, scaled by max|lambda|^l so a small spectrum does not underflow, are
-    combined in log space, and an order whose magnitude bound (l-1)! * sum|lambda|^l exceeds the
-    double range raises CumulantOverflow rather than saturating. An order
-    above MAX_CUMULANT_ORDER raises CumulantOverflow before any work.
+    sums of the coupling matrix. The power sum is taken over the spectrum
+    scaled toward max|lambda|, so a small spectrum does not underflow: up to
+    order 20 by 2^e, the smallest power of two above it, beyond order 20
+    by max|lambda| itself, with the factorial and the power sum combined in
+    log space. An order whose magnitude bound (l-1)! * sum|lambda|^l exceeds
+    the double range raises CumulantOverflow rather than saturating. An order
+    above MAX_CUMULANT_ORDER raises CumulantOverflow before any work, with
+    ``order`` MAX_CUMULANT_ORDER + 1, the first order refused.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_CUMULANT_ORDER:
         raise CumulantOverflow(
-            order, f"cumulant order {order} exceeds the cap of {MAX_CUMULANT_ORDER} (MAX_CUMULANT_ORDER)"
+            MAX_CUMULANT_ORDER + 1,
+            f"cumulant order {order} exceeds the cap of {MAX_CUMULANT_ORDER} (MAX_CUMULANT_ORDER)",
         )
     lam = model.gamma_eigenvalues
     values = [multiinformation(model)]
@@ -195,7 +199,11 @@ def _kappa_from_spectrum(lam: np.ndarray, log_abs: np.ndarray | None, l: int) ->
     if log_bound > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
     if l <= _EXACT_FACTORIAL_MAX_ORDER:
-        return math.factorial(l - 1) / 2.0 * float(np.sum(lam**l))
+        # sum lambda^l = 2^(l e) * sum r^l with r = lambda * 2^-e, e the binary
+        # exponent of max|lambda|: scaling by a power of two is exact, and the
+        # leading terms r^l stay normal where lambda^l would be subnormal.
+        e = math.frexp(float(np.abs(lam).max()))[1]
+        return math.ldexp(math.factorial(l - 1) / 2.0 * float(np.sum(np.ldexp(lam, -e) ** l)), l * e)
     # sum lambda^l = m^l * sum (lambda/m)^l with m = max|lambda| = exp(top / l):
     # the scaled terms lie in [-1, 1], so a small spectrum does not underflow.
     scaled_sum = float(np.sum((lam / np.abs(lam).max()) ** l))

@@ -278,8 +278,10 @@ def mc_validate(
     Returns a JSON-ready report with one row per order 1..max_order holding
     the analytic value, the estimate, the standard error (from the exact
     sampling-variance formulas at the analytic cumulants), the z-score, its
-    margin |z|/Z_THRESHOLD, and a pass flag at |z| <= Z_THRESHOLD = 5; its
-    last key, ``threads``, is the number of sampler threads that ran.
+    margin |z|/Z_THRESHOLD, and a pass flag at |z| <= Z_THRESHOLD = 5. A
+    nonzero difference over a zero standard error gives z = +-inf. The
+    ``seed`` it echoes is seed mod 2**64, the value the streams are seeded
+    with; its last key, ``threads``, is the number of sampler threads that ran.
 
     The order-1 row does not test I: the sampler's center is the same
     ``multiinformation(model)`` that k_1 is compared with, so that row
@@ -317,7 +319,7 @@ def mc_validate(
         if se > 0.0:
             z = diff / se
         else:
-            z = 0.0 if diff == 0.0 else math.inf
+            z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
         ok = abs(z) <= Z_THRESHOLD
         all_ok = all_ok and ok
         rows.append(
@@ -334,7 +336,7 @@ def mc_validate(
     return {
         "fingerprint": model_fingerprint(model),
         "n": n,
-        "seed": int(seed),
+        "seed": seed & _MASK64,
         "max_order": max_order,
         "z_threshold": Z_THRESHOLD,
         "rows": rows,

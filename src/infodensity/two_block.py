@@ -19,8 +19,6 @@ from .errors import BadPartition, OutOfDomain
 from .measures import CgfDomain
 from .model import GaussianModel, regression_block
 
-_CLAMP_EIGENVALUE = 1e-12
-
 
 def _require_two_blocks(model: GaussianModel) -> None:
     if model.partition.n_blocks != 2:
@@ -44,7 +42,9 @@ def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
     Computed as the spectrum of the symmetric matrix
     L^{-1} S_ab S_bb^{-1} S_ba L^{-T} with L the Cholesky factor of S_aa,
     taking the smaller block as 'a' so exactly min(n_1, n_2) values come out.
-    Guaranteed real and nonnegative; values below 1e-12 are clamped to zero.
+    Guaranteed real and nonnegative: a negative eigenvalue, which only
+    rounding gives, is set to zero, and every other value is kept however
+    small, so the values still add up to the variance.
     """
     _require_two_blocks(model)
     sizes = model.partition.block_sizes
@@ -55,7 +55,7 @@ def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
     inner = regression_block(model, a, b) @ model.covariance_block(b, a)  # symmetric PSD
     m = inverse @ inner @ inverse.T
     w = np.linalg.eigvalsh(symmetrize(m), UPLO="L")
-    w = np.where(w < _CLAMP_EIGENVALUE, 0.0, w)
+    w = np.maximum(w, 0.0)
     values = tuple(float(v) for v in sorted(w, reverse=True))
     if values and values[0] >= 1.0:
         raise ValueError(f"squared canonical correlation {values[0]} >= 1; model is singular")

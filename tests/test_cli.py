@@ -19,9 +19,7 @@ from infodensity.cli import (
     ORACLE_TOL,
     _build_parser,
     _exit_code,
-    _jsonable,
     _parse_t_grid,
-    _render_json,
     main,
 )
 from infodensity.measures import MAX_CUMULANT_ORDER
@@ -771,32 +769,54 @@ class TestBrokenPipe:
         assert proc.stderr == ""
 
 
-class TestRenderJson:
-    """Reports skip the ``_jsonable`` walk when they can, with the same bytes either way."""
+def strict_loads(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity literals JSON lacks."""
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"a": 0.1, "b": [1, 2.5e-9, None, True, "s"], "t": (1.0, -0.0, 1e300), "n": {"x": []}},
-            {"x": float("inf"), "y": [float("-inf")]},
-            {"x": [1.0, float("nan")]},
-            {"x": np.float64(0.1), "y": [np.float64(-2e-9)]},
-            {"x": np.bool_(True), "y": [np.bool_(False)]},
-            {"x": np.int64(-3)},
-            {"inf": float("inf"), "nan": float("nan"), "f": np.float64(1e-9), "b": np.bool_(True), "i": np.int64(7)},
-        ],
-        # The ids keep the names these cases had next to the removed 17-digit (--exact) mode.
-        ids=["False-plain", "False-inf", "False-nan", "False-np-float64", "False-np-bool", "False-np-int64",
-             "False-all"],
-    )
-    def test_same_bytes_as_the_walk(self, payload):
-        assert _render_json(payload) == json.dumps(_jsonable(payload), indent=2)
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
 
-    def test_non_finite_and_numpy_values_rendered(self):
-        payload = {"inf": float("inf"), "nan": float("nan"), "f": np.float64(1e-9), "b": np.bool_(True), "i": np.int64(7)}
-        assert _render_json(payload) == (
-            '{\n  "inf": "inf",\n  "nan": "nan",\n  "f": 1e-09,\n  "b": true,\n  "i": 7\n}'
-        )
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestJsonDocuments:
+    """Reports and error documents are strict JSON, written by one encoder."""
+
+    def test_infinite_z_written_as_null(self, capsys, tmp_path):
+        # Independent blocks: every standard error is 0, so the shifted order-1 target gives z = -inf.
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"covariance": np.eye(2).tolist(), "partition": [1, 1]}))
+        code, out, _ = run(capsys, ["simulate", str(path), "--n", "1000", "--corrupt-order", "1"])
+        assert code == 1
+        rows = strict_loads(out)["rows"]
+        assert rows[0]["z"] is None and rows[0]["margin"] is None and rows[0]["ok"] is False
+        assert all(row["z"] == 0.0 and row["ok"] for row in rows[1:])
+
+    def test_seed_echoed_mod_2_64(self, capsys, scalar_pair_file):
+        runs = [run(capsys, ["simulate", scalar_pair_file, "--n", "20000", "--seed", seed])
+                for seed in (str(2**64 + 3), "3")]
+        assert [code for code, _, _ in runs] == [0, 0]
+        big, small = (strict_loads(out) for _, out, _ in runs)
+        assert big["seed"] == 3
+        assert big == small
+
+    def test_cumulant_order_past_64_bits_exit_3(self, capsys, scalar_pair_file):
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, "--cumulants", str(10**26)])
+        assert code == 3
+        assert out == ""
+        doc = strict_loads(err)
+        assert doc["error"] == "CumulantOverflow"
+        assert doc["order"] == MAX_CUMULANT_ORDER + 1 == 10_001
+        assert str(10**26) in doc["message"]
+
+    def test_report_parses_back_to_the_handler_dict(self, capsys, equicorrelation_file):
+        argv = ["analyze", equicorrelation_file, "--t-grid=-0.9:0.9:7", "--oracle-max-l", "5",
+                "--mc-n", "20000", "--threads", "1"]
+        args = _build_parser().parse_args(argv)
+        report = args.handler(args)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        # dict equality compares every float with ==, so the parsed values are the handler's.
+        assert strict_loads(out) == report
 
 
 class TestParserReuse:

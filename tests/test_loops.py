@@ -18,6 +18,7 @@ import pytest
 from conftest import count_loop_trace, random_block_diagonal_model, random_model, scalar_pair_model
 
 from infodensity import (
+    DEFAULT_LOOP_CAP,
     CombinatorialLimit,
     loop_trace,
     rooted_loop_count,
@@ -26,6 +27,7 @@ from infodensity import (
     validate_model,
 )
 from infodensity._linalg import rel_close
+from infodensity.loops import _walk_products
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
 
@@ -198,6 +200,24 @@ class TestStreaming:
             trace_via_loops(model, 5, cap=16_799)
         assert exc.value.count == 16_800
         assert calls[0] == 0
+
+    def test_long_two_block_length_refused_before_any_term(self, monkeypatch):
+        # At most 2 loops a length on two blocks, but 2 (l - 2) = 10,000,002 walk products here.
+        model = random_model(np.random.default_rng(10), d=4, sizes=[2, 2])
+        calls = count_loop_trace(monkeypatch)
+        with pytest.raises(CombinatorialLimit) as exc:
+            trace_via_loops(model, 5_000_003)
+        assert calls[0] == 0
+        assert exc.value.length == 5_000_003
+        assert exc.value.count == 10_000_002
+        assert exc.value.cap == DEFAULT_LOOP_CAP
+        assert "walk products" in str(exc.value)
+
+    @pytest.mark.parametrize("n_blocks", [2, 3, 4, 8])
+    def test_walk_products_closed_form(self, n_blocks):
+        for length in range(1, 12):
+            expected = n_blocks * sum((n_blocks - 1) ** k for k in range(1, length - 1))
+            assert _walk_products(n_blocks, length) == expected
 
     def test_peak_memory_independent_of_loop_count(self):
         # 16,800 loops at l = 5 and 117,656 at l = 6, under one bound.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ class TestCumulants:
             expected = homogeneous_cumulant(hm, l)
             assert expected != 0.0
             assert abs(seq.kappa(l) - expected) <= 1e-9 * abs(expected)
+
+    @pytest.mark.parametrize("rho", [1e-16, 3e-17])
+    def test_weak_coupling_matches_exact_power_sums(self, rho):
+        # rho^20 is subnormal (1e-320) or below every double (3.5e-332); kappa_20 is 19! times it.
+        model = scalar_pair_model(rho)
+        seq = cumulants(model, 20)
+        lam = [Fraction(float(v)) for v in model.gamma_eigenvalues]
+        for l in range(2, 21):
+            terms = [Fraction(math.factorial(l - 1), 2) * v**l for v in lam]
+            exact = float(sum(terms))  # 0 at odd l, where numpy's powers of -rho and rho round apart
+            scale = float(sum(abs(t) for t in terms))
+            if scale >= np.finfo(float).tiny:
+                assert abs(seq.kappa(l) - exact) <= 1e-14 * scale
+            else:  # subnormal: correctly rounded, not flushed to zero
+                assert seq.kappa(l) == exact != 0.0
 
     def test_zero_spectrum_gives_zero(self):
         model = dataclasses.replace(scalar_pair_model(0.5), gamma_eigenvalues=np.zeros(2))

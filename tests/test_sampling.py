@@ -58,6 +58,13 @@ class TestSampleDensity:
         report = mc_validate(model, 5003, seed=4, chunk_size=1000, threads=2)
         assert [row["z"] for row in report["rows"]] == [0.0] * 4
 
+    def test_zero_standard_error_gives_signed_infinite_z(self):
+        # Independent blocks: every standard error is 0, and raising the order-2 target gives z = -inf.
+        model = random_block_diagonal_model(np.random.default_rng(2), [2, 3, 1])
+        report = mc_validate(model, 5003, seed=4, chunk_size=1000, threads=2, corrupt_order=2)
+        assert [row["z"] for row in report["rows"]] == [0.0, -math.inf, 0.0, 0.0]
+        assert [row["ok"] for row in report["rows"]] == [True, False, True, True]
+
     def test_deterministic_across_thread_counts(self):
         model = scalar_pair_model(0.5)
         one = sample_density(model, 200_000, seed=11, threads=1)

@@ -94,6 +94,13 @@ class TestCanonicalCorrelations:
         model = random_block_diagonal_model(np.random.default_rng(3), [2, 3])
         assert canonical_correlations(model) == (0.0, 0.0)
 
+    def test_weak_correlation_kept(self):
+        # rho^2 = 1e-14 is a real squared correlation, not rounding: it is the variance.
+        model = scalar_pair_model(1e-7)
+        (value,) = canonical_correlations(model)
+        assert abs(value - 1e-14) <= 1e-12 * 1e-14
+        assert abs(value - variance(model)) <= 1e-12 * variance(model)
+
     def test_scalar_pair(self):
         spectrum = canonical_correlations(scalar_pair_model(0.5))
         assert spectrum == pytest.approx((0.25,), abs=1e-12)
