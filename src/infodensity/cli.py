@@ -42,7 +42,7 @@ from .homogeneous import (
     homogeneous_mean,
     standardized_cumulant,
 )
-from .loops import DEFAULT_LOOP_CAP, _walk_products, rooted_loop_count, trace_via_loops
+from .loops import DEFAULT_LOOP_CAP, _loop_counts, trace_via_loops
 from .measures import cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
 from .model import model_fingerprint, validate_model
 from .sampling import mc_validate
@@ -170,34 +170,10 @@ def _parse_t_grid(text: str, dimension: int) -> np.ndarray:
 
 
 def _oracle_loop_counts(model, max_l: int) -> list[int]:
-    """The rooted loop count of each length 1..max_l, taken before any oracle work.
-
-    The counts are closed forms, so ``max_l`` below 1, or the first length
-    whose count is over ``DEFAULT_LOOP_CAP``, is refused here with the
-    error ``trace_via_loops`` would raise, before any shorter length runs.
-    So is the first length at which the walk products of all lengths so far
-    (``loops._walk_products``) pass the same cap, which bounds two blocks'
-    runs (at most 2 loops a length, but 2 (l-2) products) too.
-    """
+    """The rooted loop count of each length 1..max_l, held to the loop cap before any oracle work."""
     if max_l < 1:
         raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
-    n = model.partition.n_blocks
-    counts = []
-    total = 0  # walk products over lengths 1..l
-    for l in range(1, max_l + 1):
-        count = rooted_loop_count(n, l)
-        if count > DEFAULT_LOOP_CAP:
-            raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=l)
-        total += _walk_products(n, l)
-        if total > DEFAULT_LOOP_CAP:
-            raise CombinatorialLimit(
-                count=total,
-                cap=DEFAULT_LOOP_CAP,
-                length=l,
-                message=f"{total} walk products for loop lengths 1..{l} exceed cap {DEFAULT_LOOP_CAP}",
-            )
-        counts.append(count)
-    return counts
+    return _loop_counts(model.partition.n_blocks, range(1, max_l + 1))
 
 
 def _oracle_rows(model, loop_counts: list[int]):

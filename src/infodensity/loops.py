@@ -11,7 +11,7 @@ with them beyond the regression blocks themselves.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ def rooted_loop_count(n_blocks: int, length: int) -> int:
     """
     if n_blocks < 2 or length < 1:
         raise ValueError("need n_blocks >= 2 and length >= 1")
-    if length == 1:
-        return 0
     n = n_blocks
     return (n - 1) ** length + (n - 1) * (-1) ** length
 
@@ -57,8 +55,8 @@ def _walk_products(n_blocks: int, length: int) -> int:
 
     Each root's depth-first walk forms one product for each of its (n-1)^k
     paths of k arrows, k = 1..l-2. With two blocks that is 2 (l-2) products
-    against at most 2 loops, so this, not the loop count, bounds a long
-    length's time.
+    against at most 2 loops, so ``_loop_counts`` holds these, not only the
+    loop count, to the cap.
     """
     n, depth = n_blocks, length - 2
     if depth < 1:
@@ -110,13 +108,40 @@ def _loop_terms(weights: list[list[np.ndarray]], length: int) -> Iterator[float]
                     stack.append((depth + 1, q, node, walk))
 
 
-def trace_via_loops(model: GaussianModel, length: int, cap: int = DEFAULT_LOOP_CAP) -> float:
+def _loop_counts(n_blocks: int, lengths: Sequence[int]) -> list[int]:
+    """The rooted loop count of each length in ``lengths``, checked before any loop work.
+
+    The first length whose loop count, or the running total of walk products
+    (``_walk_products``) over the lengths so far, passes ``DEFAULT_LOOP_CAP``
+    raises CombinatorialLimit. ``trace_via_loops`` passes its one length; the
+    CLI's oracle passes 1..L, so a whole run is bounded before its first
+    length runs.
+    """
+    counts, walks = [], 0
+    for length in lengths:
+        count = rooted_loop_count(n_blocks, length)
+        if count > DEFAULT_LOOP_CAP:
+            raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=length)
+        walks += _walk_products(n_blocks, length)
+        if walks > DEFAULT_LOOP_CAP:
+            span = f"length {length}" if length == lengths[0] else f"lengths {lengths[0]}..{length}"
+            raise CombinatorialLimit(
+                count=walks,
+                cap=DEFAULT_LOOP_CAP,
+                length=length,
+                message=f"{walks} walk products for loop {span} exceed cap {DEFAULT_LOOP_CAP}",
+            )
+        counts.append(count)
+    return counts
+
+
+def trace_via_loops(model: GaussianModel, length: int) -> float:
     """tr(G^length) as the sum of loop_trace over every rooted loop.
 
     The loop count, and then the number of walk products the enumeration
-    forms (``_walk_products``: two blocks have at most 2 loops a length, but
-    2 (length-2) products), are checked against the cap in closed form
-    before any work. The loops are streamed from a depth-first walk that
+    forms, are held to ``DEFAULT_LOOP_CAP`` in closed form (``_loop_counts``)
+    before any work: two blocks have at most 2 loops a length, but
+    2 (length-2) products. The loops are streamed from a depth-first walk that
     forms each prefix product once and stops two arrows short of the root;
     each loop is closed by one of the root's two-arrow products, formed once
     per root.
@@ -130,17 +155,7 @@ def trace_via_loops(model: GaussianModel, length: int, cap: int = DEFAULT_LOOP_C
     if length == 1:
         return 0.0
     partition = model.partition
-    count = rooted_loop_count(partition.n_blocks, length)
-    if count > cap:
-        raise CombinatorialLimit(count=count, cap=cap, length=length)
-    walks = _walk_products(partition.n_blocks, length)
-    if walks > cap:
-        raise CombinatorialLimit(
-            count=walks,
-            cap=cap,
-            length=length,
-            message=f"{walks} walk products for loop length {length} exceed cap {cap}",
-        )
+    _loop_counts(partition.n_blocks, [length])
     spans = list(zip(partition.offsets, partition.block_sizes))
     weights = [
         [np.ascontiguousarray(model.gamma[row : row + height, col : col + width]) for col, width in spans]

@@ -38,7 +38,6 @@ SYMMETRY_RTOL = 1e-8
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -190,15 +189,13 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
                 f"diagonal block {n} failed positive definiteness: {exc}",
                 pivot_index=exc.pivot_index,
             ) from exc
-    # Rebinding frees the writable copies before G's d x d temporaries exist.
-    cov, factor, block_factor = _frozen(cov), _frozen(factor), _frozen(block_factor)
     gamma, eigenvalues = compute_gamma(cov, block_factor, partition)
     return GaussianModel(
         mean=_frozen(mu),
-        covariance=cov,
+        covariance=_frozen(cov),
         partition=partition,
-        factor=factor,
-        block_factor=block_factor,
+        factor=_frozen(factor),
+        block_factor=_frozen(block_factor),
         gamma=_frozen(gamma),
         gamma_eigenvalues=_frozen(eigenvalues),
     )

@@ -2,9 +2,10 @@
 
 The information density is I + (x - mu)^T P (x - mu) / 2. With x - mu = L z
 for the covariance Cholesky factor L and standard normals z, its part about
-I is y = z^T K z / 2 with the folded kernel K = L^T P L. Since tr G = 0,
-tr K = 0 too, so y has mean 0 exactly: the density's mean is the
-multiinformation I, and every cumulant from order 2 on is y's alone.
+I is y = z^T K z / 2 with the folded kernel K = L^T P L = L^{-1} G L (as
+P = S^{-1} G), which is similar to G. Since tr G = 0, tr K = 0 too, so y has
+mean 0 exactly: the density's mean is the multiinformation I, and every
+cumulant from order 2 on is y's alone.
 
 Each chunk c draws its standard normals from its own stream: numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia & Tsang 2000) on an SFC64
@@ -42,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import symmetrize
+from ._linalg import _inverse_lower, symmetrize
 from .errors import BatchTooSmall
 from .measures import cumulants, multiinformation
-from .model import GaussianModel, compute_phi, model_fingerprint
+from .model import GaussianModel, model_fingerprint
 
 DEFAULT_CHUNK_SIZE = 65536
 # OpenBLAS runs a gemm with m*n*k at or below 65536 * 4 on the calling thread.
@@ -98,9 +99,9 @@ def _worker_count(threads: int, n: int, chunk_size: int) -> int:
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
-    """K = L^T P L for the model's covariance factor L: w^T P w = z^T K z for w = L z."""
+    """K = L^T P L = L^{-1} G L (P = S^{-1} G) for the covariance factor L: w^T P w = z^T K z for w = L z."""
     L = model.factor
-    return symmetrize(L.T @ compute_phi(model) @ L)
+    return symmetrize(_inverse_lower(L) @ model.gamma @ L)
 
 
 def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
@@ -152,8 +153,8 @@ def sample_density(
 
     Each chunk c draws standard normals z by ziggurat from its SFC64 stream
     seeded by (seed mod 2**64, c) and evaluates y = z^T K z / 2 with the
-    folded kernel K = L^T P L, where L is the covariance Cholesky factor
-    (w = L z are the centered draws, so w^T P w = z^T K z). The density is
+    folded kernel K = L^T P L = L^{-1} G L, where L is the covariance Cholesky
+    factor (w = L z are the centered draws, so w^T P w = z^T K z). The density is
     I + y, so the returned batch holds, with ``center`` = I =
     ``multiinformation(model)``, the sums of y^p for p = 1..4: each chunk's
     sums are added by ``math.fsum``. The draws depend on (seed, c,
@@ -166,7 +167,7 @@ def sample_density(
     Each thread holds 2 * chunk_size * 8 bytes (the chunk's values and one
     work buffer) plus two tiles of tile * d * 8 bytes, with ``_chunk_values``'
     tile rows. The d x d set-up reads L from ``model.factor``, inverts it
-    once for P (``compute_phi``) and forms K by BLAS products. Up to d = 64
+    once and forms K = L^{-1} G L by two BLAS products. Up to d = 64
     the result does not depend on the BLAS thread settings; above that the
     set-up's rounding (and above d = 128 the tile products') can depend on them.
     """

@@ -22,6 +22,7 @@ from infodensity.cli import (
     _parse_t_grid,
     main,
 )
+from infodensity.loops import _loop_counts
 from infodensity.measures import MAX_CUMULANT_ORDER
 from infodensity.sampling import Z_THRESHOLD
 
@@ -479,8 +480,7 @@ class TestOracleCheck:
     def test_walk_total_under_cap_accepted(self, sizes, max_l):
         # Closed forms only: 8 blocks of 2 total 3,696 walk products through l = 5,
         # 4 scalar blocks 4,782,888 through l = 14 and 2 blocks 9,995,082 through l = 3163.
-        model = validate_model(None, np.eye(sum(sizes)) + 0.01, sizes)
-        assert len(cli._oracle_loop_counts(model, max_l)) == max_l
+        assert len(_loop_counts(len(sizes), range(1, max_l + 1))) == max_l
 
     def test_loop_cap_ignores_environment(self, capsys, equicorrelation_file, monkeypatch):
         monkeypatch.setenv("INFODENSITY_LOOP_CAP", "10")  # 18 loops at l = 4 would exceed it

@@ -361,10 +361,10 @@ class TestCouplingOnce:
         assert np.max(np.abs(corr.gamma - expected)) <= 1e-10 * np.max(np.abs(expected))
 
     @staticmethod
-    def _count_dense_calls(monkeypatch, d):
+    def _count_dense_calls(monkeypatch, d, modules=("model", "_linalg")):
         """Count inversions of a d x d factor, per calling module, and spectra."""
-        counts = {"model": 0, "_linalg": 0, "eigvalsh": 0}
-        for module in ("model", "_linalg"):
+        counts = {**dict.fromkeys(modules, 0), "eigvalsh": 0}
+        for module in modules:
 
             def counting_inverse(L, _module=module):
                 if np.shape(L) == (d, d):
@@ -398,13 +398,13 @@ class TestCouplingOnce:
         # compute_gamma inverts the 6 x 6 block factors only; one spectrum.
         assert counts == {"model": 0, "_linalg": 0, "eigvalsh": 1}
 
-    def test_simulate_solves_twice(self, capsys, tmp_path, monkeypatch):
+    def test_simulate_solves_no_dense_system(self, capsys, tmp_path, monkeypatch):
         path = self._model_file(tmp_path, 20)
-        counts = self._count_dense_calls(monkeypatch, 20)
+        counts = self._count_dense_calls(monkeypatch, 20, modules=("model", "_linalg", "sampling"))
         assert cli.main(["simulate", path, "--n", "2000", "--threads", "1"]) == 0
         capsys.readouterr()
-        # Only S P = G: the stored factor of S is inverted once and applied twice.
-        assert counts == {"model": 0, "_linalg": 1, "eigvalsh": 1}
+        # K = L^{-1} G L: the stored factor of S is inverted once, by the sampler, and no P is formed.
+        assert counts == {"model": 0, "_linalg": 0, "sampling": 1, "eigvalsh": 1}
 
     def test_analyze_stays_off_numpy_lapack(self, capsys, tmp_path, monkeypatch):
         path = self._model_file(tmp_path, 12, sizes=[1] * 12)

@@ -27,7 +27,7 @@ from infodensity import (
     validate_model,
 )
 from infodensity._linalg import rel_close
-from infodensity.loops import _walk_products
+from infodensity.loops import _loop_counts, _walk_products
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
 
@@ -92,14 +92,15 @@ class TestEnumerateLoops:
         assert first == second == sorted(first)
 
     def test_cap_enforced_before_enumeration(self, monkeypatch):
+        # 4^12 + 4 = 16,777,220 loops on 5 scalar blocks at l = 12.
         model = random_model(np.random.default_rng(7), d=5, sizes=[1] * 5)
         calls = count_loop_trace(monkeypatch)
         with pytest.raises(CombinatorialLimit) as exc:
-            trace_via_loops(model, 6, cap=100)
+            trace_via_loops(model, 12)
         assert calls[0] == 0
-        assert exc.value.count == rooted_loop_count(5, 6)
-        assert exc.value.cap == 100
-        assert exc.value.length == 6
+        assert exc.value.count == rooted_loop_count(5, 12) == 16_777_220
+        assert exc.value.cap == DEFAULT_LOOP_CAP
+        assert exc.value.length == 12
 
 
 class TestLoopTrace:
@@ -194,11 +195,14 @@ class TestStreaming:
         assert calls[0] == loops == rooted_loop_count(len(sizes), length)
 
     def test_cap_raises_before_any_term(self, monkeypatch):
+        # 7^9 - 7 = 40,353,600 loops on 8 blocks of 2 at l = 9.
         model = random_model(np.random.default_rng(8), d=16, sizes=[2] * 8)
         calls = count_loop_trace(monkeypatch)
         with pytest.raises(CombinatorialLimit) as exc:
-            trace_via_loops(model, 5, cap=16_799)
-        assert exc.value.count == 16_800
+            trace_via_loops(model, 9)
+        assert exc.value.count == 40_353_600
+        assert exc.value.cap == DEFAULT_LOOP_CAP
+        assert exc.value.length == 9
         assert calls[0] == 0
 
     def test_long_two_block_length_refused_before_any_term(self, monkeypatch):
@@ -212,6 +216,21 @@ class TestStreaming:
         assert exc.value.count == 10_000_002
         assert exc.value.cap == DEFAULT_LOOP_CAP
         assert "walk products" in str(exc.value)
+
+    def test_one_length_and_running_total_rules(self):
+        # Two blocks: 2 (l - 2) walk products at length l. One length is held to its own
+        # products, a run over 1..L to their running total, 3162 * 3163 at l = 3164.
+        assert _loop_counts(2, [3164]) == [2]
+        with pytest.raises(CombinatorialLimit) as exc:
+            _loop_counts(2, [5_000_003])
+        assert (exc.value.count, exc.value.length) == (10_000_002, 5_000_003)
+        assert str(exc.value) == "10000002 walk products for loop length 5000003 exceed cap 10000000"
+        with pytest.raises(CombinatorialLimit) as exc:
+            _loop_counts(2, range(1, 3165))
+        assert (exc.value.count, exc.value.length, exc.value.cap) == (10_001_406, 3164, DEFAULT_LOOP_CAP)
+        assert str(exc.value) == "10001406 walk products for loop lengths 1..3164 exceed cap 10000000"
+        counts = _loop_counts(2, range(1, 3164))
+        assert counts == [rooted_loop_count(2, l) for l in range(1, 3164)]
 
     @pytest.mark.parametrize("n_blocks", [2, 3, 4, 8])
     def test_walk_products_closed_form(self, n_blocks):

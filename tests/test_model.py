@@ -22,6 +22,7 @@ from infodensity import (
     regression_block,
     validate_model,
 )
+from infodensity._linalg import _scalar_factors, cholesky_lower
 
 
 class TestValidateModel:
@@ -109,6 +110,56 @@ class TestValidateModel:
     def test_default_mean_is_zero(self):
         model = validate_model(None, np.eye(3), [1, 2])
         assert np.array_equal(model.mean, np.zeros(3))
+
+    def test_model_arrays_read_only_and_apart_from_the_inputs(self):
+        mean = np.array([0.5, -1.0, 2.0])
+        cov = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        model = validate_model(mean, cov, [1, 2])
+        assert mean.flags.writeable and cov.flags.writeable
+        assert not np.shares_memory(model.mean, mean) and not np.shares_memory(model.covariance, cov)
+        arrays = [f.name for f in dataclasses.fields(model) if isinstance(getattr(model, f.name), np.ndarray)]
+        assert arrays == ["mean", "covariance", "factor", "block_factor", "gamma", "gamma_eigenvalues"]
+        for name in arrays:
+            assert not getattr(model, name).flags.writeable, name
+
+    def test_diagonal_block_failure_names_the_block(self, monkeypatch):
+        # A covariance that passes its own check passes every diagonal block's,
+        # so the block's failure is forced.
+        def failing(a, what="matrix"):
+            if what == "diagonal block 1":
+                raise NotPositiveDefinite(f"{what} is not positive definite", pivot_index=2)
+            return cholesky_lower(a, what=what)
+
+        monkeypatch.setattr("infodensity.model.cholesky_lower", failing)
+        with pytest.raises(NotPositiveDefinite) as exc:
+            validate_model(None, np.eye(5) + 0.1, [2, 3])
+        assert str(exc.value) == (
+            "diagonal block 1 failed positive definiteness: diagonal block 1 is not positive definite"
+        )
+        assert exc.value.pivot_index == 2
+
+    def test_failed_scalar_block_goes_through_cholesky(self, monkeypatch):
+        cov = np.eye(5) + 0.1 * np.arange(1, 6)[:, None] * np.arange(1, 6) / 5
+        reference = validate_model(None, cov, [1, 2, 1, 1])
+        factored = []
+
+        def one_failed(variances):
+            roots, passed = _scalar_factors(variances)
+            roots[1], passed[1] = np.nan, False  # block 2, the second size-1 block
+            return roots, passed
+
+        def spied(a, what="matrix"):
+            factored.append(what)
+            return cholesky_lower(a, what=what)
+
+        monkeypatch.setattr("infodensity.model._scalar_factors", one_failed)
+        monkeypatch.setattr("infodensity.model.cholesky_lower", spied)
+        model = validate_model(None, cov, [1, 2, 1, 1])
+        assert factored == ["covariance", "diagonal block 1", "diagonal block 2"]
+        assert np.array_equal(model.block_factor, reference.block_factor)
+        for n in range(4):
+            sl = model.partition.block_slice(n)
+            assert np.array_equal(model.block_factor[sl, sl], np.linalg.cholesky(model.diagonal_block(n)))
 
 
 class TestRegressionBlock:
