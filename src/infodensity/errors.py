@@ -60,7 +60,7 @@ class CumulantOverflow(InfoDensityError, OverflowError):
 
 
 class CombinatorialLimit(InfoDensityError, RuntimeError):
-    """Loop enumeration would exceed the configured cap."""
+    """Loop enumeration would exceed the configured cap; ``count`` is None past 64 bits, never formed."""
 
     def __init__(self, count, cap, length=None, message=None):
         super().__init__(message or f"{count} rooted loops of length {length} exceed cap {cap}")

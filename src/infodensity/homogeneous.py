@@ -2,8 +2,9 @@
 
 A d-dimensional correlation matrix with constant off-diagonal entry rho has
 eigenvalues 1 + (d-1)rho (once) and 1 - rho (d-1 times), and its coupling
-matrix is rho * (U - I) with U the all-ones matrix. Mean and cumulants of
-the density admit closed forms, including the standardized cumulants whose
+matrix is rho * (U - I) with U the all-ones matrix. Each rooted l-loop on the
+d blocks carries rho^l, so kappa_l = (l-1)!/2 * rho^l * rooted_loop_count(d, l)
+in closed form, as are the mean and the standardized cumulants, whose
 d -> infinity limits are the nonzero constants 2^{l/2-1} (l-1)!, the
 signature of non-normality in high dimension.
 """
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CumulantOverflow, ZeroVariance
-from .model import GaussianModel, validate_model
-
-_LOG_DBL_MAX = math.log(np.finfo(float).max)
-_EXACT_ORDER_MAX = 20
+from .loops import rooted_loop_count
+from .measures import _EXACT_FACTORIAL_MAX_ORDER, _LOG_DBL_MAX
+from .model import GaussianModel, _integral, validate_model
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,17 @@ class HomogeneousModel:
     """Equicorrelation parameters: dimension d >= 2 and -1/(d-1) < rho < 1.
 
     The lower bound is strict; at equality the largest-eigenvector direction
-    becomes degenerate and the covariance is singular.
+    becomes degenerate and the covariance is singular. d must be integral, by
+    ``Partition``'s rule for block sizes: 4.0 is 4; 3.7, "5" or True is refused.
     """
 
     dimension: int
     rho: float
 
     def __post_init__(self):
-        d = int(self.dimension)
-        if d < 2:
-            raise ValueError(f"dimension must be >= 2, got {d}")
+        d = _integral(self.dimension)
+        if d is None or d < 2:
+            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension!r}")
         rho = float(self.rho)
         lower = -1.0 / (d - 1)
         if not lower < rho < 1.0:
@@ -61,41 +62,35 @@ def homogeneous_mean(hm: HomogeneousModel) -> float:
     return -0.5 * ((d - 1) * math.log1p(-rho) + math.log1p((d - 1) * rho))
 
 
-def _trace_term(d: int, l: int) -> int:
-    """(-1)^l d + (d-1)^l - (-1)^l as an exact integer; nonnegative for all d, l >= 2."""
-    return (-1) ** l * d + (d - 1) ** l - (-1) ** l
-
-
 def _log_cumulant_magnitude(hm: HomogeneousModel, l: int) -> float:
-    """ln|kappa_l| for rho != 0, computed without forming large intermediates."""
+    """ln|kappa_l| for rho != 0 and a nonzero loop count, computed without forming large intermediates."""
     d, rho = hm.dimension, hm.rho
-    # (d-1)^l + (-1)^l (d-1), factored for a stable log.
-    log_term = l * math.log(d - 1) + math.log1p((-1.0) ** l * float(d - 1) ** (1 - l))
-    return math.lgamma(l) - math.log(2.0) + l * math.log(abs(rho)) + log_term
+    # ln rooted_loop_count(d, l) = ln[(d-1)^l + (-1)^l (d-1)], factored for a stable log.
+    log_count = l * math.log(d - 1) + math.log1p((-1.0) ** l * float(d - 1) ** (1 - l))
+    return math.lgamma(l) - math.log(2.0) + l * math.log(abs(rho)) + log_count
 
 
 def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
     """Cumulant of order l >= 2 in closed form.
 
-    (l-1)!/2 * rho^l * [(-1)^l d + (d-1)^l - (-1)^l]; the bracket is an exact
-    integer, so small orders are computed exactly up to one float product.
-    Large d or l switch to log-space magnitudes with the sign carried by
-    rho^l, and CumulantOverflow is raised instead of returning infinity.
+    (l-1)!/2 * rho^l * rooted_loop_count(d, l). Up to order 20 the integer
+    (l-1)!/2 * count is formed exactly, so the result is one float product;
+    above, or past 1000 bits, the magnitude is taken in log space with the
+    sign carried by rho^l, and neither factor is formed. CumulantOverflow is
+    raised instead of returning infinity.
     """
     if l < 2:
         raise ValueError(f"order must be >= 2, got {l}")
     d, rho = hm.dimension, hm.rho
-    if rho == 0.0:
-        return 0.0
-    term = _trace_term(d, l)
-    if term == 0:  # only for d = 2, l odd
+    if rho == 0.0 or (d == 2 and l % 2 == 1):  # the loop count is 0 only for d = 2, l odd
         return 0.0
     log_magnitude = _log_cumulant_magnitude(hm, l)
     if log_magnitude > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
-    integer_part = math.factorial(l - 1) * term // 2
-    if l <= _EXACT_ORDER_MAX and integer_part.bit_length() < 1000:
-        return float(integer_part) * rho**l
+    if l <= _EXACT_FACTORIAL_MAX_ORDER:
+        integer_part = math.factorial(l - 1) * rooted_loop_count(d, l) // 2
+        if integer_part.bit_length() < 1000:
+            return float(integer_part) * rho**l
     sign = -1.0 if (rho < 0 and l % 2 == 1) else 1.0
     return sign * math.exp(log_magnitude)
 
@@ -112,7 +107,7 @@ def standardized_cumulant(hm: HomogeneousModel, l: int) -> float:
         raise ZeroVariance("standardization undefined at rho = 0")
     if l == 2:
         return 1.0
-    if _trace_term(hm.dimension, l) == 0:
+    if hm.dimension == 2 and l % 2 == 1:
         return 0.0
     log_ratio = _log_cumulant_magnitude(hm, l) - (l / 2.0) * _log_cumulant_magnitude(hm, 2)
     if log_ratio > _LOG_DBL_MAX:
@@ -128,5 +123,5 @@ def asymptotic_standardized_limit(l: int) -> float:
     log_value = (l / 2.0 - 1.0) * math.log(2.0) + math.lgamma(l)
     if log_value > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
-    return math.exp(log_value) if l > _EXACT_ORDER_MAX else 2.0 ** (l / 2.0 - 1.0) * math.factorial(l - 1)
+    return math.exp(log_value) if l > _EXACT_FACTORIAL_MAX_ORDER else 2.0 ** (l / 2.0 - 1.0) * math.factorial(l - 1)
 

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CombinatorialLimit
-from .model import GaussianModel
+from .model import GaussianModel, _integral
 
 DEFAULT_LOOP_CAP = 10_000_000
 
@@ -25,11 +25,12 @@ def rooted_loop_count(n_blocks: int, length: int) -> int:
     """Number of rooted directed loops of the given length on n_blocks nodes.
 
     Closed form tr[(J - I)^length] = (n-1)^length + (n-1)(-1)^length; zero
-    for length 1 since self-connections are excluded.
+    for length 1 since self-connections are excluded. Arguments must be integral,
+    by ``Partition``'s rule for block sizes: 4.0 is 4; 2.5 or True raises ValueError.
     """
-    if n_blocks < 2 or length < 1:
+    n, length = _integral(n_blocks), _integral(length)
+    if n is None or length is None or n < 2 or length < 1:
         raise ValueError("need n_blocks >= 2 and length >= 1")
-    n = n_blocks
     return (n - 1) ** length + (n - 1) * (-1) ** length
 
 
@@ -113,24 +114,26 @@ def _loop_counts(n_blocks: int, lengths: Sequence[int]) -> list[int]:
 
     The first length whose loop count, or the running total of walk products
     (``_walk_products``) over the lengths so far, passes ``DEFAULT_LOOP_CAP``
-    raises CombinatorialLimit. ``trace_via_loops`` passes its one length; the
+    raises CombinatorialLimit; a count that would pass 64 bits (length *
+    log2(n-1) > 63) is refused unformed, with ``count`` None and its order of
+    magnitude in the message. ``trace_via_loops`` passes its one length; the
     CLI's oracle passes 1..L, so a whole run is bounded before its first
-    length runs.
+    length runs (and stops far below 64 bits).
     """
     counts, walks = [], 0
     for length in lengths:
+        if n_blocks > 2 and length * math.log2(n_blocks - 1) > 63:
+            digits = math.floor(length * math.log10(n_blocks - 1))
+            message = f"about 10^{digits} rooted loops of length {length} exceed cap {DEFAULT_LOOP_CAP}"
+            raise CombinatorialLimit(count=None, cap=DEFAULT_LOOP_CAP, length=length, message=message)
         count = rooted_loop_count(n_blocks, length)
         if count > DEFAULT_LOOP_CAP:
             raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=length)
         walks += _walk_products(n_blocks, length)
         if walks > DEFAULT_LOOP_CAP:
             span = f"length {length}" if length == lengths[0] else f"lengths {lengths[0]}..{length}"
-            raise CombinatorialLimit(
-                count=walks,
-                cap=DEFAULT_LOOP_CAP,
-                length=length,
-                message=f"{walks} walk products for loop {span} exceed cap {DEFAULT_LOOP_CAP}",
-            )
+            message = f"{walks} walk products for loop {span} exceed cap {DEFAULT_LOOP_CAP}"
+            raise CombinatorialLimit(count=walks, cap=DEFAULT_LOOP_CAP, length=length, message=message)
         counts.append(count)
     return counts
 

@@ -49,6 +49,14 @@ def _float_array(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
 
 
+def _integral(value) -> int | None:
+    """``value`` as an int when it equals one, else None. A bool is refused by type, since True == 1."""
+    try:
+        return None if isinstance(value, (bool, np.bool_)) or int(value) != value else int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass(frozen=True)
 class Partition:
     """Block sizes of a partition, with derived starting offsets.
@@ -60,14 +68,8 @@ class Partition:
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            sizes = tuple(int(s) for s in self.block_sizes)
-        except (TypeError, ValueError, OverflowError):
-            sizes = None
-        # (1, True) == (1, 1), so booleans are refused by type.
-        if sizes is None or sizes != tuple(self.block_sizes) or any(
-            isinstance(s, (bool, np.bool_)) for s in self.block_sizes
-        ):
+        sizes = tuple(_integral(s) for s in self.block_sizes)
+        if None in sizes:
             raise BadPartition(f"block sizes must be integers, got {tuple(self.block_sizes)}")
         if len(sizes) < 2:
             raise BadPartition(f"need at least 2 blocks, got {len(sizes)}")

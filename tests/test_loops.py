@@ -232,6 +232,43 @@ class TestStreaming:
         counts = _loop_counts(2, range(1, 3164))
         assert counts == [rooted_loop_count(2, l) for l in range(1, 3164)]
 
+    @pytest.mark.parametrize(("n_blocks", "length"), [(4, 9_000), (4, 10_000), (218, 4_000_000)])
+    def test_count_past_64_bits_refused_unformed(self, monkeypatch, n_blocks, length):
+        def unformed(n_blocks, length):
+            raise AssertionError(f"rooted_loop_count({n_blocks}, {length}) formed")
+
+        monkeypatch.setattr("infodensity.loops.rooted_loop_count", unformed)
+        model = validate_model(None, np.eye(n_blocks), [1] * n_blocks)
+        with pytest.raises(CombinatorialLimit) as exc:
+            trace_via_loops(model, length)
+        assert exc.value.count is None
+        assert (exc.value.cap, exc.value.length) == (DEFAULT_LOOP_CAP, length)
+        digits = math.floor(length * math.log10(n_blocks - 1))
+        assert str(exc.value) == f"about 10^{digits} rooted loops of length {length} exceed cap 10000000"
+
+    def test_64_bit_boundary(self):
+        # On 3 blocks, 2^63 - 2 loops at l = 63 are formed and reported; l = 64 would pass 64 bits.
+        with pytest.raises(CombinatorialLimit) as exc:
+            _loop_counts(3, [63])
+        assert exc.value.count == rooted_loop_count(3, 63) == 2**63 - 2
+        with pytest.raises(CombinatorialLimit) as exc:
+            _loop_counts(3, [64])
+        assert exc.value.count is None
+        assert str(exc.value) == "about 10^19 rooted loops of length 64 exceed cap 10000000"
+
+    def test_fewer_than_two_blocks_refused_before_any_logarithm(self):
+        for n_blocks in (-1, 0, 1):
+            with pytest.raises(ValueError, match="need n_blocks >= 2"):
+                _loop_counts(n_blocks, [10**6])
+
+    def test_rooted_loop_count_needs_integral_arguments(self):
+        assert rooted_loop_count(4.0, 2) == rooted_loop_count(np.int64(4), 2.0) == 12
+        assert type(rooted_loop_count(3.0, 2)) is int
+        for n_blocks, length in [(4, 2.5), (3.5, 2), (True, 2), (4, True), (4, np.bool_(True)), ("4", 2),
+                                 (4, None), (4, float("nan")), (4, float("inf"))]:
+            with pytest.raises(ValueError, match="need n_blocks >= 2 and length >= 1"):
+                rooted_loop_count(n_blocks, length)
+
     @pytest.mark.parametrize("n_blocks", [2, 3, 4, 8])
     def test_walk_products_closed_form(self, n_blocks):
         for length in range(1, 12):
