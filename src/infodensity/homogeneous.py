@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CumulantOverflow, ZeroVariance
 from .loops import rooted_loop_count
 from .measures import _EXACT_FACTORIAL_MAX_ORDER, _LOG_DBL_MAX
-from .model import GaussianModel, _integral, validate_model
+from .model import GaussianModel, _integral, _integral_at_least, validate_model
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,11 @@ def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
     (l-1)!/2 * count is formed exactly, so the result is one float product;
     above, or past 1000 bits, the magnitude is taken in log space with the
     sign carried by rho^l, and neither factor is formed. CumulantOverflow is
-    raised instead of returning infinity.
+    raised instead of returning infinity. The order is integral by
+    ``Partition``'s rule here and in ``standardized_cumulant`` and
+    ``asymptotic_standardized_limit``: 4.0 is 4; 3.5 or True raises ValueError.
     """
-    if l < 2:
-        raise ValueError(f"order must be >= 2, got {l}")
+    l = _integral_at_least(l, 2, "order")
     d, rho = hm.dimension, hm.rho
     if rho == 0.0 or (d == 2 and l % 2 == 1):  # the loop count is 0 only for d = 2, l odd
         return 0.0
@@ -101,8 +102,7 @@ def standardized_cumulant(hm: HomogeneousModel, l: int) -> float:
     Evaluated in log space so it stays finite for large d even when the raw
     cumulants would overflow. Requires rho != 0 (ZeroVariance otherwise).
     """
-    if l < 2:
-        raise ValueError(f"order must be >= 2, got {l}")
+    l = _integral_at_least(l, 2, "order")
     if hm.rho == 0.0:
         raise ZeroVariance("standardization undefined at rho = 0")
     if l == 2:
@@ -118,8 +118,7 @@ def standardized_cumulant(hm: HomogeneousModel, l: int) -> float:
 
 def asymptotic_standardized_limit(l: int) -> float:
     """Large-d limit of the standardized cumulant of order l: 2^{l/2-1} (l-1)!."""
-    if l < 2:
-        raise ValueError(f"order must be >= 2, got {l}")
+    l = _integral_at_least(l, 2, "order")
     log_value = (l / 2.0 - 1.0) * math.log(2.0) + math.lgamma(l)
     if log_value > _LOG_DBL_MAX:
         raise CumulantOverflow(l)

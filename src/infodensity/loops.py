@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CombinatorialLimit
-from .model import GaussianModel, _integral
+from .model import GaussianModel, _integral, _integral_at_least
 
 DEFAULT_LOOP_CAP = 10_000_000
 
@@ -153,8 +153,11 @@ def trace_via_loops(model: GaussianModel, length: int) -> float:
     most (n-1)^2 blocks for n blocks: whatever the loop count. G^length is
     never formed. The terms are summed with math.fsum, which is correctly
     rounded, so the result does not depend on the enumeration order. Returns
-    0 for length 1 (no loops exist, matching the exact-zero trace).
+    0 for length 1 (no loops exist, matching the exact-zero trace). The
+    length is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True (which
+    equals 1) raises ValueError.
     """
+    length = _integral_at_least(length, 1, "length")
     if length == 1:
         return 0.0
     partition = model.partition

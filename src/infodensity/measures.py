@@ -24,7 +24,7 @@ import numpy as np
 
 from ._linalg import _inverse_lower, cholesky_lower, logdet_from_lower
 from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, NonFiniteInput, OutOfDomain
-from .model import GaussianModel, compute_phi
+from .model import GaussianModel, _integral, _integral_at_least, compute_phi
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
@@ -170,10 +170,11 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     log space. An order whose magnitude bound (l-1)! * sum|lambda|^l exceeds
     the double range raises CumulantOverflow rather than saturating. An order
     above MAX_CUMULANT_ORDER raises CumulantOverflow before any work, with
-    ``order`` MAX_CUMULANT_ORDER + 1, the first order refused.
+    ``order`` MAX_CUMULANT_ORDER + 1, the first order refused. ``order``
+    is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True raises
+    ValueError.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _integral_at_least(order, 1, "order")
     if order > MAX_CUMULANT_ORDER:
         raise CumulantOverflow(
             MAX_CUMULANT_ORDER + 1,
@@ -233,10 +234,14 @@ def cgf_numeric_cumulants(model: GaussianModel, order: int, step: float | None =
     for even l, half-integer for odd l), accurate to O(step^2). The default
     step is 1e-3 times the smaller of 1 and the symmetric half-width of the
     CGF domain. OutOfDomain is raised when a stencil node would leave the
-    domain.
+    domain. ``order`` is integral by ``Partition``'s rule (4.0 is 4; 2.5 or
+    True raises ValueError), and a given ``step`` must be finite and > 0.
     """
-    if not 1 <= order <= 6:
-        raise ValueError(f"order must be in 1..6, got {order}")
+    if _integral(order) not in range(1, 7):
+        raise ValueError(f"order must be an integer in 1..6, got {order!r}")
+    if step is not None and not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    order = int(order)
     domain = cgf_domain(model)
     if step is None:
         step = 1e-3 * min(1.0, domain.half_width)

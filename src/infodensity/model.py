@@ -29,7 +29,6 @@ from .errors import (
     BadPartition,
     DimensionMismatch,
     NonFiniteInput,
-    NotPositiveDefinite,
     NotSymmetric,
     SameBlock,
 )
@@ -55,6 +54,16 @@ def _integral(value) -> int | None:
         return None if isinstance(value, (bool, np.bool_)) or int(value) != value else int(value)
     except (TypeError, ValueError, OverflowError):
         return None
+
+
+def _integral_at_least(value, low: int, name: str) -> int:
+    """``value`` as an int by ``_integral``'s rule, at least ``low``; anything else raises ValueError."""
+    number = _integral(value)
+    if number is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -175,7 +184,9 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     block_factor = np.zeros_like(cov)
     # Size-1 blocks are factored together; a failing one, and every larger
     # block, goes through cholesky_lower in block order, so the first failing
-    # block raises the same error either way.
+    # block raises the same error either way. A covariance that passes its own
+    # check passes every block's, which is asserted independently; the error
+    # names the block by ``what``.
     sizes = np.array(partition.block_sizes)
     scalar = np.array(partition.offsets)[sizes == 1]
     roots, passed = _scalar_factors(cov[scalar, scalar])
@@ -184,13 +195,7 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     unfactored[sizes == 1] = ~passed
     for n in np.flatnonzero(unfactored):
         sl = partition.block_slice(n)
-        try:
-            block_factor[sl, sl] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
-        except NotPositiveDefinite as exc:  # implied by full PD; asserted independently
-            raise NotPositiveDefinite(
-                f"diagonal block {n} failed positive definiteness: {exc}",
-                pivot_index=exc.pivot_index,
-            ) from exc
+        block_factor[sl, sl] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
     gamma, eigenvalues = compute_gamma(cov, block_factor, partition)
     return GaussianModel(
         mean=_frozen(mu),

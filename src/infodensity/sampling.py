@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,19 +105,21 @@ def _folded_kernel(model: GaussianModel) -> np.ndarray:
     return symmetrize(_inverse_lower(L) @ model.gamma @ L)
 
 
-def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
-    """Write z^T K z / 2 at chunk ``chunk_index``'s first ``out.size`` draws into ``out``.
+def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) -> np.ndarray:
+    """z^T K z / 2 at chunk ``chunk_index``'s first ``rows`` draws, as a new array.
 
     The draws are made and mapped in row tiles of 2**18 // d**2 rows up to
     d = 128 (a product OpenBLAS runs on the calling thread) and of 2048 rows
-    above (a product BLAS may thread).
+    above (a product BLAS may thread). The two tile buffers are freed on
+    return, so a chunk holds its values and then ``_power_sums``' work
+    buffer, never both with the tiles.
     """
     d = kernel.shape[0]
-    rows = out.size
     tile = _TILE_MULTIPLY_ADDS // (d * d)
     if tile < _MIN_TILE_ROWS:
         tile = _WIDE_TILE_ROWS
     stream = _normal_stream(seed, chunk_index)
+    out = np.empty(rows)
     z = np.empty((min(tile, rows), d))
     zk = np.empty_like(z)
     for t in range(0, rows, tile):
@@ -129,13 +132,13 @@ def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, out: np.ndarr
     return out
 
 
-def _power_sums(y: np.ndarray, squares: np.ndarray) -> tuple[float, float, float, float]:
+def _power_sums(y: np.ndarray) -> tuple[float, float, float, float]:
     """The sums of y, y^2, y^3 and y^4 over 1-D ``y``, which is overwritten.
 
-    ``squares`` is a y-sized work buffer.
+    One y-sized work buffer, the squares, is allocated for the call.
     """
     s1 = float(np.sum(y))
-    np.multiply(y, y, out=squares)
+    squares = np.multiply(y, y)
     s2 = float(np.sum(squares))
     s3 = float(np.sum(np.multiply(squares, y, out=y)))
     s4 = float(np.sum(np.multiply(squares, squares, out=squares)))
@@ -159,17 +162,23 @@ def sample_density(
     ``multiinformation(model)``, the sums of y^p for p = 1..4: each chunk's
     sums are added by ``math.fsum``. The draws depend on (seed, c,
     chunk_size) and on numpy's ``Generator`` algorithms. ``threads`` is
-    capped at ``os.cpu_count()`` and at the number of chunks; thread w of
-    the W that run takes chunks w, w + W, ... with its own chunk-sized
-    buffers. ``fsum`` is correctly rounded, so the thread count never
-    changes the result. For independent blocks K = 0, and every sum is 0.0.
+    capped at ``os.cpu_count()`` (1 when that is unknown) and at the number
+    of chunks, and every count runs on one thread pool: thread w of the W
+    that run takes chunks w, w + W, ... ``fsum`` is correctly rounded, so
+    the thread count never changes the result. For independent blocks
+    K = 0, and every sum is 0.0.
 
-    Each thread holds 2 * chunk_size * 8 bytes (the chunk's values and one
-    work buffer) plus two tiles of tile * d * 8 bytes, with ``_chunk_values``'
-    tile rows. The d x d set-up reads L from ``model.factor``, inverts it
-    once and forms K = L^{-1} G L by two BLAS products. Up to d = 64
-    the result does not depend on the BLAS thread settings; above that the
-    set-up's rounding (and above d = 128 the tile products') can depend on them.
+    When a chunk raises, or the calling thread leaves with an exception
+    (KeyboardInterrupt included), each thread stops after its current chunk:
+    the call ends within one chunk's work per thread, a few seconds at
+    d = 1000. Each chunk allocates its own buffers, so a thread holds
+    chunk_size * 8 bytes of values plus the larger of one work buffer
+    (chunk_size * 8 bytes) and two tiles of tile * d * 8 bytes, with
+    ``_chunk_values``' tile rows. The d x d set-up reads L from
+    ``model.factor``, inverts it once and forms K = L^{-1} G L by two BLAS
+    products. Up to d = 64 the result does not depend on the BLAS thread
+    settings; above that the set-up's rounding (and above d = 128 the tile
+    products') can depend on them.
     """
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
@@ -180,22 +189,22 @@ def sample_density(
     kernel = _folded_kernel(model)
     n_chunks = -(-n // chunk_size)
     workers = _worker_count(threads, n, chunk_size)
+    stop = threading.Event()
 
     def summarize(first: int) -> list[tuple[float, float, float, float]]:
-        values = np.empty(min(chunk_size, n))
-        squares = np.empty_like(values)
-        sums = []
-        for c in range(first, n_chunks, workers):
-            rows = min(chunk_size, n - c * chunk_size)
-            sums.append(_power_sums(_chunk_values(kernel, seed, c, values[:rows]), squares[:rows]))
-        return sums
+        return [
+            _power_sums(_chunk_values(kernel, seed, c, min(chunk_size, n - c * chunk_size)))
+            for c in range(first, n_chunks, workers)
+            if not stop.is_set()
+        ]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(summarize, range(workers)))
-    else:
-        parts = [summarize(0)]
-    sums = zip(*(chunk for part in parts for chunk in part))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            futures = [pool.submit(summarize, w) for w in range(workers)]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            stop.set()
+    sums = zip(*(chunk for future in futures for chunk in future.result()))
     return SampleBatch(n, multiinformation(model), *map(math.fsum, sums))
 
 
@@ -217,7 +226,7 @@ def k_statistics(batch) -> KStatistics:
             raise BatchTooSmall(f"need at least 2 values, got {values.size}")
         center = float(np.mean(values))
         y = values - center
-        batch = SampleBatch(values.size, center, *_power_sums(y, np.empty_like(y)))
+        batch = SampleBatch(values.size, center, *_power_sums(y))
     nf = float(batch.n)
     s1, s2, s3, s4 = batch.s1, batch.s2, batch.s3, batch.s4
     h = s1 / nf

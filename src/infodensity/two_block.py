@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import _inverse_lower, symmetrize
 from .errors import BadPartition, OutOfDomain
 from .measures import CgfDomain
-from .model import GaussianModel, regression_block
+from .model import GaussianModel, _integral_at_least, regression_block
 
 
 def _require_two_blocks(model: GaussianModel) -> None:
@@ -26,10 +26,12 @@ def _require_two_blocks(model: GaussianModel) -> None:
 
 
 def two_block_trace(model: GaussianModel, l: int) -> float:
-    """tr(G^l) for a two-block model: 0 for odd l, 2 tr[(C_01 C_10)^{l/2}] for even l."""
+    """tr(G^l) for a two-block model: 0 for odd l, 2 tr[(C_01 C_10)^{l/2}] for even l.
+
+    l is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True raises ValueError.
+    """
     _require_two_blocks(model)
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    l = _integral_at_least(l, 1, "l")
     if l % 2 == 1:
         return 0.0
     product = regression_block(model, 0, 1) @ regression_block(model, 1, 0)

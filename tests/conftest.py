@@ -95,7 +95,7 @@ def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):
     info = multiinformation(model)
     chunks = range(-(-n // chunk_size))
     return np.concatenate(
-        [_chunk_values(kernel, seed, c, np.empty(min(chunk_size, n - c * chunk_size))) for c in chunks]
+        [_chunk_values(kernel, seed, c, min(chunk_size, n - c * chunk_size)) for c in chunks]
     ) + info
 
 

@@ -47,6 +47,18 @@ class TestHomogeneousModel:
             with pytest.raises(ValueError):
                 HomogeneousModel(dimension, 0.1)
 
+    @pytest.mark.parametrize(
+        "function", [homogeneous_cumulant, standardized_cumulant, lambda hm, l: asymptotic_standardized_limit(l)]
+    )
+    def test_order_must_be_integral(self, function):
+        hm = HomogeneousModel(5, 0.3)
+        assert function(hm, 4.0) == function(hm, np.int64(4)) == function(hm, 4)
+        for order in (2.5, True, np.bool_(True), "4", None, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                function(hm, order)
+        with pytest.raises(ValueError, match="order must be >= 2, got 1"):
+            function(hm, 1)
+
     def test_covariance_d2(self):
         model = homogeneous_covariance(HomogeneousModel(2, 0.5))
         assert model.covariance == pytest.approx(np.array([[1, 0.5], [0.5, 1]]))

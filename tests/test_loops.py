@@ -138,6 +138,15 @@ class TestTraceViaLoops:
         model = random_model(np.random.default_rng(2))
         assert trace_via_loops(model, 1) == 0.0
 
+    def test_length_must_be_integral(self):
+        assert trace_via_loops(EQUI3, 3.0) == trace_via_loops(EQUI3, np.int64(3)) == trace_via_loops(EQUI3, 3)
+        # True == 1, so a bool must be refused before the length-1 shortcut.
+        for length in (2.5, True, np.bool_(True), "4", None, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="length must be an integer"):
+                trace_via_loops(EQUI3, length)
+        with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+            trace_via_loops(EQUI3, 0)
+
     def test_equicorrelation_third_power(self):
         assert trace_via_loops(EQUI3, 3) == pytest.approx(0.75, abs=1e-12)
 

@@ -157,6 +157,15 @@ class TestCgf:
 
 
 class TestCumulants:
+    def test_order_must_be_integral(self):
+        model = scalar_pair_model(0.5)
+        assert cumulants(model, 4.0) == cumulants(model, np.int64(4)) == cumulants(model, 4)
+        for order in (2.5, True, np.bool_(True), "4", None, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="order must be an integer"):
+                cumulants(model, order)
+        with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+            cumulants(model, 0)
+
     def test_identity_covariance_all_zero(self):
         model = validate_model(None, np.eye(5), [2, 3])
         assert cumulants(model, 6).values == (0.0,) * 6
@@ -319,6 +328,18 @@ class TestNumericCumulants:
     def test_order_capped(self):
         with pytest.raises(ValueError):
             cgf_numeric_cumulants(scalar_pair_model(0.5), 7)
+
+    def test_order_must_be_integral(self):
+        model = scalar_pair_model(0.5)
+        assert cgf_numeric_cumulants(model, 4.0) == cgf_numeric_cumulants(model, 4)
+        for order in (2.5, True, np.bool_(True), "4", None, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="order must be an integer in 1..6"):
+                cgf_numeric_cumulants(model, order)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf"), -float("inf")])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="step must be finite and > 0"):
+            cgf_numeric_cumulants(scalar_pair_model(0.5), 4, step=step)
 
 
 class TestIndependenceEquivalence:

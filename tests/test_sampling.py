@@ -1,6 +1,8 @@
 import math
 import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -120,13 +122,20 @@ class TestSampleDensity:
             sample_density(model, 3000, seed=0, chunk_size=1000, threads=100_000)
         assert requested == [4, 3]
 
-    def test_unknown_cpu_count_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", None)
+    def test_unknown_cpu_count_runs_one_worker(self, monkeypatch):
         model = scalar_pair_model(0.5)
-        batch = sample_density(model, 5000, seed=3, chunk_size=1000, threads=4)
-        monkeypatch.undo()
-        assert batch == sample_density(model, 5000, seed=3, chunk_size=1000, threads=1)
+        reference = sample_density(model, 5000, seed=3, chunk_size=1000, threads=1)
+        requested = []
+
+        def record(max_workers):
+            requested.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sample_density(model, 5000, seed=3, chunk_size=1000, threads=4) == reference
+        assert mc_validate(model, 5000, seed=3, chunk_size=1000, threads=4)["threads"] == 1
+        assert requested == [1, 1]
 
     def test_mean_within_five_se(self):
         model = scalar_pair_model(0.5)
@@ -145,6 +154,72 @@ class TestSampleDensity:
         a = sampled_values(model, 20_000, seed=5)
         b = sampled_values(scaled, 20_000, seed=5)
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+class TestStop:
+    """A failing chunk or an interrupt stops every thread after its current chunk.
+
+    ``_held_run`` runs 100 chunks on 4 threads and holds each thread inside
+    its first chunk (chunk w for thread w) until the pool shuts down, which
+    the calling thread reaches only once it has left its wait. Without a stop
+    the three other threads would then draw every one of their chunks.
+    """
+
+    WORKERS = 4
+
+    class ChunkFailed(Exception):
+        pass
+
+    def _held_run(self, monkeypatch, first_chunk, started):
+        """A 100-chunk run whose thread w calls ``first_chunk(w)`` in its first chunk; ``started`` gets each chunk."""
+        shutting_down = threading.Event()
+        barrier = threading.Barrier(self.WORKERS, timeout=30)
+        chunk_values = sampling._chunk_values
+
+        class Pool(ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                shutting_down.set()
+                super().shutdown(*args, **kwargs)
+
+        def held(kernel, seed, chunk_index, rows):
+            started.append(chunk_index)
+            if chunk_index < self.WORKERS:
+                barrier.wait()  # every thread is running before any chunk fails
+                first_chunk(chunk_index)
+                assert shutting_down.wait(timeout=30)
+            return chunk_values(kernel, seed, chunk_index, rows)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(sampling, "_chunk_values", held)
+        monkeypatch.setattr(os, "cpu_count", lambda: self.WORKERS)
+        sample_density(scalar_pair_model(0.5), 100 * 64, seed=0, chunk_size=64, threads=self.WORKERS)
+
+    @pytest.mark.parametrize("failing", [0, WORKERS - 1])
+    def test_failing_chunk_stops_every_thread(self, monkeypatch, failing):
+        def fail(chunk_index):
+            if chunk_index == failing:
+                raise self.ChunkFailed
+
+        started = []
+        with pytest.raises(self.ChunkFailed):
+            self._held_run(monkeypatch, fail, started)
+        assert sorted(started) == list(range(self.WORKERS))
+
+    def test_interrupt_stops_every_thread(self, monkeypatch):
+        # The calling thread's wait raises KeyboardInterrupt, as on Ctrl-C, once
+        # every thread is inside its first chunk. CI interrupts the console script
+        # with a real SIGINT.
+        in_first_chunk = threading.Barrier(self.WORKERS + 1, timeout=30)
+
+        def interrupted_wait(futures, return_when):
+            in_first_chunk.wait()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sampling, "wait", interrupted_wait)
+        started = []
+        with pytest.raises(KeyboardInterrupt):
+            self._held_run(monkeypatch, lambda chunk_index: in_first_chunk.wait(), started)
+        assert sorted(started) == list(range(self.WORKERS))
 
 
 class TestKStatistics:
@@ -284,7 +359,7 @@ class TestMerge:
     def _chunk_sums(x, sizes, center):
         edges = np.cumsum([0, *sizes])
         pieces = [x[a:b] - center for a, b in zip(edges[:-1], edges[1:])]
-        return [_power_sums(y, np.empty_like(y)) for y in pieces]
+        return [_power_sums(y) for y in pieces]
 
     @staticmethod
     def _batch(chunk_sums, n, center):

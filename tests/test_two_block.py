@@ -63,6 +63,13 @@ class TestTwoBlockTrace:
     def test_scalar_pair_second_order(self):
         assert two_block_trace(scalar_pair_model(0.5), 2) == pytest.approx(0.5, abs=1e-12)
 
+    def test_order_must_be_integral(self):
+        model = scalar_pair_model(0.5)
+        assert two_block_trace(model, 4.0) == two_block_trace(model, 4)
+        for l in (2.5, True, np.bool_(True), "4", None, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="l must be an integer"):
+                two_block_trace(model, l)
+
     def test_block_diagonal(self):
         model = random_block_diagonal_model(np.random.default_rng(2), [2, 2])
         for l in range(1, 7):
