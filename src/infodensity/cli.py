@@ -12,16 +12,16 @@ Every agreement a report makes is a check record: a dict with ``abs_diff``
 (or ``z``), ``margin`` (|difference| / bound, or |z| / threshold) and ``ok``.
 
 Exit codes: 0 pass, 1 some check record in the report has ``"ok": false``,
-2 invalid input, 3 resource or domain limit. Reports go to stdout as
-indented JSON (CSV for flat tables on request); errors go to stderr as
-one-line JSON. orjson writes both: floats in their shortest round-trip
-form, a non-finite float as null, so every document is strict JSON.
+2 invalid input (a usage error included), 3 resource or domain limit.
+Reports go to stdout as indented JSON; errors go to stderr as one-line
+JSON. orjson writes both: floats in their shortest round-trip form, a
+non-finite float as null, so every document is strict JSON. Only
+``--help`` prints text.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -58,20 +58,18 @@ _LIMIT_ERRORS = (OutOfDomain, CombinatorialLimit, CumulantOverflow, MemoryError)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report = args.handler(args)
     except _LIMIT_ERRORS as exc:
         _emit_error(exc)
         return 3
-    except (ValueError, OSError) as exc:  # every input error of the package is a ValueError
+    # Every input error of the package is a ValueError; the parser raises ArgumentError.
+    except (ValueError, OSError, argparse.ArgumentError) as exc:
         _emit_error(exc)
         return 2
     try:
-        if getattr(args, "format", "json") == "csv":
-            sys.stdout.write(_render_csv(report))
-        else:
-            print(orjson.dumps(report, option=orjson.OPT_INDENT_2).decode())
+        print(orjson.dumps(report, option=orjson.OPT_INDENT_2).decode())
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe; send the rest of the output, and the
@@ -116,17 +114,6 @@ def _emit_error(exc) -> None:
     print(orjson.dumps(doc).decode(), file=sys.stderr)
 
 
-def _render_csv(payload) -> str:
-    rows = payload["rows"]
-    columns = list(rows[0].keys())
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row[c] is None else row[c] for c in columns])
-    return out.getvalue()
-
-
 def _domain_dict(domain) -> dict:
     return {"lower": domain.lower, "upper": domain.upper}
 
@@ -166,6 +153,9 @@ def _parse_t_grid(text: str, dimension: int) -> np.ndarray:
             f"--t-grid of {steps} steps at dimension {dimension} needs {steps * dimension} CGF terms, "
             f"above the cap of {MAX_T_GRID_TERMS} (MAX_T_GRID_TERMS)"
         )
+    if math.isinf(b - a):
+        # The span overflows: halving the bounds and doubling the grid is exact at this magnitude.
+        return 2 * np.linspace(a / 2, b / 2, steps)
     return np.linspace(a, b, steps)
 
 
@@ -300,10 +290,17 @@ def _add_model_arguments(sub):
     sub.add_argument("model", nargs="?", help="model JSON file (covariance, partition, optional mean)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that ``main`` reports them as JSON; subparsers share the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by later ones."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infodensity",
         description="Analytic and Monte Carlo analysis of the multiinformation density "
         "of partitioned Gaussian models.",
@@ -345,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--rho", type=float, required=True)
     hom.add_argument("--max-l", type=int, default=4)
     hom.add_argument("--sweep-d", metavar="D1,D2,...", help="extra dimensions to tabulate")
-    hom.add_argument("--format", choices=("json", "csv"), default="json")
     hom.set_defaults(handler=_cmd_homogeneous)
 
     return parser

@@ -57,6 +57,9 @@ _TILE_MULTIPLY_ADDS = 2**18
 _MIN_TILE_ROWS = 16
 _WIDE_TILE_ROWS = 2048
 _MASK64 = (1 << 64) - 1
+# The calling thread waits for the chunk threads in timed waits of this many
+# seconds, so an interrupt that lands as a wait begins is acted on within one.
+_WAIT_SECONDS = 0.25
 Z_THRESHOLD = 5.0
 
 
@@ -169,12 +172,13 @@ def sample_density(
     K = 0, and every sum is 0.0.
 
     When a chunk raises, or the calling thread leaves with an exception
-    (KeyboardInterrupt included), each thread stops after its current chunk:
-    the call ends within one chunk's work per thread, a few seconds at
-    d = 1000. Each chunk allocates its own buffers, so a thread holds
-    chunk_size * 8 bytes of values plus the larger of one work buffer
-    (chunk_size * 8 bytes) and two tiles of tile * d * 8 bytes, with
-    ``_chunk_values``' tile rows. The d x d set-up reads L from
+    (KeyboardInterrupt included), each thread stops after its current chunk.
+    The calling thread waits in timed waits of 0.25 s, so an interrupt ends
+    the call within the longer of one chunk's work per thread (a few seconds
+    at d = 1000) and one such wait. Each chunk allocates its own buffers, so
+    a thread holds chunk_size * 8 bytes of values plus the larger of one
+    work buffer (chunk_size * 8 bytes) and two tiles of tile * d * 8 bytes,
+    with ``_chunk_values``' tile rows. The d x d set-up reads L from
     ``model.factor``, inverts it once and forms K = L^{-1} G L by two BLAS
     products. Up to d = 64 the result does not depend on the BLAS thread
     settings; above that the set-up's rounding (and above d = 128 the tile
@@ -200,33 +204,28 @@ def sample_density(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            futures = [pool.submit(summarize, w) for w in range(workers)]
-            wait(futures, return_when=FIRST_EXCEPTION)
+            futures = pending = [pool.submit(summarize, w) for w in range(workers)]
+            while pending and not any(future.exception() for future in futures if future.done()):
+                pending = wait(pending, timeout=_WAIT_SECONDS, return_when=FIRST_EXCEPTION).not_done
         finally:
             stop.set()
     sums = zip(*(chunk for future in futures for chunk in future.result()))
     return SampleBatch(n, multiinformation(model), *map(math.fsum, sums))
 
 
-def k_statistics(batch) -> KStatistics:
-    """Unbiased cumulant estimates from a batch's power sums (or a raw array's).
+def k_statistics(batch: SampleBatch) -> KStatistics:
+    """Unbiased cumulant estimates from a batch's power sums.
 
     k_1 is the sample mean, k_2 the unbiased variance, and k_3, k_4 the
     classical third and fourth k-statistics. They are finalized from the
     power sums s_p about ``batch.center``: k_1 = center + s_1 / n, and the
-    sums are moved by the binomial expansion to that sample mean. An array
-    is summarized in two passes, its mean and then the power sums about it
-    (numpy's pairwise summation), and finalized the same way. The sums about
-    a center near the mean stay accurate where raw power sums cancel, e.g.
-    a mean of 1e8 with unit spread.
+    sums are moved by the binomial expansion to that sample mean. The sums
+    about a center near the mean stay accurate where raw power sums cancel,
+    e.g. a mean of 1e8 with unit spread. A batch of fewer than 2 draws
+    raises ``BatchTooSmall``.
     """
-    if not isinstance(batch, SampleBatch):
-        values = np.asarray(batch, dtype=float).ravel()
-        if values.size < 2:
-            raise BatchTooSmall(f"need at least 2 values, got {values.size}")
-        center = float(np.mean(values))
-        y = values - center
-        batch = SampleBatch(values.size, center, *_power_sums(y))
+    if batch.n < 2:
+        raise BatchTooSmall(f"need at least 2 draws, got {batch.n}")
     nf = float(batch.n)
     s1, s2, s3, s4 = batch.s1, batch.s2, batch.s3, batch.s4
     h = s1 / nf

@@ -4,7 +4,14 @@ import numpy as np
 from hypothesis import settings
 
 from infodensity import loops, multiinformation, validate_model
-from infodensity.sampling import DEFAULT_CHUNK_SIZE, _chunk_values, _folded_kernel, _normal_stream
+from infodensity.sampling import (
+    DEFAULT_CHUNK_SIZE,
+    SampleBatch,
+    _chunk_values,
+    _folded_kernel,
+    _normal_stream,
+    _power_sums,
+)
 
 # A fixed example set, so every run (CI included) draws the same cases.
 DERANDOMIZED = settings(derandomize=True, max_examples=30, deadline=None, database=None)
@@ -97,6 +104,17 @@ def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):
     return np.concatenate(
         [_chunk_values(kernel, seed, c, min(chunk_size, n - c * chunk_size)) for c in chunks]
     ) + info
+
+
+def two_pass_batch(values):
+    """The ``SampleBatch`` of ``values`` about their mean: numpy's mean first, then the power sums about it.
+
+    The two-pass reference the streamed batches are checked against; ``values``
+    is left unchanged.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    center = float(np.mean(values))
+    return SampleBatch(values.size, center, *_power_sums(values - center))
 
 
 def standard_normal_block(seed, chunk_index, count):

@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import os
 import subprocess
@@ -159,6 +157,12 @@ class TestAnalyze:
         with pytest.raises(MemoryError):
             _parse_t_grid(f"-0.1:0.1:{MAX_T_GRID_TERMS // d + 1}", d)
 
+    @pytest.mark.parametrize("grid", ["-1:1:9", "0.1:0.3:7", "5e-324:1e-320:4", "-3e-320:7e-321:5", "2:2:1"])
+    def test_grid_is_numpy_linspace_where_the_span_is_finite(self, grid):
+        a, b, steps = grid.split(":")
+        expected = np.linspace(float(a), float(b), int(steps))
+        assert _parse_t_grid(grid, 2).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("max_l", ["0", "-2"])
     def test_oracle_max_l_below_one_exit_2(self, capsys, scalar_pair_file, max_l):
         code, out, err = run(capsys, ["analyze", scalar_pair_file, "--oracle-max-l", max_l])
@@ -180,6 +184,22 @@ class TestAnalyze:
         assert report["cgf_grid"]["t"] == [-1.0, 0.0, 1.0]
         assert report["cgf_grid"]["cgf"][1] == 0.0
         assert report["cgf_grid"]["cgf"][2] == pytest.approx(0.287682, abs=1e-6)
+
+    # b - a overflows here; the grid must still run from a to b, with no RuntimeWarning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_spanning_the_double_range(self, capsys, tmp_path):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"covariance": np.eye(2).tolist(), "partition": [1, 1]}))
+        code, out, err = run(capsys, ["analyze", str(path), "--t-grid=-1e308:1e308:3"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["cgf_grid"] == {"t": [-1e308, 0.0, 1e308], "cgf": [0.0, 0.0, 0.0]}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_spanning_the_double_range_outside_domain(self, capsys, scalar_pair_file):
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, "--t-grid=-1e308:1e308:3"])
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["error"] == "OutOfDomain" and doc["t"] == -1e308
 
     def test_optional_sections_present_iff_requested(self, capsys, equicorrelation_file):
         code, out, _ = run(capsys, ["analyze", equicorrelation_file])
@@ -553,22 +573,6 @@ class TestHomogeneous:
         rows = json.loads(out)["rows"]
         assert all(row["standardized"] is None and row["asymptotic_limit"] is None for row in rows)
 
-    def test_csv_and_json_carry_identical_values(self, capsys):
-        args = ["homogeneous", "--d", "5", "--rho", "0.4", "--max-l", "4"]
-        _, json_out, _ = run(capsys, args)
-        _, csv_out, _ = run(capsys, args + ["--format", "csv"])
-        json_rows = json.loads(json_out)["rows"]
-        csv_rows = list(csv.DictReader(io.StringIO(csv_out)))
-        assert len(json_rows) == len(csv_rows)
-        for jrow, crow in zip(json_rows, csv_rows):
-            for key, value in jrow.items():
-                if value is None:
-                    assert crow[key] == ""
-                elif isinstance(value, float):
-                    assert float(crow[key]) == value
-                else:
-                    assert type(value)(crow[key]) == value
-
 
 def check_records(report):
     """(record, |difference|, bound) for every check record in a report, told apart by their keys.
@@ -817,6 +821,32 @@ class TestJsonDocuments:
         assert code == 0
         # dict equality compares every float with ==, so the parsed values are the handler's.
         assert strict_loads(out) == report
+
+
+class TestUsageErrors:
+    """A usage error is one strict-JSON line on stderr with exit 2, like every other input error."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "{model}", "--cumulants", "x"], "invalid int value: 'x'"),
+            (["homogeneous", "--d", "3", "--rho", "0.2", "--format", "csv"], "unrecognized arguments: --format csv"),
+            (["simulate", "{model}"], "the following arguments are required: --n"),
+        ],
+        ids=["bad-int", "unknown-option", "missing-option"],
+    )
+    def test_usage_error_is_one_json_line(self, capsys, scalar_pair_file, argv, message):
+        code, out, err = run(capsys, [a.format(model=scalar_pair_file) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and "\n" not in err[:-1]
+        doc = strict_loads(err)
+        assert doc["error"] == "ArgumentError" and message in doc["message"]
+
+    def test_help_stays_text(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: infodensity analyze")
 
 
 class TestParserReuse:

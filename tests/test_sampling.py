@@ -18,6 +18,7 @@ from conftest import (
     sampled_values,
     scalar_pair_model,
     standard_normal_block,
+    two_pass_batch,
 )
 
 from infodensity import (
@@ -206,37 +207,47 @@ class TestStop:
         assert sorted(started) == list(range(self.WORKERS))
 
     def test_interrupt_stops_every_thread(self, monkeypatch):
-        # The calling thread's wait raises KeyboardInterrupt, as on Ctrl-C, once
-        # every thread is inside its first chunk. CI interrupts the console script
-        # with a real SIGINT.
+        # Once every thread is inside its first chunk, the calling thread's first
+        # wait times out for real and its second raises KeyboardInterrupt, as a
+        # Ctrl-C does when it lands as a wait begins. CI interrupts the console
+        # script with a real SIGINT.
         in_first_chunk = threading.Barrier(self.WORKERS + 1, timeout=30)
+        real_wait = sampling.wait
+        timeouts = []
 
-        def interrupted_wait(futures, return_when):
-            in_first_chunk.wait()
+        def interrupted_wait(futures, timeout=None, return_when=None):
+            timeouts.append(timeout)
+            if len(timeouts) == 1:
+                in_first_chunk.wait()
+                waited = real_wait(futures, timeout=timeout, return_when=return_when)
+                assert len(waited.not_done) == self.WORKERS  # timed out: every thread is held
+                return waited
             raise KeyboardInterrupt
 
         monkeypatch.setattr(sampling, "wait", interrupted_wait)
         started = []
         with pytest.raises(KeyboardInterrupt):
             self._held_run(monkeypatch, lambda chunk_index: in_first_chunk.wait(), started)
+        assert len(timeouts) == 2
+        assert all(0.0 < timeout <= 0.25 for timeout in timeouts)
         assert sorted(started) == list(range(self.WORKERS))
 
 
 class TestKStatistics:
     def test_constant_batch(self):
-        ks = k_statistics(np.full(100, 3.25))
+        ks = k_statistics(two_pass_batch(np.full(100, 3.25)))
         assert ks.k1 == 3.25
         assert ks.k2 == ks.k3 == ks.k4 == 0.0
 
     def test_three_values(self):
-        ks = k_statistics(np.array([1.0, 2.0, 3.0]))
+        ks = k_statistics(two_pass_batch([1.0, 2.0, 3.0]))
         assert ks.k1 == 2.0
         assert ks.k2 == pytest.approx(1.0, abs=1e-15)
         assert math.isnan(ks.k4)
 
     def test_standard_normal_higher_orders(self):
         z = standard_normal_block(seed=7, chunk_index=0, count=10**6)
-        ks = k_statistics(z)
+        ks = k_statistics(two_pass_batch(z))
         normal_kappa = (math.nan, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         v1, v2, v3, v4 = kstat_sampling_variances(normal_kappa, 10**6)
         assert abs(ks.k1) < 5 * math.sqrt(v1)
@@ -251,7 +262,7 @@ class TestKStatistics:
 
     def test_too_small(self):
         with pytest.raises(BatchTooSmall):
-            k_statistics(np.array([1.0]))
+            k_statistics(SampleBatch(1, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
 class TestStreaming:
@@ -274,7 +285,7 @@ class TestStreaming:
         model = random_model(np.random.default_rng(1521), d=6, sizes=[2, 4])
         batch = sample_density(model, 5003, seed=2, chunk_size=1000, threads=2)
         values = sampled_values(model, 5003, seed=2, chunk_size=1000)
-        got, expected = k_statistics(batch), k_statistics(values)
+        got, expected = k_statistics(batch), k_statistics(two_pass_batch(values))
         for order in (1, 2, 3, 4):
             a, b = got.estimate(order), expected.estimate(order)
             assert abs(a - b) <= 1e-12 * abs(b)
@@ -328,13 +339,30 @@ class TestSamplerProperties:
             batches = [sample_density(model, n, seed, chunk_size=chunk_size, threads=t) for t in (1, 2, 3)]
         assert batches[0] == batches[1] == batches[2]
         got = k_statistics(batches[0])
-        expected = k_statistics(sampled_values(model, n, seed, chunk_size))
+        expected = k_statistics(two_pass_batch(sampled_values(model, n, seed, chunk_size)))
         for order in (1, 2, 3, 4):
             a, b = got.estimate(order), expected.estimate(order)
             if math.isnan(b):
                 assert math.isnan(a)
             else:
-                assert abs(a - b) <= 1e-12 * abs(b)
+                assert abs(a - b) <= 1e-12 * max(abs(b), self._term_size(batches[0], order))
+
+    @staticmethod
+    def _term_size(batch, order):
+        """The size of the terms k_order is formed from: its n-factor times a moment of y about I.
+
+        The rounding of an estimate scales with these, not with the estimate,
+        which can cancel far below them: two draws may lie much closer together
+        than to I, and k_3, k_4 are differences of moments.
+        """
+        n, m2, m4 = batch.n, batch.s2 / batch.n, batch.s4 / batch.n
+        if order == 1:
+            return math.sqrt(m2)
+        if order == 2:
+            return n / (n - 1) * m2
+        if order == 3:
+            return n * n / ((n - 1) * (n - 2)) * math.sqrt(m2 * m4)
+        return n * n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * m4
 
 
 class TestMerge:
@@ -375,7 +403,7 @@ class TestMerge:
         sizes = self.SPLITS[split]
         x = self._data(kind, sum(sizes))
         merged = self._merged(kind, x, sizes)
-        two_pass = k_statistics(x)
+        two_pass = k_statistics(two_pass_batch(x))
         assert merged.k1 == pytest.approx(two_pass.k1, rel=1e-15)
         for order in (2, 3, 4):
             a, b = merged.estimate(order), two_pass.estimate(order)
@@ -411,10 +439,10 @@ class TestMerge:
         assert abs(self._merged("offset", x, self.SPLITS["uneven"]).k2 - exact_k2) <= 1e-12 * exact_k2
 
     def test_small_arrays_leave_higher_orders_nan(self):
-        two = k_statistics(np.array([1.0, 4.0]))
+        two = k_statistics(two_pass_batch([1.0, 4.0]))
         assert two.k2 == 4.5
         assert math.isnan(two.k3) and math.isnan(two.k4)
-        three = k_statistics(np.array([1.0, 2.0, 6.0]))
+        three = k_statistics(two_pass_batch([1.0, 2.0, 6.0]))
         assert math.isfinite(three.k3)
         assert math.isnan(three.k4)
 
