@@ -19,7 +19,8 @@ _INVERSE_BASE = 64
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    """The average of ``a`` and its transpose, taken by halves so that it cannot overflow."""
+    return a / 2.0 + a.T / 2.0
 
 
 def cholesky_lower(a: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -8,6 +8,10 @@ simulate      seeded Monte Carlo validation of the analytic cumulants
 oracle-check  loop-enumeration sums vs matrix-power traces
 homogeneous   equicorrelation closed forms vs the general machinery
 
+Every subcommand but ``homogeneous`` takes a model file as its required
+first argument. ``analyze``'s oracle section is ``oracle-check``'s document
+without the fingerprint, and its Monte Carlo section checks orders 1..4.
+
 Every agreement a report makes is a check record: a dict with ``abs_diff``
 (or ``z``), ``margin`` (|difference| / bound, or |z| / threshold) and ``ok``.
 
@@ -119,8 +123,6 @@ def _domain_dict(domain) -> dict:
 
 
 def _load_model(args):
-    if not args.model:
-        raise ValueError("provide a model JSON file")
     with open(args.model, "rb") as fh:
         data = fh.read()
     try:
@@ -166,8 +168,12 @@ def _oracle_loop_counts(model, max_l: int) -> list[int]:
     return _loop_counts(model.partition.n_blocks, range(1, max_l + 1))
 
 
-def _oracle_rows(model, loop_counts: list[int]):
-    """One row per length: the loop sum against tr(G^l), with G^l carried forward one product a row."""
+def _oracle_section(model, loop_counts: list[int]) -> dict:
+    """The loop oracle's section: one row per length 1..L, the loop sum against tr(G^l), and the bound.
+
+    Gˡ is carried forward one product a row. ``oracle-check`` reports this
+    section after the fingerprint, and ``analyze --oracle-max-l`` embeds it.
+    """
     rows = []
     power = model.gamma
     for l, count in enumerate(loop_counts, start=1):
@@ -184,7 +190,13 @@ def _oracle_rows(model, loop_counts: list[int]):
                 **_check(loop_sum, matrix_trace, _rel_bound(loop_sum, matrix_trace, ORACLE_TOL)),
             }
         )
-    return rows, all(row["ok"] for row in rows)
+    return {
+        "max_l": len(loop_counts),
+        "loop_cap": DEFAULT_LOOP_CAP,
+        "tolerance": ORACLE_TOL,
+        "rows": rows,
+        "ok": all(row["ok"] for row in rows),
+    }
 
 
 def _cmd_analyze(args):
@@ -216,11 +228,9 @@ def _cmd_analyze(args):
         values = cgf(model, grid)  # OutOfDomain -> exit 3
         report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
     if loop_counts is not None:
-        rows, ok = _oracle_rows(model, loop_counts)
-        report["oracle"] = {"max_l": args.oracle_max_l, "rows": rows, "ok": ok}
+        report["oracle"] = _oracle_section(model, loop_counts)
     if args.mc_n is not None:
-        mc = mc_validate(model, args.mc_n, args.mc_seed, args.mc_max_order, threads=args.threads)
-        report["monte_carlo"] = mc
+        report["monte_carlo"] = mc_validate(model, args.mc_n, args.mc_seed, threads=args.threads)
     return report
 
 
@@ -233,15 +243,8 @@ def _cmd_simulate(args):
 
 def _cmd_oracle_check(args):
     model = _load_model(args)
-    rows, ok = _oracle_rows(model, _oracle_loop_counts(model, args.max_l))
-    return {
-        "fingerprint": model_fingerprint(model),
-        "max_l": args.max_l,
-        "loop_cap": DEFAULT_LOOP_CAP,
-        "tolerance": ORACLE_TOL,
-        "rows": rows,
-        "ok": ok,
-    }
+    loop_counts = _oracle_loop_counts(model, args.max_l)
+    return {"fingerprint": model_fingerprint(model), **_oracle_section(model, loop_counts)}
 
 
 def _cmd_homogeneous(args):
@@ -286,8 +289,7 @@ def _within_double_range(ratio, *args):
 
 
 def _add_model_arguments(sub):
-    # Optional here, so that a missing model exits 2 with a JSON error document.
-    sub.add_argument("model", nargs="?", help="model JSON file (covariance, partition, optional mean)")
+    sub.add_argument("model", help="model JSON file (covariance, partition, optional mean)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -314,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--oracle-max-l", type=int, metavar="L", help="add a loop-oracle section")
     analyze.add_argument("--mc-n", type=int, metavar="N", help="add a Monte Carlo section with N draws")
     analyze.add_argument("--mc-seed", type=int, default=0)
-    analyze.add_argument("--mc-max-order", type=int, default=4)
     analyze.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     analyze.set_defaults(handler=_cmd_analyze)
 

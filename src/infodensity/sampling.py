@@ -248,8 +248,11 @@ def kstat_sampling_variances(kappa, n: int) -> tuple[float, float, float, float]
     """Sampling variances of k_1..k_4 given the true cumulants up to order 8.
 
     The classical finite-sample formulas; ``kappa`` is indexed so kappa[l]
-    is the cumulant of order l (kappa[0] is ignored).
+    is the cumulant of order l (kappa[0] is ignored). They divide by n - 3,
+    so fewer than 4 draws raise ``BatchTooSmall``.
     """
+    if n < 4:
+        raise BatchTooSmall(f"need at least 4 draws, got {n}")
     nf = float(n)
     k2, k3, k4 = kappa[2], kappa[3], kappa[4]
     k5, k6, k8 = kappa[5], kappa[6], kappa[8]

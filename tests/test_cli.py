@@ -131,6 +131,12 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == "NonFiniteInput"
 
+    @pytest.mark.parametrize("grid", ["1:2", "a:b:3"])
+    def test_malformed_grid_exit_2(self, capsys, scalar_pair_file, grid):
+        code, out, err = run(capsys, ["analyze", scalar_pair_file, f"--t-grid={grid}"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError", "message": f"--t-grid expects 'a:b:steps', got {grid!r}"}
+
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_grid_steps_below_one_exit_2(self, capsys, scalar_pair_file, steps):
         code, out, err = run(capsys, ["analyze", scalar_pair_file, f"--t-grid=-0.1:0.1:{steps}"])
@@ -219,7 +225,23 @@ class TestAnalyze:
         code, out, err = run(capsys, ["analyze"])
         assert code == 2
         assert out == ""
-        assert json.loads(err) == {"error": "ValueError", "message": "provide a model JSON file"}
+        assert json.loads(err) == {
+            "error": "ArgumentError",
+            "message": "the following arguments are required: model",
+        }
+
+    def test_oracle_section_is_the_oracle_check_document(self, capsys, equicorrelation_file):
+        code, out, _ = run(capsys, ["analyze", equicorrelation_file, "--oracle-max-l", "4", "--mc-n", "20000"])
+        assert code == 0
+        report = json.loads(out)
+        code, out, _ = run(capsys, ["oracle-check", equicorrelation_file, "--max-l", "4"])
+        assert code == 0
+        document = json.loads(out)
+        assert document.pop("fingerprint") == report["fingerprint"]
+        assert report["oracle"] == document
+        assert list(document)[:3] == ["max_l", "loop_cap", "tolerance"]
+        assert (document["loop_cap"], document["tolerance"]) == (DEFAULT_LOOP_CAP, ORACLE_TOL)
+        assert [row["order"] for row in report["monte_carlo"]["rows"]] == [1, 2, 3, 4]
 
     def test_missing_model_file_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, ["analyze", str(tmp_path / "absent.json")])
@@ -384,6 +406,12 @@ class TestSimulate:
         doc = json.loads(err)
         assert doc["error"] == "ValueError"
         assert "corrupt_order" in doc["message"]
+
+    @pytest.mark.parametrize("max_order", ["0", "5"])
+    def test_max_order_outside_one_to_four_exit_2(self, capsys, scalar_pair_file, max_order):
+        code, out, err = run(capsys, ["simulate", scalar_pair_file, "--n", "100", "--max-order", max_order])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError", "message": f"max_order must be in 1..4, got {max_order}"}
 
     def test_tiny_sample_exit_2(self, capsys, scalar_pair_file):
         code, _, err = run(capsys, ["simulate", scalar_pair_file, "--n", "1"])

@@ -166,6 +166,11 @@ class TestCumulants:
         with pytest.raises(ValueError, match="order must be >= 1, got 0"):
             cumulants(model, 0)
 
+    @pytest.mark.parametrize("l", [0, 5])
+    def test_kappa_outside_computed_orders(self, l):
+        with pytest.raises(IndexError, match=f"order {l} outside 1..4"):
+            cumulants(scalar_pair_model(0.5), 4).kappa(l)
+
     def test_identity_covariance_all_zero(self):
         model = validate_model(None, np.eye(5), [2, 3])
         assert cumulants(model, 6).values == (0.0,) * 6

@@ -15,12 +15,14 @@ from infodensity import (
     Partition,
     SameBlock,
     compute_phi,
+    cumulants,
     density_at,
     density_at_direct,
     model_fingerprint,
     multiinformation,
     regression_block,
     validate_model,
+    variance,
 )
 from infodensity._linalg import _scalar_factors, cholesky_lower
 
@@ -44,6 +46,19 @@ class TestValidateModel:
         model = validate_model(None, cov, [1, 1])
         assert math.isclose(multiinformation(model), -0.5 * math.log(0.75), rel_tol=0, abs_tol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("partition", [[1, 1, 1], [2, 1], [1, 2]])
+    @pytest.mark.parametrize("scale", [1e-150, 1e150, 1.3e154])
+    def test_rescaling_accepted_up_to_the_double_range(self, scale, partition):
+        # At 1.3e154 the rescaled variances are 1.69e308, and s_ij + s_ji overflows.
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        s = np.array([scale, 1.0, scale])
+        unit = validate_model(None, cov, partition)
+        scaled = validate_model(None, cov * np.outer(s, s), partition)
+        for measure in (multiinformation, variance, lambda model: cumulants(model, 4).values[1:]):
+            for expected, value in zip(np.atleast_1d(measure(unit)), np.atleast_1d(measure(scaled))):
+                assert abs(value - expected) <= 1e-10 * max(1.0, abs(expected))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_covariance_rejected(self, bad):
         with pytest.raises(NonFiniteInput):
@@ -61,6 +76,11 @@ class TestValidateModel:
     def test_single_block_rejected(self):
         with pytest.raises(BadPartition):
             validate_model([0, 0], np.eye(2), [2])
+
+    @pytest.mark.parametrize("n", [-1, 2])
+    def test_block_slice_out_of_range(self, n):
+        with pytest.raises(IndexError, match=f"block index {n} out of range for 2 blocks"):
+            Partition((2, 1)).block_slice(n)
 
     def test_zero_block_size_rejected(self):
         with pytest.raises(BadPartition):

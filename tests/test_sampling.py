@@ -102,6 +102,10 @@ class TestSampleDensity:
         with pytest.raises(ValueError, match="threads"):
             sample_density(scalar_pair_model(0.5), 1000, seed=0, threads=threads)
 
+    def test_chunk_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1, got 0"):
+            sample_density(scalar_pair_model(0.5), 1000, seed=0, chunk_size=0)
+
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         # 10**9 draws are 15,259 chunks: uncapped, 100,000 threads would start
         # 15,259 workers. The recorder refuses to start any pool.
@@ -263,6 +267,11 @@ class TestKStatistics:
     def test_too_small(self):
         with pytest.raises(BatchTooSmall):
             k_statistics(SampleBatch(1, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_sampling_variances_need_four_draws(self, n):
+        with pytest.raises(BatchTooSmall, match=f"need at least 4 draws, got {n}"):
+            kstat_sampling_variances((math.nan,) + (1.0,) * 8, n)
 
 
 class TestStreaming:
