@@ -47,7 +47,6 @@ from .measures import (
 from .model import (
     GaussianModel,
     Partition,
-    compute_phi,
     model_fingerprint,
     regression_block,
     validate_model,
@@ -60,11 +59,7 @@ from .sampling import (
     mc_validate,
     sample_density,
 )
-from .two_block import (
-    canonical_correlations,
-    scalar_pair_cgf,
-    two_block_trace,
-)
+from .two_block import canonical_correlations
 
 __version__ = "0.1.0"
 
@@ -95,7 +90,6 @@ __all__ = [
     "cgf",
     "cgf_domain",
     "cgf_numeric_cumulants",
-    "compute_phi",
     "cumulants",
     "density_at",
     "density_at_direct",
@@ -112,10 +106,8 @@ __all__ = [
     "regression_block",
     "rooted_loop_count",
     "sample_density",
-    "scalar_pair_cgf",
     "standardized_cumulant",
     "trace_via_loops",
-    "two_block_trace",
     "validate_model",
     "variance",
 ]

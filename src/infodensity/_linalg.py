@@ -116,22 +116,11 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
 
 
 def solve_pd_from_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b as (L^{-T} L^{-1}) b, with L inverted once.
-
-    numpy runs the product of a matrix with its own transpose as one BLAS
-    ``syrk``, so a d x d right-hand side costs d^3 + 2 d^3 flops after the
-    inverse, against 4 d^3 for L^{-T} (L^{-1} b): at d = 1000, 0.065 s against
-    0.074 s for the whole solve (2 vCPUs).
-    """
+    """Solve (L L^T) x = b as (L^{-T} L^{-1}) b, with L inverted once; ``regression_block``'s solve."""
     inverse = _inverse_lower(L)
     return (inverse.T @ inverse) @ b
 
 
 def _rel_bound(a: float, b: float, tol: float) -> float:
-    """The bound on |a-b| that ``rel_close`` applies: tol * max(1, |a|, |b|)."""
+    """A mixed absolute/relative bound on |a-b|: tol * max(1, |a|, |b|)."""
     return tol * max(1.0, abs(a), abs(b))
-
-
-def rel_close(a: float, b: float, tol: float) -> bool:
-    """Mixed absolute/relative comparison: |a-b| <= tol * max(1, |a|, |b|)."""
-    return abs(a - b) <= _rel_bound(a, b, tol)

@@ -5,8 +5,8 @@ product of block marginals is
 
     value(x) = I + (x - mu)^T P (x - mu) / 2,
 
-where I is the multiinformation and P the quadratic-form kernel. Its
-cumulant-generating function is
+where I is the multiinformation and P = S^{-1} G the quadratic-form kernel.
+Its cumulant-generating function is
 
     cgf(t) = t I - ln|I_d - t G| / 2,
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from ._linalg import _inverse_lower, cholesky_lower, logdet_from_lower
 from .errors import CumulantOverflow, DimensionMismatch, EigenvalueOutOfRange, NonFiniteInput, OutOfDomain
-from .model import GaussianModel, _integral, _integral_at_least, compute_phi
+from .model import GaussianModel, _integral, _integral_at_least
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
@@ -88,11 +88,16 @@ def multiinformation_from_gamma(model: GaussianModel) -> float:
 
 
 def density_at(model: GaussianModel, x) -> float:
-    """Evaluate the multiinformation density at a point, in nats."""
-    x = _point(model, x)
-    phi = compute_phi(model)
-    r = x - model.mean
-    return multiinformation(model) + 0.5 * float(r @ phi @ r)
+    """Evaluate the multiinformation density at a point, in nats.
+
+    With P = S^{-1} G and S = L L^T, the quadratic form r^T P r is
+    (L^{-1} r) . (L^{-1} G r), so no d x d P is formed. G r is small when the
+    coupling is weak, so the form keeps its relative accuracy there, where
+    |L_B^{-1} r|^2 - |L^{-1} r|^2, equal in exact arithmetic, would cancel.
+    """
+    r = _point(model, x) - model.mean
+    inverse = _inverse_lower(model.factor)
+    return multiinformation(model) + 0.5 * float((inverse @ r) @ (inverse @ (model.gamma @ r)))
 
 
 def density_at_direct(model: GaussianModel, x) -> float:

@@ -5,15 +5,12 @@ the coordinates into N >= 2 blocks. From it we build:
 
 * the regression-coefficient blocks C_{m|n} = S_mn S_nn^{-1},
 * the coupling matrix G = S * blockdiag(S_11..S_NN)^{-1} - I with
-  exact-zero diagonal blocks, and its real spectrum,
-* the quadratic-form kernel P = blockdiag(...)^{-1} - S^{-1} with
-  S P = G (``compute_phi``).
+  exact-zero diagonal blocks, and its real spectrum.
 
 Validation factors the covariance and its diagonal blocks once, then forms G
 and its spectrum from those factors; the model carries all four, and every
 analytic quantity reads them instead of factoring again. All types are frozen
-dataclasses holding read-only arrays, and ``compute_phi`` returns a read-only
-array.
+dataclasses holding read-only arrays.
 """
 
 from __future__ import annotations
@@ -246,17 +243,6 @@ def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: P
         w[sl, sl] = g[sl, sl] = 0.0
     w[scalar, scalar] = g[scalar, scalar] = 0.0
     return g, np.linalg.eigvalsh(symmetrize(w), UPLO="L")
-
-
-def compute_phi(model: GaussianModel) -> np.ndarray:
-    """Quadratic-form kernel P, computed as S^{-1} G so that S P = G holds tightly.
-
-    The result is a symmetrized read-only array; it agrees with the definition
-    blockdiag(S_nn)^{-1} - S^{-1} to within solver roundoff, and is exactly
-    zero whenever the coupling matrix is exactly zero.
-    """
-    phi = solve_pd_from_lower(model.factor, model.gamma)
-    return _frozen(symmetrize(phi))
 
 
 def model_fingerprint(model: GaussianModel) -> str:

@@ -1,11 +1,10 @@
 """Seeded Monte Carlo validation of the analytic cumulants.
 
-The information density is I + (x - mu)^T P (x - mu) / 2. With x - mu = L z
-for the covariance Cholesky factor L and standard normals z, its part about
-I is y = z^T K z / 2 with the folded kernel K = L^T P L = L^{-1} G L (as
-P = S^{-1} G), which is similar to G. Since tr G = 0, tr K = 0 too, so y has
-mean 0 exactly: the density's mean is the multiinformation I, and every
-cumulant from order 2 on is y's alone.
+With x - mu = L z for the covariance Cholesky factor L and standard normals
+z, the information density is I + y, where y = z^T K z / 2 for the folded
+kernel K = L^T P L = L^{-1} G L, which is similar to G. Since tr G = 0,
+tr K = 0 too, so y has mean 0 exactly: the density's mean is the
+multiinformation I, and every cumulant from order 2 on is y's alone.
 
 Each chunk c draws its standard normals from its own stream: numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia & Tsang 2000) on an SFC64
@@ -103,7 +102,7 @@ def _worker_count(threads: int, n: int, chunk_size: int) -> int:
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
-    """K = L^T P L = L^{-1} G L (P = S^{-1} G) for the covariance factor L: w^T P w = z^T K z for w = L z."""
+    """K = L^{-1} G L, symmetrized, for the covariance factor L: the density at mu + L z is I + z^T K z / 2."""
     L = model.factor
     return symmetrize(_inverse_lower(L) @ model.gamma @ L)
 
@@ -159,8 +158,8 @@ def sample_density(
 
     Each chunk c draws standard normals z by ziggurat from its SFC64 stream
     seeded by (seed mod 2**64, c) and evaluates y = z^T K z / 2 with the
-    folded kernel K = L^T P L = L^{-1} G L, where L is the covariance Cholesky
-    factor (w = L z are the centered draws, so w^T P w = z^T K z). The density is
+    folded kernel K = L^{-1} G L, where L is the covariance Cholesky factor
+    (w = L z are the centered draws). The density is
     I + y, so the returned batch holds, with ``center`` = I =
     ``multiinformation(model)``, the sums of y^p for p = 1..4: each chunk's
     sums are added by ``math.fsum``. The draws depend on (seed, c,

@@ -1,9 +1,20 @@
-"""Shared seeded-model builders for the test suite."""
+"""Shared seeded-model builders, closed forms and comparisons for the test suite."""
+
+import math
 
 import numpy as np
 from hypothesis import settings
 
-from infodensity import loops, multiinformation, validate_model
+from infodensity import (
+    BadPartition,
+    CgfDomain,
+    OutOfDomain,
+    loops,
+    multiinformation,
+    regression_block,
+    validate_model,
+)
+from infodensity.model import _integral_at_least
 from infodensity.sampling import (
     DEFAULT_CHUNK_SIZE,
     SampleBatch,
@@ -120,3 +131,51 @@ def two_pass_batch(values):
 def standard_normal_block(seed, chunk_index, count):
     """The first ``count`` normals of chunk ``chunk_index``'s stream."""
     return _normal_stream(seed, chunk_index).standard_normal(count)
+
+
+def phi_from_definition(model):
+    """P = blockdiag(S_nn)^{-1} - S^{-1}, the kernel of the density I + r^T P r / 2, by its definition."""
+    block_diagonal = np.zeros_like(model.covariance)
+    for n in range(model.partition.n_blocks):
+        sl = model.partition.block_slice(n)
+        block_diagonal[sl, sl] = model.diagonal_block(n)
+    return np.linalg.inv(block_diagonal) - np.linalg.inv(model.covariance)
+
+
+def rel_close(a, b, tol):
+    """Mixed absolute/relative comparison: |a-b| <= tol * max(1, |a|, |b|)."""
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def two_block_trace(model, l):
+    """tr(G^l) for a two-block model: 0 for odd l, 2 tr[(C_01 C_10)^{l/2}] for even l.
+
+    With two blocks G is block anti-diagonal, so odd powers have zero trace
+    and even powers reduce to powers of the product of the two regression
+    blocks. l is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True
+    raises ValueError.
+    """
+    if model.partition.n_blocks != 2:
+        raise BadPartition(f"two-block analysis needs exactly 2 blocks, got {model.partition.n_blocks}")
+    l = _integral_at_least(l, 1, "l")
+    if l % 2 == 1:
+        return 0.0
+    product = regression_block(model, 0, 1) @ regression_block(model, 1, 0)
+    return 2.0 * float(np.trace(np.linalg.matrix_power(product, l // 2)))
+
+
+def scalar_pair_cgf(rho, t):
+    """CGF for two scalar blocks with correlation rho.
+
+    -(t/2) ln(1 - rho^2) - (1/2) ln(1 - t^2 rho^2); finite for |t| < 1/|rho|.
+    The 1/2 coefficient on the second term makes this the exact reduction of
+    the general determinant form, whose 2x2 determinant is 1 - t^2 rho^2.
+    """
+    if not abs(rho) < 1.0:
+        raise ValueError(f"|rho| must be < 1, got {rho}")
+    if rho == 0.0:
+        return 0.0
+    bound = 1.0 / abs(rho)
+    if not -bound < t < bound:
+        raise OutOfDomain(t, CgfDomain(lower=-bound, upper=bound))
+    return -(t / 2.0) * math.log1p(-rho * rho) - 0.5 * math.log1p(-t * t * rho * rho)

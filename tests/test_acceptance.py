@@ -14,6 +14,8 @@ from conftest import (
     random_correlation_model,
     random_model,
     random_partition,
+    rel_close,
+    scalar_pair_cgf,
     scalar_pair_model,
     squared_multiple_correlation,
 )
@@ -32,13 +34,11 @@ from infodensity import (
     multiinformation,
     multiinformation_from_gamma,
     canonical_correlations,
-    scalar_pair_cgf,
     standardized_cumulant,
     trace_via_loops,
     validate_model,
     variance,
 )
-from infodensity._linalg import rel_close
 
 
 @contextmanager

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import equicorrelation_gamma_power
+from conftest import equicorrelation_gamma_power, rel_close
 
 import infodensity.homogeneous as homogeneous
 from infodensity import (
@@ -20,7 +20,6 @@ from infodensity import (
     standardized_cumulant,
     validate_model,
 )
-from infodensity._linalg import rel_close
 
 
 def equicorrelation_matrix(d, rho):

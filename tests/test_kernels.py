@@ -5,12 +5,13 @@ factorization and pairwise variance sum, kept here as references. The loop
 Cholesky uses the per-coordinate pivot threshold d * eps * a_jj of the current
 ``cholesky_lower``, so the two must name the same failing pivot.
 ``_coupling_matrix`` is the earlier dense path to G and W, three d x d
-triangular solves against the block-diagonal L_B.
+solves against the block-diagonal L_B.
 
 ``_reference_normal_block``, ``_reference_sample_density`` and
 ``_reference_k_statistics`` are the earlier sampler kernels: a chunk's normals
 drawn in one call from a generator built here, each chunk mapped through L
-and then P in two products, and the third and fourth central moments taken
+and then through P = blockdiag(S_nn)^{-1} - S^{-1}, built from its
+definition, in two products, and the third and fourth central moments taken
 with ``**3`` and ``**4``. ``_reference_chunk_wide_values`` is the earlier
 sampler above d = 128: each chunk's normals mapped by the folded kernel in one
 chunk-wide product instead of row tiles.
@@ -28,11 +29,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
 
 from conftest import (
     DERANDOMIZED,
     correlation_model,
+    phi_from_definition,
     random_model,
     random_partition,
     sampled_values,
@@ -46,7 +47,6 @@ from infodensity import (
     OutOfDomain,
     cgf,
     cgf_domain,
-    compute_phi,
     cumulants,
     density_at,
     k_statistics,
@@ -78,14 +78,14 @@ def _loop_cholesky(a):
 
 
 def _loop_solve(L, b):
-    return solve_triangular(L.T, solve_triangular(L, b, lower=True), lower=False)
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def _coupling_matrix(model):
     """(G, W) from H = L_B^{-1} S: G = (L_B^{-T} H)^T, W = L_B^{-1} H^T, diagonal blocks zeroed."""
-    half = solve_triangular(model.block_factor, model.covariance, lower=True)
-    w = solve_triangular(model.block_factor, half.T, lower=True)
-    g = solve_triangular(model.block_factor.T, half, lower=False).T
+    half = np.linalg.solve(model.block_factor, model.covariance)
+    w = np.linalg.solve(model.block_factor, half.T)
+    g = np.linalg.solve(model.block_factor.T, half).T
     for start, size in zip(model.partition.offsets, model.partition.block_sizes):
         g[start : start + size, start : start + size] = 0.0
         w[start : start + size, start : start + size] = 0.0
@@ -117,7 +117,7 @@ def _reference_normal_block(seed, chunk_index, count):
 def _reference_sample_density(model, n, seed, chunk_size):
     d = model.dimension
     L = cholesky_lower(model.covariance)
-    phi = compute_phi(model)
+    phi = phi_from_definition(model)
     info = multiinformation(model)
     parts = []
     for c in range(-(-n // chunk_size)):
@@ -310,7 +310,6 @@ class TestFactorOnce:
 
         monkeypatch.setattr("infodensity.model.cholesky_lower", refuse)
         monkeypatch.setattr("infodensity.measures.cholesky_lower", refuse)
-        compute_phi(model)
         multiinformation(model)
         variance(model)
         cumulants(model, 6)

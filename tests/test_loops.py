@@ -15,7 +15,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_loop_trace, random_block_diagonal_model, random_model, scalar_pair_model
+from conftest import (
+    count_loop_trace,
+    random_block_diagonal_model,
+    random_model,
+    rel_close,
+    scalar_pair_model,
+    two_block_trace,
+)
 
 from infodensity import (
     DEFAULT_LOOP_CAP,
@@ -23,10 +30,8 @@ from infodensity import (
     loop_trace,
     rooted_loop_count,
     trace_via_loops,
-    two_block_trace,
     validate_model,
 )
-from infodensity._linalg import rel_close
 from infodensity.loops import _loop_counts, _walk_products
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])

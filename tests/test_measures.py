@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
-from conftest import random_block_diagonal_model, random_model, scalar_pair_model
+from conftest import random_block_diagonal_model, random_model, rel_close, scalar_pair_model
 
 from infodensity import (
     CumulantOverflow,
@@ -27,7 +26,6 @@ from infodensity import (
     validate_model,
     variance,
 )
-from infodensity._linalg import rel_close
 from infodensity.measures import MAX_CUMULANT_ORDER
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
@@ -108,6 +106,19 @@ class TestDensity:
             assert density_at(model, x) == pytest.approx(
                 density_at_direct(model, x), abs=1e-9
             )
+
+    @pytest.mark.parametrize("rho", [1e-10, 1e-5, 0.5, 0.99])
+    def test_scalar_pair_quadratic_form_exact(self, rho):
+        # The exact form (2 rho x y - rho^2 (x^2 + y^2)) / (2 (1 - rho^2)) in
+        # rationals. The difference |L_B^{-1} r|^2 - |L^{-1} r|^2 of two
+        # near-equal squares misses it by about 1e-4 of its value at rho = 1e-10.
+        model = scalar_pair_model(rho)
+        info = multiinformation(model)
+        r = Fraction(rho)
+        for x, y in np.random.default_rng(470).standard_normal((50, 2)):
+            fx, fy = Fraction(x), Fraction(y)
+            exact = (2 * r * fx * fy - r * r * (fx * fx + fy * fy)) / (2 * (1 - r * r))
+            assert abs(Fraction(density_at(model, [x, y]) - info) - exact) <= Fraction(1e-13) * abs(exact)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -217,7 +228,7 @@ class TestCumulants:
             lam[0] = 10.0**log10_scale  # repeated magnitudes at the top
             log_abs = np.log(np.abs(lam))
             expected = next(
-                l for l in range(2, 400) if math.lgamma(l) - math.log(2.0) + logsumexp(l * log_abs) > log_max
+                l for l in range(2, 400) if math.lgamma(l) - math.log(2.0) + np.logaddexp.reduce(l * log_abs) > log_max
             )
             model = dataclasses.replace(base, gamma_eigenvalues=lam)
             with pytest.raises(CumulantOverflow) as exc:

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import correlation_model, random_block_diagonal_model, random_model, scalar_pair_model
+from conftest import (
+    correlation_model,
+    phi_from_definition,
+    random_block_diagonal_model,
+    random_model,
+    scalar_pair_model,
+)
 
 from infodensity import (
     BadPartition,
@@ -14,7 +20,6 @@ from infodensity import (
     NotSymmetric,
     Partition,
     SameBlock,
-    compute_phi,
     cumulants,
     density_at,
     density_at_direct,
@@ -247,36 +252,46 @@ class TestComputeGamma:
 
 
 class TestComputePhi:
+    """The kernel P of the density I + r^T P r / 2, which the package never forms.
+
+    ``density_at`` takes r^T P r from L and G; these checks hold it to P as
+    ``phi_from_definition`` builds it here.
+    """
+
     def test_identity_covariance(self):
-        phi = compute_phi(validate_model(None, np.eye(3), [1, 2]))
-        assert np.array_equal(phi, np.zeros((3, 3)))
-        assert not phi.flags.writeable
+        model = validate_model(None, np.eye(3), [1, 2])
+        for x in ([0.0, 0.0, 0.0], [1.0, -2.0, 3.0]):
+            assert density_at(model, x) == 0.0
 
     def test_scalar_pair_closed_form(self):
-        phi = compute_phi(scalar_pair_model(0.5))
-        assert phi == pytest.approx(np.array([[-1 / 3, 2 / 3], [2 / 3, -1 / 3]]))
+        model = scalar_pair_model(0.5)
+        phi = np.array([[-1 / 3, 2 / 3], [2 / 3, -1 / 3]])
+        assert phi_from_definition(model) == pytest.approx(phi)
+        info = multiinformation(model)
+        for x in np.random.default_rng(16).standard_normal((10, 2)) * 2.0:
+            assert density_at(model, x) - info == pytest.approx(0.5 * x @ phi @ x, rel=1e-12, abs=1e-15)
 
     def test_block_diagonal_gives_exact_zero(self):
         rng = np.random.default_rng(17)
         model = random_block_diagonal_model(rng, [2, 2, 1])
-        assert np.array_equal(compute_phi(model), np.zeros((5, 5)))
+        info = multiinformation(model)
+        for _ in range(10):
+            assert density_at(model, model.mean + rng.standard_normal(5) * 3.0) == info
 
     @pytest.mark.parametrize("seed", range(8))
     def test_definition_and_factorization(self, seed):
         rng = np.random.default_rng(200 + seed)
         model = random_model(rng)
-        phi = compute_phi(model)
+        phi = phi_from_definition(model)
         gamma = model.gamma
-        d = model.dimension
-        diag = np.zeros((d, d))
-        for n in range(model.partition.n_blocks):
-            sl = model.partition.block_slice(n)
-            diag[sl, sl] = model.diagonal_block(n)
-        definition = np.linalg.inv(diag) - np.linalg.inv(model.covariance)
-        assert np.max(np.abs(phi - definition)) < 1e-10 * max(1.0, np.max(np.abs(definition)))
-        assert np.max(np.abs(phi - phi.T)) == 0.0
+        # S P = G, the identity that density_at's quadratic form rests on.
         product = model.covariance @ phi
         assert np.max(np.abs(product - gamma)) < 1e-10 * max(1.0, np.max(np.abs(gamma)))
+        info = multiinformation(model)
+        for _ in range(5):
+            r = rng.standard_normal(model.dimension) * 2.0
+            scale = 0.5 * np.abs(r) @ np.abs(phi) @ np.abs(r)
+            assert abs(density_at(model, model.mean + r) - info - 0.5 * r @ phi @ r) < 1e-10 * max(1.0, scale)
 
 
 class TestCorrelationModel:

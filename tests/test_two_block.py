@@ -1,4 +1,4 @@
-"""Tests of the two-block closed forms.
+"""Tests of ``canonical_correlations`` and of the two-block closed forms in ``conftest``.
 
 ``_chain_trace`` is the earlier second path to tr(G^l) for even l, kept
 here as the reference: the trace of an alternating l-factor product of the
@@ -10,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_block_diagonal_model, random_model, scalar_pair_model, squared_multiple_correlation
+from conftest import (
+    random_block_diagonal_model,
+    random_model,
+    rel_close,
+    scalar_pair_cgf,
+    scalar_pair_model,
+    squared_multiple_correlation,
+    two_block_trace,
+)
 
 from infodensity import (
     BadPartition,
@@ -19,12 +27,9 @@ from infodensity import (
     cgf,
     cumulants,
     regression_block,
-    scalar_pair_cgf,
-    two_block_trace,
     validate_model,
     variance,
 )
-from infodensity._linalg import rel_close
 
 
 def random_two_block(rng, max_size=4, scalar_first=False):
