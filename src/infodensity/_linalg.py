@@ -5,10 +5,17 @@ determinant products, so they stay finite for large well-conditioned
 matrices. Every LAPACK/BLAS call of the package is numpy's, so a process maps
 one OpenBLAS build with one thread pool. numpy has no triangular solve: a
 factor is inverted once (``_inverse_lower``) and its strips are formed by
-matrix products.
+matrix products. ``_blas_threads_held`` caps that pool's thread count while
+the sampler's own threads run.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 
 import numpy as np
 
@@ -124,3 +131,73 @@ def solve_pd_from_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rel_bound(a: float, b: float, tol: float) -> float:
     """A mixed absolute/relative bound on |a-b|: tol * max(1, |a|, |b|)."""
     return tol * max(1.0, abs(a), abs(b))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one, else ``os.cpu_count()`` or 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count (getter, setter), or None where no library or symbol resolves.
+
+    The library is the one numpy's wheel bundles, in ``numpy.libs`` beside
+    the package (``numpy/.dylibs`` on macOS); loading it again returns the
+    copy numpy has already mapped. Resolved on the first call, not at import.
+    """
+    package = os.path.dirname(np.__file__)
+    for directory in (os.path.join(os.path.dirname(package), "numpy.libs"), os.path.join(package, ".dylibs")):
+        try:
+            names = sorted(name for name in os.listdir(directory) if "scipy_openblas" in name)
+        except OSError:
+            continue
+        for name in names:
+            try:
+                library = ctypes.CDLL(os.path.join(directory, name))
+                get, set_ = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+# OpenBLAS's thread count is one per process, so the holds on it are counted per process.
+_hold_lock = threading.Lock()
+_holds = 0
+_count_before_holds = 0
+
+
+@contextlib.contextmanager
+def _blas_threads_held(sampler_threads: int):
+    """Hold numpy's OpenBLAS to min(its count in effect, max(1, CPUs // ``sampler_threads``)) threads.
+
+    The count in effect before the first of overlapping holds is restored
+    when the last one exits, however it exits. Nothing happens where
+    ``_openblas_threads`` finds no OpenBLAS.
+    """
+    global _holds, _count_before_holds
+    functions = _openblas_threads()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    with _hold_lock:
+        current = get()
+        if _holds == 0:
+            _count_before_holds = current
+        _holds += 1
+        share = max(1, _usable_cpus() // sampler_threads)
+        if share < current:
+            set_(share)
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _holds -= 1
+            if _holds == 0:
+                set_(_count_before_holds)

@@ -36,7 +36,7 @@ import sys
 import numpy as np
 import orjson
 
-from ._linalg import _rel_bound
+from ._linalg import _rel_bound, _usable_cpus
 from .errors import CombinatorialLimit, CumulantOverflow, NonFiniteInput, OutOfDomain
 from .homogeneous import (
     HomogeneousModel,
@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--oracle-max-l", type=int, metavar="L", help="add a loop-oracle section")
     analyze.add_argument("--mc-n", type=int, metavar="N", help="add a Monte Carlo section with N draws")
     analyze.add_argument("--mc-seed", type=int, default=0)
-    analyze.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    analyze.add_argument("--threads", type=int, default=_usable_cpus())
     analyze.set_defaults(handler=_cmd_analyze)
 
     simulate = commands.add_parser("simulate", help="Monte Carlo validation")
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, required=True, help="number of draws")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--max-order", type=int, default=4)
-    simulate.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    simulate.add_argument("--threads", type=int, default=_usable_cpus())
     simulate.add_argument(
         "--corrupt-order",
         type=int,

@@ -25,7 +25,8 @@ formed. The sums are taken about the exact mean I, not about a sample mean,
 so they do not cancel the way raw sums of the density would when I is large
 against its spread. The chunk products, like the set-up and the analytic
 core, run on numpy's OpenBLAS, the only BLAS build the package loads, so
-every BLAS call of a process shares one thread pool.
+every BLAS call of a process shares one thread pool; while the chunk threads
+run, that pool is held to their share of the CPUs.
 
 Cumulants are estimated with the classical unbiased k-statistics; the
 validation report compares them with the analytic values using standard
@@ -36,25 +37,21 @@ model's analytic cumulants.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _inverse_lower, symmetrize
+from ._linalg import _blas_threads_held, _inverse_lower, _usable_cpus, symmetrize
 from .errors import BatchTooSmall
 from .measures import cumulants, multiinformation
 from .model import GaussianModel, model_fingerprint
 
 DEFAULT_CHUNK_SIZE = 65536
-# OpenBLAS runs a gemm with m*n*k at or below 65536 * 4 on the calling thread.
-_TILE_MULTIPLY_ADDS = 2**18
-# Where such a tile would have fewer than 16 rows (d > 128), a tile has 2048 rows,
-# which ran as fast as one chunk-wide product at d = 200 and 1000.
-_MIN_TILE_ROWS = 16
-_WIDE_TILE_ROWS = 2048
+# Rows a chunk draws and maps at a time; at d = 200 and 1000 such tiles ran as
+# fast as one chunk-wide product.
+_TILE_ROWS = 2048
 _MASK64 = (1 << 64) - 1
 # The calling thread waits for the chunk threads in timed waits of this many
 # seconds, so an interrupt that lands as a wait begins is acted on within one.
@@ -97,8 +94,8 @@ def _normal_stream(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _worker_count(threads: int, n: int, chunk_size: int) -> int:
-    """Threads ``sample_density`` runs: ``threads``, at most one per CPU and per chunk."""
-    return min(threads, os.cpu_count() or 1, -(-n // chunk_size))
+    """Threads ``sample_density`` runs: ``threads``, at most one per usable CPU and per chunk."""
+    return min(threads, _usable_cpus(), -(-n // chunk_size))
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
@@ -110,22 +107,16 @@ def _folded_kernel(model: GaussianModel) -> np.ndarray:
 def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) -> np.ndarray:
     """z^T K z / 2 at chunk ``chunk_index``'s first ``rows`` draws, as a new array.
 
-    The draws are made and mapped in row tiles of 2**18 // d**2 rows up to
-    d = 128 (a product OpenBLAS runs on the calling thread) and of 2048 rows
-    above (a product BLAS may thread). The two tile buffers are freed on
-    return, so a chunk holds its values and then ``_power_sums``' work
-    buffer, never both with the tiles.
+    The draws are made and mapped in row tiles of 2048 rows at every d. The
+    two tile buffers are freed on return, so a chunk holds its values and
+    then ``_power_sums``' work buffer, never both with the tiles.
     """
-    d = kernel.shape[0]
-    tile = _TILE_MULTIPLY_ADDS // (d * d)
-    if tile < _MIN_TILE_ROWS:
-        tile = _WIDE_TILE_ROWS
     stream = _normal_stream(seed, chunk_index)
     out = np.empty(rows)
-    z = np.empty((min(tile, rows), d))
+    z = np.empty((min(_TILE_ROWS, rows), kernel.shape[0]))
     zk = np.empty_like(z)
-    for t in range(0, rows, tile):
-        zt = z[: min(tile, rows - t)]
+    for t in range(0, rows, _TILE_ROWS):
+        zt = z[: min(_TILE_ROWS, rows - t)]
         zkt = zk[: len(zt)]
         stream.standard_normal(out=zt)
         np.matmul(zt, kernel, out=zkt)
@@ -164,24 +155,29 @@ def sample_density(
     ``multiinformation(model)``, the sums of y^p for p = 1..4: each chunk's
     sums are added by ``math.fsum``. The draws depend on (seed, c,
     chunk_size) and on numpy's ``Generator`` algorithms. ``threads`` is
-    capped at ``os.cpu_count()`` (1 when that is unknown) and at the number
-    of chunks, and every count runs on one thread pool: thread w of the W
-    that run takes chunks w, w + W, ... ``fsum`` is correctly rounded, so
-    the thread count never changes the result. For independent blocks
-    K = 0, and every sum is 0.0.
+    capped at the CPUs the process may run on (its affinity set, else
+    ``os.cpu_count()``, else 1) and at the number of chunks, and every count
+    runs on one thread pool: thread w of the W that run takes chunks w,
+    w + W, ... ``fsum`` is correctly rounded, so the thread count never
+    changes the result. For independent blocks K = 0, and every sum is 0.0.
+
+    Each chunk draws and maps its normals in row tiles of 2048 rows at every
+    d. While the W threads run, numpy's OpenBLAS is held to at most
+    max(1, CPUs // W) threads, so BLAS threads do not compete with the
+    chunk threads for the CPUs; the count in effect before is restored on
+    return, whatever ends the call.
 
     When a chunk raises, or the calling thread leaves with an exception
     (KeyboardInterrupt included), each thread stops after its current chunk.
     The calling thread waits in timed waits of 0.25 s, so an interrupt ends
     the call within the longer of one chunk's work per thread (a few seconds
     at d = 1000) and one such wait. Each chunk allocates its own buffers, so
-    a thread holds chunk_size * 8 bytes of values plus the larger of one
-    work buffer (chunk_size * 8 bytes) and two tiles of tile * d * 8 bytes,
-    with ``_chunk_values``' tile rows. The d x d set-up reads L from
-    ``model.factor``, inverts it once and forms K = L^{-1} G L by two BLAS
-    products. Up to d = 64 the result does not depend on the BLAS thread
-    settings; above that the set-up's rounding (and above d = 128 the tile
-    products') can depend on them.
+    the run holds threads * (chunk_size * 8 + max(chunk_size * 8,
+    2 * 2048 * d * 8)) bytes: each thread's values, then either two tiles or
+    one work buffer. The d x d set-up reads L from ``model.factor``, inverts
+    it once and forms K = L^{-1} G L by two BLAS products, before the hold
+    begins. Up to d = 64 the result does not depend on the BLAS thread
+    settings; above that the set-up's rounding can depend on them.
     """
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
@@ -201,7 +197,7 @@ def sample_density(
             if not stop.is_set()
         ]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _blas_threads_held(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             futures = pending = [pool.submit(summarize, w) for w in range(workers)]
             while pending and not any(future.exception() for future in futures if future.done()):

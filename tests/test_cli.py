@@ -10,7 +10,7 @@ import pytest
 from conftest import count_loop_trace
 
 import infodensity
-from infodensity import DEFAULT_LOOP_CAP, cli, model_fingerprint, validate_model
+from infodensity import DEFAULT_LOOP_CAP, cli, model_fingerprint, sampling, validate_model
 from infodensity.cli import (
     AGREEMENT_TOL,
     MAX_T_GRID_TERMS,
@@ -419,7 +419,7 @@ class TestSimulate:
         assert json.loads(err)["error"] == "BatchTooSmall"
 
     def test_report_independent_of_threads(self, capsys, monkeypatch, scalar_pair_file):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
         reports = []
         for threads in ("1", "2", "100000"):
             code, out, _ = run(capsys, ["simulate", scalar_pair_file, "--n", "200000", "--threads", threads])

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +33,7 @@ from infodensity import (
     sample_density,
     validate_model,
 )
-from infodensity import sampling
+from infodensity import _linalg, sampling
 from infodensity.sampling import SampleBatch, _power_sums
 
 
@@ -73,7 +74,7 @@ class TestSampleDensity:
         one = sample_density(model, 200_000, seed=11, threads=1)
         four = sample_density(model, 200_000, seed=11, threads=4)
         assert one == four
-        # d = 20 over six chunks: two 655-row tiles per full chunk, then 3 rows.
+        # d = 20 over six chunks: one 1000-row tile per full chunk, then 3 rows.
         model = random_model(np.random.default_rng(1520), d=20, sizes=[5, 5, 5, 5])
         one = sample_density(model, 5003, seed=5, chunk_size=1000, threads=1)
         three = sample_density(model, 5003, seed=5, chunk_size=1000, threads=3)
@@ -119,7 +120,7 @@ class TestSampleDensity:
             raise PoolNotStarted
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", record)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
         model = scalar_pair_model(0.5)
         with pytest.raises(PoolNotStarted):
             sample_density(model, 10**9, seed=0, threads=100_000)
@@ -137,10 +138,20 @@ class TestSampleDensity:
             return ThreadPoolExecutor(max_workers)
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", record)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sample_density(model, 5000, seed=3, chunk_size=1000, threads=4) == reference
         assert mc_validate(model, 5000, seed=3, chunk_size=1000, threads=4)["threads"] == 1
         assert requested == [1, 1]
+
+    def test_threads_capped_at_affinity(self, monkeypatch):
+        # A process pinned to one CPU of four runs one thread.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        model = scalar_pair_model(0.5)
+        reference = sample_density(model, 5000, seed=3, chunk_size=1000, threads=1)
+        assert sample_density(model, 5000, seed=3, chunk_size=1000, threads=4) == reference
+        assert mc_validate(model, 5000, seed=3, chunk_size=1000, threads=4)["threads"] == 1
 
     def test_mean_within_five_se(self):
         model = scalar_pair_model(0.5)
@@ -196,7 +207,7 @@ class TestStop:
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(sampling, "_chunk_values", held)
-        monkeypatch.setattr(os, "cpu_count", lambda: self.WORKERS)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: self.WORKERS)
         sample_density(scalar_pair_model(0.5), 100 * 64, seed=0, chunk_size=64, threads=self.WORKERS)
 
     @pytest.mark.parametrize("failing", [0, WORKERS - 1])
@@ -235,6 +246,128 @@ class TestStop:
         assert len(timeouts) == 2
         assert all(0.0 < timeout <= 0.25 for timeout in timeouts)
         assert sorted(started) == list(range(self.WORKERS))
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread-count (getter, setter); the count is put back after the test."""
+    functions = _linalg._openblas_threads()
+    if functions is None:
+        pytest.skip("numpy's OpenBLAS was not found")
+    get, set_ = functions
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+class TestBlasHold:
+    """While the chunk threads run, BLAS is held to max(1, CPUs // threads) threads, then restored."""
+
+    @staticmethod
+    def _recording(monkeypatch, get, before_chunk=lambda seed: None):
+        """Patch ``_chunk_values`` to call ``before_chunk(seed)`` and record the BLAS count in each chunk."""
+        seen = []
+        chunk_values = sampling._chunk_values
+
+        def recorded(kernel, seed, chunk_index, rows):
+            before_chunk(seed)
+            seen.append(get())
+            return chunk_values(kernel, seed, chunk_index, rows)
+
+        monkeypatch.setattr(sampling, "_chunk_values", recorded)
+        return seen
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(_linalg, "_usable_cpus", lambda: count)
+
+    def test_held_while_chunks_run_and_restored_on_return(self, monkeypatch, blas_threads):
+        get, set_ = blas_threads
+        set_(2)
+        self._cpus(monkeypatch, 2)
+        seen = self._recording(monkeypatch, get)
+        sample_density(scalar_pair_model(0.5), 4000, seed=1, chunk_size=1000, threads=2)
+        assert seen == [1] * 4
+        assert get() == 2
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_restored_after_a_chunk_raises(self, monkeypatch, blas_threads, error):
+        get, set_ = blas_threads
+        set_(2)
+        self._cpus(monkeypatch, 2)
+
+        def fail(kernel, seed, chunk_index, rows):
+            assert get() == 1
+            raise error
+
+        monkeypatch.setattr(sampling, "_chunk_values", fail)
+        with pytest.raises(error):
+            sample_density(scalar_pair_model(0.5), 4000, seed=1, chunk_size=1000, threads=2)
+        assert get() == 2
+
+    def test_overlapping_calls_restore_the_count_before_the_first(self, monkeypatch, blas_threads):
+        # Both calls' chunks start together; the second call's chunks then
+        # wait until the first call has returned, and must still be held.
+        get, set_ = blas_threads
+        set_(2)
+        self._cpus(monkeypatch, 2)
+        all_started = threading.Barrier(4, timeout=30)
+        first_returned = threading.Event()
+
+        def before_chunk(seed):
+            all_started.wait()
+            if seed == 2:
+                assert first_returned.wait(timeout=30)
+
+        seen = self._recording(monkeypatch, get, before_chunk)
+        model = scalar_pair_model(0.5)
+        with ThreadPoolExecutor(2) as callers:
+            first, second = (
+                callers.submit(sample_density, model, 2000, seed, chunk_size=1000, threads=2) for seed in (1, 2)
+            )
+            first.result(timeout=60)
+            first_returned.set()
+            second.result(timeout=60)
+        assert seen == [1] * 4
+        assert get() == 2
+
+    def test_many_overlapping_calls(self, monkeypatch, blas_threads):
+        # Eight callers of two chunk threads each on two CPUs, switching threads
+        # every microsecond: every chunk runs held, and the count comes back.
+        get, set_ = blas_threads
+        set_(2)
+        self._cpus(monkeypatch, 2)
+        seen = self._recording(monkeypatch, get)
+        model = scalar_pair_model(0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as callers:
+                calls = [
+                    callers.submit(sample_density, model, 200, seed, chunk_size=100, threads=2) for seed in range(200)
+                ]
+                batches = [call.result(timeout=60) for call in calls]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [batch.n for batch in batches] == [200] * 200
+        assert seen == [1] * 400
+        assert get() == 2
+
+    def test_a_count_of_one_is_never_raised(self, monkeypatch, blas_threads):
+        get, set_ = blas_threads
+        set_(1)
+        self._cpus(monkeypatch, 2)
+        seen = self._recording(monkeypatch, get)
+        sample_density(scalar_pair_model(0.5), 4000, seed=1, chunk_size=1000, threads=1)
+        assert seen == [1] * 4
+        assert get() == 1
+
+    def test_same_batch_without_openblas(self, monkeypatch):
+        model = random_model(np.random.default_rng(1524), d=20, sizes=[5, 5, 5, 5])
+        reference = sample_density(model, 5003, seed=6, chunk_size=1000, threads=2)
+        monkeypatch.setattr(_linalg, "_openblas_threads", lambda: None)
+        assert sample_density(model, 5003, seed=6, chunk_size=1000, threads=2) == reference
 
 
 class TestKStatistics:
@@ -280,7 +413,7 @@ class TestStreaming:
         for d, chunk_size in ((20, 1000), (200, 2500)):
             model = random_model(np.random.default_rng(1520), d=d, sizes=[d // 4] * 4)
             threads = (1, 2, 3, 4)
-            with mock.patch.object(os, "cpu_count", return_value=4):
+            with mock.patch.object(sampling, "_usable_cpus", return_value=4):
                 batches = [sample_density(model, 5003, 5, chunk_size=chunk_size, threads=t) for t in threads]
                 reports = [mc_validate(model, 5003, 5, chunk_size=chunk_size, threads=t) for t in threads]
             assert all(batch == batches[0] for batch in batches)
@@ -344,7 +477,7 @@ class TestSamplerProperties:
     def test_thread_invariance_and_two_pass_summary(self, model_seed, d, seed, n, chunk_size):
         model = random_model(np.random.default_rng(model_seed), d=d)
         # Three threads must run even on a host with fewer cores.
-        with mock.patch.object(os, "cpu_count", return_value=3):
+        with mock.patch.object(sampling, "_usable_cpus", return_value=3):
             batches = [sample_density(model, n, seed, chunk_size=chunk_size, threads=t) for t in (1, 2, 3)]
         assert batches[0] == batches[1] == batches[2]
         got = k_statistics(batches[0])
