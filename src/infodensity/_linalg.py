@@ -128,11 +128,6 @@ def solve_pd_from_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (inverse.T @ inverse) @ b
 
 
-def _rel_bound(a: float, b: float, tol: float) -> float:
-    """A mixed absolute/relative bound on |a-b|: tol * max(1, |a|, |b|)."""
-    return tol * max(1.0, abs(a), abs(b))
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the platform has one, else ``os.cpu_count()`` or 1."""
     if hasattr(os, "sched_getaffinity"):

@@ -36,7 +36,7 @@ import sys
 import numpy as np
 import orjson
 
-from ._linalg import _rel_bound, _usable_cpus
+from ._linalg import _usable_cpus
 from .errors import CombinatorialLimit, CumulantOverflow, NonFiniteInput, OutOfDomain
 from .homogeneous import (
     HomogeneousModel,
@@ -187,7 +187,7 @@ def _oracle_section(model, loop_counts: list[int]) -> dict:
                 "loop_count": count,
                 "loop_sum": loop_sum,
                 "matrix_trace": matrix_trace,
-                **_check(loop_sum, matrix_trace, _rel_bound(loop_sum, matrix_trace, ORACLE_TOL)),
+                **_check(loop_sum, matrix_trace, ORACLE_TOL * max(1.0, abs(loop_sum), abs(matrix_trace))),
             }
         )
     return {
@@ -248,11 +248,8 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_homogeneous(args):
-    dims = [args.d]
-    if args.sweep_d:
-        dims = list(dict.fromkeys(dims + [int(s) for s in args.sweep_d.split(",")]))
     rows = []
-    for d in dims:
+    for d in args.d:
         hm = HomogeneousModel(dimension=d, rho=args.rho)
         model = homogeneous_covariance(hm)
         seq = cumulants(model, args.max_l)
@@ -275,7 +272,7 @@ def _cmd_homogeneous(args):
                 }
             )
     return {
-        "parameters": {"d": args.d, "rho": args.rho, "max_l": args.max_l, "sweep_d": dims[1:]},
+        "parameters": {"d": args.d, "rho": args.rho, "max_l": args.max_l},
         "rows": rows,
     }
 
@@ -286,6 +283,14 @@ def _within_double_range(ratio, *args):
         return ratio(*args)
     except CumulantOverflow:
         return None
+
+
+def _dimensions(text: str) -> list[int]:
+    """``--d``'s comma-separated dimensions, each once, in the order they first appear."""
+    try:
+        return list(dict.fromkeys(int(item) for item in text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects D1,D2,... of integers, got {text!r}") from None
 
 
 def _add_model_arguments(sub):
@@ -339,10 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(handler=_cmd_oracle_check)
 
     hom = commands.add_parser("homogeneous", help="equicorrelation closed forms")
-    hom.add_argument("--d", type=int, required=True)
+    hom.add_argument("--d", type=_dimensions, required=True, metavar="D1,D2,...", help="dimensions to tabulate")
     hom.add_argument("--rho", type=float, required=True)
     hom.add_argument("--max-l", type=int, default=4)
-    hom.add_argument("--sweep-d", metavar="D1,D2,...", help="extra dimensions to tabulate")
     hom.set_defaults(handler=_cmd_homogeneous)
 
     return parser

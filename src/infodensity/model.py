@@ -25,6 +25,7 @@ from ._linalg import _inverse_lower, _scalar_factors, cholesky_lower, solve_pd_f
 from .errors import (
     BadPartition,
     DimensionMismatch,
+    EigenvalueOutOfRange,
     NonFiniteInput,
     NotSymmetric,
     SameBlock,
@@ -139,7 +140,8 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     NotSymmetric, and any NaN or inf raises NonFiniteInput. Positive
     definiteness is established by Cholesky pivots both for the full matrix
     and for every diagonal block; the model keeps those factors, and the
-    coupling matrix and its spectrum formed from them.
+    coupling matrix and its spectrum formed from them. A computed spectrum
+    with an eigenvalue at or below -1 raises EigenvalueOutOfRange.
     """
     cov = _float_array(covariance, "covariance")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -194,6 +196,13 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
         sl = partition.block_slice(n)
         block_factor[sl, sl] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
     gamma, eigenvalues = compute_gamma(cov, block_factor, partition)
+    # Every eigenvalue exceeds -1 in exact arithmetic, but a covariance this
+    # close to singular can round the smallest to -1 or below.
+    if not 1.0 + eigenvalues[0] > 0.0:
+        raise EigenvalueOutOfRange(
+            f"coupling spectrum has 1 + lambda_min = {1.0 + eigenvalues[0]:.6g}, not above 0; "
+            "the covariance is too close to singular"
+        )
     return GaussianModel(
         mean=_frozen(mu),
         covariance=_frozen(cov),

@@ -10,23 +10,23 @@ Each chunk c draws its standard normals from its own stream: numpy's
 ziggurat ``Generator.standard_normal`` (Marsaglia & Tsang 2000) on an SFC64
 bit generator seeded by ``SeedSequence([seed mod 2**64, c])``, so any chunk
 can be generated independently. A stream continues across calls, so filling
-a chunk tile by tile gives the same normals as one call. The draws are thus a
-function of (seed, chunk index, chunk size) and of numpy's ``Generator``
-algorithms, which numpy may change between versions.
+a chunk tile by tile gives the same normals as one call. Every chunk but the
+last holds ``CHUNK_SIZE`` draws, so the draws are a function of (seed, n) and
+of numpy's ``Generator`` algorithms, which numpy may change between versions.
 
 Each chunk streams through its stream one row tile at a time (normals,
 kernel product, quadratic form in two tile-sized buffers), writes its
 centered values y and reduces them to the power sums of y, y^2, y^3 and
 y^4. The chunks' sums are added by ``math.fsum``, which is correctly rounded
 and so independent of the order of its terms: the result is bit-identical
-for a given (model, n, seed, chunk_size) whatever the thread count, and
-memory does not grow with n, since no n-length array of draws is ever
-formed. The sums are taken about the exact mean I, not about a sample mean,
-so they do not cancel the way raw sums of the density would when I is large
-against its spread. The chunk products, like the set-up and the analytic
-core, run on numpy's OpenBLAS, the only BLAS build the package loads, so
-every BLAS call of a process shares one thread pool; while the chunk threads
-run, that pool is held to their share of the CPUs.
+for a given (model, n, seed) whatever the thread count, and memory does not
+grow with n, since no n-length array of draws is ever formed. The sums are
+taken about the exact mean I, not about a sample mean, so they do not cancel
+the way raw sums of the density would when I is large against its spread.
+The chunk products, like the set-up and the analytic core, run on numpy's
+OpenBLAS, the only BLAS build the package loads, so every BLAS call of a
+process shares one thread pool; while the chunk threads run, that pool is
+held to their share of the CPUs.
 
 Cumulants are estimated with the classical unbiased k-statistics; the
 validation report compares them with the analytic values using standard
@@ -48,7 +48,8 @@ from .errors import BatchTooSmall
 from .measures import cumulants, multiinformation
 from .model import GaussianModel, model_fingerprint
 
-DEFAULT_CHUNK_SIZE = 65536
+# Draws per chunk: each chunk has its own stream, so the draws depend on it.
+CHUNK_SIZE = 65536
 # Rows a chunk draws and maps at a time; at d = 200 and 1000 such tiles ran as
 # fast as one chunk-wide product.
 _TILE_ROWS = 2048
@@ -93,9 +94,9 @@ def _normal_stream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed & _MASK64, chunk_index])))
 
 
-def _worker_count(threads: int, n: int, chunk_size: int) -> int:
+def _worker_count(threads: int, n: int) -> int:
     """Threads ``sample_density`` runs: ``threads``, at most one per usable CPU and per chunk."""
-    return min(threads, _usable_cpus(), -(-n // chunk_size))
+    return min(threads, _usable_cpus(), -(-n // CHUNK_SIZE))
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
@@ -142,24 +143,24 @@ def sample_density(
     model: GaussianModel,
     n: int,
     seed: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> SampleBatch:
     """Summarize the density on n seeded Gaussian draws about its exact mean.
 
-    Each chunk c draws standard normals z by ziggurat from its SFC64 stream
-    seeded by (seed mod 2**64, c) and evaluates y = z^T K z / 2 with the
-    folded kernel K = L^{-1} G L, where L is the covariance Cholesky factor
-    (w = L z are the centered draws). The density is
-    I + y, so the returned batch holds, with ``center`` = I =
-    ``multiinformation(model)``, the sums of y^p for p = 1..4: each chunk's
-    sums are added by ``math.fsum``. The draws depend on (seed, c,
-    chunk_size) and on numpy's ``Generator`` algorithms. ``threads`` is
-    capped at the CPUs the process may run on (its affinity set, else
-    ``os.cpu_count()``, else 1) and at the number of chunks, and every count
-    runs on one thread pool: thread w of the W that run takes chunks w,
-    w + W, ... ``fsum`` is correctly rounded, so the thread count never
-    changes the result. For independent blocks K = 0, and every sum is 0.0.
+    The draws are split into chunks of ``CHUNK_SIZE`` = 65536, the last one
+    shorter. Each chunk c draws standard normals z by ziggurat from its SFC64
+    stream seeded by (seed mod 2**64, c) and evaluates y = z^T K z / 2 with
+    the folded kernel K = L^{-1} G L, where L is the covariance Cholesky
+    factor (w = L z are the centered draws). The density is I + y, so the
+    returned batch holds, with ``center`` = I = ``multiinformation(model)``,
+    the sums of y^p for p = 1..4: each chunk's sums are added by
+    ``math.fsum``. The draws depend on (seed, n) and on numpy's ``Generator``
+    algorithms. ``threads`` is capped at the CPUs the process may run on (its
+    affinity set, else ``os.cpu_count()``, else 1) and at the number of
+    chunks, and every count runs on one thread pool: thread w of the W that
+    run takes chunks w, w + W, ... ``fsum`` is correctly rounded, so the
+    thread count never changes the result. For independent blocks K = 0,
+    and every sum is 0.0.
 
     Each chunk draws and maps its normals in row tiles of 2048 rows at every
     d. While the W threads run, numpy's OpenBLAS is held to at most
@@ -172,22 +173,21 @@ def sample_density(
     The calling thread waits in timed waits of 0.25 s, so an interrupt ends
     the call within the longer of one chunk's work per thread (a few seconds
     at d = 1000) and one such wait. Each chunk allocates its own buffers, so
-    the run holds threads * (chunk_size * 8 + max(chunk_size * 8,
-    2 * 2048 * d * 8)) bytes: each thread's values, then either two tiles or
-    one work buffer. The d x d set-up reads L from ``model.factor``, inverts
-    it once and forms K = L^{-1} G L by two BLAS products, before the hold
-    begins. Up to d = 64 the result does not depend on the BLAS thread
-    settings; above that the set-up's rounding can depend on them.
+    the run holds threads * (524288 + max(524288, 32768 * d)) bytes: each
+    thread's 65536 values, then either two 2048-row tiles or one work
+    buffer. The d x d set-up reads L from ``model.factor``, inverts it once
+    and forms K = L^{-1} G L by two BLAS products, before the hold begins.
+    Up to d = 64 the result does not depend on the BLAS thread settings;
+    above that the set-up's rounding can depend on them.
     """
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     kernel = _folded_kernel(model)
+    chunk_size = CHUNK_SIZE
     n_chunks = -(-n // chunk_size)
-    workers = _worker_count(threads, n, chunk_size)
+    workers = _worker_count(threads, n)
     stop = threading.Event()
 
     def summarize(first: int) -> list[tuple[float, float, float, float]]:
@@ -276,7 +276,6 @@ def mc_validate(
     n: int,
     seed: int,
     max_order: int = 4,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
     corrupt_order: int | None = None,
 ) -> dict:
@@ -308,7 +307,7 @@ def mc_validate(
         raise ValueError(f"corrupt_order must be in 1..max_order = {max_order}, got {corrupt_order}")
     if n < 4:
         raise BatchTooSmall(f"need at least 4 draws for finite standard errors, got {n}")
-    batch = sample_density(model, n, seed, chunk_size=chunk_size, threads=threads)
+    batch = sample_density(model, n, seed, threads=threads)
     stats = k_statistics(batch)
     analytic = cumulants(model, 8)
     kappa = (math.nan,) + analytic.values  # 1-indexed
@@ -348,5 +347,5 @@ def mc_validate(
         "z_threshold": Z_THRESHOLD,
         "rows": rows,
         "ok": all_ok,
-        "threads": _worker_count(threads, n, chunk_size),
+        "threads": _worker_count(threads, n),
     }

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from infodensity import (
@@ -12,11 +13,11 @@ from infodensity import (
     loops,
     multiinformation,
     regression_block,
+    sampling,
     validate_model,
 )
 from infodensity.model import _integral_at_least
 from infodensity.sampling import (
-    DEFAULT_CHUNK_SIZE,
     SampleBatch,
     _chunk_values,
     _folded_kernel,
@@ -103,14 +104,26 @@ def squared_multiple_correlation(model):
     return 1.0 - 1.0 / (s[0, 0] * np.linalg.inv(s)[0, 0])
 
 
-def sampled_values(model, n, seed, chunk_size=DEFAULT_CHUNK_SIZE):
+@pytest.fixture
+def set_chunk_size(monkeypatch):
+    """A setter of ``sampling.CHUNK_SIZE`` for the test, which gives small chunks cheap multi-chunk runs.
+
+    The sampler and ``sampled_values`` read the constant at each call, and the
+    test's end puts it back.
+    """
+    return lambda size: monkeypatch.setattr(sampling, "CHUNK_SIZE", size)
+
+
+def sampled_values(model, n, seed):
     """The n density values I + y, in chunk order, whose parts y ``sample_density`` summarizes.
 
     ``sample_density`` keeps no draws; this concatenates the per-chunk
-    function its threads call and adds the multiinformation I.
+    function its threads call, over chunks of ``sampling.CHUNK_SIZE``, and
+    adds the multiinformation I.
     """
     kernel = _folded_kernel(model)
     info = multiinformation(model)
+    chunk_size = sampling.CHUNK_SIZE
     chunks = range(-(-n // chunk_size))
     return np.concatenate(
         [_chunk_values(kernel, seed, c, min(chunk_size, n - c * chunk_size)) for c in chunks]

@@ -537,6 +537,28 @@ class TestOracleCheck:
         assert json.loads(out)["loop_cap"] == DEFAULT_LOOP_CAP
 
 
+class TestSpectrumRefusedAtLoad:
+    def test_every_subcommand_gives_the_same_error(self, capsys, tmp_path):
+        # Equicorrelation at d = 50 with rho = 1 - 50 eps passes every pivot
+        # check, but its computed spectrum has 1 + lambda_min below 0.
+        d = 50
+        cov = np.full((d, d), 1.0 - 50 * np.finfo(float).eps)
+        np.fill_diagonal(cov, 1.0)
+        path = tmp_path / "near_singular.json"
+        path.write_text(json.dumps({"covariance": cov.tolist(), "partition": [1] * d}))
+        results = [
+            run(capsys, argv)
+            for argv in (
+                ["analyze", str(path)],
+                ["simulate", str(path), "--n", "100000"],
+                ["oracle-check", str(path), "--max-l", "2"],
+            )
+        ]
+        assert [(code, out) for code, out, _ in results] == [(2, "")] * 3
+        assert len({err for _, _, err in results}) == 1
+        assert json.loads(results[0][2])["error"] == "EigenvalueOutOfRange"
+
+
 class TestHomogeneous:
     def test_basic_table(self, capsys):
         code, out, _ = run(capsys, ["homogeneous", "--d", "3", "--rho", "0.5", "--max-l", "3"])
@@ -549,13 +571,10 @@ class TestHomogeneous:
         assert by_l[1]["closed_form"] == pytest.approx(0.346574, abs=1e-6)
 
     def test_sweep_approaches_limit(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["homogeneous", "--d", "10", "--rho", "0.3", "--max-l", "3", "--sweep-d", "100,10,1000,100"],
-        )
+        code, out, _ = run(capsys, ["homogeneous", "--d", "10,100,10,1000,100", "--rho", "0.3", "--max-l", "3"])
         assert code == 0
         report = json.loads(out)
-        assert report["parameters"]["sweep_d"] == [100, 1000]
+        assert report["parameters"] == {"d": [10, 100, 1000], "rho": 0.3, "max_l": 3}
         assert [r["d"] for r in report["rows"]] == [10] * 3 + [100] * 3 + [1000] * 3
         rows = [r for r in report["rows"] if r["l"] == 3]
         gaps = [abs(r["standardized"] - 2.828427) for r in rows]
@@ -860,8 +879,9 @@ class TestUsageErrors:
             (["analyze", "{model}", "--cumulants", "x"], "invalid int value: 'x'"),
             (["homogeneous", "--d", "3", "--rho", "0.2", "--format", "csv"], "unrecognized arguments: --format csv"),
             (["simulate", "{model}"], "the following arguments are required: --n"),
+            (["homogeneous", "--d", "10,x", "--rho", "0.2"], "argument --d: expects D1,D2,... of integers, got '10,x'"),
         ],
-        ids=["bad-int", "unknown-option", "missing-option"],
+        ids=["bad-int", "unknown-option", "missing-option", "bad-dimension-item"],
     )
     def test_usage_error_is_one_json_line(self, capsys, scalar_pair_file, argv, message):
         code, out, err = run(capsys, [a.format(model=scalar_pair_file) for a in argv])

@@ -492,10 +492,11 @@ class TestSamplerAgainstTwoProducts:
     # height; each 1000-draw chunk is one tile at every d, so tile boundaries
     # are left to test_tiles_match_chunk_wide_product.
     @pytest.mark.parametrize("d", [2, 20, 100, 128, 200, 600])
-    def test_folded_kernel_matches_two_products(self, d):
+    def test_folded_kernel_matches_two_products(self, set_chunk_size, d):
+        set_chunk_size(1000)
         rng = np.random.default_rng(1500 + d)
         model = random_model(rng, d=d, sizes=random_partition(rng, d, max_blocks=5))
-        values = sampled_values(model, 2503, seed=77, chunk_size=1000)
+        values = sampled_values(model, 2503, seed=77)
         expected = _reference_sample_density(model, 2503, 77, 1000)
         assert values.shape == expected.shape
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
@@ -507,10 +508,11 @@ class TestSamplerAgainstTwoProducts:
     # small-matrix kernel on AVX-512 hosts, and the chunk-wide one (1.8e6) is
     # not; the two kernels sum in different orders, so the values agree to rounding.
     @pytest.mark.parametrize("d", [2, 20, 128, 200, 600])
-    def test_tiles_match_chunk_wide_product(self, d):
+    def test_tiles_match_chunk_wide_product(self, set_chunk_size, d):
+        set_chunk_size(4500)
         rng = np.random.default_rng(1540 + d)
         model = random_model(rng, d=d, sizes=random_partition(rng, d, max_blocks=5))
-        values = sampled_values(model, 9001, seed=13, chunk_size=4500)
+        values = sampled_values(model, 9001, seed=13)
         expected = _reference_chunk_wide_values(model, 9001, 13, 4500)
         if d == 20:
             assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
@@ -538,10 +540,14 @@ class TestSamplerAgainstTwoProducts:
     # At d <= 64 every d x d product of the set-up is also at most 2**18
     # multiply-adds; above that the set-up's own BLAS/LAPACK calls may round
     # differently with their thread count (seen at d = 100 and d = 128). So at
-    # d = 200 the child unpickles the parent's validated model, and what is
+    # d = 200 the children unpickle the parent's validated model, and what is
     # compared is ``sample_density`` on 2 threads, the kernel set-up included.
+    # One child runs at OpenBLAS's default thread count and one at 1, so two
+    # settings are compared whatever ``OPENBLAS_NUM_THREADS`` this process has.
     @pytest.mark.parametrize("d", [20, 64, 200])
-    def test_output_independent_of_blas_threads(self, tmp_path, d):
+    def test_output_independent_of_blas_threads(self, tmp_path, set_chunk_size, d):
+        chunk_size = 1000 if d <= 64 else 2500
+        set_chunk_size(chunk_size)
         rng = np.random.default_rng(1530 + d)
         sizes = [d // 4] * 4
         cov = random_model(rng, d=d, sizes=sizes).covariance
@@ -550,31 +556,38 @@ class TestSamplerAgainstTwoProducts:
         (tmp_path / "model.pickle").write_bytes(pickle.dumps(model))
         if d <= 64:
             load = f"validate_model(None, np.load(sys.argv[1]), {sizes})"
-            summary = "hashlib.sha256(sampled_values(model, 5003, seed=8, chunk_size=1000).tobytes()).hexdigest()"
-            expected = hashlib.sha256(sampled_values(model, 5003, seed=8, chunk_size=1000).tobytes()).hexdigest()
+            summary = "hashlib.sha256(sampled_values(model, 5003, seed=8).tobytes()).hexdigest()"
+            expected = hashlib.sha256(sampled_values(model, 5003, seed=8).tobytes()).hexdigest()
         else:
             load = "pickle.loads(open(sys.argv[2], 'rb').read())"
-            summary = "repr(sample_density(model, 5003, seed=8, chunk_size=2500, threads=2))"
-            expected = repr(sample_density(model, 5003, seed=8, chunk_size=2500, threads=2))
+            summary = "repr(sample_density(model, 5003, seed=8, threads=2))"
+            expected = repr(sample_density(model, 5003, seed=8, threads=2))
         script = (
             "import hashlib, pickle, sys, numpy as np\n"
             "from conftest import sampled_values\n"
-            "from infodensity import sample_density, validate_model\n"
+            "from infodensity import sample_density, sampling, validate_model\n"
+            f"sampling.CHUNK_SIZE = {chunk_size}\n"
             f"model = {load}\n"
             f"print({summary})\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
         tests = os.path.dirname(os.path.abspath(__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, tests]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "cov.npy"), str(tmp_path / "model.pickle")],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        assert proc.stdout.strip() == expected
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path / "cov.npy"), str(tmp_path / "model.pickle")],
+                env=child_env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for child_env in (env, dict(env, OPENBLAS_NUM_THREADS="1"))
+        ]
+        outputs = [child.communicate(timeout=120) for child in children]
+        for child, (out, err) in zip(children, outputs):
+            assert child.returncode == 0, err
+            assert out.strip() == expected
 
 
 class TestKStatisticsAgainstPow:

@@ -10,7 +10,6 @@ from conftest import random_block_diagonal_model, random_model, rel_close, scala
 from infodensity import (
     CumulantOverflow,
     DimensionMismatch,
-    EigenvalueOutOfRange,
     HomogeneousModel,
     OutOfDomain,
     cgf,
@@ -69,11 +68,6 @@ class TestMultiinformationFromGamma:
         assert multiinformation_from_gamma(EQUI3) == pytest.approx(
             multiinformation(EQUI3), abs=1e-9
         )
-
-    def test_invalid_spectrum_rejected(self):
-        bad = dataclasses.replace(scalar_pair_model(0.5), gamma_eigenvalues=np.array([-1.2, 0.3]))
-        with pytest.raises(EigenvalueOutOfRange):
-            multiinformation_from_gamma(bad)
 
 
 class TestDensity:

@@ -15,6 +15,7 @@ from conftest import (
 from infodensity import (
     BadPartition,
     DimensionMismatch,
+    EigenvalueOutOfRange,
     NonFiniteInput,
     NotPositiveDefinite,
     NotSymmetric,
@@ -184,6 +185,15 @@ class TestValidateModel:
             sl = model.partition.block_slice(n)
             assert np.array_equal(model.block_factor[sl, sl], np.linalg.cholesky(model.diagonal_block(n)))
 
+    def test_invalid_spectrum_rejected(self):
+        # Equicorrelation at d = 50 with rho = 1 - 50 eps passes every pivot
+        # check, but its computed spectrum has 1 + lambda_min = -8.88e-16.
+        d = 50
+        cov = np.full((d, d), 1.0 - 50 * np.finfo(float).eps)
+        np.fill_diagonal(cov, 1.0)
+        with pytest.raises(EigenvalueOutOfRange, match=r"^coupling spectrum has 1 \+ lambda_min = "):
+            validate_model(None, cov, [1] * d)
+
 
 class TestRegressionBlock:
     def test_scalar_pair(self):
@@ -343,10 +353,3 @@ class TestNonFinitePoint:
                 density(model, [math.inf, 0.0])
             with pytest.raises(NonFiniteInput):
                 density(model, [0.0, math.nan])
-
-    def test_density_rejects_infinite_mean(self):
-        # validate_model refuses such a mean; the density checks it again.
-        model = dataclasses.replace(scalar_pair_model(0.5), mean=np.array([math.inf, 0.0]))
-        for density in (density_at, density_at_direct):
-            with pytest.raises(NonFiniteInput):
-                density(model, [0.0, 0.0])

@@ -55,29 +55,32 @@ class TestSampleDensity:
         values = sampled_values(model, 1000, seed=3)
         assert np.max(np.abs(values)) < 1e-10
 
-    def test_block_diagonal_sums_and_z_scores_exactly_zero(self):
+    def test_block_diagonal_sums_and_z_scores_exactly_zero(self, set_chunk_size):
+        set_chunk_size(1000)
         model = random_block_diagonal_model(np.random.default_rng(2), [2, 3, 1])
-        batch = sample_density(model, 5003, seed=4, chunk_size=1000, threads=2)
+        batch = sample_density(model, 5003, seed=4, threads=2)
         assert (batch.s1, batch.s2, batch.s3, batch.s4) == (0.0, 0.0, 0.0, 0.0)
-        report = mc_validate(model, 5003, seed=4, chunk_size=1000, threads=2)
+        report = mc_validate(model, 5003, seed=4, threads=2)
         assert [row["z"] for row in report["rows"]] == [0.0] * 4
 
-    def test_zero_standard_error_gives_signed_infinite_z(self):
+    def test_zero_standard_error_gives_signed_infinite_z(self, set_chunk_size):
         # Independent blocks: every standard error is 0, and raising the order-2 target gives z = -inf.
+        set_chunk_size(1000)
         model = random_block_diagonal_model(np.random.default_rng(2), [2, 3, 1])
-        report = mc_validate(model, 5003, seed=4, chunk_size=1000, threads=2, corrupt_order=2)
+        report = mc_validate(model, 5003, seed=4, threads=2, corrupt_order=2)
         assert [row["z"] for row in report["rows"]] == [0.0, -math.inf, 0.0, 0.0]
         assert [row["ok"] for row in report["rows"]] == [True, False, True, True]
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_thread_counts(self, set_chunk_size):
         model = scalar_pair_model(0.5)
         one = sample_density(model, 200_000, seed=11, threads=1)
         four = sample_density(model, 200_000, seed=11, threads=4)
         assert one == four
         # d = 20 over six chunks: one 1000-row tile per full chunk, then 3 rows.
+        set_chunk_size(1000)
         model = random_model(np.random.default_rng(1520), d=20, sizes=[5, 5, 5, 5])
-        one = sample_density(model, 5003, seed=5, chunk_size=1000, threads=1)
-        three = sample_density(model, 5003, seed=5, chunk_size=1000, threads=3)
+        one = sample_density(model, 5003, seed=5, threads=1)
+        three = sample_density(model, 5003, seed=5, threads=3)
         assert one == three
 
     def test_deterministic_rerun(self):
@@ -103,11 +106,7 @@ class TestSampleDensity:
         with pytest.raises(ValueError, match="threads"):
             sample_density(scalar_pair_model(0.5), 1000, seed=0, threads=threads)
 
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk_size must be >= 1, got 0"):
-            sample_density(scalar_pair_model(0.5), 1000, seed=0, chunk_size=0)
-
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
+    def test_threads_capped_at_cpu_count(self, monkeypatch, set_chunk_size):
         # 10**9 draws are 15,259 chunks: uncapped, 100,000 threads would start
         # 15,259 workers. The recorder refuses to start any pool.
         class PoolNotStarted(Exception):
@@ -124,13 +123,15 @@ class TestSampleDensity:
         model = scalar_pair_model(0.5)
         with pytest.raises(PoolNotStarted):
             sample_density(model, 10**9, seed=0, threads=100_000)
+        set_chunk_size(1000)
         with pytest.raises(PoolNotStarted):
-            sample_density(model, 3000, seed=0, chunk_size=1000, threads=100_000)
+            sample_density(model, 3000, seed=0, threads=100_000)
         assert requested == [4, 3]
 
-    def test_unknown_cpu_count_runs_one_worker(self, monkeypatch):
+    def test_unknown_cpu_count_runs_one_worker(self, monkeypatch, set_chunk_size):
+        set_chunk_size(1000)
         model = scalar_pair_model(0.5)
-        reference = sample_density(model, 5000, seed=3, chunk_size=1000, threads=1)
+        reference = sample_density(model, 5000, seed=3, threads=1)
         requested = []
 
         def record(max_workers):
@@ -140,18 +141,19 @@ class TestSampleDensity:
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", record)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert sample_density(model, 5000, seed=3, chunk_size=1000, threads=4) == reference
-        assert mc_validate(model, 5000, seed=3, chunk_size=1000, threads=4)["threads"] == 1
+        assert sample_density(model, 5000, seed=3, threads=4) == reference
+        assert mc_validate(model, 5000, seed=3, threads=4)["threads"] == 1
         assert requested == [1, 1]
 
-    def test_threads_capped_at_affinity(self, monkeypatch):
+    def test_threads_capped_at_affinity(self, monkeypatch, set_chunk_size):
         # A process pinned to one CPU of four runs one thread.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_chunk_size(1000)
         model = scalar_pair_model(0.5)
-        reference = sample_density(model, 5000, seed=3, chunk_size=1000, threads=1)
-        assert sample_density(model, 5000, seed=3, chunk_size=1000, threads=4) == reference
-        assert mc_validate(model, 5000, seed=3, chunk_size=1000, threads=4)["threads"] == 1
+        reference = sample_density(model, 5000, seed=3, threads=1)
+        assert sample_density(model, 5000, seed=3, threads=4) == reference
+        assert mc_validate(model, 5000, seed=3, threads=4)["threads"] == 1
 
     def test_mean_within_five_se(self):
         model = scalar_pair_model(0.5)
@@ -175,7 +177,7 @@ class TestSampleDensity:
 class TestStop:
     """A failing chunk or an interrupt stops every thread after its current chunk.
 
-    ``_held_run`` runs 100 chunks on 4 threads and holds each thread inside
+    ``_held_run`` runs 100 chunks of 64 draws on 4 threads and holds each thread inside
     its first chunk (chunk w for thread w) until the pool shuts down, which
     the calling thread reaches only once it has left its wait. Without a stop
     the three other threads would then draw every one of their chunks.
@@ -186,7 +188,7 @@ class TestStop:
     class ChunkFailed(Exception):
         pass
 
-    def _held_run(self, monkeypatch, first_chunk, started):
+    def _held_run(self, monkeypatch, set_chunk_size, first_chunk, started):
         """A 100-chunk run whose thread w calls ``first_chunk(w)`` in its first chunk; ``started`` gets each chunk."""
         shutting_down = threading.Event()
         barrier = threading.Barrier(self.WORKERS, timeout=30)
@@ -208,20 +210,21 @@ class TestStop:
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(sampling, "_chunk_values", held)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: self.WORKERS)
-        sample_density(scalar_pair_model(0.5), 100 * 64, seed=0, chunk_size=64, threads=self.WORKERS)
+        set_chunk_size(64)
+        sample_density(scalar_pair_model(0.5), 100 * 64, seed=0, threads=self.WORKERS)
 
     @pytest.mark.parametrize("failing", [0, WORKERS - 1])
-    def test_failing_chunk_stops_every_thread(self, monkeypatch, failing):
+    def test_failing_chunk_stops_every_thread(self, monkeypatch, set_chunk_size, failing):
         def fail(chunk_index):
             if chunk_index == failing:
                 raise self.ChunkFailed
 
         started = []
         with pytest.raises(self.ChunkFailed):
-            self._held_run(monkeypatch, fail, started)
+            self._held_run(monkeypatch, set_chunk_size, fail, started)
         assert sorted(started) == list(range(self.WORKERS))
 
-    def test_interrupt_stops_every_thread(self, monkeypatch):
+    def test_interrupt_stops_every_thread(self, monkeypatch, set_chunk_size):
         # Once every thread is inside its first chunk, the calling thread's first
         # wait times out for real and its second raises KeyboardInterrupt, as a
         # Ctrl-C does when it lands as a wait begins. CI interrupts the console
@@ -242,7 +245,7 @@ class TestStop:
         monkeypatch.setattr(sampling, "wait", interrupted_wait)
         started = []
         with pytest.raises(KeyboardInterrupt):
-            self._held_run(monkeypatch, lambda chunk_index: in_first_chunk.wait(), started)
+            self._held_run(monkeypatch, set_chunk_size, lambda chunk_index: in_first_chunk.wait(), started)
         assert len(timeouts) == 2
         assert all(0.0 < timeout <= 0.25 for timeout in timeouts)
         assert sorted(started) == list(range(self.WORKERS))
@@ -282,20 +285,22 @@ class TestBlasHold:
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: count)
         monkeypatch.setattr(_linalg, "_usable_cpus", lambda: count)
 
-    def test_held_while_chunks_run_and_restored_on_return(self, monkeypatch, blas_threads):
+    def test_held_while_chunks_run_and_restored_on_return(self, monkeypatch, set_chunk_size, blas_threads):
         get, set_ = blas_threads
         set_(2)
         self._cpus(monkeypatch, 2)
+        set_chunk_size(1000)
         seen = self._recording(monkeypatch, get)
-        sample_density(scalar_pair_model(0.5), 4000, seed=1, chunk_size=1000, threads=2)
+        sample_density(scalar_pair_model(0.5), 4000, seed=1, threads=2)
         assert seen == [1] * 4
         assert get() == 2
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_restored_after_a_chunk_raises(self, monkeypatch, blas_threads, error):
+    def test_restored_after_a_chunk_raises(self, monkeypatch, set_chunk_size, blas_threads, error):
         get, set_ = blas_threads
         set_(2)
         self._cpus(monkeypatch, 2)
+        set_chunk_size(1000)
 
         def fail(kernel, seed, chunk_index, rows):
             assert get() == 1
@@ -303,15 +308,16 @@ class TestBlasHold:
 
         monkeypatch.setattr(sampling, "_chunk_values", fail)
         with pytest.raises(error):
-            sample_density(scalar_pair_model(0.5), 4000, seed=1, chunk_size=1000, threads=2)
+            sample_density(scalar_pair_model(0.5), 4000, seed=1, threads=2)
         assert get() == 2
 
-    def test_overlapping_calls_restore_the_count_before_the_first(self, monkeypatch, blas_threads):
+    def test_overlapping_calls_restore_the_count_before_the_first(self, monkeypatch, set_chunk_size, blas_threads):
         # Both calls' chunks start together; the second call's chunks then
         # wait until the first call has returned, and must still be held.
         get, set_ = blas_threads
         set_(2)
         self._cpus(monkeypatch, 2)
+        set_chunk_size(1000)
         all_started = threading.Barrier(4, timeout=30)
         first_returned = threading.Event()
 
@@ -324,7 +330,7 @@ class TestBlasHold:
         model = scalar_pair_model(0.5)
         with ThreadPoolExecutor(2) as callers:
             first, second = (
-                callers.submit(sample_density, model, 2000, seed, chunk_size=1000, threads=2) for seed in (1, 2)
+                callers.submit(sample_density, model, 2000, seed, threads=2) for seed in (1, 2)
             )
             first.result(timeout=60)
             first_returned.set()
@@ -332,12 +338,13 @@ class TestBlasHold:
         assert seen == [1] * 4
         assert get() == 2
 
-    def test_many_overlapping_calls(self, monkeypatch, blas_threads):
+    def test_many_overlapping_calls(self, monkeypatch, set_chunk_size, blas_threads):
         # Eight callers of two chunk threads each on two CPUs, switching threads
         # every microsecond: every chunk runs held, and the count comes back.
         get, set_ = blas_threads
         set_(2)
         self._cpus(monkeypatch, 2)
+        set_chunk_size(100)
         seen = self._recording(monkeypatch, get)
         model = scalar_pair_model(0.5)
         interval = sys.getswitchinterval()
@@ -345,7 +352,7 @@ class TestBlasHold:
         try:
             with ThreadPoolExecutor(8) as callers:
                 calls = [
-                    callers.submit(sample_density, model, 200, seed, chunk_size=100, threads=2) for seed in range(200)
+                    callers.submit(sample_density, model, 200, seed, threads=2) for seed in range(200)
                 ]
                 batches = [call.result(timeout=60) for call in calls]
         finally:
@@ -354,20 +361,22 @@ class TestBlasHold:
         assert seen == [1] * 400
         assert get() == 2
 
-    def test_a_count_of_one_is_never_raised(self, monkeypatch, blas_threads):
+    def test_a_count_of_one_is_never_raised(self, monkeypatch, set_chunk_size, blas_threads):
         get, set_ = blas_threads
         set_(1)
         self._cpus(monkeypatch, 2)
+        set_chunk_size(1000)
         seen = self._recording(monkeypatch, get)
-        sample_density(scalar_pair_model(0.5), 4000, seed=1, chunk_size=1000, threads=1)
+        sample_density(scalar_pair_model(0.5), 4000, seed=1, threads=1)
         assert seen == [1] * 4
         assert get() == 1
 
-    def test_same_batch_without_openblas(self, monkeypatch):
+    def test_same_batch_without_openblas(self, monkeypatch, set_chunk_size):
+        set_chunk_size(1000)
         model = random_model(np.random.default_rng(1524), d=20, sizes=[5, 5, 5, 5])
-        reference = sample_density(model, 5003, seed=6, chunk_size=1000, threads=2)
+        reference = sample_density(model, 5003, seed=6, threads=2)
         monkeypatch.setattr(_linalg, "_openblas_threads", lambda: None)
-        assert sample_density(model, 5003, seed=6, chunk_size=1000, threads=2) == reference
+        assert sample_density(model, 5003, seed=6, threads=2) == reference
 
 
 class TestKStatistics:
@@ -408,14 +417,15 @@ class TestKStatistics:
 
 
 class TestStreaming:
-    def test_summaries_and_reports_identical_across_threads(self):
+    def test_summaries_and_reports_identical_across_threads(self, set_chunk_size):
         # At d = 200 each 2500-draw chunk runs as a 2048-row and a 452-row tile.
         for d, chunk_size in ((20, 1000), (200, 2500)):
+            set_chunk_size(chunk_size)
             model = random_model(np.random.default_rng(1520), d=d, sizes=[d // 4] * 4)
             threads = (1, 2, 3, 4)
             with mock.patch.object(sampling, "_usable_cpus", return_value=4):
-                batches = [sample_density(model, 5003, 5, chunk_size=chunk_size, threads=t) for t in threads]
-                reports = [mc_validate(model, 5003, 5, chunk_size=chunk_size, threads=t) for t in threads]
+                batches = [sample_density(model, 5003, 5, threads=t) for t in threads]
+                reports = [mc_validate(model, 5003, 5, threads=t) for t in threads]
             assert all(batch == batches[0] for batch in batches)
             # The report ends with the effective thread count: at most one per chunk.
             n_chunks = -(-5003 // chunk_size)
@@ -423,10 +433,11 @@ class TestStreaming:
             assert [r.pop("threads") for r in reports] == [min(t, n_chunks) for t in threads]
             assert all(report == reports[0] for report in reports)
 
-    def test_batch_is_the_summary_of_its_draws(self):
+    def test_batch_is_the_summary_of_its_draws(self, set_chunk_size):
+        set_chunk_size(1000)
         model = random_model(np.random.default_rng(1521), d=6, sizes=[2, 4])
-        batch = sample_density(model, 5003, seed=2, chunk_size=1000, threads=2)
-        values = sampled_values(model, 5003, seed=2, chunk_size=1000)
+        batch = sample_density(model, 5003, seed=2, threads=2)
+        values = sampled_values(model, 5003, seed=2)
         got, expected = k_statistics(batch), k_statistics(two_pass_batch(values))
         for order in (1, 2, 3, 4):
             a, b = got.estimate(order), expected.estimate(order)
@@ -476,12 +487,16 @@ class TestSamplerProperties:
     )
     def test_thread_invariance_and_two_pass_summary(self, model_seed, d, seed, n, chunk_size):
         model = random_model(np.random.default_rng(model_seed), d=d)
-        # Three threads must run even on a host with fewer cores.
-        with mock.patch.object(sampling, "_usable_cpus", return_value=3):
-            batches = [sample_density(model, n, seed, chunk_size=chunk_size, threads=t) for t in (1, 2, 3)]
+        # A function-scoped fixture would span every example, so each example patches its own.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "CHUNK_SIZE", chunk_size)
+            # Three threads must run even on a host with fewer cores.
+            patch.setattr(sampling, "_usable_cpus", lambda: 3)
+            batches = [sample_density(model, n, seed, threads=t) for t in (1, 2, 3)]
+            values = sampled_values(model, n, seed)
         assert batches[0] == batches[1] == batches[2]
         got = k_statistics(batches[0])
-        expected = k_statistics(two_pass_batch(sampled_values(model, n, seed, chunk_size)))
+        expected = k_statistics(two_pass_batch(values))
         for order in (1, 2, 3, 4):
             a, b = got.estimate(order), expected.estimate(order)
             if math.isnan(b):
