@@ -42,7 +42,7 @@ def cholesky_lower(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     raised with the first failing pivot index. No jitter, no repair.
     """
     a = np.asarray(a, dtype=float)
-    thresholds = a.shape[0] * np.finfo(float).eps * np.diagonal(a)
+    thresholds = _pivot_thresholds(np.diagonal(a), a.shape[0])
     try:
         L, failing_pivot = np.linalg.cholesky(a), None
     except np.linalg.LinAlgError:
@@ -62,6 +62,11 @@ def cholesky_lower(a: np.ndarray, what: str = "matrix") -> np.ndarray:
         f"is not above threshold {thresholds[j]:.6g}",
         pivot_index=j,
     )
+
+
+def _pivot_thresholds(diagonal: np.ndarray, size) -> np.ndarray:
+    """``cholesky_lower``'s pivot thresholds, size * eps * a_jj; ``size`` may differ per pivot."""
+    return size * np.finfo(float).eps * diagonal
 
 
 def _leading_factor(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -84,18 +89,6 @@ def _leading_factor(a: np.ndarray) -> tuple[np.ndarray, float]:
             done, L = k, L_k
     row = _inverse_lower(L) @ a[:done, done]
     return L, float(a[done, done] - row @ row)
-
-
-def _scalar_factors(variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of many 1 x 1 matrices at once, and which pass the pivot check.
-
-    The factor of [a] is sqrt(a), bit-identical to ``cholesky_lower([[a]])``,
-    and ``ok`` applies that function's check (pivot sqrt(a)^2 above 1 * eps * a)
-    to each; a failing entry's factor is meaningless.
-    """
-    with np.errstate(invalid="ignore"):
-        roots = np.sqrt(variances)
-    return roots, np.square(roots) > np.finfo(float).eps * variances
 
 
 def logdet_from_lower(L: np.ndarray) -> float:

@@ -10,7 +10,8 @@ homogeneous   equicorrelation closed forms vs the general machinery
 
 Every subcommand but ``homogeneous`` takes a model file as its required
 first argument. ``analyze``'s oracle section is ``oracle-check``'s document
-without the fingerprint, and its Monte Carlo section checks orders 1..4.
+without the fingerprint, and its Monte Carlo section checks orders 1..4 on
+the usable CPUs, ``simulate``'s default thread count.
 
 Every agreement a report makes is a check record: a dict with ``abs_diff``
 (or ``z``), ``margin`` (|difference| / bound, or |z| / threshold) and ``ok``.
@@ -230,7 +231,7 @@ def _cmd_analyze(args):
     if loop_counts is not None:
         report["oracle"] = _oracle_section(model, loop_counts)
     if args.mc_n is not None:
-        report["monte_carlo"] = mc_validate(model, args.mc_n, args.mc_seed, threads=args.threads)
+        report["monte_carlo"] = mc_validate(model, args.mc_n, args.mc_seed, threads=_usable_cpus())
     return report
 
 
@@ -321,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--oracle-max-l", type=int, metavar="L", help="add a loop-oracle section")
     analyze.add_argument("--mc-n", type=int, metavar="N", help="add a Monte Carlo section with N draws")
     analyze.add_argument("--mc-seed", type=int, default=0)
-    analyze.add_argument("--threads", type=int, default=_usable_cpus())
     analyze.set_defaults(handler=_cmd_analyze)
 
     simulate = commands.add_parser("simulate", help="Monte Carlo validation")

@@ -176,9 +176,12 @@ def sample_density(
     the run holds threads * (524288 + max(524288, 32768 * d)) bytes: each
     thread's 65536 values, then either two 2048-row tiles or one work
     buffer. The d x d set-up reads L from ``model.factor``, inverts it once
-    and forms K = L^{-1} G L by two BLAS products, before the hold begins.
-    Up to d = 64 the result does not depend on the BLAS thread settings;
-    above that the set-up's rounding can depend on them.
+    and forms K = L^{-1} G L by two BLAS products, before the hold begins:
+    the hold's count follows ``threads``, and K's last bits can follow the
+    BLAS thread count (1 and 2 threads gave different K at d = 300 on a
+    2-vCPU x86 host), so inside the hold the result would depend on
+    ``threads``. Up to d = 64 the result does not depend on the BLAS thread
+    settings; above that the set-up's rounding can depend on them.
     """
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")

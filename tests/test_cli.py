@@ -756,7 +756,7 @@ from infodensity import cli
 
 model = sys.argv[1]
 runs = [
-    ["analyze", model, "--t-grid=-0.1:0.1:5", "--oracle-max-l", "3", "--mc-n", "20000", "--threads", "2"],
+    ["analyze", model, "--t-grid=-0.1:0.1:5", "--oracle-max-l", "3", "--mc-n", "20000"],
     ["simulate", model, "--n", "20000", "--threads", "2"],
     ["oracle-check", model, "--max-l", "4"],
     ["homogeneous", "--d", "4", "--rho", "0.3", "--max-l", "4"],
@@ -860,8 +860,7 @@ class TestJsonDocuments:
         assert str(10**26) in doc["message"]
 
     def test_report_parses_back_to_the_handler_dict(self, capsys, equicorrelation_file):
-        argv = ["analyze", equicorrelation_file, "--t-grid=-0.9:0.9:7", "--oracle-max-l", "5",
-                "--mc-n", "20000", "--threads", "1"]
+        argv = ["analyze", equicorrelation_file, "--t-grid=-0.9:0.9:7", "--oracle-max-l", "5", "--mc-n", "20000"]
         args = _build_parser().parse_args(argv)
         report = args.handler(args)
         code, out, _ = run(capsys, argv)
@@ -880,8 +879,9 @@ class TestUsageErrors:
             (["homogeneous", "--d", "3", "--rho", "0.2", "--format", "csv"], "unrecognized arguments: --format csv"),
             (["simulate", "{model}"], "the following arguments are required: --n"),
             (["homogeneous", "--d", "10,x", "--rho", "0.2"], "argument --d: expects D1,D2,... of integers, got '10,x'"),
+            (["analyze", "{model}", "--threads", "2"], "unrecognized arguments: --threads 2"),
         ],
-        ids=["bad-int", "unknown-option", "missing-option", "bad-dimension-item"],
+        ids=["bad-int", "unknown-option", "missing-option", "bad-dimension-item", "analyze-threads"],
     )
     def test_usage_error_is_one_json_line(self, capsys, scalar_pair_file, argv, message):
         code, out, err = run(capsys, [a.format(model=scalar_pair_file) for a in argv])

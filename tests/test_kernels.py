@@ -57,7 +57,7 @@ from infodensity import (
     variance,
 )
 from infodensity import cli
-from infodensity._linalg import _inverse_lower, _scalar_factors, cholesky_lower
+from infodensity._linalg import _inverse_lower, cholesky_lower
 from infodensity.sampling import _folded_kernel, _normal_stream
 
 EPS = np.finfo(float).eps
@@ -357,7 +357,7 @@ class TestCouplingOnce:
 
         monkeypatch.setattr(infodensity.model, "compute_gamma", counted)
         argv = ["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11", "--oracle-max-l", "3"]
-        assert cli.main(argv + ["--mc-n", "2000", "--threads", "1"]) == 0
+        assert cli.main(argv + ["--mc-n", "2000"]) == 0
         capsys.readouterr()
         assert calls[0] == 1
         rng = np.random.default_rng(1450)
@@ -435,15 +435,15 @@ class TestCouplingOnce:
                 monkeypatch.setattr(module, "cholesky_lower", counted)
         assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
         capsys.readouterr()
-        # The covariance only: the twelve 1 x 1 blocks are one vectorised sqrt
-        # and need no inverse, so numpy's LAPACK sees the covariance's factor
-        # and the one spectrum, and no per-block call.
+        # cholesky_lower factors the covariance only: the twelve 1 x 1 blocks
+        # are one stacked potrf, one call per block size, and need no inverse,
+        # so numpy's LAPACK sees those two factorizations and the one spectrum.
         assert calls[0] == 1
-        assert lapack == {"cholesky": [(12, 12)], "eigvalsh": [(12, 12)]}
+        assert lapack == {"cholesky": [(12, 12), (12, 1, 1)], "eigvalsh": [(12, 12)]}
 
 
 class TestBlockStructuredCoupling:
-    PARTITIONS = {"scalar": [1] * 30, "four-blocks": [6] * 4, "mixed": [1, 3, 1, 5, 2]}
+    PARTITIONS = {"scalar": [1] * 30, "four-blocks": [6] * 4, "mixed": [1, 3, 1, 5, 2], "large": [130, 70]}
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", sorted(PARTITIONS))
@@ -468,16 +468,13 @@ class TestBlockStructuredCoupling:
         assert np.array_equal(model.block_factor, expected)
 
     def test_scalar_factors_as_one_by_one_cholesky(self):
+        # 1e-323 is the smallest subnormal that symmetrizing by halves keeps:
+        # 5e-324 / 2 rounds to 0, and the covariance check refuses a variance of 0.
         tiny = np.finfo(float).tiny
-        variances = np.array([1.0, 2.0, 1e-300, 5e-324, tiny, 1e300, 0.0, -1.0, -0.0, 3.7])
-        roots, ok = _scalar_factors(variances)
-        for v, root, passed in zip(variances, roots, ok):
-            try:
-                factor = cholesky_lower(np.array([[v]]))
-            except NotPositiveDefinite:
-                assert not passed
-            else:
-                assert passed and root == factor[0, 0]
+        variances = [1.0, 2.0, 1e-300, 1e-323, tiny, 1e300, 3.7]
+        model = validate_model(None, np.diag(variances), [1] * len(variances))
+        factors = [cholesky_lower(np.array([[v]]))[0, 0] for v in variances]
+        assert np.array_equal(model.block_factor, np.diag(factors))
 
     def test_eigvalsh_matches_numpy(self):
         # The symmetric solver's spectrum of W - I against the general solver on G itself.

@@ -30,7 +30,7 @@ from infodensity import (
     validate_model,
     variance,
 )
-from infodensity._linalg import _scalar_factors, cholesky_lower
+from infodensity._linalg import cholesky_lower
 
 
 class TestValidateModel:
@@ -148,42 +148,91 @@ class TestValidateModel:
         for name in arrays:
             assert not getattr(model, name).flags.writeable, name
 
-    def test_diagonal_block_failure_names_the_block(self, monkeypatch):
-        # A covariance that passes its own check passes every diagonal block's,
-        # so the block's failure is forced.
-        def failing(a, what="matrix"):
-            if what == "diagonal block 1":
+    @staticmethod
+    def _stacks_fail(monkeypatch, sizes):
+        """Make numpy's factorization of a stack of b x b blocks raise for each b in ``sizes``."""
+        cholesky = np.linalg.cholesky
+
+        def failing(a, *args, **kwargs):
+            if np.ndim(a) == 3 and np.shape(a)[-1] in sizes:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+
+    @staticmethod
+    def _spied_cholesky(monkeypatch, fail=None, covariance_passes=False):
+        """Record the ``what`` of each ``cholesky_lower`` call of validation, in order.
+
+        ``fail`` names a call that raises instead. With ``covariance_passes``
+        the covariance's check is skipped, so that its diagonal blocks can fail
+        on their own: a covariance that passes its own check passes every
+        diagonal block's.
+        """
+        factored = []
+
+        def spied(a, what="matrix"):
+            factored.append(what)
+            if what == fail:
                 raise NotPositiveDefinite(f"{what} is not positive definite", pivot_index=2)
+            if covariance_passes and what == "covariance":
+                return np.eye(len(a))
             return cholesky_lower(a, what=what)
 
-        monkeypatch.setattr("infodensity.model.cholesky_lower", failing)
+        monkeypatch.setattr("infodensity.model.cholesky_lower", spied)
+        return factored
+
+    def test_diagonal_block_failure_names_the_block(self, monkeypatch):
+        # Both stacks fail, so every block goes through cholesky_lower, and block 1's raises.
+        self._stacks_fail(monkeypatch, {2, 3})
+        factored = self._spied_cholesky(monkeypatch, fail="diagonal block 1")
         with pytest.raises(NotPositiveDefinite) as exc:
             validate_model(None, np.eye(5) + 0.1, [2, 3])
+        assert factored == ["covariance", "diagonal block 0", "diagonal block 1"]
         assert str(exc.value) == "diagonal block 1 is not positive definite"
         assert exc.value.pivot_index == 2
 
     def test_failed_scalar_block_goes_through_cholesky(self, monkeypatch):
         cov = np.eye(5) + 0.1 * np.arange(1, 6)[:, None] * np.arange(1, 6) / 5
         reference = validate_model(None, cov, [1, 2, 1, 1])
-        factored = []
-
-        def one_failed(variances):
-            roots, passed = _scalar_factors(variances)
-            roots[1], passed[1] = np.nan, False  # block 2, the second size-1 block
-            return roots, passed
-
-        def spied(a, what="matrix"):
-            factored.append(what)
-            return cholesky_lower(a, what=what)
-
-        monkeypatch.setattr("infodensity.model._scalar_factors", one_failed)
-        monkeypatch.setattr("infodensity.model.cholesky_lower", spied)
+        self._stacks_fail(monkeypatch, {1})
+        factored = self._spied_cholesky(monkeypatch)
         model = validate_model(None, cov, [1, 2, 1, 1])
-        assert factored == ["covariance", "diagonal block 1", "diagonal block 2"]
+        # The size-1 blocks, in block order; the 2 x 2 block's stack passed.
+        assert factored == ["covariance", "diagonal block 0", "diagonal block 2", "diagonal block 3"]
         assert np.array_equal(model.block_factor, reference.block_factor)
         for n in range(4):
             sl = model.partition.block_slice(n)
             assert np.array_equal(model.block_factor[sl, sl], np.linalg.cholesky(model.diagonal_block(n)))
+
+    def test_first_failing_block_named_across_sizes(self, monkeypatch):
+        # Blocks 0 (size 3) and 1 (size 1) of [3, 1, 2, 1] are not positive
+        # definite, so both stacks fail; the size-1 stack is factored first,
+        # but the error names block 0, the first in block order.
+        cov = np.eye(7)
+        cov[:3, :3] = [[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]
+        cov[3, 3] = -1.0
+        with pytest.raises(NotPositiveDefinite) as expected:
+            cholesky_lower(cov[:3, :3], what="diagonal block 0")
+        factored = self._spied_cholesky(monkeypatch, covariance_passes=True)
+        with pytest.raises(NotPositiveDefinite) as exc:
+            validate_model(None, cov, [3, 1, 2, 1])
+        assert factored == ["covariance", "diagonal block 0"]
+        assert str(exc.value) == str(expected.value)
+        assert exc.value.pivot_index == expected.value.pivot_index == 2
+
+    def test_failed_pivot_goes_through_cholesky(self, monkeypatch):
+        # potrf factors [[1, r], [r, 1]] with r = 1 - eps / 2, but its pivot 1 - r^2
+        # is not above 2 eps, so the stack passes and the pivot check sends the
+        # block to cholesky_lower.
+        r = 1.0 - np.finfo(float).eps / 2
+        cov = np.eye(4)
+        cov[2:, 2:] = [[1.0, r], [r, 1.0]]
+        factored = self._spied_cholesky(monkeypatch, covariance_passes=True)
+        with pytest.raises(NotPositiveDefinite, match="^diagonal block 1 is not positive definite: pivot ") as exc:
+            validate_model(None, cov, [2, 2])
+        assert factored == ["covariance", "diagonal block 1"]
+        assert exc.value.pivot_index == 1
 
     def test_invalid_spectrum_rejected(self):
         # Equicorrelation at d = 50 with rho = 1 - 50 eps passes every pivot

@@ -5,7 +5,6 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -417,21 +416,35 @@ class TestKStatistics:
 
 
 class TestStreaming:
-    def test_summaries_and_reports_identical_across_threads(self, set_chunk_size):
+    def test_summaries_and_reports_identical_across_threads(self, monkeypatch, set_chunk_size):
         # At d = 200 each 2500-draw chunk runs as a 2048-row and a 452-row tile.
-        for d, chunk_size in ((20, 1000), (200, 2500)):
-            set_chunk_size(chunk_size)
-            model = random_model(np.random.default_rng(1520), d=d, sizes=[d // 4] * 4)
-            threads = (1, 2, 3, 4)
-            with mock.patch.object(sampling, "_usable_cpus", return_value=4):
+        # At d = 300 the last bits of the kernel K = L^{-1} G L depend on
+        # OpenBLAS's thread count, which the hold sets from the sampler's, so
+        # K must be formed before the hold. There OpenBLAS runs on 2 threads,
+        # also where OPENBLAS_NUM_THREADS=1 started it on one, so the hold
+        # sets 2 at 1 and 2 sampler threads and 1 at 3 and 4.
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(_linalg, "_usable_cpus", lambda: 4)
+        functions = _linalg._openblas_threads()
+        before = functions[0]() if functions else None
+        try:
+            for d, chunk_size in ((20, 1000), (200, 2500), (300, 2500)):
+                if d == 300 and functions:
+                    functions[1](2)
+                set_chunk_size(chunk_size)
+                model = random_model(np.random.default_rng(1520), d=d, sizes=[d // 4] * 4)
+                threads = (1, 2, 3, 4)
                 batches = [sample_density(model, 5003, 5, threads=t) for t in threads]
                 reports = [mc_validate(model, 5003, 5, threads=t) for t in threads]
-            assert all(batch == batches[0] for batch in batches)
-            # The report ends with the effective thread count: at most one per chunk.
-            n_chunks = -(-5003 // chunk_size)
-            assert [list(r)[-1] for r in reports] == ["threads"] * 4
-            assert [r.pop("threads") for r in reports] == [min(t, n_chunks) for t in threads]
-            assert all(report == reports[0] for report in reports)
+                assert all(batch == batches[0] for batch in batches), d
+                # The report ends with the effective thread count: at most one per chunk.
+                n_chunks = -(-5003 // chunk_size)
+                assert [list(r)[-1] for r in reports] == ["threads"] * 4
+                assert [r.pop("threads") for r in reports] == [min(t, n_chunks) for t in threads]
+                assert all(report == reports[0] for report in reports)
+        finally:
+            if functions:
+                functions[1](before)
 
     def test_batch_is_the_summary_of_its_draws(self, set_chunk_size):
         set_chunk_size(1000)
