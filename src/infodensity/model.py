@@ -5,7 +5,9 @@ the coordinates into N >= 2 blocks. From it we build:
 
 * the regression-coefficient blocks C_{m|n} = S_mn S_nn^{-1},
 * the coupling matrix G = S * blockdiag(S_11..S_NN)^{-1} - I with
-  exact-zero diagonal blocks, and its real spectrum.
+  exact-zero diagonal blocks, and its real spectrum,
+* for two blocks, the squared canonical correlations rho_k^2, whose +-rho_k
+  are G's nonzero eigenvalues.
 
 Validation factors the covariance and its diagonal blocks once, then forms G
 and its spectrum from those factors; the model carries all four, and every
@@ -178,7 +180,9 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
             f"{SYMMETRY_RTOL:g} * sqrt(|s_ii s_jj|) = {SYMMETRY_RTOL * root[i] * root[j]:.3g}"
         )
     del excess
-    cov = symmetrize(cov)
+    # An entry equal to its mirror is kept as given: halving would drop the
+    # last bit of an odd subnormal, and 5e-324 would become 0.
+    cov = np.where(cov == cov.T, cov, symmetrize(cov))
 
     factor = cholesky_lower(cov, what="covariance")
     # The diagonal blocks of each size are factored as one stack, which gives
@@ -226,6 +230,28 @@ def regression_block(model: GaussianModel, m: int, n: int) -> np.ndarray:
     col = model.partition.block_slice(n)
     # Solve S_nn X^T = S_mn^T, exploiting symmetry of S_nn.
     return solve_pd_from_lower(model.block_factor[col, col], s_mn.T).T
+
+
+def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
+    """Squared canonical correlations between the two blocks, sorted descending.
+
+    They are the squared singular values of the whitened regression block
+    Y = L_0^{-1} C_01 L_1 = L_0^{-1} S_01 L_1^{-T}, with L_n the factor of
+    S_nn (Bjorck & Golub 1973): min(n_0, n_1) values, none negative, and a
+    weak one beside a strong one keeps its digits, which the eigenvalues of
+    Y Y^T would lose. They add up to the variance. With a scalar block the one
+    value is the squared multiple correlation of that coordinate on the other
+    block, and with two scalar blocks the squared correlation coefficient.
+    """
+    if model.partition.n_blocks != 2:
+        raise BadPartition(f"two-block analysis needs exactly 2 blocks, got {model.partition.n_blocks}")
+    first, second = (model.partition.block_slice(n) for n in (0, 1))
+    inverse = _inverse_lower(model.block_factor[first, first])
+    whitened = inverse @ regression_block(model, 0, 1) @ model.block_factor[second, second]
+    values = tuple(float(s) ** 2 for s in np.linalg.svd(whitened, compute_uv=False))
+    if values[0] >= 1.0:
+        raise ValueError(f"squared canonical correlation {values[0]} >= 1; model is singular")
+    return values
 
 
 def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: Partition):

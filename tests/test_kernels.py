@@ -414,7 +414,7 @@ class TestCouplingOnce:
         # K = L^{-1} G L: the stored factor of S is inverted once, by the sampler, and no P is formed.
         assert counts == {"model": 0, "_linalg": 0, "sampling": 1, "eigvalsh": 1}
 
-    def test_analyze_stays_off_numpy_lapack(self, capsys, tmp_path, monkeypatch):
+    def test_analyze_lapack_calls_are_two_choleskys_and_one_eigvalsh(self, capsys, tmp_path, monkeypatch):
         path = self._model_file(tmp_path, 12, sizes=[1] * 12)
         calls = [0]
         lapack = {}
@@ -468,10 +468,8 @@ class TestBlockStructuredCoupling:
         assert np.array_equal(model.block_factor, expected)
 
     def test_scalar_factors_as_one_by_one_cholesky(self):
-        # 1e-323 is the smallest subnormal that symmetrizing by halves keeps:
-        # 5e-324 / 2 rounds to 0, and the covariance check refuses a variance of 0.
         tiny = np.finfo(float).tiny
-        variances = [1.0, 2.0, 1e-300, 1e-323, tiny, 1e300, 3.7]
+        variances = [1.0, 2.0, 1e-300, 5e-324, tiny, 1e300, 3.7]
         model = validate_model(None, np.diag(variances), [1] * len(variances))
         factors = [cholesky_lower(np.array([[v]]))[0, 0] for v in variances]
         assert np.array_equal(model.block_factor, np.diag(factors))

@@ -119,6 +119,12 @@ class TestValidateModel:
         model = validate_model([0, 0], cov, [1, 1])
         assert np.array_equal(model.covariance, model.covariance.T)
 
+    def test_entries_equal_to_their_mirror_kept_bit_for_bit(self):
+        # Halving 5e-324 gives 0, and 1.5e-323 / 2 + 1.5e-323 / 2 gives 2e-323.
+        for cov in (np.diag([1.0, 5e-324]), np.array([[1.0, 1.5e-323], [1.5e-323, 1.0]])):
+            model = validate_model(None, cov, [1, 1])
+            assert np.array_equal(model.covariance, cov)
+
     def test_large_asymmetry_rejected(self):
         cov = np.array([[1.0, 0.6], [0.5, 1.0]])
         with pytest.raises(NotSymmetric):

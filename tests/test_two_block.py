@@ -38,6 +38,19 @@ def random_two_block(rng, max_size=4, scalar_first=False):
     return random_model(rng, d=n1 + n2, sizes=[n1, n2], zero_mean=True)
 
 
+def exact_canonical_model(a, b, rho):
+    """S = [[A A^T, A C B^T], [B C^T A^T, B B^T]], C zero but for ``rho`` on its diagonal.
+
+    Its canonical correlations are ``rho``, padded with zeros. The integer A and
+    B used below give each entry of A C B^T one nonzero product, so S holds
+    them exactly.
+    """
+    c = np.zeros((len(a), len(b)))
+    c[np.diag_indices(len(rho))] = rho
+    cross = a @ c @ b.T
+    return validate_model(None, np.block([[a @ a.T, cross], [cross.T, b @ b.T]]), [len(a), len(b)])
+
+
 def _chain_trace(first, second, l):
     """Trace of the alternating product first @ second @ first @ ... of l factors."""
     out = first
@@ -123,6 +136,22 @@ class TestCanonicalCorrelations:
         spectrum = canonical_correlations(model)
         assert spectrum == pytest.approx((0.25,), abs=1e-12)
         assert sum(spectrum) == pytest.approx(variance(model), abs=1e-9)
+
+    # The eigenvalues of Y Y^T gave the weak value as 2.8e-17 and 6.9e-18.
+    @pytest.mark.parametrize(
+        "b, rho",
+        [
+            (np.eye(2), (0.9, 1e-9)),
+            (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]]), (0.5, 3e-12)),
+        ],
+    )
+    def test_weak_beside_strong_kept(self, b, rho):
+        model = exact_canonical_model(np.array([[1.0, 1.0], [0.0, 1.0]]), b, rho)
+        strong, weak = canonical_correlations(model)
+        assert abs(strong - rho[0] ** 2) <= 1e-12
+        assert abs(weak - rho[1] ** 2) <= 1e-9 * rho[1] ** 2
+        assert abs(strong + weak - variance(model)) < 1e-9
+        assert abs(strong + weak - cumulants(model, 2).kappa(2)) < 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
     def test_sum_equals_variance(self, seed):
