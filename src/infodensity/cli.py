@@ -5,7 +5,7 @@ Subcommands
 analyze       analytic report (multiinformation both ways, variance,
               cumulants, CGF domain, optional CGF grid / oracle / MC sections)
 simulate      seeded Monte Carlo validation of the analytic cumulants
-oracle-check  loop-enumeration sums vs matrix-power traces
+oracle-check  loop-enumeration sums vs the spectrum's power sums
 homogeneous   equicorrelation closed forms vs the general machinery
 
 Every subcommand but ``homogeneous`` takes a model file as its required
@@ -170,18 +170,19 @@ def _oracle_loop_counts(model, max_l: int) -> list[int]:
 
 
 def _oracle_section(model, loop_counts: list[int]) -> dict:
-    """The loop oracle's section: one row per length 1..L, the loop sum against tr(G^l), and the bound.
+    """The loop oracle's section: one row per length 1..L, the loop sum against Σλˡ, and the bound.
 
-    Gˡ is carried forward one product a row. ``oracle-check`` reports this
-    section after the fingerprint, and ``analyze --oracle-max-l`` embeds it.
+    Σλˡ over G's spectrum, the number every κ_l is computed from, is reported
+    as ``matrix_trace``, since it equals tr(Gˡ). It is the ``fsum`` of |λ|ˡ
+    with λ's sign at odd l, so a value and its negative cancel exactly, as
+    they would not through numpy's power of each λ. ``oracle-check`` reports
+    this section after the fingerprint, and ``analyze --oracle-max-l`` embeds it.
     """
     rows = []
-    power = model.gamma
+    sign, size = np.sign(model.gamma_eigenvalues), np.abs(model.gamma_eigenvalues)
     for l, count in enumerate(loop_counts, start=1):
-        if l > 1:
-            power = power @ model.gamma
         loop_sum = trace_via_loops(model, l)
-        matrix_trace = float(np.trace(power))
+        matrix_trace = math.fsum(sign**l * size**l)
         rows.append(
             {
                 "l": l,
@@ -338,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.set_defaults(handler=_cmd_simulate)
 
-    oracle = commands.add_parser("oracle-check", help="loop sums vs matrix-power traces")
+    oracle = commands.add_parser("oracle-check", help="loop sums vs eigenvalue power sums")
     _add_model_arguments(oracle)
     oracle.add_argument("--max-l", type=int, default=6)
     oracle.set_defaults(handler=_cmd_oracle_check)

@@ -1,11 +1,11 @@
-"""Loop-sum oracle for traces of coupling-matrix powers.
+"""Loop-sum oracle for tr(G^l), the power sums of the coupling spectrum.
 
 On the complete digraph over the blocks (an arrow m -> n for every ordered
 pair of distinct blocks, weighted by the regression block of n on m),
 tr(G^l) equals the sum over all rooted directed l-loops of the trace of the
 ordered product of the weights along the loop. Summing over the loops gives a
-check on the matrix-power and eigenvalue paths that shares no linear algebra
-with them beyond the regression blocks themselves.
+check on the eigenvalue path, the sum of lambda^l over G's spectrum, that
+shares no linear algebra with it beyond the regression blocks themselves.
 """
 
 from __future__ import annotations

@@ -188,14 +188,13 @@ def sample_density(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     kernel = _folded_kernel(model)
-    chunk_size = CHUNK_SIZE
-    n_chunks = -(-n // chunk_size)
+    n_chunks = -(-n // CHUNK_SIZE)
     workers = _worker_count(threads, n)
     stop = threading.Event()
 
     def summarize(first: int) -> list[tuple[float, float, float, float]]:
         return [
-            _power_sums(_chunk_values(kernel, seed, c, min(chunk_size, n - c * chunk_size)))
+            _power_sums(_chunk_values(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)))
             for c in range(first, n_chunks, workers)
             if not stop.is_set()
         ]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import orjson
 import pytest
 
-from conftest import count_loop_trace
+from conftest import count_loop_trace, random_model
 
 import infodensity
 from infodensity import DEFAULT_LOOP_CAP, cli, model_fingerprint, sampling, validate_model
@@ -484,13 +485,34 @@ class TestOracleCheck:
         assert third["loop_sum"] == pytest.approx(0.75, abs=1e-12)
         assert third["matrix_trace"] == pytest.approx(0.75, abs=1e-12)
 
-    def test_two_block_odd_rows_exactly_zero(self, capsys, scalar_pair_file):
-        code, out, _ = run(capsys, ["oracle-check", scalar_pair_file, "--max-l", "5"])
+    def test_two_block_odd_rows_exactly_zero(self, capsys, tmp_path):
+        # The spectrum is exactly {-rho, rho}. At rho = 0.55 (l = 7, 9) and 0.65 (l = 7),
+        # numpy's power rounds (-rho)^l and rho^l apart, so np.sum(lam**l) is not 0.
+        path = tmp_path / "pair.json"
+        for rho in (0.5, 0.55, 0.65):
+            path.write_text(json.dumps({"covariance": [[1, rho], [rho, 1]], "partition": [1, 1]}))
+            code, out, _ = run(capsys, ["oracle-check", str(path), "--max-l", "9"])
+            assert code == 0
+            rows = json.loads(out)["rows"]
+            for row in rows:
+                if row["l"] % 2 == 1:
+                    assert row["loop_sum"] == 0.0 and row["matrix_trace"] == 0.0
+
+    @pytest.mark.parametrize("sizes", [[2, 3, 4], [5] * 4])
+    def test_trace_column_is_the_cumulants_power_sum(self, capsys, tmp_path, sizes):
+        # The reference each row checks is the number kappa_l comes from: sum lambda^l = 2 kappa_l / (l-1)!.
+        path = tmp_path / "model.json"
+        covariance = random_model(np.random.default_rng(7), sum(sizes), sizes).covariance
+        path.write_text(json.dumps({"covariance": covariance.tolist(), "partition": sizes}))
+        _, out, _ = run(capsys, ["analyze", str(path), "--cumulants", "6"])
+        report = json.loads(out)
+        code, out, _ = run(capsys, ["oracle-check", str(path), "--max-l", "6"])
         assert code == 0
-        rows = json.loads(out)["rows"]
-        for row in rows:
-            if row["l"] % 2 == 1:
-                assert row["loop_sum"] == 0.0 and row["matrix_trace"] == 0.0
+        lam = np.array(report["gamma_eigenvalues"])
+        for row in json.loads(out)["rows"][1:]:
+            l = row["l"]
+            power_sum = 2 * report["cumulants"][l - 1] / math.factorial(l - 1)
+            assert abs(row["matrix_trace"] - power_sum) <= 1e-13 * max(1.0, float(np.sum(np.abs(lam) ** l)))
 
     @pytest.mark.parametrize("max_l", ["0", "-1"])
     def test_max_l_below_one_exit_2(self, capsys, scalar_pair_file, max_l):
