@@ -48,7 +48,7 @@ from .homogeneous import (
     standardized_cumulant,
 )
 from .loops import DEFAULT_LOOP_CAP, _loop_counts, trace_via_loops
-from .measures import cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
+from .measures import _power_sums, cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
 from .model import model_fingerprint, validate_model
 from .sampling import mc_validate
 
@@ -172,17 +172,19 @@ def _oracle_loop_counts(model, max_l: int) -> list[int]:
 def _oracle_section(model, loop_counts: list[int]) -> dict:
     """The loop oracle's section: one row per length 1..L, the loop sum against Σλˡ, and the bound.
 
-    Σλˡ over G's spectrum, the number every κ_l is computed from, is reported
-    as ``matrix_trace``, since it equals tr(Gˡ). It is the ``fsum`` of |λ|ˡ
-    with λ's sign at odd l, so a value and its negative cancel exactly, as
-    they would not through numpy's power of each λ. ``oracle-check`` reports
+    Σλˡ over G's spectrum is reported as ``matrix_trace``, since it equals
+    tr(Gˡ). It is the number every κ_l is computed from: ``cumulants``' own
+    paired-sign ``fsum`` over the spectrum scaled by 2^e, the smallest power
+    of two above max|λ|, scaled back by ``ldexp``, so that up to order 20
+    (l−1)!/2 · ``matrix_trace`` is κ_l bit for bit. ``oracle-check`` reports
     this section after the fingerprint, and ``analyze --oracle-max-l`` embeds it.
     """
     rows = []
-    sign, size = np.sign(model.gamma_eigenvalues), np.abs(model.gamma_eigenvalues)
+    e = math.frexp(float(np.abs(model.gamma_eigenvalues).max()))[1]
+    ratio = np.ldexp(model.gamma_eigenvalues, -e)
     for l, count in enumerate(loop_counts, start=1):
         loop_sum = trace_via_loops(model, l)
-        matrix_trace = math.fsum(sign**l * size**l)
+        matrix_trace = math.ldexp(_power_sums(ratio, l)[0], l * e)
         rows.append(
             {
                 "l": l,
@@ -209,6 +211,7 @@ def _cmd_analyze(args):
     info_gamma = multiinformation_from_gamma(model)
     domain = cgf_domain(model)
     seq = cumulants(model, args.cumulants)
+    var, kappa_2 = variance(model), cumulants(model, 2).kappa(2)
 
     report = {
         "fingerprint": model_fingerprint(model),
@@ -220,7 +223,8 @@ def _cmd_analyze(args):
             "tolerance": AGREEMENT_TOL,
             **_check(info_logdet, info_gamma, AGREEMENT_TOL),
         },
-        "variance": variance(model),
+        "variance": var,
+        "variance_agreement": _check(var, kappa_2, ORACLE_TOL * max(1.0, abs(var), abs(kappa_2))),
         "cumulants": list(seq.values),
         "gamma_eigenvalues": [float(v) for v in model.gamma_eigenvalues],
         "cgf_domain": _domain_dict(domain),

@@ -163,13 +163,14 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     """Cumulants of the density up to the requested order.
 
     kappa_1 is the multiinformation; higher orders use the eigenvalue power
-    sums of the coupling matrix. The power sum is taken over the spectrum
-    scaled toward max|lambda|, so a small spectrum does not underflow: up to
-    order 20 by 2^e, the smallest power of two above it, beyond order 20
-    by max|lambda| itself, with the factorial and the power sum combined in
-    log space. An order whose magnitude bound (l-1)! * sum|lambda|^l exceeds
-    the double range raises CumulantOverflow rather than saturating. An order
-    above MAX_CUMULANT_ORDER raises CumulantOverflow before any work, with
+    sums of the coupling matrix, each one pass of ``_power_sums`` over the
+    spectrum scaled toward max|lambda|, so a small spectrum does not
+    underflow: up to order 20 by 2^e, the smallest power of two above it,
+    beyond order 20 by max|lambda| itself, with the factorial and the power
+    sum combined in log space. The same pass gives the magnitude bound
+    (l-1)! * sum|lambda|^l / 2; an order whose bound exceeds the double range
+    raises CumulantOverflow rather than saturating. An order above
+    MAX_CUMULANT_ORDER raises CumulantOverflow before any work, with
     ``order`` MAX_CUMULANT_ORDER + 1, the first order refused. ``order``
     is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True raises
     ValueError.
@@ -181,37 +182,38 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
             f"cumulant order {order} exceeds the cap of {MAX_CUMULANT_ORDER} (MAX_CUMULANT_ORDER)",
         )
     lam = model.gamma_eigenvalues
+    top = float(np.abs(lam).max())
     values = [multiinformation(model)]
-    abs_lam = np.abs(lam)
-    nonzero = abs_lam > 0.0
-    log_abs = np.log(abs_lam[nonzero]) if np.any(nonzero) else None
     for l in range(2, order + 1):
-        values.append(_kappa_from_spectrum(lam, log_abs, l))
+        values.append(_kappa_from_spectrum(lam, top, l) if top else 0.0)
     return CumulantSequence(values=tuple(values))
 
 
-def _kappa_from_spectrum(lam: np.ndarray, log_abs: np.ndarray | None, l: int) -> float:
-    if log_abs is None:
-        return 0.0
-    # log sum |lambda|^l, shifted by its largest term so that no exp overflows.
-    scaled = l * log_abs
-    top = float(scaled.max())
-    log_bound = math.lgamma(l) - math.log(2.0) + top + math.log(float(np.sum(np.exp(scaled - top))))
-    if log_bound > _LOG_DBL_MAX:
+def _kappa_from_spectrum(lam: np.ndarray, top: float, l: int) -> float:
+    # Up to order 20, (l-1)!/2 is a double and dividing by 2^e is exact; the
+    # leading terms stay normal where lambda^l would be subnormal. Beyond, the
+    # top term of lambda / max|lambda| is 1, so the sum is at least 1.
+    e = math.frexp(top)[1]
+    exact = l <= _EXACT_FACTORIAL_MAX_ORDER
+    signed, size = _power_sums(np.ldexp(lam, -e) if exact else lam / top, l)
+    log_scale = math.lgamma(l) - math.log(2.0) + l * (e * math.log(2.0) if exact else math.log(top))
+    if log_scale + math.log(size) > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
-    if l <= _EXACT_FACTORIAL_MAX_ORDER:
-        # sum lambda^l = 2^(l e) * sum r^l with r = lambda * 2^-e, e the binary
-        # exponent of max|lambda|: scaling by a power of two is exact, and the
-        # leading terms r^l stay normal where lambda^l would be subnormal.
-        e = math.frexp(float(np.abs(lam).max()))[1]
-        return math.ldexp(math.factorial(l - 1) / 2.0 * float(np.sum(np.ldexp(lam, -e) ** l)), l * e)
-    # sum lambda^l = m^l * sum (lambda/m)^l with m = max|lambda| = exp(top / l):
-    # the scaled terms lie in [-1, 1], so a small spectrum does not underflow.
-    scaled_sum = float(np.sum((lam / np.abs(lam).max()) ** l))
-    if scaled_sum == 0.0:
-        return 0.0
-    magnitude = math.exp(math.lgamma(l) - math.log(2.0) + top + math.log(abs(scaled_sum)))
-    return math.copysign(magnitude, scaled_sum)
+    if exact:
+        return math.ldexp(math.factorial(l - 1) / 2.0 * signed, l * e)
+    return math.copysign(math.exp(log_scale + math.log(abs(signed))), signed) if signed else 0.0
+
+
+def _power_sums(ratio: np.ndarray, l: int) -> tuple[float, float]:
+    """sum ratio^l and sum |ratio|^l for a spectrum divided by a scale, each one ``math.fsum``.
+
+    The terms are |ratio|^l with ratio's sign put back at odd l, so a value
+    and its negative give terms that cancel exactly, as numpy's powers of r
+    and -r need not. ``cumulants`` and the loop oracle's reference both read it.
+    """
+    terms = np.abs(ratio) ** l
+    size = math.fsum(terms.tolist())  # fsum reads a list of floats faster than an array
+    return (math.fsum(np.copysign(terms, ratio).tolist()) if l % 2 else size), size
 
 
 def variance(model: GaussianModel) -> float:

@@ -74,6 +74,13 @@ class TestAnalyze:
         assert report["variance"] == pytest.approx(0.25)
         assert report["cgf_domain"] == pytest.approx({"lower": -2.0, "upper": 2.0})
 
+    def test_variance_record_without_kappa_2_reported(self, capsys, equicorrelation_file):
+        # The record takes kappa_2 itself, so it stands when only kappa_1 is asked for.
+        code, out, _ = run(capsys, ["analyze", equicorrelation_file, "--cumulants", "1"])
+        report = json.loads(out)
+        assert code == 0 and len(report["cumulants"]) == 1
+        assert report["variance_agreement"]["ok"] and report["variance_agreement"]["margin"] < 1e-5
+
     def test_identity_model_all_zero(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         path.write_text(json.dumps({"covariance": np.eye(3).tolist(), "partition": [1, 2]}))
@@ -500,7 +507,8 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize("sizes", [[2, 3, 4], [5] * 4])
     def test_trace_column_is_the_cumulants_power_sum(self, capsys, tmp_path, sizes):
-        # The reference each row checks is the number kappa_l comes from: sum lambda^l = 2 kappa_l / (l-1)!.
+        # The reference each row checks is the number kappa_l comes from: (l-1)!/2 is a double,
+        # and both scale the spectrum by the same power of two, so the product is kappa_l exactly.
         path = tmp_path / "model.json"
         covariance = random_model(np.random.default_rng(7), sum(sizes), sizes).covariance
         path.write_text(json.dumps({"covariance": covariance.tolist(), "partition": sizes}))
@@ -508,11 +516,9 @@ class TestOracleCheck:
         report = json.loads(out)
         code, out, _ = run(capsys, ["oracle-check", str(path), "--max-l", "6"])
         assert code == 0
-        lam = np.array(report["gamma_eigenvalues"])
         for row in json.loads(out)["rows"][1:]:
             l = row["l"]
-            power_sum = 2 * report["cumulants"][l - 1] / math.factorial(l - 1)
-            assert abs(row["matrix_trace"] - power_sum) <= 1e-13 * max(1.0, float(np.sum(np.abs(lam) ** l)))
+            assert math.factorial(l - 1) / 2.0 * row["matrix_trace"] == report["cumulants"][l - 1]
 
     @pytest.mark.parametrize("max_l", ["0", "-1"])
     def test_max_l_below_one_exit_2(self, capsys, scalar_pair_file, max_l):
@@ -663,6 +669,9 @@ def check_records(report):
             found.append((node, abs(node["z"]), Z_THRESHOLD))
         elif "loop_sum" in node:
             bound = ORACLE_TOL * max(1.0, abs(node["loop_sum"]), abs(node["matrix_trace"]))
+            found.append((node, node["abs_diff"], bound))
+        elif node is report.get("variance_agreement"):
+            bound = ORACLE_TOL * max(1.0, abs(report["variance"]), abs(report["cumulants"][1]))
             found.append((node, node["abs_diff"], bound))
         else:
             assert node["tolerance"] == AGREEMENT_TOL

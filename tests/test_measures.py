@@ -30,6 +30,13 @@ from infodensity.measures import MAX_CUMULANT_ORDER
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
 
 
+def paired_power_sum(lam, l):
+    """sum lambda^l as one fsum of |lambda|^l over the spectrum scaled by 2^e, lambda's sign at odd l."""
+    e = math.frexp(float(np.max(np.abs(lam))))[1]
+    size = np.abs(np.ldexp(lam, -e)) ** l
+    return math.ldexp(math.fsum(np.sign(lam) * size if l % 2 else size), l * e)
+
+
 class TestMultiinformation:
     def test_block_diagonal_is_zero(self):
         rng = np.random.default_rng(1)
@@ -238,7 +245,7 @@ class TestCumulants:
         seq = cumulants(homogeneous_covariance(hm), 170)
         for l in range(2, seq.order + 1):
             if l <= 20:  # below the log-space switch the linear-space sum stands
-                assert seq.kappa(l) == math.factorial(l - 1) / 2.0 * float(np.sum(lam**l))
+                assert seq.kappa(l) == math.factorial(l - 1) / 2.0 * paired_power_sum(lam, l)
             expected = homogeneous_cumulant(hm, l)
             assert expected != 0.0
             assert abs(seq.kappa(l) - expected) <= 1e-9 * abs(expected)
@@ -253,7 +260,9 @@ class TestCumulants:
             terms = [Fraction(math.factorial(l - 1), 2) * v**l for v in lam]
             exact = float(sum(terms))  # 0 at odd l, where numpy's powers of -rho and rho round apart
             scale = float(sum(abs(t) for t in terms))
-            if scale >= np.finfo(float).tiny:
+            if l % 2:  # the terms of -rho and rho cancel exactly
+                assert seq.kappa(l) == exact == 0.0
+            elif scale >= np.finfo(float).tiny:
                 assert abs(seq.kappa(l) - exact) <= 1e-14 * scale
             else:  # subnormal: correctly rounded, not flushed to zero
                 assert seq.kappa(l) == exact != 0.0
@@ -286,8 +295,14 @@ class TestCumulants:
         assert seq.kappa(1) == multiinformation(model)
         lam = model.gamma_eigenvalues
         for l in range(2, 7):
-            centered = math.factorial(l - 1) / 2.0 * float(np.sum(lam**l))
+            centered = math.factorial(l - 1) / 2.0 * paired_power_sum(lam, l)
             assert seq.kappa(l) == centered
+
+    @pytest.mark.parametrize("rho", [0.5, 0.55, 0.65])
+    def test_scalar_pair_odd_orders_exactly_zero(self, rho):
+        # The spectrum is exactly {-rho, rho}; numpy's powers of the two round apart at 0.55 and 0.65.
+        seq = cumulants(scalar_pair_model(rho), 9)
+        assert [seq.kappa(l) for l in (3, 5, 7, 9)] == [0.0] * 4
 
 
 class TestVariance:

@@ -59,19 +59,19 @@ def test_scaled_block_column_fails_oracle(capsys, model_file, monkeypatch):
 
     mutate_gamma(monkeypatch, scale_block_one)
     # Every row with loops fails; at l = 1 there are none, and G's diagonal blocks stay zero.
-    assert analyze(capsys, model_file) == (1, ["oracle", *(f"oracle l={l}" for l in range(2, 7))])
+    # The variance, half the sum of G * G^T, reads the scaled block too; kappa_2 reads the spectrum.
+    expected = ["variance_agreement", "oracle", *(f"oracle l={l}" for l in range(2, 7))]
+    assert analyze(capsys, model_file) == (1, expected)
 
 
 def test_transposed_gamma_fails_monte_carlo(capsys, model_file, monkeypatch):
     mutate_gamma(monkeypatch, np.transpose)
-    # tr((G^T)^l) = tr(G^l), so no loop row can see this defect: only the sampler's kernel reads it.
+    # tr((G^T)^l) = tr(G^l), so no loop row can see this defect, and half the sum of G * G^T
+    # does not change under transposition, so neither can the variance record: only the
+    # sampler's kernel reads it.
     assert analyze(capsys, model_file) == (1, ["monte_carlo"])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="no record compares the variance with kappa_2 yet: ROADMAP item 10's variance-against-kappa_2 record",
-)
 def test_variance_of_squares_fails(capsys, model_file, monkeypatch):
     monkeypatch.setattr(cli, "variance", lambda m: 0.5 * float(np.sum(m.gamma**2)))
-    assert analyze(capsys, model_file)[0] == 1
+    assert analyze(capsys, model_file) == (1, ["variance_agreement"])
