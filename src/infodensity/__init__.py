@@ -14,7 +14,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     OutOfDomain,
-    SameBlock,
     ZeroVariance,
 )
 from .homogeneous import (
@@ -49,7 +48,6 @@ from .model import (
     Partition,
     canonical_correlations,
     model_fingerprint,
-    regression_block,
     validate_model,
 )
 from .sampling import (
@@ -82,7 +80,6 @@ __all__ = [
     "NotSymmetric",
     "OutOfDomain",
     "Partition",
-    "SameBlock",
     "SampleBatch",
     "ZeroVariance",
     "asymptotic_standardized_limit",
@@ -103,7 +100,6 @@ __all__ = [
     "model_fingerprint",
     "multiinformation",
     "multiinformation_from_gamma",
-    "regression_block",
     "rooted_loop_count",
     "sample_density",
     "standardized_cumulant",

@@ -5,8 +5,9 @@ determinant products, so they stay finite for large well-conditioned
 matrices. Every LAPACK/BLAS call of the package is numpy's, so a process maps
 one OpenBLAS build with one thread pool. numpy has no triangular solve: a
 factor is inverted once (``_inverse_lower``) and its strips are formed by
-matrix products. ``_blas_threads_held`` caps that pool's thread count while
-the sampler's own threads run.
+matrix products, so no positive-definite matrix is ever inverted whole.
+``_blas_threads_held`` caps that pool's thread count while the sampler's own
+threads run.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     inverse[h:, h:] = bottom
     inverse[h:, :h] = -(bottom @ (L[h:, :h] @ top))
     return inverse
-
-
-def solve_pd_from_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b as (L^{-T} L^{-1}) b, with L inverted once; ``regression_block``'s solve."""
-    inverse = _inverse_lower(L)
-    return (inverse.T @ inverse) @ b
 
 
 def _usable_cpus() -> int:

@@ -29,10 +29,6 @@ class BadPartition(InfoDensityError, ValueError):
     """Block sizes do not form a valid partition of the dimension."""
 
 
-class SameBlock(InfoDensityError, ValueError):
-    """A regression block was requested for a block against itself."""
-
-
 class EigenvalueOutOfRange(InfoDensityError, ValueError):
     """A spectrum violates the constraints of a valid coupling matrix."""
 

@@ -110,7 +110,7 @@ def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) ->
 
     The draws are made and mapped in row tiles of 2048 rows at every d. The
     two tile buffers are freed on return, so a chunk holds its values and
-    then ``_power_sums``' work buffer, never both with the tiles.
+    then ``_moment_sums``' work buffer, never both with the tiles.
     """
     stream = _normal_stream(seed, chunk_index)
     out = np.empty(rows)
@@ -126,7 +126,7 @@ def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) ->
     return out
 
 
-def _power_sums(y: np.ndarray) -> tuple[float, float, float, float]:
+def _moment_sums(y: np.ndarray) -> tuple[float, float, float, float]:
     """The sums of y, y^2, y^3 and y^4 over 1-D ``y``, which is overwritten.
 
     One y-sized work buffer, the squares, is allocated for the call.
@@ -194,7 +194,7 @@ def sample_density(
 
     def summarize(first: int) -> list[tuple[float, float, float, float]]:
         return [
-            _power_sums(_chunk_values(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)))
+            _moment_sums(_chunk_values(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)))
             for c in range(first, n_chunks, workers)
             if not stop.is_set()
         ]

@@ -12,7 +12,6 @@ from infodensity import (
     OutOfDomain,
     loops,
     multiinformation,
-    regression_block,
     sampling,
     validate_model,
 )
@@ -21,8 +20,8 @@ from infodensity.sampling import (
     SampleBatch,
     _chunk_values,
     _folded_kernel,
+    _moment_sums,
     _normal_stream,
-    _power_sums,
 )
 
 # A fixed example set, so every run (CI included) draws the same cases.
@@ -138,7 +137,7 @@ def two_pass_batch(values):
     """
     values = np.asarray(values, dtype=float).ravel()
     center = float(np.mean(values))
-    return SampleBatch(values.size, center, *_power_sums(values - center))
+    return SampleBatch(values.size, center, *_moment_sums(values - center))
 
 
 def standard_normal_block(seed, chunk_index, count):
@@ -158,6 +157,11 @@ def phi_from_definition(model):
 def rel_close(a, b, tol):
     """Mixed absolute/relative comparison: |a-b| <= tol * max(1, |a|, |b|)."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def regression_block(model, m, n):
+    """C_{m|n} = S_mn S_nn^{-1} by numpy's solve of S_nn X = S_nm, apart from G and the model's factors."""
+    return np.linalg.solve(model.diagonal_block(n), model.covariance_block(n, m)).T
 
 
 def two_block_trace(model, l):

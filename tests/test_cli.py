@@ -652,7 +652,9 @@ class TestHomogeneous:
 def check_records(report):
     """(record, |difference|, bound) for every check record in a report, told apart by their keys.
 
-    Sections that carry ``rows`` hold the ``ok`` of their rows and are not records themselves.
+    A record other than a Monte Carlo row carries its ``bound``, which must be
+    the bound its rule gives. Sections that carry ``rows`` hold the ``ok`` of
+    their rows and are not records themselves.
     """
     found = []
     pending = [report]
@@ -674,8 +676,10 @@ def check_records(report):
             bound = ORACLE_TOL * max(1.0, abs(report["variance"]), abs(report["cumulants"][1]))
             found.append((node, node["abs_diff"], bound))
         else:
-            assert node["tolerance"] == AGREEMENT_TOL
+            assert node is report["multiinformation_agreement"]
             found.append((node, node["abs_diff"], AGREEMENT_TOL))
+        if "z" not in node:
+            assert node["bound"] == found[-1][2]
     return found
 
 

@@ -33,7 +33,7 @@ from infodensity import (
     validate_model,
 )
 from infodensity import _linalg, sampling
-from infodensity.sampling import SampleBatch, _power_sums
+from infodensity.sampling import SampleBatch, _moment_sums
 
 
 def _exact_k_statistics(x):
@@ -557,7 +557,7 @@ class TestMerge:
     def _chunk_sums(x, sizes, center):
         edges = np.cumsum([0, *sizes])
         pieces = [x[a:b] - center for a, b in zip(edges[:-1], edges[1:])]
-        return [_power_sums(y) for y in pieces]
+        return [_moment_sums(y) for y in pieces]
 
     @staticmethod
     def _batch(chunk_sums, n, center):

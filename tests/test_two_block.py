@@ -2,7 +2,8 @@
 
 ``_chain_trace`` is the earlier second path to tr(G^l) for even l, kept
 here as the reference: the trace of an alternating l-factor product of the
-two regression blocks, taken once starting from each block.
+two regression blocks, which ``conftest.regression_block`` solves apart from
+G, taken once starting from each block.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 from conftest import (
     random_block_diagonal_model,
     random_model,
+    regression_block,
     rel_close,
     scalar_pair_cgf,
     scalar_pair_model,
@@ -26,7 +28,6 @@ from infodensity import (
     canonical_correlations,
     cgf,
     cumulants,
-    regression_block,
     validate_model,
     variance,
 )
@@ -41,9 +42,10 @@ def random_two_block(rng, max_size=4, scalar_first=False):
 def exact_canonical_model(a, b, rho):
     """S = [[A A^T, A C B^T], [B C^T A^T, B B^T]], C zero but for ``rho`` on its diagonal.
 
-    Its canonical correlations are ``rho``, padded with zeros. The integer A and
-    B used below give each entry of A C B^T one nonzero product, so S holds
-    them exactly.
+    Its canonical correlations are ``rho``, padded with zeros. The A and B used
+    below are small integers: each entry of A C B^T is a sum of at most two
+    products of a rho with integers, and every such sum is exact in double
+    precision, so S holds the model exactly.
     """
     c = np.zeros((len(a), len(b)))
     c[np.diag_indices(len(rho))] = rho
@@ -137,20 +139,28 @@ class TestCanonicalCorrelations:
         assert spectrum == pytest.approx((0.25,), abs=1e-12)
         assert sum(spectrum) == pytest.approx(variance(model), abs=1e-9)
 
-    # The eigenvalues of Y Y^T gave the weak value as 2.8e-17 and 6.9e-18.
+    # The eigenvalues of Y Y^T gave the first two weak values as 2.8e-17 and
+    # 6.9e-18. The whitened block taken left to right, L_0^{-1} S_01 L_1^{-T},
+    # gave the second 3.7e-5 off relative, and the route through
+    # C_01 = S_01 S_11^{-1} gave the third 2.0e-4 off.
     @pytest.mark.parametrize(
-        "b, rho",
+        "a, b, rho",
         [
-            (np.eye(2), (0.9, 1e-9)),
-            (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]]), (0.5, 3e-12)),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), (0.9, 1e-9)),
+            (
+                np.array([[1.0, 1.0], [0.0, 1.0]]),
+                np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [2.0, 0.0, 1.0]]),
+                (0.5, 3e-12),
+            ),
+            (np.array([[1.0, 2.0], [2.0, -2.0]]), np.array([[0.0, 2.0], [-1.0, -2.0]]), (0.75, 2.0**-40)),
         ],
     )
-    def test_weak_beside_strong_kept(self, b, rho):
-        model = exact_canonical_model(np.array([[1.0, 1.0], [0.0, 1.0]]), b, rho)
+    def test_weak_beside_strong_kept(self, a, b, rho):
+        model = exact_canonical_model(a, b, rho)
         strong, weak = canonical_correlations(model)
         assert abs(strong - rho[0] ** 2) <= 1e-12
         assert abs(weak - rho[1] ** 2) <= 1e-9 * rho[1] ** 2
-        assert abs(strong + weak - variance(model)) < 1e-9
+        assert abs(strong + weak - variance(model)) <= 1e-9 * variance(model)
         assert abs(strong + weak - cumulants(model, 2).kappa(2)) < 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
