@@ -248,6 +248,32 @@ class TestValidateModel:
             validate_model(None, cov, [1] * d)
 
 
+def gamma_block(model, m, n):
+    """Block (m, n) of G, the regression coefficients C_{m|n} = S_mn S_nn^{-1}."""
+    return model.gamma[model.partition.block_slice(m), model.partition.block_slice(n)]
+
+
+class TestRegressionBlock:
+    """The regression coefficients C_{m|n} are read from G's off-diagonal blocks."""
+
+    def test_scalar_pair(self):
+        model = scalar_pair_model(0.5)
+        assert gamma_block(model, 0, 1) == pytest.approx(np.array([[0.5]]))
+        assert gamma_block(model, 1, 0) == pytest.approx(np.array([[0.5]]))
+
+    def test_unequal_variances(self):
+        # Block (m, n) regresses block m on block n: S_01 / S_11 = 1 and S_10 / S_00 = 0.25.
+        model = validate_model([0, 0], [[4, 1], [1, 1]], [1, 1])
+        assert np.array_equal(model.gamma, [[0.0, 1.0], [0.25, 0.0]])
+        assert model.gamma_eigenvalues == pytest.approx([-0.5, 0.5])
+
+    def test_block_diagonal_gives_zero(self):
+        model = random_block_diagonal_model(np.random.default_rng(5), [2, 3])
+        assert np.array_equal(gamma_block(model, 0, 1), np.zeros((2, 3)))
+        assert np.array_equal(gamma_block(model, 1, 0), np.zeros((3, 2)))
+        assert np.array_equal(model.gamma_eigenvalues, np.zeros(5))
+
+
 class TestComputeGamma:
     def test_identity_covariance(self):
         model = validate_model(None, np.eye(4), [2, 2])
@@ -259,17 +285,6 @@ class TestComputeGamma:
         model = scalar_pair_model(0.5)
         assert model.gamma == pytest.approx(np.array([[0, 0.5], [0.5, 0]]))
         assert model.gamma_eigenvalues == pytest.approx([-0.5, 0.5])
-
-    def test_unequal_variances(self):
-        # Block (m, n) regresses block m on block n: S_01 / S_11 = 1 and S_10 / S_00 = 0.25.
-        model = validate_model([0, 0], [[4, 1], [1, 1]], [1, 1])
-        assert np.array_equal(model.gamma, [[0.0, 1.0], [0.25, 0.0]])
-        assert model.gamma_eigenvalues == pytest.approx([-0.5, 0.5])
-
-    def test_block_diagonal_gives_zero(self):
-        model = random_block_diagonal_model(np.random.default_rng(5), [2, 3])
-        assert np.array_equal(model.gamma, np.zeros((5, 5)))
-        assert np.array_equal(model.gamma_eigenvalues, np.zeros(5))
 
     def test_equicorrelation_spectrum(self):
         cov = np.full((3, 3), 0.5)
