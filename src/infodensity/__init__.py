@@ -21,7 +21,6 @@ from .homogeneous import (
     asymptotic_standardized_limit,
     homogeneous_covariance,
     homogeneous_cumulant,
-    homogeneous_mean,
     standardized_cumulant,
 )
 from .loops import (
@@ -92,7 +91,6 @@ __all__ = [
     "density_at_direct",
     "homogeneous_covariance",
     "homogeneous_cumulant",
-    "homogeneous_mean",
     "k_statistics",
     "kstat_sampling_variances",
     "loop_trace",

@@ -44,11 +44,10 @@ from .homogeneous import (
     asymptotic_standardized_limit,
     homogeneous_covariance,
     homogeneous_cumulant,
-    homogeneous_mean,
     standardized_cumulant,
 )
 from .loops import DEFAULT_LOOP_CAP, _loop_counts, trace_via_loops
-from .measures import _power_sums, cgf, cgf_domain, cumulants, multiinformation, multiinformation_from_gamma, variance
+from .measures import _matrix_traces, cgf, cgf_domain, cumulants, multiinformation_from_gamma, variance
 from .model import model_fingerprint, validate_model
 from .sampling import mc_validate
 
@@ -173,18 +172,16 @@ def _oracle_section(model, loop_counts: list[int]) -> dict:
     """The loop oracle's section: one row per length 1..L, the loop sum against Σλˡ, and the bound.
 
     Σλˡ over G's spectrum is reported as ``matrix_trace``, since it equals
-    tr(Gˡ). It is the number every κ_l is computed from: ``cumulants``' own
-    paired-sign ``fsum`` over the spectrum scaled by 2^e, the smallest power
-    of two above max|λ|, scaled back by ``ldexp``, so that up to order 20
-    (l−1)!/2 · ``matrix_trace`` is κ_l bit for bit. ``oracle-check`` reports
-    this section after the fingerprint, and ``analyze --oracle-max-l`` embeds it.
+    tr(Gˡ). It comes from ``measures._matrix_traces``, the power sums every
+    κ_l is computed from, over the same spectrum scaled by 2^e, so that up to
+    order 20 (l−1)!/2 · ``matrix_trace`` is κ_l bit for bit. ``oracle-check``
+    reports this section after the fingerprint, and ``analyze --oracle-max-l``
+    embeds it.
     """
     rows = []
-    e = math.frexp(float(np.abs(model.gamma_eigenvalues).max()))[1]
-    ratio = np.ldexp(model.gamma_eigenvalues, -e)
-    for l, count in enumerate(loop_counts, start=1):
+    traces = _matrix_traces(model, len(loop_counts))
+    for l, (count, matrix_trace) in enumerate(zip(loop_counts, traces), start=1):
         loop_sum = trace_via_loops(model, l)
-        matrix_trace = math.ldexp(_power_sums(ratio, l)[0], l * e)
         rows.append(
             {
                 "l": l,
@@ -207,11 +204,12 @@ def _cmd_analyze(args):
     model = _load_model(args)
     grid = _parse_t_grid(args.t_grid, model.dimension) if args.t_grid else None
     loop_counts = None if args.oracle_max_l is None else _oracle_loop_counts(model, args.oracle_max_l)
-    info_logdet = multiinformation(model)
+    # One call gives κ₁ (the multiinformation), κ₂ for the variance record and the L cumulants
+    # printed; it runs to order 2 when only κ₁ is printed, and refuses an L below 1 or over the cap.
+    seq = cumulants(model, 2 if args.cumulants == 1 else args.cumulants)
+    info_logdet, kappa_2 = seq.kappa(1), seq.kappa(2)
     info_gamma = multiinformation_from_gamma(model)
-    domain = cgf_domain(model)
-    seq = cumulants(model, args.cumulants)
-    var, kappa_2 = variance(model), cumulants(model, 2).kappa(2)
+    var = variance(model)
 
     report = {
         "fingerprint": model_fingerprint(model),
@@ -222,9 +220,9 @@ def _cmd_analyze(args):
         "multiinformation_agreement": _check(info_logdet, info_gamma, AGREEMENT_TOL),
         "variance": var,
         "variance_agreement": _check(var, kappa_2, ORACLE_TOL * max(1.0, abs(var), abs(kappa_2))),
-        "cumulants": list(seq.values),
+        "cumulants": list(seq.values[: args.cumulants]),
         "gamma_eigenvalues": [float(v) for v in model.gamma_eigenvalues],
-        "cgf_domain": _domain_dict(domain),
+        "cgf_domain": _domain_dict(cgf_domain(model)),
     }
 
     if grid is not None:
@@ -257,7 +255,7 @@ def _cmd_homogeneous(args):
         model = homogeneous_covariance(hm)
         seq = cumulants(model, args.max_l)
         for l in range(1, args.max_l + 1):
-            closed = homogeneous_mean(hm) if l == 1 else homogeneous_cumulant(hm, l)
+            closed = homogeneous_cumulant(hm, l)
             standardized = (
                 None if l == 1 or args.rho == 0 else _within_double_range(standardized_cumulant, hm, l)
             )

@@ -2,11 +2,12 @@
 
 A d-dimensional correlation matrix with constant off-diagonal entry rho has
 eigenvalues 1 + (d-1)rho (once) and 1 - rho (d-1 times), and its coupling
-matrix is rho * (U - I) with U the all-ones matrix. Each rooted l-loop on the
-d blocks carries rho^l, so kappa_l = (l-1)!/2 * rho^l * rooted_loop_count(d, l)
-in closed form, as are the mean and the standardized cumulants, whose
-d -> infinity limits are the nonzero constants 2^{l/2-1} (l-1)!, the
-signature of non-normality in high dimension.
+matrix is rho * (U - I) with U the all-ones matrix. kappa_1 is the
+multiinformation, and each rooted l-loop on the d blocks carries rho^l, so
+kappa_l = (l-1)!/2 * rho^l * rooted_loop_count(d, l) for l >= 2, in closed
+form, as are the standardized cumulants, whose d -> infinity limits are the
+nonzero constants 2^{l/2-1} (l-1)!, the signature of non-normality in high
+dimension.
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ def homogeneous_covariance(hm: HomogeneousModel) -> GaussianModel:
     return validate_model(np.zeros(d), cov, [1] * d)
 
 
-def homogeneous_mean(hm: HomogeneousModel) -> float:
-    """Expected density: -[(d-1) ln(1-rho) + ln(1+(d-1)rho)] / 2."""
-    d, rho = hm.dimension, hm.rho
-    return -0.5 * ((d - 1) * math.log1p(-rho) + math.log1p((d - 1) * rho))
-
-
 def _log_cumulant_magnitude(hm: HomogeneousModel, l: int) -> float:
     """ln|kappa_l| for rho != 0 and a nonzero loop count, computed without forming large intermediates."""
     d, rho = hm.dimension, hm.rho
@@ -71,8 +66,10 @@ def _log_cumulant_magnitude(hm: HomogeneousModel, l: int) -> float:
 
 
 def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
-    """Cumulant of order l >= 2 in closed form.
+    """Cumulant of order l >= 1 in closed form.
 
+    kappa_1 is the multiinformation, -[(d-1) ln(1-rho) + ln(1+(d-1)rho)] / 2,
+    which is 0.0 (not -0.0) at rho = 0. Above it,
     (l-1)!/2 * rho^l * rooted_loop_count(d, l). Up to order 20 the integer
     (l-1)!/2 * count is formed exactly, so the result is one float product;
     above, or past 1000 bits, the magnitude is taken in log space with the
@@ -81,8 +78,10 @@ def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
     ``Partition``'s rule here and in ``standardized_cumulant`` and
     ``asymptotic_standardized_limit``: 4.0 is 4; 3.5 or True raises ValueError.
     """
-    l = _integral_at_least(l, 2, "order")
+    l = _integral_at_least(l, 1, "order")
     d, rho = hm.dimension, hm.rho
+    if l == 1:
+        return 0.0 - 0.5 * ((d - 1) * math.log1p(-rho) + math.log1p((d - 1) * rho))
     if rho == 0.0 or (d == 2 and l % 2 == 1):  # the loop count is 0 only for d = 2, l odd
         return 0.0
     log_magnitude = _log_cumulant_magnitude(hm, l)

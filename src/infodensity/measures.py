@@ -78,8 +78,11 @@ def multiinformation(model: GaussianModel) -> float:
 
 
 def multiinformation_from_gamma(model: GaussianModel) -> float:
-    """Multiinformation recovered from the coupling spectrum: -sum ln(1+lambda)/2."""
-    return -0.5 * float(np.sum(np.log1p(model.gamma_eigenvalues)))
+    """Multiinformation recovered from the coupling spectrum: -sum ln(1+lambda)/2.
+
+    A zero spectrum gives 0.0, not -0.0.
+    """
+    return 0.0 - 0.5 * float(np.sum(np.log1p(model.gamma_eigenvalues)))
 
 
 def density_at(model: GaussianModel, x) -> float:
@@ -155,7 +158,8 @@ def cgf(model: GaussianModel, t):
     if np.any(outside):
         raise OutOfDomain(float(ts.flat[np.argmax(outside)]), domain)
     logs = np.log1p(-np.multiply.outer(ts, model.gamma_eigenvalues))
-    values = ts * multiinformation(model) - 0.5 * np.sum(logs, axis=-1)
+    # Adding 0.0 - x rather than subtracting x: at I = 0 and a zero spectrum, t < 0 reads 0.0, not -0.0.
+    values = ts * multiinformation(model) + (0.0 - 0.5 * np.sum(logs, axis=-1))
     return float(values) if values.ndim == 0 else values
 
 
@@ -165,9 +169,11 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     kappa_1 is the multiinformation; higher orders use the eigenvalue power
     sums of the coupling matrix, each one pass of ``_power_sums`` over the
     spectrum scaled toward max|lambda|, so a small spectrum does not
-    underflow: up to order 20 by 2^e, the smallest power of two above it,
-    beyond order 20 by max|lambda| itself, with the factorial and the power
-    sum combined in log space. The same pass gives the magnitude bound
+    underflow. The spectrum is scaled once per call, not once per order: by
+    2^e, the smallest power of two above max|lambda|, for orders up to 20
+    (``_binary_scaled``, the loop oracle's scaling too), and by max|lambda|
+    itself for the orders above, whose factorial and power sum are combined
+    in log space. The same pass gives the magnitude bound
     (l-1)! * sum|lambda|^l / 2; an order whose bound exceeds the double range
     raises CumulantOverflow rather than saturating. An order above
     MAX_CUMULANT_ORDER raises CumulantOverflow before any work, with
@@ -182,20 +188,22 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
             f"cumulant order {order} exceeds the cap of {MAX_CUMULANT_ORDER} (MAX_CUMULANT_ORDER)",
         )
     lam = model.gamma_eigenvalues
-    top = float(np.abs(lam).max())
-    values = [multiinformation(model)]
-    for l in range(2, order + 1):
-        values.append(_kappa_from_spectrum(lam, top, l) if top else 0.0)
-    return CumulantSequence(values=tuple(values))
+    top, binary, e = _binary_scaled(lam)
+    unit = lam / top if top and order > _EXACT_FACTORIAL_MAX_ORDER else None
+    kappas = [_kappa_from_spectrum(binary, e, unit, top, l) if top else 0.0 for l in range(2, order + 1)]
+    return CumulantSequence(values=(multiinformation(model), *kappas))
 
 
-def _kappa_from_spectrum(lam: np.ndarray, top: float, l: int) -> float:
-    # Up to order 20, (l-1)!/2 is a double and dividing by 2^e is exact; the
-    # leading terms stay normal where lambda^l would be subnormal. Beyond, the
-    # top term of lambda / max|lambda| is 1, so the sum is at least 1.
-    e = math.frexp(top)[1]
+def _kappa_from_spectrum(binary: np.ndarray, e: int, unit: np.ndarray | None, top: float, l: int) -> float:
+    """kappa_l >= 2 from the spectrum already scaled: ``binary`` = lambda / 2^e, ``unit`` = lambda / ``top``.
+
+    Up to order 20 it reads ``binary``: (l-1)!/2 is a double and scaling back
+    by 2^{l e} is exact, and the leading terms stay normal where lambda^l
+    would be subnormal. Beyond, it reads ``unit``, whose top term is 1, so
+    the sum is at least 1, and works in log space.
+    """
     exact = l <= _EXACT_FACTORIAL_MAX_ORDER
-    signed, size = _power_sums(np.ldexp(lam, -e) if exact else lam / top, l)
+    signed, size = _power_sums(binary if exact else unit, l)
     log_scale = math.lgamma(l) - math.log(2.0) + l * (e * math.log(2.0) if exact else math.log(top))
     if log_scale + math.log(size) > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
@@ -204,12 +212,33 @@ def _kappa_from_spectrum(lam: np.ndarray, top: float, l: int) -> float:
     return math.copysign(math.exp(log_scale + math.log(abs(signed))), signed) if signed else 0.0
 
 
+def _binary_scaled(lam: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """max|lambda|, lambda / 2^e and e, with 2^e the smallest power of two above max|lambda|.
+
+    The division is exact short of underflow, and e = 0 for a zero spectrum.
+    """
+    top = float(np.abs(lam).max())
+    e = math.frexp(top)[1]
+    return top, np.ldexp(lam, -e), e
+
+
+def _matrix_traces(model: GaussianModel, max_l: int) -> list[float]:
+    """sum lambda^l = tr(G^l) for l = 1..max_l, the loop oracle's reference; no power of G is formed.
+
+    Each is ``cumulants``' paired-sign ``_power_sums`` over the same
+    lambda / 2^e, scaled back by 2^{l e}, so up to order 20 (l-1)!/2 times
+    the trace is kappa_l bit for bit.
+    """
+    _, binary, e = _binary_scaled(model.gamma_eigenvalues)
+    return [math.ldexp(_power_sums(binary, l)[0], l * e) for l in range(1, max_l + 1)]
+
+
 def _power_sums(ratio: np.ndarray, l: int) -> tuple[float, float]:
     """sum ratio^l and sum |ratio|^l for a spectrum divided by a scale, each one ``math.fsum``.
 
     The terms are |ratio|^l with ratio's sign put back at odd l, so a value
     and its negative give terms that cancel exactly, as numpy's powers of r
-    and -r need not. ``cumulants`` and the loop oracle's reference both read it.
+    and -r need not. ``cumulants`` and ``_matrix_traces`` both read it.
     """
     terms = np.abs(ratio) ** l
     size = math.fsum(terms.tolist())  # fsum reads a list of floats faster than an array

@@ -81,6 +81,22 @@ class TestAnalyze:
         assert code == 0 and len(report["cumulants"]) == 1
         assert report["variance_agreement"]["ok"] and report["variance_agreement"]["margin"] < 1e-5
 
+    def test_kappa_1_and_kappa_2_from_the_one_cumulants_call(self, capsys, monkeypatch, tmp_path):
+        # The reported multiinformation is kappa_1 and the variance record reads kappa_2, both
+        # from the call that gives the printed cumulants, so they agree bit for bit.
+        sizes = [2, 3, 4]
+        path = tmp_path / "model.json"
+        covariance = random_model(np.random.default_rng(11), sum(sizes), sizes).covariance
+        path.write_text(json.dumps({"covariance": covariance.tolist(), "partition": sizes}))
+        orders = []
+        original = cli.cumulants
+        monkeypatch.setattr(cli, "cumulants", lambda model, order: orders.append(order) or original(model, order))
+        code, out, _ = run(capsys, ["analyze", str(path), "--cumulants", "8"])
+        report = json.loads(out)
+        assert code == 0 and orders == [8]
+        assert report["multiinformation"] == report["cumulants"][0]
+        assert report["variance_agreement"]["abs_diff"] == abs(report["variance"] - report["cumulants"][1])
+
     def test_identity_model_all_zero(self, capsys, tmp_path):
         path = tmp_path / "id.json"
         path.write_text(json.dumps({"covariance": np.eye(3).tolist(), "partition": [1, 2]}))
@@ -647,6 +663,39 @@ class TestHomogeneous:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert all(row["standardized"] is None and row["asymptotic_limit"] is None for row in rows)
+
+
+def negative_zeros(doc, path="$"):
+    """The paths of every -0.0 in a parsed JSON document."""
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items() for p in negative_zeros(value, f"{path}.{key}")]
+    if isinstance(doc, list):
+        return [p for i, value in enumerate(doc) for p in negative_zeros(value, f"{path}[{i}]")]
+    return [path] if isinstance(doc, float) and doc == 0.0 and math.copysign(1.0, doc) < 0 else []
+
+
+class TestNegativeZeros:
+    """Independent blocks give exact zeros, and the reports print them as 0.0, not -0.0."""
+
+    @pytest.fixture
+    def independent_file(self, tmp_path):
+        path = tmp_path / "independent.json"
+        path.write_text(json.dumps({"covariance": np.eye(3).tolist(), "partition": [1, 2]}))
+        return str(path)
+
+    def test_analyze(self, capsys, independent_file):
+        code, out, _ = run(capsys, ["analyze", independent_file, "--t-grid=-1:1:3"])
+        report = json.loads(out)
+        assert code == 0 and negative_zeros(report) == []
+        zeros = [report["multiinformation_from_gamma"], *report["cgf_grid"]["cgf"]]
+        assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in zeros)
+
+    def test_homogeneous(self, capsys):
+        code, out, _ = run(capsys, ["homogeneous", "--d", "3", "--rho", "0", "--max-l", "2"])
+        report = json.loads(out)
+        assert code == 0 and negative_zeros(report) == []
+        closed = report["rows"][0]["closed_form"]
+        assert closed == 0.0 and math.copysign(1.0, closed) == 1.0
 
 
 def check_records(report):

@@ -15,7 +15,6 @@ from infodensity import (
     cumulants,
     homogeneous_covariance,
     homogeneous_cumulant,
-    homogeneous_mean,
     multiinformation,
     standardized_cumulant,
     validate_model,
@@ -55,8 +54,10 @@ class TestHomogeneousModel:
         for order in (2.5, True, np.bool_(True), "4", None, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="order must be an integer"):
                 function(hm, order)
-        with pytest.raises(ValueError, match="order must be >= 2, got 1"):
-            function(hm, 1)
+        # kappa_1 is a closed form too; the standardized cumulants start at order 2.
+        low = 1 if function is homogeneous_cumulant else 2
+        with pytest.raises(ValueError, match=f"order must be >= {low}, got {low - 1}"):
+            function(hm, low - 1)
 
     def test_covariance_d2(self):
         model = homogeneous_covariance(HomogeneousModel(2, 0.5))
@@ -78,9 +79,18 @@ class TestHomogeneousModel:
 
 class TestClosedForms:
     def test_mean_values(self):
-        assert homogeneous_mean(HomogeneousModel(3, 0.0)) == 0.0
-        assert homogeneous_mean(HomogeneousModel(3, 0.5)) == pytest.approx(0.346574, abs=1e-6)
-        assert homogeneous_mean(HomogeneousModel(2, 0.5)) == pytest.approx(0.143841, abs=1e-6)
+        zero = homogeneous_cumulant(HomogeneousModel(3, 0.0), 1)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert homogeneous_cumulant(HomogeneousModel(3, 0.5), 1) == pytest.approx(0.346574, abs=1e-6)
+        assert homogeneous_cumulant(HomogeneousModel(2, 0.5), 1) == pytest.approx(0.143841, abs=1e-6)
+
+    @pytest.mark.parametrize("rho", [0.5, -0.3])
+    def test_two_dimensional_kappa_1_is_the_multiinformation(self, rho):
+        # d = 2 has no rooted loop of odd length, but kappa_1 is I = -ln(1 - rho^2)/2, not a loop sum.
+        hm = HomogeneousModel(2, rho)
+        assert homogeneous_cumulant(hm, 1) == -0.5 * (math.log1p(-rho) + math.log1p(rho)) > 0.0
+        assert rel_close(homogeneous_cumulant(hm, 1), multiinformation(homogeneous_covariance(hm)), 1e-12)
+        assert homogeneous_cumulant(hm, 3) == 0.0
 
     def test_variance_formula(self):
         for d, rho in [(2, 0.5), (5, 0.3), (20, -0.02)]:
@@ -103,9 +113,9 @@ class TestAgainstGeneralMachinery:
         rho = {"edge": -1.0 / (2 * (d - 1)), "small": 0.1, "large": 0.7}[rho_kind]
         hm = HomogeneousModel(d, rho)
         model = homogeneous_covariance(hm)
-        assert rel_close(homogeneous_mean(hm), multiinformation(model), 1e-9)
         seq = cumulants(model, 6)
-        for l in range(2, 7):
+        assert seq.kappa(1) == multiinformation(model)
+        for l in range(1, 7):
             assert rel_close(homogeneous_cumulant(hm, l), seq.kappa(l), 1e-9)
         for l in range(1, 7):
             closed = equicorrelation_gamma_power(d, rho, l)
