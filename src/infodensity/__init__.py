@@ -50,7 +50,6 @@ from .model import (
     validate_model,
 )
 from .sampling import (
-    KStatistics,
     SampleBatch,
     k_statistics,
     kstat_sampling_variances,
@@ -73,7 +72,6 @@ __all__ = [
     "GaussianModel",
     "HomogeneousModel",
     "InfoDensityError",
-    "KStatistics",
     "NonFiniteInput",
     "NotPositiveDefinite",
     "NotSymmetric",

@@ -10,8 +10,9 @@ homogeneous   equicorrelation closed forms vs the general machinery
 
 Every subcommand but ``homogeneous`` takes a model file as its required
 first argument. ``analyze``'s oracle section is ``oracle-check``'s document
-without the fingerprint, and its Monte Carlo section checks orders 1..4 on
-the usable CPUs, ``simulate``'s default thread count.
+without the fingerprint, and its Monte Carlo section is ``simulate``'s
+document without the fingerprint, at orders 1..4 on the usable CPUs,
+``simulate``'s default thread count.
 
 Every agreement a report makes is a check record: a dict with ``abs_diff``
 (or ``z``), ``margin`` (|difference| / bound, or |z| / threshold) and ``ok``.
@@ -27,6 +28,7 @@ non-finite float as null, so every document is strict JSON. Only
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -38,7 +40,7 @@ import numpy as np
 import orjson
 
 from ._linalg import _usable_cpus
-from .errors import CombinatorialLimit, CumulantOverflow, NonFiniteInput, OutOfDomain
+from .errors import CombinatorialLimit, CumulantOverflow, InfoDensityError, NonFiniteInput, OutOfDomain
 from .homogeneous import (
     HomogeneousModel,
     asymptotic_standardized_limit,
@@ -107,19 +109,16 @@ def _exit_code(report: dict) -> int:
 
 
 def _emit_error(exc) -> None:
+    """One JSON line on stderr: the error's name and message, then the fields the package's own errors set.
+
+    Other exceptions carry only the two, so a decode error's copy of the whole input is not printed.
+    """
     # numpy raises a private MemoryError subclass; report the public name.
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
     doc = {"error": name, "message": str(exc)}
-    for attr in ("pivot_index", "order", "count", "cap", "length", "t"):
-        if hasattr(exc, attr):
-            doc[attr] = getattr(exc, attr)
-    if isinstance(exc, OutOfDomain):
-        doc["domain"] = _domain_dict(exc.domain)
+    if isinstance(exc, InfoDensityError):
+        doc.update(vars(exc))
     print(orjson.dumps(doc).decode(), file=sys.stderr)
-
-
-def _domain_dict(domain) -> dict:
-    return {"lower": domain.lower, "upper": domain.upper}
 
 
 def _load_model(args):
@@ -222,7 +221,7 @@ def _cmd_analyze(args):
         "variance_agreement": _check(var, kappa_2, ORACLE_TOL * max(1.0, abs(var), abs(kappa_2))),
         "cumulants": list(seq.values[: args.cumulants]),
         "gamma_eigenvalues": [float(v) for v in model.gamma_eigenvalues],
-        "cgf_domain": _domain_dict(cgf_domain(model)),
+        "cgf_domain": dataclasses.asdict(cgf_domain(model)),
     }
 
     if grid is not None:
@@ -237,9 +236,10 @@ def _cmd_analyze(args):
 
 def _cmd_simulate(args):
     model = _load_model(args)
-    return mc_validate(
+    checks = mc_validate(
         model, args.n, args.seed, args.max_order, threads=args.threads, corrupt_order=args.corrupt_order
     )
+    return {"fingerprint": model_fingerprint(model), **checks}
 
 
 def _cmd_oracle_check(args):

@@ -38,7 +38,11 @@ MAX_CUMULANT_ORDER = 10_000
 
 @dataclass(frozen=True)
 class CumulantSequence:
-    """Cumulants kappa_1..kappa_L in nats^l, 1-indexed via ``kappa``."""
+    """Cumulants kappa_1..kappa_L in nats^l, 1-indexed via ``kappa``.
+
+    Estimates use the same type: ``k_statistics`` returns k_1..k_4, with NaN
+    at an order the sample is too small for.
+    """
 
     values: tuple[float, ...]
 

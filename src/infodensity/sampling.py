@@ -28,10 +28,10 @@ OpenBLAS, the only BLAS build the package loads, so every BLAS call of a
 process shares one thread pool; while the chunk threads run, that pool is
 held to their share of the CPUs.
 
-Cumulants are estimated with the classical unbiased k-statistics; the
-validation report compares them with the analytic values using standard
-errors derived from the exact sampling-variance formulas evaluated at the
-model's analytic cumulants.
+Cumulants are estimated with the classical unbiased k-statistics, returned
+as a ``CumulantSequence`` of orders 1..4 like the analytic cumulants; the
+validation report compares the two using standard errors derived from the
+exact sampling-variance formulas evaluated at the model's analytic cumulants.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 
 from ._linalg import _blas_threads_held, _inverse_lower, _usable_cpus, symmetrize
 from .errors import BatchTooSmall
-from .measures import cumulants, multiinformation
-from .model import GaussianModel, model_fingerprint
+from .measures import CumulantSequence, cumulants, multiinformation
+from .model import GaussianModel
 
 # Draws per chunk: each chunk has its own stream, so the draws depend on it.
 CHUNK_SIZE = 65536
@@ -70,23 +70,6 @@ class SampleBatch:
     s2: float
     s3: float
     s4: float
-
-
-@dataclass(frozen=True)
-class KStatistics:
-    """Unbiased cumulant estimates k_1..k_4.
-
-    k_3 and k_4 are NaN when the sample is too small for them (n < 3 and
-    n < 4 respectively).
-    """
-
-    k1: float
-    k2: float
-    k3: float
-    k4: float
-
-    def estimate(self, order: int) -> float:
-        return (self.k1, self.k2, self.k3, self.k4)[order - 1]
 
 
 def _normal_stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -210,16 +193,17 @@ def sample_density(
     return SampleBatch(n, multiinformation(model), *map(math.fsum, sums))
 
 
-def k_statistics(batch: SampleBatch) -> KStatistics:
-    """Unbiased cumulant estimates from a batch's power sums.
+def k_statistics(batch: SampleBatch) -> CumulantSequence:
+    """Unbiased cumulant estimates k_1..k_4 from a batch's power sums, as a ``CumulantSequence``.
 
-    k_1 is the sample mean, k_2 the unbiased variance, and k_3, k_4 the
-    classical third and fourth k-statistics. They are finalized from the
-    power sums s_p about ``batch.center``: k_1 = center + s_1 / n, and the
-    sums are moved by the binomial expansion to that sample mean. The sums
-    about a center near the mean stay accurate where raw power sums cancel,
-    e.g. a mean of 1e8 with unit spread. A batch of fewer than 2 draws
-    raises ``BatchTooSmall``.
+    ``kappa(l)`` is k_l; k_3 and k_4 are NaN when the batch is too small for
+    them (n < 3 and n < 4 respectively). k_1 is the sample mean, k_2 the
+    unbiased variance, and k_3, k_4 the classical third and fourth
+    k-statistics. They are finalized from the power sums s_p about
+    ``batch.center``: k_1 = center + s_1 / n, and the sums are moved by the
+    binomial expansion to that sample mean. The sums about a center near the
+    mean stay accurate where raw power sums cancel, e.g. a mean of 1e8 with
+    unit spread. A batch of fewer than 2 draws raises ``BatchTooSmall``.
     """
     if batch.n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {batch.n}")
@@ -238,21 +222,20 @@ def k_statistics(batch: SampleBatch) -> KStatistics:
         )
     else:
         k4 = math.nan
-    return KStatistics(k1=k1, k2=k2, k3=k3, k4=k4)
+    return CumulantSequence((k1, k2, k3, k4))
 
 
-def kstat_sampling_variances(kappa, n: int) -> tuple[float, float, float, float]:
-    """Sampling variances of k_1..k_4 given the true cumulants up to order 8.
+def kstat_sampling_variances(kappa: CumulantSequence, n: int) -> tuple[float, float, float, float]:
+    """Sampling variances of k_1..k_4 given the true cumulants ``kappa`` of order >= 8.
 
-    The classical finite-sample formulas; ``kappa`` is indexed so kappa[l]
-    is the cumulant of order l (kappa[0] is ignored). They divide by n - 3,
-    so fewer than 4 draws raise ``BatchTooSmall``.
+    The classical finite-sample formulas, read from kappa_2..kappa_8 (kappa_1
+    and kappa_7 do not enter); a shorter sequence raises IndexError. They
+    divide by n - 3, so fewer than 4 draws raise ``BatchTooSmall``.
     """
     if n < 4:
         raise BatchTooSmall(f"need at least 4 draws, got {n}")
     nf = float(n)
-    k2, k3, k4 = kappa[2], kappa[3], kappa[4]
-    k5, k6, k8 = kappa[5], kappa[6], kappa[8]
+    k2, k3, k4, k5, k6, k8 = map(kappa.kappa, (2, 3, 4, 5, 6, 8))
     v1 = k2 / nf
     v2 = k4 / nf + 2.0 * k2**2 / (nf - 1.0)
     v3 = (
@@ -290,6 +273,8 @@ def mc_validate(
     nonzero difference over a zero standard error gives z = +-inf. The
     ``seed`` it echoes is seed mod 2**64, the value the streams are seeded
     with; its last key, ``threads``, is the number of sampler threads that ran.
+    The report does not fingerprint the model; a caller that prints it as a
+    document of its own puts the fingerprint ahead of it.
 
     The order-1 row does not test I: the sampler's center is the same
     ``multiinformation(model)`` that k_1 is compared with, so that row
@@ -309,27 +294,22 @@ def mc_validate(
         raise ValueError(f"corrupt_order must be in 1..max_order = {max_order}, got {corrupt_order}")
     if n < 4:
         raise BatchTooSmall(f"need at least 4 draws for finite standard errors, got {n}")
-    batch = sample_density(model, n, seed, threads=threads)
-    stats = k_statistics(batch)
+    estimates = k_statistics(sample_density(model, n, seed, threads=threads))
     analytic = cumulants(model, 8)
-    kappa = (math.nan,) + analytic.values  # 1-indexed
-    variances = kstat_sampling_variances(kappa, n)
+    variances = kstat_sampling_variances(analytic, n)
 
     rows = []
-    all_ok = True
     for order in range(1, max_order + 1):
         target = analytic.kappa(order)
         se = math.sqrt(max(variances[order - 1], 0.0))
         if corrupt_order == order:
             target += 25.0 * max(se, 1.0)
-        estimate = stats.estimate(order)
+        estimate = estimates.kappa(order)
         diff = estimate - target
         if se > 0.0:
             z = diff / se
         else:
             z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-        ok = abs(z) <= Z_THRESHOLD
-        all_ok = all_ok and ok
         rows.append(
             {
                 "order": order,
@@ -338,16 +318,15 @@ def mc_validate(
                 "se": se,
                 "z": z,
                 "margin": abs(z) / Z_THRESHOLD,
-                "ok": ok,
+                "ok": abs(z) <= Z_THRESHOLD,
             }
         )
     return {
-        "fingerprint": model_fingerprint(model),
         "n": n,
         "seed": seed & _MASK64,
         "max_order": max_order,
         "z_threshold": Z_THRESHOLD,
         "rows": rows,
-        "ok": all_ok,
+        "ok": all(row["ok"] for row in rows),
         "threads": _worker_count(threads, n),
     }

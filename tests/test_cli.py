@@ -267,6 +267,18 @@ class TestAnalyze:
         assert (document["loop_cap"], document["tolerance"]) == (DEFAULT_LOOP_CAP, ORACLE_TOL)
         assert [row["order"] for row in report["monte_carlo"]["rows"]] == [1, 2, 3, 4]
 
+    def test_monte_carlo_section_is_the_simulate_document(self, capsys, equicorrelation_file):
+        code, out, _ = run(capsys, ["analyze", equicorrelation_file, "--mc-n", "20000", "--mc-seed", "5"])
+        assert code == 0
+        report = json.loads(out)
+        code, out, _ = run(capsys, ["simulate", equicorrelation_file, "--n", "20000", "--seed", "5"])
+        assert code == 0
+        document = json.loads(out)
+        # The fingerprint opens the document, once: the section has none of its own.
+        assert list(document)[0] == "fingerprint"
+        assert document.pop("fingerprint") == report["fingerprint"]
+        assert report["monte_carlo"] == document
+
     def test_missing_model_file_exit_2(self, capsys, tmp_path):
         code, out, err = run(capsys, ["analyze", str(tmp_path / "absent.json")])
         assert code == 2
@@ -942,6 +954,36 @@ class TestJsonDocuments:
         assert doc["error"] == "CumulantOverflow"
         assert doc["order"] == MAX_CUMULANT_ORDER + 1 == 10_001
         assert str(10**26) in doc["message"]
+
+    @pytest.mark.parametrize(
+        "covariance, argv, code, fields",
+        [
+            (
+                [[1, 0.5], [0.5, 1]],
+                ["analyze", "{model}", "--t-grid=-5:5:3"],
+                3,
+                {"error": "OutOfDomain", "t": -5.0, "domain": {"lower": -2.0, "upper": 2.0}},
+            ),
+            ([[1, 2], [2, 1]], ["analyze", "{model}"], 2, {"error": "NotPositiveDefinite", "pivot_index": 1}),
+            (
+                [[1, 0.5], [0.5, 1]],
+                ["oracle-check", "{model}", "--max-l", "100000"],
+                3,
+                {"error": "CombinatorialLimit", "count": 10_001_406, "cap": DEFAULT_LOOP_CAP, "length": 3164},
+            ),
+            ([[1, 0.5], [0.5, 1]], ["simulate", "{model}", "--n", "3"], 2, {"error": "BatchTooSmall"}),
+        ],
+        ids=["OutOfDomain", "NotPositiveDefinite", "CombinatorialLimit", "BatchTooSmall"],
+    )
+    def test_error_document_carries_the_error_s_own_fields(self, capsys, tmp_path, covariance, argv, code, fields):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"covariance": covariance, "partition": [1, 1]}))
+        got, out, err = run(capsys, [a.format(model=path) for a in argv])
+        assert (got, out) == (code, "")
+        doc = strict_loads(err)
+        assert list(doc)[:2] == ["error", "message"]
+        del doc["message"]
+        assert doc == fields
 
     def test_report_parses_back_to_the_handler_dict(self, capsys, equicorrelation_file):
         argv = ["analyze", equicorrelation_file, "--t-grid=-0.9:0.9:7", "--oracle-max-l", "5", "--mc-n", "20000"]

@@ -591,8 +591,7 @@ class TestKStatisticsAgainstPow:
         rng = np.random.default_rng(1600 + n)
         values = rng.gamma(2.0, 1.5, n) - 1.0
         stats = k_statistics(two_pass_batch(values))
-        got = (stats.k1, stats.k2, stats.k3, stats.k4)
-        for a, b in zip(got, _reference_k_statistics(values)):
+        for a, b in zip(stats.values, _reference_k_statistics(values), strict=True):
             if math.isnan(b):
                 assert math.isnan(a)
             else:

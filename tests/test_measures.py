@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_block_diagonal_model, random_model, rel_close, scalar_pair_model
+from conftest import DERANDOMIZED, random_block_diagonal_model, random_model, rel_close, scalar_pair_model
 
 from infodensity import (
     CumulantOverflow,
@@ -376,6 +378,35 @@ class TestIndependenceEquivalence:
         for _ in range(100):
             x = model.mean + rng.standard_normal(5) * 2.5
             assert abs(density_at(model, x)) < 1e-10
+
+
+class TestChainRule:
+    """Merged into contiguous coarse blocks K: I(fine) = I(coarse) + sum over K of I(K's fine blocks).
+
+    The identity is exact. Merging scalar blocks moves them from ``compute_gamma``'s size-1
+    scaling to its block strips, so each MI route is checked across both of G's paths.
+    """
+
+    @DERANDOMIZED
+    @given(model_seed=st.integers(0, 2**32 - 1), fine=st.lists(st.integers(1, 3), min_size=3, max_size=7))
+    def test_merging_blocks(self, model_seed, fine):
+        rng = np.random.default_rng(model_seed)
+        d = sum(fine)
+        cov = random_model(rng, d, fine).covariance
+        # 2..len(fine) - 1 coarse blocks, so at least one merges two or more fine blocks.
+        cuts = np.sort(rng.choice(np.arange(1, len(fine)), int(rng.integers(1, len(fine) - 1)), replace=False))
+        groups = [fine[a:b] for a, b in zip([0, *cuts], [*cuts, len(fine)])]
+        edges = np.cumsum([0, *map(sum, groups)])
+        for route in (multiinformation, multiinformation_from_gamma):
+            whole = route(validate_model(None, cov, fine))
+            coarse = route(validate_model(None, cov, list(map(sum, groups))))
+            inside = [
+                route(validate_model(None, cov[a:b, a:b], group))
+                for group, a, b in zip(groups, edges[:-1], edges[1:])
+                if len(group) > 1
+            ]
+            # A bound fixed before any run: 64 d unit roundoffs of the larger of 1 and |I|.
+            assert abs(whole - coarse - math.fsum(inside)) <= 64 * d * 2**-53 * max(1.0, abs(whole))
 
 
 class TestVarianceIrrelevance:

@@ -13,10 +13,12 @@ import pytest
 
 from conftest import random_model
 
-from infodensity import cli, model
+from infodensity import CgfDomain, CumulantSequence, cli, model, sampling
+from infodensity._linalg import _inverse_lower, symmetrize
 
 SIZES = [2, 3, 4]
-EVERY_CHECK = ["--oracle-max-l", "6", "--mc-n", "200000"]
+EVERY_CHECK = ["--t-grid=-0.5:0.5:5", "--oracle-max-l", "6", "--mc-n", "200000"]
+ORACLE_ROWS = [f"oracle l={l}" for l in range(2, 7)]
 
 
 @pytest.fixture
@@ -27,13 +29,13 @@ def model_file(tmp_path):
     return str(path)
 
 
-def mutate_gamma(monkeypatch, change):
-    """Make ``validate_model`` keep change(G), with the spectrum it computed from the true W."""
+def mutate_gamma(monkeypatch, change, change_spectrum=lambda eigenvalues: eigenvalues):
+    """Make ``validate_model`` keep change(G) and change_spectrum of the spectrum computed from the true W."""
     original = model.compute_gamma
 
     def mutated(covariance, block_factor, partition):
         gamma, eigenvalues = original(covariance, block_factor, partition)
-        return change(gamma), eigenvalues
+        return change(gamma), change_spectrum(eigenvalues)
 
     monkeypatch.setattr(model, "compute_gamma", mutated)
 
@@ -60,7 +62,7 @@ def test_scaled_block_column_fails_oracle(capsys, model_file, monkeypatch):
     mutate_gamma(monkeypatch, scale_block_one)
     # Every row with loops fails; at l = 1 there are none, and G's diagonal blocks stay zero.
     # The variance, half the sum of G * G^T, reads the scaled block too; kappa_2 reads the spectrum.
-    expected = ["variance_agreement", "oracle", *(f"oracle l={l}" for l in range(2, 7))]
+    expected = ["variance_agreement", "oracle", *ORACLE_ROWS]
     assert analyze(capsys, model_file) == (1, expected)
 
 
@@ -75,3 +77,68 @@ def test_transposed_gamma_fails_monte_carlo(capsys, model_file, monkeypatch):
 def test_variance_of_squares_fails(capsys, model_file, monkeypatch):
     monkeypatch.setattr(cli, "variance", lambda m: 0.5 * float(np.sum(m.gamma**2)))
     assert analyze(capsys, model_file) == (1, ["variance_agreement"])
+
+
+def test_scaled_spectrum_fails_every_spectrum_record(capsys, model_file, monkeypatch):
+    mutate_gamma(monkeypatch, lambda gamma: gamma, lambda eigenvalues: eigenvalues * (1 + 1e-6))
+    # The MI from the spectrum, kappa_2 and every row's sum of lambda^l read the spectrum; G does not.
+    expected = ["multiinformation_agreement", "variance_agreement", "oracle", *ORACLE_ROWS]
+    assert analyze(capsys, model_file) == (1, expected)
+
+
+def test_diagonal_block_factor_fails(capsys, model_file, monkeypatch):
+    original = model.compute_gamma
+
+    def diagonal_second_block(covariance, block_factor, partition):
+        block_factor = block_factor.copy()
+        block = block_factor[2:5, 2:5]
+        block[...] = np.diag(np.diag(block))
+        return original(covariance, block_factor, partition)
+
+    monkeypatch.setattr(model, "compute_gamma", diagonal_second_block)
+    # G and its spectrum agree with each other, but not with the log-determinants of the
+    # true factors, which give the MI and the sampler's center.
+    assert analyze(capsys, model_file) == (1, ["multiinformation_agreement", "monte_carlo"])
+
+
+def test_shifted_cumulant_orders_fail(capsys, model_file, monkeypatch):
+    original = cli.cumulants
+
+    def shifted(m, order):
+        values = original(m, order + 1).values
+        return CumulantSequence(values[:1] + values[2:])
+
+    # Both readers of the analytic cumulants: the report and the Monte Carlo section.
+    monkeypatch.setattr(cli, "cumulants", shifted)
+    monkeypatch.setattr(sampling, "cumulants", shifted)
+    assert analyze(capsys, model_file) == (1, ["variance_agreement", "monte_carlo"])
+
+
+def test_transposed_sampler_kernel_fails_monte_carlo(capsys, model_file, monkeypatch):
+    def transposed(m):
+        return symmetrize(_inverse_lower(m.factor) @ m.gamma.T @ m.factor)
+
+    monkeypatch.setattr(sampling, "_folded_kernel", transposed)
+    assert analyze(capsys, model_file) == (1, ["monte_carlo"])
+
+
+GAP = "nothing checks the CGF grid or cgf_domain yet (ROADMAP item 2)"
+
+
+@pytest.mark.xfail(strict=True, reason=GAP)
+def test_negated_cgf_argument_fails(capsys, model_file, monkeypatch):
+    original = cli.cgf
+    monkeypatch.setattr(cli, "cgf", lambda m, t: original(m, -t))
+    assert analyze(capsys, model_file)[0] == 1
+
+
+@pytest.mark.xfail(strict=True, reason=GAP)
+def test_mirrored_cgf_domain_fails(capsys, model_file, monkeypatch):
+    original = cli.cgf_domain
+
+    def mirrored(m):
+        domain = original(m)
+        return CgfDomain(-domain.upper, -domain.lower)
+
+    monkeypatch.setattr(cli, "cgf_domain", mirrored)
+    assert analyze(capsys, model_file)[0] == 1

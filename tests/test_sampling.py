@@ -23,6 +23,7 @@ from conftest import (
 
 from infodensity import (
     BatchTooSmall,
+    CumulantSequence,
     HomogeneousModel,
     cgf,
     homogeneous_covariance,
@@ -93,7 +94,7 @@ class TestSampleDensity:
 
     def test_seed_sensitivity(self):
         model = scalar_pair_model(0.5)
-        means = {k_statistics(sample_density(model, 4000, seed=s)).k1 for s in (1, 2, 3)}
+        means = {k_statistics(sample_density(model, 4000, seed=s)).kappa(1) for s in (1, 2, 3)}
         assert len(means) == 3
 
     def test_minimum_size(self):
@@ -159,7 +160,7 @@ class TestSampleDensity:
         batch = sample_density(model, 10**6, seed=42)
         info = -0.5 * math.log1p(-0.25)
         se = math.sqrt(0.25 / 10**6)
-        assert abs(k_statistics(batch).k1 - info) < 5 * se
+        assert abs(k_statistics(batch).kappa(1) - info) < 5 * se
 
     def test_variance_rescaling_matches_pointwise(self):
         rng = np.random.default_rng(21)
@@ -379,31 +380,35 @@ class TestBlasHold:
 
 
 class TestKStatistics:
+    def test_estimates_are_a_cumulant_sequence(self):
+        ks = k_statistics(two_pass_batch([1.0, 2.0, 6.0, 7.0, 9.0]))
+        assert type(ks) is CumulantSequence and ks.order == 4
+
     def test_constant_batch(self):
         ks = k_statistics(two_pass_batch(np.full(100, 3.25)))
-        assert ks.k1 == 3.25
-        assert ks.k2 == ks.k3 == ks.k4 == 0.0
+        assert ks.kappa(1) == 3.25
+        assert ks.kappa(2) == ks.kappa(3) == ks.kappa(4) == 0.0
 
     def test_three_values(self):
         ks = k_statistics(two_pass_batch([1.0, 2.0, 3.0]))
-        assert ks.k1 == 2.0
-        assert ks.k2 == pytest.approx(1.0, abs=1e-15)
-        assert math.isnan(ks.k4)
+        assert ks.kappa(1) == 2.0
+        assert ks.kappa(2) == pytest.approx(1.0, abs=1e-15)
+        assert math.isnan(ks.kappa(4))
 
     def test_standard_normal_higher_orders(self):
         z = standard_normal_block(seed=7, chunk_index=0, count=10**6)
         ks = k_statistics(two_pass_batch(z))
-        normal_kappa = (math.nan, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        normal_kappa = CumulantSequence((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         v1, v2, v3, v4 = kstat_sampling_variances(normal_kappa, 10**6)
-        assert abs(ks.k1) < 5 * math.sqrt(v1)
-        assert abs(ks.k2 - 1.0) < 5 * math.sqrt(v2)
-        assert abs(ks.k3) < 5 * math.sqrt(v3)
-        assert abs(ks.k4) < 5 * math.sqrt(v4)
+        assert abs(ks.kappa(1)) < 5 * math.sqrt(v1)
+        assert abs(ks.kappa(2) - 1.0) < 5 * math.sqrt(v2)
+        assert abs(ks.kappa(3)) < 5 * math.sqrt(v3)
+        assert abs(ks.kappa(4)) < 5 * math.sqrt(v4)
 
     def test_accepts_batch_object(self):
         model = scalar_pair_model(0.4)
         batch = sample_density(model, 1000, seed=1)
-        assert k_statistics(batch).k1 == pytest.approx(float(np.mean(sampled_values(model, 1000, seed=1))))
+        assert k_statistics(batch).kappa(1) == pytest.approx(float(np.mean(sampled_values(model, 1000, seed=1))))
 
     def test_too_small(self):
         with pytest.raises(BatchTooSmall):
@@ -412,7 +417,11 @@ class TestKStatistics:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_sampling_variances_need_four_draws(self, n):
         with pytest.raises(BatchTooSmall, match=f"need at least 4 draws, got {n}"):
-            kstat_sampling_variances((math.nan,) + (1.0,) * 8, n)
+            kstat_sampling_variances(CumulantSequence((1.0,) * 8), n)
+
+    def test_sampling_variances_need_order_eight(self):
+        with pytest.raises(IndexError, match="order 8 outside 1..7"):
+            kstat_sampling_variances(CumulantSequence((1.0,) * 7), 100)
 
 
 class TestStreaming:
@@ -453,7 +462,7 @@ class TestStreaming:
         values = sampled_values(model, 5003, seed=2)
         got, expected = k_statistics(batch), k_statistics(two_pass_batch(values))
         for order in (1, 2, 3, 4):
-            a, b = got.estimate(order), expected.estimate(order)
+            a, b = got.kappa(order), expected.kappa(order)
             assert abs(a - b) <= 1e-12 * abs(b)
 
     # The n-length value array of earlier versions alone was 1.6 / 6.4 MB,
@@ -511,7 +520,7 @@ class TestSamplerProperties:
         got = k_statistics(batches[0])
         expected = k_statistics(two_pass_batch(values))
         for order in (1, 2, 3, 4):
-            a, b = got.estimate(order), expected.estimate(order)
+            a, b = got.kappa(order), expected.kappa(order)
             if math.isnan(b):
                 assert math.isnan(a)
             else:
@@ -574,9 +583,9 @@ class TestMerge:
         x = self._data(kind, sum(sizes))
         merged = self._merged(kind, x, sizes)
         two_pass = k_statistics(two_pass_batch(x))
-        assert merged.k1 == pytest.approx(two_pass.k1, rel=1e-15)
+        assert merged.kappa(1) == pytest.approx(two_pass.kappa(1), rel=1e-15)
         for order in (2, 3, 4):
-            a, b = merged.estimate(order), two_pass.estimate(order)
+            a, b = merged.kappa(order), two_pass.kappa(order)
             assert abs(a - b) <= 1e-12 * abs(b)
 
     @pytest.mark.parametrize("kind", ["skewed", "offset"])
@@ -585,7 +594,7 @@ class TestMerge:
         x = self._data(kind, sum(sizes))
         merged = self._merged(kind, x, sizes)
         for order, exact in enumerate(_exact_k_statistics(x), start=1):
-            assert abs(merged.estimate(order) - exact) <= 1e-12 * abs(exact)
+            assert abs(merged.kappa(order) - exact) <= 1e-12 * abs(exact)
 
     @pytest.mark.parametrize("kind", ["skewed", "offset"])
     def test_shuffled_chunk_sums_give_the_same_batch(self, kind):
@@ -606,15 +615,15 @@ class TestMerge:
         naive_k2 = (np.sum(x * x) - np.sum(x) ** 2 / n) / (n - 1)
         exact_k2 = _exact_k_statistics(x)[1]
         assert abs(naive_k2 - exact_k2) > 0.1 * exact_k2
-        assert abs(self._merged("offset", x, self.SPLITS["uneven"]).k2 - exact_k2) <= 1e-12 * exact_k2
+        assert abs(self._merged("offset", x, self.SPLITS["uneven"]).kappa(2) - exact_k2) <= 1e-12 * exact_k2
 
     def test_small_arrays_leave_higher_orders_nan(self):
         two = k_statistics(two_pass_batch([1.0, 4.0]))
-        assert two.k2 == 4.5
-        assert math.isnan(two.k3) and math.isnan(two.k4)
+        assert two.kappa(2) == 4.5
+        assert math.isnan(two.kappa(3)) and math.isnan(two.kappa(4))
         three = k_statistics(two_pass_batch([1.0, 2.0, 6.0]))
-        assert math.isfinite(three.k3)
-        assert math.isnan(three.k4)
+        assert math.isfinite(three.kappa(3))
+        assert math.isnan(three.kappa(4))
 
 
 class TestMcValidate:
