@@ -57,7 +57,9 @@ AGREEMENT_TOL = 1e-9
 ORACLE_TOL = 1e-9
 # Most steps x d terms an ``analyze --t-grid`` evaluates: ``cgf`` forms one
 # steps x d array and a temporary of its size, 32 MiB each at the cap. A grid
-# above it exits 3 before the grid itself is allocated.
+# above it exits 3 before the grid itself is allocated. ``homogeneous`` holds
+# its d x d covariances to the same 32 MiB: a d with d^2 above the cap exits 3
+# before any model is formed.
 MAX_T_GRID_TERMS = 2**22
 
 _LIMIT_ERRORS = (OutOfDomain, CombinatorialLimit, CumulantOverflow, MemoryError)
@@ -249,9 +251,17 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_homogeneous(args):
+    models = [HomogeneousModel(dimension=d, rho=args.rho) for d in args.d]
+    # Every dimension is validated, then held to the cap, before the first model is formed.
+    for d in (hm.dimension for hm in models):
+        if d * d > MAX_T_GRID_TERMS:
+            raise MemoryError(
+                f"homogeneous at dimension {d} needs a d x d covariance of {d * d} entries, "
+                f"above the cap of {MAX_T_GRID_TERMS} (MAX_T_GRID_TERMS)"
+            )
     rows = []
-    for d in args.d:
-        hm = HomogeneousModel(dimension=d, rho=args.rho)
+    for hm in models:
+        d = hm.dimension
         model = homogeneous_covariance(hm)
         seq = cumulants(model, args.max_l)
         for l in range(1, args.max_l + 1):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _blas_threads_held, _inverse_lower, _usable_cpus, symmetrize
+from ._linalg import _blas_threads_held, _inverse_lower, _usable_cpus
 from .errors import BatchTooSmall
 from .measures import CumulantSequence, cumulants, multiinformation
 from .model import GaussianModel
@@ -83,9 +83,18 @@ def _worker_count(threads: int, n: int) -> int:
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
-    """K = L^{-1} G L, symmetrized, for the covariance factor L: the density at mu + L z is I + z^T K z / 2."""
+    """K = L^{-1} G L, as formed, for the covariance factor L: the density at mu + L z is I + z^T K z / 2.
+
+    In exact arithmetic K = L^T P L is symmetric; as formed, its two
+    triangles differ in their last bits. z^T K z reads only the symmetric
+    part (K + K^T) / 2, so K is used as formed and no symmetrized copy is
+    made. K is formed from G, the regression coefficients, not as a product
+    of factors minus I (such as L^T S_B^{-1} L - I): that difference loses
+    K's relative accuracy under weak coupling, and leaves rounding where
+    independent blocks give K = 0 exactly.
+    """
     L = model.factor
-    return symmetrize(_inverse_lower(L) @ model.gamma @ L)
+    return _inverse_lower(L) @ model.gamma @ L
 
 
 def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) -> np.ndarray:
@@ -134,7 +143,8 @@ def sample_density(
     shorter. Each chunk c draws standard normals z by ziggurat from its SFC64
     stream seeded by (seed mod 2**64, c) and evaluates y = z^T K z / 2 with
     the folded kernel K = L^{-1} G L, where L is the covariance Cholesky
-    factor (w = L z are the centered draws). The density is I + y, so the
+    factor (w = L z are the centered draws). K is used as formed: the form
+    reads only its symmetric part. The density is I + y, so the
     returned batch holds, with ``center`` = I = ``multiinformation(model)``,
     the sums of y^p for p = 1..4: each chunk's sums are added by
     ``math.fsum``. The draws depend on (seed, n) and on numpy's ``Generator``
@@ -159,7 +169,8 @@ def sample_density(
     the run holds threads * (524288 + max(524288, 32768 * d)) bytes: each
     thread's 65536 values, then either two 2048-row tiles or one work
     buffer. The d x d set-up reads L from ``model.factor``, inverts it once
-    and forms K = L^{-1} G L by two BLAS products, before the hold begins:
+    and forms K = L^{-1} G L by two BLAS products, holding two d x d arrays
+    at a time, before the hold begins:
     the hold's count follows ``threads``, and K's last bits can follow the
     BLAS thread count (1 and 2 threads gave different K at d = 300 on a
     2-vCPU x86 host), so inside the hold the result would depend on

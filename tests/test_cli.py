@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import orjson
@@ -652,12 +653,27 @@ class TestHomogeneous:
         assert doc["order"] == MAX_CUMULANT_ORDER + 1
 
     def test_unallocatable_dimension_exit_3(self, capsys):
-        # The 10**7 x 10**7 covariance (727 TiB) is larger than a 47-bit user
-        # address space, so its allocation is refused at once, before any work.
+        # The 10**7 x 10**7 covariance (727 TiB) is refused by the cap on d^2, before any work.
         code, out, err = run(capsys, ["homogeneous", "--d", "10000000", "--rho", "0.5"])
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
+
+    def test_dimension_over_cap_refused_before_any_allocation(self, capsys):
+        # 2049^2 is the first square above MAX_T_GRID_TERMS = 2^22; one 2049 x 2049 array is
+        # 33.6 MB. The d = 10 model listed first is not formed either.
+        run(capsys, ["homogeneous", "--d", "10", "--rho", "0.5"])
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, ["homogeneous", "--d", "10,2049", "--rho", "0.5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert doc["error"] == "MemoryError"
+        assert "MAX_T_GRID_TERMS" in doc["message"]
+        assert peak < 2049 * 2049 * 8 / 100
 
     def test_high_orders_past_the_double_range_of_the_ratios(self, capsys):
         # kappa_170 = 3.19e-155, while kappa_170 / kappa_2^85 and the limit

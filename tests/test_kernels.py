@@ -35,6 +35,7 @@ from conftest import (
     DERANDOMIZED,
     correlation_model,
     phi_from_definition,
+    random_block_diagonal_model,
     random_model,
     random_partition,
     sampled_values,
@@ -583,6 +584,25 @@ class TestSamplerAgainstTwoProducts:
         for child, (out, err) in zip(children, outputs):
             assert child.returncode == 0, err
             assert out.strip() == expected
+
+
+class TestFoldedKernelUnderWeakCoupling:
+    # S = blockdiag(S_nn) + eps (A + A^T) couples the blocks at order eps, and K must keep the
+    # coupling spectrum to a relative 64 d u, a bound fixed before the test first ran. A kernel
+    # formed as a product of the factors minus I, such as L^T S_B^{-1} L - I, cancels I against
+    # I + O(eps) and misses the spectrum by about u / eps relative.
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    @pytest.mark.parametrize("sizes", [[2, 3, 4], [50] * 4], ids=["2+3+4", "4x50"])
+    def test_symmetric_part_keeps_the_spectrum(self, sizes, eps):
+        rng = np.random.default_rng(1620)
+        d = sum(sizes)
+        a = rng.standard_normal((d, d))
+        cov = random_block_diagonal_model(rng, sizes).covariance + eps * (a + a.T)
+        model = validate_model(None, cov, sizes)
+        kernel = _folded_kernel(model)
+        lam = model.gamma_eigenvalues
+        spectrum = np.linalg.eigvalsh((kernel + kernel.T) / 2.0)
+        assert np.max(np.abs(spectrum - lam)) <= 64 * d * (EPS / 2) * np.max(np.abs(lam))
 
 
 class TestKStatisticsAgainstPow:

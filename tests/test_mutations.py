@@ -14,7 +14,7 @@ import pytest
 from conftest import random_model
 
 from infodensity import CgfDomain, CumulantSequence, cli, model, sampling
-from infodensity._linalg import _inverse_lower, symmetrize
+from infodensity._linalg import _inverse_lower
 
 SIZES = [2, 3, 4]
 EVERY_CHECK = ["--t-grid=-0.5:0.5:5", "--oracle-max-l", "6", "--mc-n", "200000"]
@@ -116,7 +116,7 @@ def test_shifted_cumulant_orders_fail(capsys, model_file, monkeypatch):
 
 def test_transposed_sampler_kernel_fails_monte_carlo(capsys, model_file, monkeypatch):
     def transposed(m):
-        return symmetrize(_inverse_lower(m.factor) @ m.gamma.T @ m.factor)
+        return _inverse_lower(m.factor) @ m.gamma.T @ m.factor
 
     monkeypatch.setattr(sampling, "_folded_kernel", transposed)
     assert analyze(capsys, model_file) == (1, ["monte_carlo"])

@@ -55,9 +55,12 @@ class TestSampleDensity:
         values = sampled_values(model, 1000, seed=3)
         assert np.max(np.abs(values)) < 1e-10
 
-    def test_block_diagonal_sums_and_z_scores_exactly_zero(self, set_chunk_size):
+    # A kernel formed from the factors alone, L^T S_B^{-1} L - I, leaves rounding where K = 0.
+    # At d = 200, model.factor and model.block_factor also differ in their last bits.
+    @pytest.mark.parametrize("sizes", [[2, 3, 1], [50, 50, 50, 50]], ids=["2+3+1", "4x50"])
+    def test_block_diagonal_sums_and_z_scores_exactly_zero(self, set_chunk_size, sizes):
         set_chunk_size(1000)
-        model = random_block_diagonal_model(np.random.default_rng(2), [2, 3, 1])
+        model = random_block_diagonal_model(np.random.default_rng(2), sizes)
         batch = sample_density(model, 5003, seed=4, threads=2)
         assert (batch.s1, batch.s2, batch.s3, batch.s4) == (0.0, 0.0, 0.0, 0.0)
         report = mc_validate(model, 5003, seed=4, threads=2)
