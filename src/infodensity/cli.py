@@ -115,9 +115,7 @@ def _emit_error(exc) -> None:
 
     Other exceptions carry only the two, so a decode error's copy of the whole input is not printed.
     """
-    # numpy raises a private MemoryError subclass; report the public name.
-    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-    doc = {"error": name, "message": str(exc)}
+    doc = {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, InfoDensityError):
         doc.update(vars(exc))
     print(orjson.dumps(doc).decode(), file=sys.stderr)
@@ -257,7 +255,7 @@ def _cmd_homogeneous(args):
         if d * d > MAX_T_GRID_TERMS:
             raise MemoryError(
                 f"homogeneous at dimension {d} needs a d x d covariance of {d * d} entries, "
-                f"above the cap of {MAX_T_GRID_TERMS} (MAX_T_GRID_TERMS)"
+                f"above the cap of {MAX_T_GRID_TERMS} entries (32 MiB) per array"
             )
     rows = []
     for hm in models:

@@ -652,9 +652,11 @@ class TestHomogeneous:
         assert doc["error"] == "CumulantOverflow"
         assert doc["order"] == MAX_CUMULANT_ORDER + 1
 
-    def test_unallocatable_dimension_exit_3(self, capsys):
-        # The 10**7 x 10**7 covariance (727 TiB) is refused by the cap on d^2, before any work.
-        code, out, err = run(capsys, ["homogeneous", "--d", "10000000", "--rho", "0.5"])
+    def test_unallocatable_dimension_exit_3(self, capsys, monkeypatch):
+        # A 10**7 x 10**7 array (727 TiB) is larger than a 47-bit user address space, so numpy
+        # refuses it at once. Its private MemoryError subclass names itself MemoryError.
+        monkeypatch.setattr(cli, "homogeneous_covariance", lambda hm: np.empty((10**7, 10**7)))
+        code, out, err = run(capsys, ["homogeneous", "--d", "10", "--rho", "0.5"])
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "MemoryError"
@@ -672,7 +674,7 @@ class TestHomogeneous:
         assert (code, out) == (3, "")
         doc = json.loads(err)
         assert doc["error"] == "MemoryError"
-        assert "MAX_T_GRID_TERMS" in doc["message"]
+        assert f"cap of {MAX_T_GRID_TERMS} entries" in doc["message"]
         assert peak < 2049 * 2049 * 8 / 100
 
     def test_high_orders_past_the_double_range_of_the_ratios(self, capsys):
