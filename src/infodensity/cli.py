@@ -50,7 +50,7 @@ from .homogeneous import (
 )
 from .loops import DEFAULT_LOOP_CAP, _loop_counts, trace_via_loops
 from .measures import _matrix_traces, cgf, cgf_domain, cumulants, multiinformation_from_gamma, variance
-from .model import model_fingerprint, validate_model
+from .model import _float_array, model_fingerprint, validate_model
 from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
@@ -132,11 +132,15 @@ def _load_model(args):
         # that is not JSON; reading the same bytes as UTF-8 text again gives
         # those inputs the standard library's result or error message.
         doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    del data
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     if "covariance" not in doc or "partition" not in doc:
         raise ValueError("model file needs 'covariance' and 'partition' keys")
-    return validate_model(doc.get("mean"), doc["covariance"], doc["partition"])
+    # The decoded lists take 4 d^2 doubles (a float object and a pointer per
+    # entry); the array replaces them before validation allocates.
+    covariance = _float_array(doc.pop("covariance"), "covariance")
+    return validate_model(doc.get("mean"), covariance, doc["partition"])
 
 
 def _parse_t_grid(text: str, dimension: int) -> np.ndarray:

@@ -280,7 +280,11 @@ def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: P
         w[:, sl] = half[:, sl] @ inverse.T
         w[sl, sl] = g[sl, sl] = 0.0
     w[scalar, scalar] = g[scalar, scalar] = 0.0
-    return g, np.linalg.eigvalsh(symmetrize(w), UPLO="L")
+    del half
+    # symmetrize(w) in place, so that no two temporaries of its size are held: (w / 2) + (w / 2).T has its bits.
+    w /= 2.0
+    w += w.T
+    return g, np.linalg.eigvalsh(w, UPLO="L")
 
 
 def model_fingerprint(model: GaussianModel) -> str:

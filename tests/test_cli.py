@@ -99,15 +99,17 @@ class TestAnalyze:
         assert report["variance_agreement"]["abs_diff"] == abs(report["variance"] - report["cumulants"][1])
 
     def test_identity_model_all_zero(self, capsys, tmp_path):
+        # Independent blocks down to the smallest subnormal: a variance of 5e-324 is kept, not halved to 0.
         path = tmp_path / "id.json"
-        path.write_text(json.dumps({"covariance": np.eye(3).tolist(), "partition": [1, 2]}))
-        code, out, _ = run(capsys, ["analyze", str(path)])
-        report = json.loads(out)
-        assert code == 0
-        assert report["multiinformation"] == 0.0
-        assert report["variance"] == 0.0
-        assert report["cumulants"] == [0.0] * 4
-        assert report["cgf_domain"] == {"lower": None, "upper": None}
+        for covariance, sizes in ((np.eye(3), [1, 2]), (np.diag([1.0, 5e-324]), [1, 1])):
+            path.write_text(json.dumps({"covariance": covariance.tolist(), "partition": sizes}))
+            code, out, err = run(capsys, ["analyze", str(path)])
+            report = json.loads(out)
+            assert (code, err) == (0, "")
+            assert report["multiinformation"] == 0.0
+            assert report["variance"] == 0.0
+            assert report["cumulants"] == [0.0] * 4
+            assert report["cgf_domain"] == {"lower": None, "upper": None}
 
     def test_bad_partition_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -413,6 +415,25 @@ class TestAnalyze:
         assert doc["error"] == "CumulantOverflow"
         assert doc["order"] == MAX_CUMULANT_ORDER + 1
 
+    def test_peak_memory_at_4x50(self, capsys, tmp_path):
+        # One op of the benchmark's shape. The file's bytes and the decoded lists (4 d^2 doubles)
+        # are dropped before validation, and the op then peaks near 8 d^2 doubles.
+        sizes = [50] * 4
+        d = sum(sizes)
+        path = tmp_path / "model.json"
+        covariance = random_model(np.random.default_rng(50), d, sizes).covariance
+        path.write_text(json.dumps({"covariance": covariance.tolist(), "partition": sizes}))
+        argv = ["analyze", str(path), "--cumulants", "8", "--t-grid=-0.1:0.1:100"]
+        assert run(capsys, argv)[0] == 0
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak < 10 * d * d * 8
+
 
 class TestSimulate:
     def test_passing_run(self, capsys, scalar_pair_file):
@@ -456,15 +477,16 @@ class TestSimulate:
         assert json.loads(err)["error"] == "BatchTooSmall"
 
     def test_report_independent_of_threads(self, capsys, monkeypatch, scalar_pair_file):
-        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        # 200,000 draws are four chunks: three threads split them unevenly.
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
         reports = []
-        for threads in ("1", "2", "100000"):
+        for threads in ("1", "2", "3", "100000"):
             code, out, _ = run(capsys, ["simulate", scalar_pair_file, "--n", "200000", "--threads", threads])
             assert code == 0
             reports.append(json.loads(out))
         # The effective count: at most one thread per CPU and per chunk.
-        assert [r.pop("threads") for r in reports] == [1, 2, 2]
-        assert reports[0] == reports[1] == reports[2]
+        assert [r.pop("threads") for r in reports] == [1, 2, 3, 3]
+        assert reports[0] == reports[1] == reports[2] == reports[3]
         code, out, _ = run(capsys, ["simulate", scalar_pair_file, "--n", "1000", "--threads", "2"])
         assert json.loads(out)["threads"] == 1
 
@@ -556,13 +578,22 @@ class TestOracleCheck:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
-    def test_cap_exceeded_exit_3(self, capsys, monkeypatch, wide_file):
+    def test_cap_exceeded_exit_3(self, capsys, monkeypatch, wide_file, tmp_path):
         calls = count_loop_trace(monkeypatch)
         code, out, err = run(capsys, ["oracle-check", wide_file, "--max-l", "3"])
         assert code == 3
         assert out == ""
         assert_wide_cap_error(err)
         assert calls[0] == 0  # not even l = 2's 47,306 loops ran
+        # 4 scalar blocks pass the cap at l = 15 alone, with 3^15 - 3 loops; lengths 2..14
+        # would take tens of seconds, and none runs.
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps({"covariance": (0.7 * np.eye(4) + 0.3).tolist(), "partition": [1] * 4}))
+        code, out, err = run(capsys, ["oracle-check", str(path), "--max-l", "15"])
+        assert (code, out) == (3, "")
+        doc = json.loads(err)
+        assert (doc["error"], doc["count"], doc["length"]) == ("CombinatorialLimit", 14_348_904, 15)
+        assert calls[0] == 0
 
     def test_analyze_cap_exceeded_exit_3(self, capsys, monkeypatch, wide_file):
         calls = count_loop_trace(monkeypatch)
@@ -644,6 +675,12 @@ class TestHomogeneous:
         assert json.loads(err)["error"] == "ValueError"
 
     def test_max_l_over_cap_exit_3(self, capsys):
+        # The cap itself is accepted: the closed forms form no loop count or factorial above
+        # order 20, and a ratio past the double range is null.
+        code, out, _ = run(capsys, ["homogeneous", "--d", "50", "--rho", "1e-300", "--max-l", str(MAX_CUMULANT_ORDER)])
+        assert code == 0
+        rows = strict_loads(out)["rows"]
+        assert len(rows) == MAX_CUMULANT_ORDER and rows[-1]["abs_diff"] == 0.0
         # rho = 0 gives a zero spectrum, which never overflows: only the cap stops it.
         code, out, err = run(capsys, ["homogeneous", "--d", "3", "--rho", "0", "--max-l", str(MAX_CUMULANT_ORDER + 1)])
         assert code == 3
