@@ -150,10 +150,11 @@ def sample_density(
     ``math.fsum``. The draws depend on (seed, n) and on numpy's ``Generator``
     algorithms. ``threads`` is capped at the CPUs the process may run on (its
     affinity set, else ``os.cpu_count()``, else 1) and at the number of
-    chunks, and every count runs on one thread pool: thread w of the W that
-    run takes chunks w, w + W, ... ``fsum`` is correctly rounded, so the
-    thread count never changes the result. For independent blocks K = 0,
-    and every sum is 0.0.
+    chunks, and every count runs on one thread pool: each of the W threads
+    that run takes the next chunk not yet started, in chunk order, so a fast
+    thread takes up what a slow one would have left. ``fsum`` is correctly
+    rounded, so neither the thread count nor the schedule changes the result.
+    For independent blocks K = 0, and every sum is 0.0.
 
     Each chunk draws and maps its normals in row tiles of 2048 rows at every
     d. While the W threads run, numpy's OpenBLAS is held to at most
@@ -185,17 +186,19 @@ def sample_density(
     n_chunks = -(-n // CHUNK_SIZE)
     workers = _worker_count(threads, n)
     stop = threading.Event()
+    # One queue for all threads: CPython advances a range iterator atomically under the GIL.
+    chunks = iter(range(n_chunks))
 
-    def summarize(first: int) -> list[tuple[float, float, float, float]]:
+    def summarize() -> list[tuple[float, float, float, float]]:
         return [
             _moment_sums(_chunk_values(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)))
-            for c in range(first, n_chunks, workers)
+            for c in chunks
             if not stop.is_set()
         ]
 
     with _blas_threads_held(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            futures = pending = [pool.submit(summarize, w) for w in range(workers)]
+            futures = pending = [pool.submit(summarize) for _ in range(workers)]
             while pending and not any(future.exception() for future in futures if future.done()):
                 pending = wait(pending, timeout=_WAIT_SECONDS, return_when=FIRST_EXCEPTION).not_done
         finally:

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -74,17 +75,29 @@ class TestSampleDensity:
         assert [row["z"] for row in report["rows"]] == [0.0, -math.inf, 0.0, 0.0]
         assert [row["ok"] for row in report["rows"]] == [True, False, True, True]
 
-    def test_deterministic_across_thread_counts(self, set_chunk_size):
+    @pytest.mark.parametrize("delay_seed", [None, 38], ids=["undelayed", "delayed"])
+    def test_deterministic_across_thread_counts(self, monkeypatch, set_chunk_size, delay_seed):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
+        if delay_seed is not None:
+            # A seeded delay of 0-2 ms before each chunk varies which thread takes which chunk.
+            delays = np.random.default_rng(delay_seed).uniform(0.0, 0.002, size=8)
+            chunk_values = sampling._chunk_values
+
+            def delayed(kernel, seed, chunk_index, rows):
+                time.sleep(delays[chunk_index])
+                return chunk_values(kernel, seed, chunk_index, rows)
+
+            monkeypatch.setattr(sampling, "_chunk_values", delayed)
         model = scalar_pair_model(0.5)
         one = sample_density(model, 200_000, seed=11, threads=1)
-        four = sample_density(model, 200_000, seed=11, threads=4)
-        assert one == four
+        for threads in (2, 4):
+            assert sample_density(model, 200_000, seed=11, threads=threads) == one
         # d = 20 over six chunks: one 1000-row tile per full chunk, then 3 rows.
         set_chunk_size(1000)
         model = random_model(np.random.default_rng(1520), d=20, sizes=[5, 5, 5, 5])
         one = sample_density(model, 5003, seed=5, threads=1)
-        three = sample_density(model, 5003, seed=5, threads=3)
-        assert one == three
+        for threads in (2, 3, 4):
+            assert sample_density(model, 5003, seed=5, threads=threads) == one
 
     def test_deterministic_rerun(self):
         model = scalar_pair_model(0.3)
@@ -181,9 +194,10 @@ class TestStop:
     """A failing chunk or an interrupt stops every thread after its current chunk.
 
     ``_held_run`` runs 100 chunks of 64 draws on 4 threads and holds each thread inside
-    its first chunk (chunk w for thread w) until the pool shuts down, which
-    the calling thread reaches only once it has left its wait. Without a stop
-    the three other threads would then draw every one of their chunks.
+    its first chunk (each thread's first chunk, one of 0..3) until the pool
+    shuts down, which the calling thread reaches only once it has left its
+    wait. Without a stop the three other threads would then draw every chunk
+    left.
     """
 
     WORKERS = 4
@@ -252,6 +266,42 @@ class TestStop:
         assert len(timeouts) == 2
         assert all(0.0 < timeout <= 0.25 for timeout in timeouts)
         assert sorted(started) == list(range(self.WORKERS))
+
+
+class TestWorkSharing:
+    """Each thread takes the next chunk not yet started, so a free thread takes up a held one's share."""
+
+    def test_free_thread_takes_every_chunk_a_held_thread_would_have_left(self, monkeypatch, set_chunk_size):
+        # At a fixed stride of chunks w, w + 2, ... the thread held in chunk 0
+        # would own chunks 2, 4 and 6, and the hold would time out.
+        set_chunk_size(64)
+        model = scalar_pair_model(0.5)
+        reference = sample_density(model, 8 * 64, seed=6, threads=1)
+        chunk_values = sampling._chunk_values
+        others_returned = threading.Event()
+        taken = []
+        returned = []
+        held = []
+
+        def recorded(kernel, seed, chunk_index, rows):
+            taken.append((chunk_index, threading.get_ident()))
+            if chunk_index == 0:
+                held.append(others_returned.wait(timeout=10))
+            values = chunk_values(kernel, seed, chunk_index, rows)
+            if chunk_index > 0:
+                returned.append(chunk_index)
+                if len(returned) == 7:
+                    others_returned.set()
+            return values
+
+        monkeypatch.setattr(sampling, "_chunk_values", recorded)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        batch = sample_density(model, 8 * 64, seed=6, threads=2)
+        assert held == [True]
+        ran_on = dict(taken)
+        assert sorted(index for index, _ in taken) == list(range(8))
+        assert {ran_on[c] for c in range(1, 8)} == {ran_on[1]} != {ran_on[0]}
+        assert batch == reference
 
 
 @pytest.fixture
