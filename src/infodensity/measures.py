@@ -89,20 +89,17 @@ def multiinformation_from_gamma(model: GaussianModel) -> float:
     return 0.0 - 0.5 * float(np.sum(np.log1p(model.gamma_eigenvalues)))
 
 
-def density_at(model: GaussianModel, x) -> float | np.ndarray:
-    """Evaluate the multiinformation density at a point, or at each row of a batch, in nats.
+def density_at(model: GaussianModel, x) -> float:
+    """Evaluate the multiinformation density at a point, in nats.
 
-    A point of shape (d,) gives a float; a (k, d) array of k points gives
-    their k values as an array, for one inversion of L. With P = S^{-1} G and
-    S = L L^T, the quadratic form r^T P r is (L^{-1} r) . (L^{-1} G r), so no
-    d x d P is formed. G r is small when the coupling is weak, so the form
-    keeps its relative accuracy there, where |L_B^{-1} r|^2 - |L^{-1} r|^2,
-    equal in exact arithmetic, would cancel.
+    With P = S^{-1} G and S = L L^T, the quadratic form r^T P r is
+    (L^{-1} r) . (L^{-1} G r), so no d x d P is formed. G r is small when the
+    coupling is weak, so the form keeps its relative accuracy there, where
+    |L_B^{-1} r|^2 - |L^{-1} r|^2, equal in exact arithmetic, would cancel.
     """
-    r = (_point(model, x, batch=True) - model.mean).T
+    r = _point(model, x) - model.mean
     inverse = _inverse_lower(model.factor)
-    values = multiinformation(model) + 0.5 * np.vecdot(inverse @ r, inverse @ (model.gamma @ r), axis=0)
-    return float(values) if r.ndim == 1 else values
+    return multiinformation(model) + 0.5 * float((inverse @ r) @ (inverse @ (model.gamma @ r)))
 
 
 def density_at_direct(model: GaussianModel, x) -> float:
@@ -118,11 +115,11 @@ def density_at_direct(model: GaussianModel, x) -> float:
     return total
 
 
-def _point(model: GaussianModel, x, batch: bool = False) -> np.ndarray:
-    """An evaluation point of shape (d,), or with ``batch`` also k points as (k, d), checked against the model."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in ((1, 2) if batch else (1,)) or x.shape[-1] != model.dimension:
-        raise DimensionMismatch(f"point has shape {x.shape}, model dimension is {model.dimension}")
+def _point(model: GaussianModel, x) -> np.ndarray:
+    """An evaluation point as a flat array, checked against the model's dimension."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (model.dimension,):
+        raise DimensionMismatch(f"point has length {x.shape[0]}, model dimension is {model.dimension}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("evaluation point must be finite (no NaN or inf)")
     return x

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -186,13 +187,13 @@ def sample_density(
     n_chunks = -(-n // CHUNK_SIZE)
     workers = _worker_count(threads, n)
     stop = threading.Event()
-    # One queue for all threads: CPython advances a range iterator atomically under the GIL.
-    chunks = iter(range(n_chunks))
+    # One queue for all threads (deque pops are thread-safe); a thread ends at its first None.
+    chunks = deque([*range(n_chunks), *[None] * workers])
 
     def summarize() -> list[tuple[float, float, float, float]]:
         return [
             _moment_sums(_chunk_values(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)))
-            for c in chunks
+            for c in iter(chunks.popleft, None)
             if not stop.is_set()
         ]
 

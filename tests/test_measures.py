@@ -13,7 +13,6 @@ from infodensity import (
     CumulantOverflow,
     DimensionMismatch,
     HomogeneousModel,
-    NonFiniteInput,
     OutOfDomain,
     cgf,
     cgf_domain,
@@ -28,7 +27,6 @@ from infodensity import (
     validate_model,
     variance,
 )
-from infodensity import measures
 from infodensity.measures import MAX_CUMULANT_ORDER
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
@@ -128,46 +126,6 @@ class TestDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             density_at(scalar_pair_model(0.2), [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_batch_matches_per_point_and_direct(self, monkeypatch, seed):
-        rng = np.random.default_rng(480 + seed)
-        model = random_model(rng)
-        points = model.mean + rng.standard_normal((5, model.dimension)) * 2.0
-        inversions = []
-        inverse_lower = measures._inverse_lower
-
-        def counted(L):
-            inversions.append(L)
-            return inverse_lower(L)
-
-        monkeypatch.setattr(measures, "_inverse_lower", counted)
-        values = density_at(model, points)
-        assert len(inversions) == 1
-        assert isinstance(values, np.ndarray) and values.shape == (5,)
-        for x, value in zip(points, values):
-            assert value == pytest.approx(density_at(model, x), rel=1e-12, abs=1e-15)
-            assert value == pytest.approx(density_at_direct(model, x), abs=1e-9)
-
-    def test_batch_on_independent_blocks_is_exactly_the_multiinformation(self):
-        rng = np.random.default_rng(490)
-        model = random_block_diagonal_model(rng, [2, 2, 1])
-        values = density_at(model, model.mean + rng.standard_normal((5, 5)) * 3.0)
-        assert values.tolist() == [multiinformation(model)] * 5
-
-    def test_batch_checked_for_width_and_finiteness(self):
-        model = scalar_pair_model(0.2)
-        for points in (np.ones((5, 3)), np.ones((2, 5, 2)), np.ones((2, 1))):
-            with pytest.raises(DimensionMismatch):
-                density_at(model, points)
-        points = np.ones((5, 2))
-        points[3, 1] = math.nan
-        with pytest.raises(NonFiniteInput):
-            density_at(model, points)
-
-    def test_direct_density_takes_one_point(self):
-        with pytest.raises(DimensionMismatch):
-            density_at_direct(scalar_pair_model(0.2), np.ones((5, 2)))
 
 
 class TestCgfDomain:
