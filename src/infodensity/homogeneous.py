@@ -121,5 +121,5 @@ def asymptotic_standardized_limit(l: int) -> float:
     log_value = (l / 2.0 - 1.0) * math.log(2.0) + math.lgamma(l)
     if log_value > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
-    return math.exp(log_value) if l > _EXACT_FACTORIAL_MAX_ORDER else 2.0 ** (l / 2.0 - 1.0) * math.factorial(l - 1)
+    return 2.0 ** (l / 2.0 - 1.0) * math.factorial(l - 1)
 

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -197,7 +198,7 @@ class TestStop:
     its first chunk (each thread's first chunk, one of 0..3) until the pool
     shuts down, which the calling thread reaches only once it has left its
     wait. Without a stop the three other threads would then draw every chunk
-    left.
+    left. The stop also leaves every other index in the queue, untaken.
     """
 
     WORKERS = 4
@@ -205,8 +206,11 @@ class TestStop:
     class ChunkFailed(Exception):
         pass
 
-    def _held_run(self, monkeypatch, set_chunk_size, first_chunk, started):
-        """A 100-chunk run whose thread w calls ``first_chunk(w)`` in its first chunk; ``started`` gets each chunk."""
+    def _held_run(self, monkeypatch, set_chunk_size, first_chunk, started, taken):
+        """A 100-chunk run whose thread w calls ``first_chunk(w)`` in its first chunk.
+
+        ``started`` gets each chunk run, and ``taken`` each entry popped from the queue.
+        """
         shutting_down = threading.Event()
         barrier = threading.Barrier(self.WORKERS, timeout=30)
         chunk_values = sampling._chunk_values
@@ -215,6 +219,12 @@ class TestStop:
             def shutdown(self, *args, **kwargs):
                 shutting_down.set()
                 super().shutdown(*args, **kwargs)
+
+        class Queue(deque):
+            def popleft(self):
+                entry = super().popleft()
+                taken.append(entry)
+                return entry
 
         def held(kernel, seed, chunk_index, rows):
             started.append(chunk_index)
@@ -225,6 +235,7 @@ class TestStop:
             return chunk_values(kernel, seed, chunk_index, rows)
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(sampling, "deque", Queue)
         monkeypatch.setattr(sampling, "_chunk_values", held)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: self.WORKERS)
         set_chunk_size(64)
@@ -236,10 +247,11 @@ class TestStop:
             if chunk_index == failing:
                 raise self.ChunkFailed
 
-        started = []
+        started, taken = [], []
         with pytest.raises(self.ChunkFailed):
-            self._held_run(monkeypatch, set_chunk_size, fail, started)
+            self._held_run(monkeypatch, set_chunk_size, fail, started, taken)
         assert sorted(started) == list(range(self.WORKERS))
+        assert sorted(c for c in taken if c is not None) == list(range(self.WORKERS))
 
     def test_interrupt_stops_every_thread(self, monkeypatch, set_chunk_size):
         # Once every thread is inside its first chunk, the calling thread's first
@@ -260,12 +272,13 @@ class TestStop:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(sampling, "wait", interrupted_wait)
-        started = []
+        started, taken = [], []
         with pytest.raises(KeyboardInterrupt):
-            self._held_run(monkeypatch, set_chunk_size, lambda chunk_index: in_first_chunk.wait(), started)
+            self._held_run(monkeypatch, set_chunk_size, lambda chunk_index: in_first_chunk.wait(), started, taken)
         assert len(timeouts) == 2
         assert all(0.0 < timeout <= 0.25 for timeout in timeouts)
         assert sorted(started) == list(range(self.WORKERS))
+        assert sorted(c for c in taken if c is not None) == list(range(self.WORKERS))
 
 
 class TestWorkSharing:
