@@ -57,14 +57,6 @@ def homogeneous_covariance(hm: HomogeneousModel) -> GaussianModel:
     return validate_model(np.zeros(d), cov, [1] * d)
 
 
-def _log_cumulant_magnitude(hm: HomogeneousModel, l: int) -> float:
-    """ln|kappa_l| for rho != 0 and a nonzero loop count, computed without forming large intermediates."""
-    d, rho = hm.dimension, hm.rho
-    # ln rooted_loop_count(d, l) = ln[(d-1)^l + (-1)^l (d-1)], factored for a stable log.
-    log_count = l * math.log(d - 1) + math.log1p((-1.0) ** l * float(d - 1) ** (1 - l))
-    return math.lgamma(l) - math.log(2.0) + l * math.log(abs(rho)) + log_count
-
-
 def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
     """Cumulant of order l >= 1 in closed form.
 
@@ -84,7 +76,9 @@ def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
         return 0.0 - 0.5 * ((d - 1) * math.log1p(-rho) + math.log1p((d - 1) * rho))
     if rho == 0.0 or (d == 2 and l % 2 == 1):  # the loop count is 0 only for d = 2, l odd
         return 0.0
-    log_magnitude = _log_cumulant_magnitude(hm, l)
+    # ln rooted_loop_count(d, l) = ln[(d-1)^l + (-1)^l (d-1)], factored for a stable log.
+    log_count = l * math.log(d - 1) + math.log1p((-1.0) ** l * float(d - 1) ** (1 - l))
+    log_magnitude = math.lgamma(l) - math.log(2.0) + l * math.log(abs(rho)) + log_count
     if log_magnitude > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
     if l <= _EXACT_FACTORIAL_MAX_ORDER:
@@ -98,17 +92,22 @@ def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
 def standardized_cumulant(hm: HomogeneousModel, l: int) -> float:
     """kappa_l / kappa_2^{l/2} from the closed forms; exactly 1 at l = 2.
 
-    Evaluated in log space so it stays finite for large d even when the raw
-    cumulants would overflow. Requires rho != 0 (ZeroVariance otherwise).
+    rho^l divides out, leaving sign(rho)^l times the large-d limit
+    2^{l/2-1} (l-1)! times (1 - 1/d)^{l/2} (1 + (-1)^l (d-1)^{1-l}), so
+    every rho of one sign gives the same bits. Evaluated in log space, so it
+    stays finite for large d even when the raw cumulants would overflow.
+    Requires rho != 0 (ZeroVariance otherwise).
     """
     l = _integral_at_least(l, 2, "order")
+    d = hm.dimension
     if hm.rho == 0.0:
         raise ZeroVariance("standardization undefined at rho = 0")
     if l == 2:
         return 1.0
-    if hm.dimension == 2 and l % 2 == 1:
+    if d == 2 and l % 2 == 1:
         return 0.0
-    log_ratio = _log_cumulant_magnitude(hm, l) - (l / 2.0) * _log_cumulant_magnitude(hm, 2)
+    log_ratio = math.lgamma(l) + (l / 2.0 - 1.0) * math.log(2.0) + (l / 2.0) * math.log1p(-1.0 / d)
+    log_ratio += math.log1p((-1.0) ** l * float(d - 1) ** (1 - l))
     if log_ratio > _LOG_DBL_MAX:
         raise CumulantOverflow(l)
     sign = -1.0 if (hm.rho < 0 and l % 2 == 1) else 1.0

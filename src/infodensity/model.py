@@ -295,7 +295,8 @@ def model_fingerprint(model: GaussianModel) -> str:
     """
     h = hashlib.sha256()
     h.update(b"infodensity-model-v1")
-    h.update(np.asarray(model.partition.block_sizes, dtype="<i8").tobytes())
-    h.update(np.asarray(model.mean, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(model.covariance, dtype="<f8").tobytes())
+    # The arrays' buffers are hashed in place: a d x d covariance is not copied to bytes.
+    h.update(np.asarray(model.partition.block_sizes, dtype="<i8"))
+    h.update(np.ascontiguousarray(model.mean, dtype="<f8"))
+    h.update(np.ascontiguousarray(model.covariance, dtype="<f8"))
     return h.hexdigest()

@@ -192,7 +192,8 @@ def sample_density(
     workers = _worker_count(threads, n)
     # One queue hands out, ends and stops the work (deque calls are thread-safe): a thread
     # ends at its first None, and a stop puts one None per thread at the front.
-    chunks = deque([*range(n_chunks), *[None] * workers])
+    chunks = deque(range(n_chunks))
+    chunks.extend([None] * workers)
 
     def summarize() -> list[tuple[float, float, float, float]]:
         return [

@@ -155,6 +155,61 @@ class TestStandardizedCumulants:
             assert standardized_cumulant(hm, l) == pytest.approx(direct, rel=1e-12)
 
 
+# The grid of the rho-free checks: every order from 3 to 160, the last at which the
+# large-d limit is finite, on these dimensions, skipping d = 2 at odd orders (exactly 0).
+RHO_FREE_DIMENSIONS = [2, 3, 4, 5, 7, 50, 1000, 10**6, 10**12]
+RHO_FREE_RHOS = [0.3, 0.5, 0.9, 1e-8, 1e-300]
+
+
+def _rho_free_grid():
+    for d in RHO_FREE_DIMENSIONS:
+        for l in range(3, 161):
+            if not (d == 2 and l % 2 == 1):
+                yield d, l
+
+
+def _exact_standardized(d, l):
+    """2^{l/2-1} (l-1)! (1 - 1/d)^{l/2} (1 + (-1)^l (d-1)^{1-l}) to the context's precision."""
+    d = decimal.Decimal(d)
+    root = (decimal.Decimal(2) ** (l - 2) * ((d - 1) / d) ** l).sqrt()
+    return root * math.factorial(l - 1) * (1 + (-1) ** l * (d - 1) ** (1 - l))
+
+
+class TestRhoFreeStandardized:
+    """rho^l divides out of kappa_l / kappa_2^{l/2}: the value is a function of d and l alone."""
+
+    def test_same_bits_for_every_rho_of_one_sign(self):
+        for d, l in _rho_free_grid():
+            try:
+                value = standardized_cumulant(HomogeneousModel(d, RHO_FREE_RHOS[0]), l)
+            except CumulantOverflow:
+                continue
+            for rho in RHO_FREE_RHOS:
+                assert repr(standardized_cumulant(HomogeneousModel(d, rho), l)) == repr(value), (d, rho, l)
+                if -rho > -1.0 / (d - 1):
+                    signed = -value if l % 2 == 1 else value
+                    assert repr(standardized_cumulant(HomogeneousModel(d, -rho), l)) == repr(signed), (d, -rho, l)
+
+    def test_within_rounding_bound_of_exact(self):
+        # B bounds the absolute error of the log ratio: the magnitudes of its terms, each
+        # rounded to a few ulp, plus one for exp's own rounding. exp turns it into a
+        # relative error of about B. B is derived from the terms, not fitted to results.
+        u = 2.0**-53
+        failures = {}
+        with decimal.localcontext(decimal.Context(prec=60)):
+            for d, l in _rho_free_grid():
+                try:
+                    value = standardized_cumulant(HomogeneousModel(d, 0.5), l)
+                except CumulantOverflow:
+                    continue
+                exact = _exact_standardized(d, l)
+                error = float(abs(decimal.Decimal(value) - exact) / exact)
+                bound = 8 * u * (abs(math.lgamma(l)) + l / 2 * math.log(2.0) + l / 2 * abs(math.log1p(-1.0 / d)) + 1)
+                if error > bound:
+                    failures[d, l] = (error, bound)
+        assert failures == {}
+
+
 class TestNormalityDiagnostic:
     """The standardized cumulants and their nonzero large-d limits, as ``homogeneous`` reports them."""
 
@@ -188,38 +243,40 @@ class TestNormalityDiagnostic:
         assert {l: error for l, error in errors.items() if error > decimal.Decimal("4.5e-16")} == {}
 
 
-# Values of the closed forms before they were rewritten over ``rooted_loop_count``, pinned
-# bit for bit: (order, cumulant, standardized cumulant), with CumulantOverflow where they
-# overflowed. rho = -0.05 lies below -1/(d-1) for d = 50 and d = 1000.
+# Values of the closed forms pinned bit for bit: (order, cumulant, standardized cumulant),
+# with CumulantOverflow where they overflow. The cumulants are those from before the closed
+# forms were rewritten over ``rooted_loop_count``; the standardized cumulants are those of
+# the form in d and l alone, so they do not depend on |rho|. rho = -0.05 lies below
+# -1/(d-1) for d = 50 and d = 1000.
 PINNED = {
-    (2, 0.3): [(2, 0.09, 1.0), (3, 0.0, 0.0), (20, 4241502.3856359385, 1.2164510040883208e17), (21, 0.0, 0.0),
+    (2, 0.3): [(2, 0.09, 1.0), (3, 0.0, 0.0), (20, 4241502.3856359385, 1.2164510040883294e17), (21, 0.0, 0.0),
                (60, 5.878938028370789e48, 1.3868311854568818e80), (400, CumulantOverflow, CumulantOverflow)],
-    (2, -0.05): [(2, 0.0025000000000000005, 1.0), (3, 0.0, 0.0), (20, 1.1600980797656263e-09, 1.2164510040883122e17),
+    (2, -0.05): [(2, 0.0025000000000000005, 1.0), (3, 0.0, 0.0), (20, 1.1600980797656263e-09, 1.2164510040883294e17),
                  (21, 0.0, 0.0), (60, 120.28843073144049, 1.3868311854568818e80),
                  (400, CumulantOverflow, CumulantOverflow)],
-    (2, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 0.0), (20, 0.0, 1.2164510040893838e17), (21, 0.0, 0.0),
-                  (60, 0.0, 1.3868311854592469e80), (400, 0.0, CumulantOverflow)],
-    (3, 0.3): [(2, 0.27, 1.0), (3, 0.16199999999999998, 1.154700538379251),
-               (20, 2223773044262.6807, 1.0800722797718139e18), (21, 26685200184109.156, 2.494312949588665e19),
-               (60, 3.38897703857977e66, 3.8828954911899546e83), (400, CumulantOverflow, CumulantOverflow)],
-    (3, -0.05): [(2, 0.0075000000000000015, 1.0), (3, -0.0007500000000000002, -1.15470053837925),
+    (2, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 0.0), (20, 0.0, 1.2164510040883294e17), (21, 0.0, 0.0),
+                  (60, 0.0, 1.3868311854568818e80), (400, 0.0, CumulantOverflow)],
+    (3, 0.3): [(2, 0.27, 1.0), (3, 0.16199999999999998, 1.1547005383792512),
+               (20, 2223773044262.6807, 1.0800722797718216e18), (21, 26685200184109.156, 2.494312949588665e19),
+               (60, 3.38897703857977e66, 3.882895491190065e83), (400, CumulantOverflow, CumulantOverflow)],
+    (3, -0.05): [(2, 0.0075000000000000015, 1.0), (3, -0.0007500000000000002, -1.1547005383792512),
                  (20, 0.0006082266621422405, 1.0800722797718216e18),
-                 (21, -0.0012164498439902443, -2.4943129495886295e19),
-                 (60, 6.93415592728443e19, 3.8828954911899546e83), (400, CumulantOverflow, CumulantOverflow)],
-    (3, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 1.1547005383790252), (20, 0.0, 1.0800722797722744e18),
-                  (21, 0.0, 2.4943129495859356e19), (60, 0.0, 3.8828954912068397e83), (400, 0.0, CumulantOverflow)],
-    (50, 0.3): [(2, 110.25, 1.0), (3, 3175.1999999999994, 2.7428571428571393),
-                (20, 1.350241091188814e40, 5.088916666120264e19), (21, 3.9697088080950705e42, 1.424896666513682e21),
+                 (21, -0.0012164498439902443, -2.494312949588665e19),
+                 (60, 6.93415592728443e19, 3.882895491190065e83), (400, CumulantOverflow, CumulantOverflow)],
+    (3, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 1.1547005383792512), (20, 0.0, 1.0800722797718216e18),
+                  (21, 0.0, 2.494312949588665e19), (60, 0.0, 3.882895491190065e83), (400, 0.0, CumulantOverflow)],
+    (50, 0.3): [(2, 110.25, 1.0), (3, 3175.1999999999994, 2.7428571428571416),
+                (20, 1.350241091188814e40, 5.0889166661203e19), (21, 3.9697088080950705e42, 1.424896666513682e21),
                 (60, 7.586364201916969e149, 4.061399808812897e88), (400, CumulantOverflow, CumulantOverflow)],
     (50, -0.05): ValueError,
-    (50, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 2.742857142856467), (20, 0.0, 5.088916666121891e19),
-                   (21, 0.0, 1.424896666512487e21), (60, 0.0, 4.0613998088217856e88), (400, 0.0, CumulantOverflow)],
-    (1000, 0.3): [(2, 44955.0, 1.0), (3, 26919053.999999996, 2.8241827150536754),
-                  (20, 2.078736704274127e66, 6.166226373752976e19), (21, 1.2459947805419286e70, 1.743199939070119e21),
+    (50, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 2.7428571428571416), (20, 0.0, 5.0889166661203e19),
+                   (21, 0.0, 1.424896666513682e21), (60, 0.0, 4.061399808812897e88), (400, 0.0, CumulantOverflow)],
+    (1000, 0.3): [(2, 44955.0, 1.0), (3, 26919053.999999996, 2.824182715053685),
+                  (20, 2.078736704274127e66, 6.166226373753107e19), (21, 1.2459947805419286e70, 1.743199939070119e21),
                   (60, 2.7682045623398652e228, 7.225337200105954e88), (400, CumulantOverflow, CumulantOverflow)],
     (1000, -0.05): ValueError,
-    (1000, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 2.824182715052), (20, 0.0, 6.166226373755079e19),
-                     (21, 0.0, 1.7431999390672455e21), (60, 0.0, 7.225337200135116e88), (400, 0.0, CumulantOverflow)],
+    (1000, 1e-300): [(2, 0.0, 1.0), (3, 0.0, 2.824182715053685), (20, 0.0, 6.166226373753107e19),
+                     (21, 0.0, 1.743199939070119e21), (60, 0.0, 7.225337200105954e88), (400, 0.0, CumulantOverflow)],
 }
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +404,27 @@ class TestFingerprint:
         c = scalar_pair_model(0.6)
         assert model_fingerprint(a) == model_fingerprint(b)
         assert model_fingerprint(a) != model_fingerprint(c)
+
+    def test_arrays_hashed_without_a_copy(self):
+        # The digest is that of the inputs' little-endian bytes, and forming it holds no
+        # copy of the covariance: a .tobytes() copy alone would be d^2 * 8 bytes (1.3 MB).
+        d = 400
+        model = random_model(np.random.default_rng(40), d=d, sizes=[100] * 4)
+        reference = hashlib.sha256(
+            b"infodensity-model-v1"
+            + np.asarray(model.partition.block_sizes, dtype="<i8").tobytes()
+            + np.asarray(model.mean, dtype="<f8").tobytes()
+            + np.asarray(model.covariance, dtype="<f8").tobytes()
+        ).hexdigest()
+        model_fingerprint(model)
+        tracemalloc.start()
+        try:
+            digest = model_fingerprint(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == reference
+        assert peak < 0.1 * d * d * 8
 
 
 class TestNonFinitePoint:

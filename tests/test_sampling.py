@@ -280,6 +280,31 @@ class TestStop:
         assert sorted(started) == list(range(self.WORKERS))
         assert sorted(c for c in taken if c is not None) == list(range(self.WORKERS))
 
+    def test_queue_built_without_a_list(self, monkeypatch):
+        # At n = 10**10 the queue holds 152,588 chunk indices, about 6 MB. Built from a
+        # list, it would hold 8 more bytes per index (1.2 MB) beside the deque for a while.
+        n = 10**10
+        model = scalar_pair_model(0.5)
+        sample_density(model, 1000, seed=0, threads=1)
+
+        def fail(kernel, seed, chunk_index, rows):
+            raise self.ChunkFailed
+
+        monkeypatch.setattr(sampling, "_chunk_values", fail)
+        tracemalloc.start()
+        try:
+            queue = deque(range(-(-n // sampling.CHUNK_SIZE)))
+            queue_bytes = tracemalloc.get_traced_memory()[0]
+            del queue
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with pytest.raises(self.ChunkFailed):
+                sample_density(model, n, seed=0, threads=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - queue_bytes < 0.5 * 2**20
+
 
 class TestWorkSharing:
     """Each thread takes the next chunk not yet started, so a free thread takes up a held one's share."""
