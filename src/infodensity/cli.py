@@ -28,7 +28,6 @@ non-finite float as null, so every document is strict JSON. Only
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -213,6 +212,7 @@ def _cmd_analyze(args):
     info_logdet, kappa_2 = seq.kappa(1), seq.kappa(2)
     info_gamma = multiinformation_from_gamma(model)
     var = variance(model)
+    domain = cgf_domain(model)
 
     report = {
         "fingerprint": model_fingerprint(model),
@@ -224,8 +224,8 @@ def _cmd_analyze(args):
         "variance": var,
         "variance_agreement": _check(var, kappa_2, ORACLE_TOL * max(1.0, abs(var), abs(kappa_2))),
         "cumulants": list(seq.values[: args.cumulants]),
-        "gamma_eigenvalues": [float(v) for v in model.gamma_eigenvalues],
-        "cgf_domain": dataclasses.asdict(cgf_domain(model)),
+        "gamma_eigenvalues": model.gamma_eigenvalues.tolist(),
+        "cgf_domain": {"lower": domain.lower, "upper": domain.upper},
     }
 
     if grid is not None:

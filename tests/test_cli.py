@@ -309,6 +309,27 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == error
 
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--n", "1000"]], ids=["analyze", "simulate"])
+    @pytest.mark.parametrize(
+        "key, doc",
+        [
+            ("covariance", {"covariance": [[10**400, 0], [0, 1]], "partition": [1, 1]}),
+            ("mean", {"covariance": [[1, 0], [0, 1]], "partition": [1, 1], "mean": [10**400, 0]}),
+        ],
+        ids=["covariance", "mean"],
+    )
+    def test_integer_beyond_the_double_range_exit_2(self, capsys, tmp_path, key, doc, command):
+        # orjson refuses the literal, and the standard library reads it as an int no double can hold.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and "\n" not in err[:-1]
+        assert strict_loads(err) == {
+            "error": "ValueError",
+            "message": f"{key} must be an array of numbers: int too large to convert to float",
+        }
+
     @pytest.mark.parametrize("missing", ["covariance", "partition"])
     def test_missing_key_exit_2(self, capsys, tmp_path, missing):
         doc = {"covariance": [[1, 0.5], [0.5, 1]], "partition": [1, 1]}

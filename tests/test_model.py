@@ -118,6 +118,10 @@ class TestValidateModel:
         cov = np.array([[1.0, 0.5 + 1e-10], [0.5, 1.0]])
         model = validate_model([0, 0], cov, [1, 1])
         assert np.array_equal(model.covariance, model.covariance.T)
+        # Averaged by halves; the diagonal, equal to its mirror, and the caller's array are left as they are.
+        assert model.covariance[0, 1] == (0.5 + 1e-10) / 2.0 + 0.5 / 2.0
+        assert np.array_equal(np.diagonal(model.covariance), [1.0, 1.0])
+        assert cov.flags.writeable and not np.shares_memory(model.covariance, cov)
 
     def test_entries_equal_to_their_mirror_kept_bit_for_bit(self):
         # Halving 5e-324 gives 0, and 1.5e-323 / 2 + 1.5e-323 / 2 gives 2e-323.
@@ -127,8 +131,9 @@ class TestValidateModel:
 
     def test_large_asymmetry_rejected(self):
         cov = np.array([[1.0, 0.6], [0.5, 1.0]])
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotSymmetric) as exc:
             validate_model([0, 0], cov, [1, 1])
+        assert str(exc.value) == "covariance asymmetry 0.1 at (0, 1) exceeds 1e-08 * sqrt(|s_ii s_jj|) = 1e-08"
 
     def test_asymmetry_rejected_at_every_scale(self):
         # The rescaled copy's asymmetry, about 1e-101, is far below 1e-8 * max|S|,
@@ -138,6 +143,33 @@ class TestValidateModel:
         for cov in (r, d @ r @ d):
             with pytest.raises(NotSymmetric, match=r"at \(0, 1\)"):
                 validate_model(None, cov, [1, 1, 1])
+
+    @staticmethod
+    def _law_covariance(d):
+        """The benchmark's law S = A A^T + 0.5 d I, averaged with its transpose."""
+        a = np.random.default_rng(41).standard_normal((d, d))
+        s = a @ a.T + 0.5 * d * np.eye(d)
+        return (s + s.T) / 2.0
+
+    def test_exactly_symmetric_covariance_kept_without_repair(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("an exactly symmetric covariance went through the repair")
+
+        monkeypatch.setattr("infodensity.model.symmetrize", refused)
+        pair = np.eye(3)
+        pair[0, 2] = -0.0  # a +-0.0 mirror pair: equal, though their bits differ
+        for cov, sizes in ((self._law_covariance(200), [50] * 4), (pair, [1, 2]), (np.diag([1.0, 5e-324]), [1, 1])):
+            model = validate_model(None, cov, sizes)
+            assert np.array_equal(model.covariance.view(np.uint64), cov.view(np.uint64))
+            assert cov.flags.writeable and not np.shares_memory(model.covariance, cov)
+
+    def test_fortran_ordered_input_gives_the_same_bits(self):
+        cov = self._law_covariance(200)
+        expected = validate_model(None, cov, [50] * 4)
+        model = validate_model(None, np.asfortranarray(cov), [50] * 4)
+        assert model.covariance.flags.c_contiguous
+        for name in ("covariance", "factor", "block_factor", "gamma", "gamma_eigenvalues"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
 
     def test_default_mean_is_zero(self):
         model = validate_model(None, np.eye(3), [1, 2])
