@@ -54,12 +54,12 @@ from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
 ORACLE_TOL = 1e-9
-# Most steps x d terms an ``analyze --t-grid`` evaluates: ``cgf`` forms one
-# steps x d array and a temporary of its size, 32 MiB each at the cap. A grid
-# above it exits 3 before the grid itself is allocated. ``homogeneous`` holds
-# its d x d covariances to the same 32 MiB: a d with d^2 above the cap exits 3
-# before any model is formed.
-MAX_T_GRID_TERMS = 2**22
+# Most float64 entries of any one array a request makes the CLI form, 32 MiB.
+# ``analyze --t-grid`` evaluates steps x d terms: ``cgf`` forms one steps x d
+# array and a temporary of its size, so a grid above the cap exits 3 before
+# the grid itself is allocated. ``homogeneous`` forms one d x d covariance per
+# dimension: a d with d^2 above the cap exits 3 before any model is formed.
+MAX_ARRAY_ENTRIES = 2**22
 
 _LIMIT_ERRORS = (OutOfDomain, CombinatorialLimit, CumulantOverflow, MemoryError)
 
@@ -152,10 +152,10 @@ def _parse_t_grid(text: str, dimension: int) -> np.ndarray:
         raise NonFiniteInput(f"--t-grid bounds must be finite, got {text!r}")
     if steps < 1:
         raise ValueError(f"--t-grid needs at least 1 step, got {steps}")
-    if steps * dimension > MAX_T_GRID_TERMS:
+    if steps * dimension > MAX_ARRAY_ENTRIES:
         raise MemoryError(
             f"--t-grid of {steps} steps at dimension {dimension} needs {steps * dimension} CGF terms, "
-            f"above the cap of {MAX_T_GRID_TERMS} (MAX_T_GRID_TERMS)"
+            f"above the cap of {MAX_ARRAY_ENTRIES} (MAX_ARRAY_ENTRIES)"
         )
     if math.isinf(b - a):
         # The span overflows: halving the bounds and doubling the grid is exact at this magnitude.
@@ -256,10 +256,10 @@ def _cmd_homogeneous(args):
     models = [HomogeneousModel(dimension=d, rho=args.rho) for d in args.d]
     # Every dimension is validated, then held to the cap, before the first model is formed.
     for d in (hm.dimension for hm in models):
-        if d * d > MAX_T_GRID_TERMS:
+        if d * d > MAX_ARRAY_ENTRIES:
             raise MemoryError(
                 f"homogeneous at dimension {d} needs a d x d covariance of {d * d} entries, "
-                f"above the cap of {MAX_T_GRID_TERMS} entries (32 MiB) per array"
+                f"above the cap of {MAX_ARRAY_ENTRIES} entries (32 MiB) per array (MAX_ARRAY_ENTRIES)"
             )
     rows = []
     for hm in models:

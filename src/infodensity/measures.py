@@ -24,7 +24,7 @@ import numpy as np
 
 from ._linalg import _inverse_lower, cholesky_lower, logdet_from_lower
 from .errors import CumulantOverflow, DimensionMismatch, NonFiniteInput, OutOfDomain
-from .model import GaussianModel, _integral, _integral_at_least
+from .model import GaussianModel, _integral_at_least
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
@@ -62,9 +62,6 @@ class CgfDomain:
 
     lower: float
     upper: float
-
-    def contains(self, t: float) -> bool:
-        return self.lower < t < self.upper
 
     @property
     def half_width(self) -> float:
@@ -260,34 +257,3 @@ def variance(model: GaussianModel) -> float:
     g = model.gamma
     # sum(G * G^T) = tr(G^2) counts every pair (m, n) twice: tr(C_mn C_nm) + tr(C_nm C_mn).
     return 0.5 * float(np.sum(g * g.T))
-
-
-def cgf_numeric_cumulants(model: GaussianModel, order: int, step: float | None = None) -> CumulantSequence:
-    """Finite-difference cumulant estimates from the CGF at 0 (cross-check oracle).
-
-    Order l uses the minimal central stencil of l+1 points (integer offsets
-    for even l, half-integer for odd l), accurate to O(step^2). The default
-    step is 1e-3 times the smaller of 1 and the symmetric half-width of the
-    CGF domain. OutOfDomain is raised when a stencil node would leave the
-    domain. ``order`` is integral by ``Partition``'s rule (4.0 is 4; 2.5 or
-    True raises ValueError), and a given ``step`` must be finite and > 0.
-    """
-    if _integral(order) not in range(1, 7):
-        raise ValueError(f"order must be an integer in 1..6, got {order!r}")
-    if step is not None and not 0.0 < step < math.inf:
-        raise ValueError(f"step must be finite and > 0, got {step!r}")
-    order = int(order)
-    domain = cgf_domain(model)
-    if step is None:
-        step = 1e-3 * min(1.0, domain.half_width)
-    values = []
-    for l in range(1, order + 1):
-        reach = (l / 2.0) * step
-        if not (domain.contains(reach) and domain.contains(-reach)):
-            raise OutOfDomain(reach, domain)
-        acc = 0.0
-        for k in range(l + 1):
-            node = (l / 2.0 - k) * step
-            acc += (-1.0) ** k * math.comb(l, k) * cgf(model, node)
-        values.append(acc / step**l)
-    return CumulantSequence(values=tuple(values))

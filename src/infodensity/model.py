@@ -1,14 +1,10 @@
 """Partitioned Gaussian model types and the coupling matrices derived from them.
 
 A model is a mean vector, a positive-definite covariance, and a partition of
-the coordinates into N >= 2 blocks. From it we build:
-
-* the coupling matrix G = S * blockdiag(S_11..S_NN)^{-1} - I with
-  exact-zero diagonal blocks, and its real spectrum; its off-diagonal block
-  (m, n) is the regression coefficients C_{m|n} = S_mn S_nn^{-1}, which the
-  package holds nowhere else,
-* for two blocks, the squared canonical correlations rho_k^2, whose +-rho_k
-  are G's nonzero eigenvalues.
+the coordinates into N >= 2 blocks. From it we build the coupling matrix
+G = S * blockdiag(S_11..S_NN)^{-1} - I with exact-zero diagonal blocks, and
+its real spectrum; its off-diagonal block (m, n) is the regression
+coefficients C_{m|n} = S_mn S_nn^{-1}, which the package holds nowhere else.
 
 Validation factors the covariance and its diagonal blocks once, then forms G
 and its spectrum from those factors; the model carries all four, and every
@@ -163,9 +159,9 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")
     d = cov.shape[0]
-    mu = np.zeros(d) if mean is None else _float_array(mean, "mean").reshape(-1)
+    mu = np.zeros(d) if mean is None else _float_array(mean, "mean")
     if mu.shape != (d,):
-        raise DimensionMismatch(f"mean has length {mu.shape[0]}, covariance is {d}x{d}")
+        raise DimensionMismatch(f"mean has shape {mu.shape}, covariance is {d}x{d}")
     for name, a in (("mean", mu), ("covariance", cov)):
         if not np.isfinite(a).all():
             raise NonFiniteInput(f"{name} has {np.count_nonzero(~np.isfinite(a))} non-finite entries (NaN or inf)")
@@ -237,32 +233,6 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
         gamma=_frozen(gamma),
         gamma_eigenvalues=_frozen(eigenvalues),
     )
-
-
-def canonical_correlations(model: GaussianModel) -> tuple[float, ...]:
-    """Squared canonical correlations between the two blocks, sorted descending.
-
-    They are the squared singular values of the whitened cross-covariance
-    Y = L_0^{-1} S_01 L_1^{-T}, with L_n the factor of S_nn (Bjorck & Golub
-    1973): min(n_0, n_1) values, none negative, and a weak one beside a strong
-    one keeps its digits, which the eigenvalues of Y Y^T would lose. Each side
-    is whitened by its own factor, Y = L_0^{-1} (L_1^{-1} S_10)^T: taken left
-    to right, the product lost the weak value of the 2 + 3 model the tests pin
-    to 3.7e-5 relative. Only the diagonal-block factors and S_01 are read,
-    never G, so this is a route to the two-block spectrum apart from G's.
-    They add up to the variance. With a scalar block the one value is the
-    squared multiple correlation of that coordinate on the other block, and
-    with two scalar blocks the squared correlation coefficient.
-    """
-    if model.partition.n_blocks != 2:
-        raise BadPartition(f"two-block analysis needs exactly 2 blocks, got {model.partition.n_blocks}")
-    first, second = (model.partition.block_slice(n) for n in (0, 1))
-    half = _inverse_lower(model.block_factor[second, second]) @ model.covariance[second, first]
-    whitened = _inverse_lower(model.block_factor[first, first]) @ half.T
-    values = tuple(float(s) ** 2 for s in np.linalg.svd(whitened, compute_uv=False))
-    if values[0] >= 1.0:
-        raise ValueError(f"squared canonical correlation {values[0]} >= 1; model is singular")
-    return values
 
 
 def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: Partition):

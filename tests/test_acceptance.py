@@ -9,6 +9,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
+    canonical_correlations,
+    cgf_numeric_cumulants,
     equicorrelation_gamma_power,
     random_block_diagonal_model,
     random_correlation_model,
@@ -24,7 +26,6 @@ from infodensity import (
     HomogeneousModel,
     cgf,
     cgf_domain,
-    cgf_numeric_cumulants,
     cumulants,
     density_at,
     homogeneous_covariance,
@@ -32,7 +33,6 @@ from infodensity import (
     mc_validate,
     multiinformation,
     multiinformation_from_gamma,
-    canonical_correlations,
     standardized_cumulant,
     trace_via_loops,
     validate_model,

@@ -15,7 +15,7 @@ import infodensity
 from infodensity import DEFAULT_LOOP_CAP, cli, model_fingerprint, sampling, validate_model
 from infodensity.cli import (
     AGREEMENT_TOL,
-    MAX_T_GRID_TERMS,
+    MAX_ARRAY_ENTRIES,
     ORACLE_TOL,
     _build_parser,
     _exit_code,
@@ -171,7 +171,7 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
-    @pytest.mark.parametrize("steps", [MAX_T_GRID_TERMS // 2 + 1, 10**15])
+    @pytest.mark.parametrize("steps", [MAX_ARRAY_ENTRIES // 2 + 1, 10**15])
     def test_grid_above_cap_exit_3_before_allocating(self, capsys, monkeypatch, scalar_pair_file, steps):
         def refuse(*args, **kwargs):
             raise AssertionError("the grid was allocated")
@@ -182,13 +182,13 @@ class TestAnalyze:
         assert out == ""
         doc = json.loads(err)
         assert doc["error"] == "MemoryError"
-        assert f"cap of {MAX_T_GRID_TERMS}" in doc["message"]
+        assert f"cap of {MAX_ARRAY_ENTRIES}" in doc["message"]
 
     def test_grid_at_cap_accepted(self):
         d = 1000
-        assert _parse_t_grid(f"-0.1:0.1:{MAX_T_GRID_TERMS // d}", d).size == MAX_T_GRID_TERMS // d
+        assert _parse_t_grid(f"-0.1:0.1:{MAX_ARRAY_ENTRIES // d}", d).size == MAX_ARRAY_ENTRIES // d
         with pytest.raises(MemoryError):
-            _parse_t_grid(f"-0.1:0.1:{MAX_T_GRID_TERMS // d + 1}", d)
+            _parse_t_grid(f"-0.1:0.1:{MAX_ARRAY_ENTRIES // d + 1}", d)
 
     @pytest.mark.parametrize("grid", ["-1:1:9", "0.1:0.3:7", "5e-324:1e-320:4", "-3e-320:7e-321:5", "2:2:1"])
     def test_grid_is_numpy_linspace_where_the_span_is_finite(self, grid):
@@ -328,6 +328,17 @@ class TestAnalyze:
         assert strict_loads(err) == {
             "error": "ValueError",
             "message": f"{key} must be an array of numbers: int too large to convert to float",
+        }
+
+    def test_non_vector_mean_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "mean.json"
+        path.write_text(json.dumps({"mean": [[1, 2], [3, 4]], "covariance": np.eye(4).tolist(), "partition": [2, 2]}))
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and "\n" not in err[:-1]
+        assert strict_loads(err) == {
+            "error": "DimensionMismatch",
+            "message": "mean has shape (2, 2), covariance is 4x4",
         }
 
     @pytest.mark.parametrize("missing", ["covariance", "partition"])
@@ -720,7 +731,7 @@ class TestHomogeneous:
         assert json.loads(err)["error"] == "MemoryError"
 
     def test_dimension_over_cap_refused_before_any_allocation(self, capsys):
-        # 2049^2 is the first square above MAX_T_GRID_TERMS = 2^22; one 2049 x 2049 array is
+        # 2049^2 is the first square above MAX_ARRAY_ENTRIES = 2^22; one 2049 x 2049 array is
         # 33.6 MB. The d = 10 model listed first is not formed either.
         run(capsys, ["homogeneous", "--d", "10", "--rho", "0.5"])
         tracemalloc.start()
@@ -732,7 +743,7 @@ class TestHomogeneous:
         assert (code, out) == (3, "")
         doc = json.loads(err)
         assert doc["error"] == "MemoryError"
-        assert f"cap of {MAX_T_GRID_TERMS} entries" in doc["message"]
+        assert f"cap of {MAX_ARRAY_ENTRIES} entries" in doc["message"]
         assert peak < 2049 * 2049 * 8 / 100
 
     def test_high_orders_past_the_double_range_of_the_ratios(self, capsys):

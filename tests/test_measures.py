@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DERANDOMIZED, random_block_diagonal_model, random_model, rel_close, scalar_pair_model
+from conftest import (
+    DERANDOMIZED,
+    cgf_numeric_cumulants,
+    random_block_diagonal_model,
+    random_model,
+    rel_close,
+    scalar_pair_model,
+)
 
 from infodensity import (
     CumulantOverflow,
@@ -16,7 +23,6 @@ from infodensity import (
     OutOfDomain,
     cgf,
     cgf_domain,
-    cgf_numeric_cumulants,
     cumulants,
     density_at,
     density_at_direct,

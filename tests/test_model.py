@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,14 @@ class TestValidateModel:
     def test_mean_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate_model([0, 0, 0], np.eye(2), [1, 1])
+
+    @pytest.mark.parametrize(
+        "mean, d, shape", [([[1, 2], [3, 4]], 4, "(2, 2)"), ([[0, 0]], 2, "(1, 2)"), (0.0, 2, "()")]
+    )
+    def test_mean_not_a_vector_rejected(self, mean, d, shape):
+        # Not flattened: a 2 x 2 mean is not the vector [1, 2, 3, 4] of a d = 4 model.
+        with pytest.raises(DimensionMismatch, match=rf"mean has shape {re.escape(shape)}, covariance is {d}x{d}"):
+            validate_model(mean, np.eye(d), [1] * d)
 
     def test_nonsquare_covariance(self):
         with pytest.raises(DimensionMismatch):

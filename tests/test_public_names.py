@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import infodensity
@@ -26,13 +27,14 @@ REMOVED = (
     "SameBlock",
     "homogeneous_mean",
     "KStatistics",
-)
-
-# Exports that only the tests call. The `analyze --verify` section planned in
-# ROADMAP.md is to call each from a report, which should empty this set.
-UNUSED_UNTIL_VERIFY = {
     "canonical_correlations",
     "cgf_numeric_cumulants",
+)
+
+# Exports that only the tests call: the direct-density pair, kept for the
+# `analyze --verify` record planned in ROADMAP.md, which is to call both from
+# a report and so empty this set. The tests' other oracles live in conftest.
+UNUSED_UNTIL_VERIFY = {
     "density_at",
     "density_at_direct",
 }
@@ -40,7 +42,7 @@ UNUSED_UNTIL_VERIFY = {
 
 def test_every_exported_name_resolves_once():
     names = infodensity.__all__
-    assert len(names) == len(set(names)) == 42
+    assert len(names) == len(set(names)) == 40
     for name in names:
         assert getattr(infodensity, name) is not None
 
@@ -73,3 +75,17 @@ def _package_uses():
 
 def test_every_export_used_by_the_package():
     assert set(infodensity.__all__) - _package_uses() == UNUSED_UNTIL_VERIFY
+
+
+def _library_example():
+    """The python blocks of README's "Library use" section, joined, without their fences."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## Library use$(.*?)(?=^## )", readme, flags=re.M | re.S).group(1)
+    return "".join(re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S))
+
+
+def test_readme_library_example_runs():
+    """README's example runs as written, so a name it calls cannot leave the package unnoticed."""
+    code = _library_example()
+    assert code.strip(), "README's Library use section has no python block"
+    exec(compile(code, "README.md (Library use)", "exec"), {"__name__": "__main__"})

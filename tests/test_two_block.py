@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    canonical_correlations,
     random_block_diagonal_model,
     random_model,
     regression_block,
@@ -25,7 +26,6 @@ from conftest import (
 from infodensity import (
     BadPartition,
     OutOfDomain,
-    canonical_correlations,
     cgf,
     cumulants,
     validate_model,
