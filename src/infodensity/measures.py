@@ -73,9 +73,11 @@ def multiinformation(model: GaussianModel) -> float:
     """Multiinformation in nats via Cholesky log-determinants.
 
     Equals (sum_n ln|S_nn| - ln|S|) / 2; zero iff the blocks are mutually
-    independent. Both log-determinants come from the model's stored factors.
+    independent. Both log-determinants come from the model's stored factors:
+    ln|S| from L, and sum_n ln|S_nn| as twice the sum of the logs of
+    diag(L_B), the model's ``block_factor_diagonal``.
     """
-    return 0.5 * (logdet_from_lower(model.block_factor) - logdet_from_lower(model.factor))
+    return 0.5 * (2.0 * float(np.sum(np.log(model.block_factor_diagonal))) - logdet_from_lower(model.factor))
 
 
 def multiinformation_from_gamma(model: GaussianModel) -> float:
@@ -113,10 +115,10 @@ def density_at_direct(model: GaussianModel, x) -> float:
 
 
 def _point(model: GaussianModel, x) -> np.ndarray:
-    """An evaluation point as a flat array, checked against the model's dimension."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    """An evaluation point as an array of shape (d,); any other shape raises DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
     if x.shape != (model.dimension,):
-        raise DimensionMismatch(f"point has length {x.shape[0]}, model dimension is {model.dimension}")
+        raise DimensionMismatch(f"point has shape {x.shape}, model dimension is {model.dimension}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteInput("evaluation point must be finite (no NaN or inf)")
     return x

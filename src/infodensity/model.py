@@ -7,14 +7,15 @@ its real spectrum; its off-diagonal block (m, n) is the regression
 coefficients C_{m|n} = S_mn S_nn^{-1}, which the package holds nowhere else.
 
 Validation factors the covariance and its diagonal blocks once, then forms G
-and its spectrum from those factors; the model carries all four, and every
-analytic quantity reads them instead of factoring again. All types are frozen
-dataclasses holding read-only arrays.
+and its spectrum from those factors. The model carries the covariance's
+factor, the diagonal of the blocks' factors, G and the spectrum, and every
+analytic quantity reads them instead of factoring again; the blocks' factors
+themselves are freed once G is formed. All types are frozen dataclasses
+holding read-only arrays.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -61,7 +62,7 @@ def _integral(value) -> int | None:
         return None
 
 
-def _integral_at_least(value, low: int, name: str) -> int:
+def _integral_at_least(value, low: float, name: str) -> int:
     """``value`` as an int by ``_integral``'s rule, at least ``low``; anything else raises ValueError."""
     number = _integral(value)
     if number is None:
@@ -112,19 +113,22 @@ class GaussianModel:
     """Validated partitioned Gaussian model (construct via ``validate_model``).
 
     ``factor`` is the lower Cholesky factor L of the covariance S, and
-    ``block_factor`` the block-diagonal L_B = blockdiag(L_1..L_N) of the
-    factors of the diagonal blocks S_nn. ``gamma`` is the coupling matrix
+    ``block_factor_diagonal`` the d-vector diag(L_B) of the block-diagonal
+    L_B = blockdiag(L_1..L_N) of the factors of the diagonal blocks S_nn:
+    the sum of ln|S_nn| is twice the sum of its logs, and its squares are
+    the blocks' Cholesky pivots. ``gamma`` is the coupling matrix
     G = S blockdiag(S_nn)^{-1} - I, whose block (m, n) regresses block m on
     block n and whose diagonal blocks are exact zeros, and
     ``gamma_eigenvalues`` its spectrum, sorted ascending; it is real, and
-    every entry exceeds -1 for a valid model. Validation computes all four.
+    every entry exceeds -1 for a valid model. Validation computes all four;
+    no d x d block-diagonal factor is kept.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     partition: Partition
     factor: np.ndarray = field(repr=False)
-    block_factor: np.ndarray = field(repr=False)
+    block_factor_diagonal: np.ndarray = field(repr=False)
     gamma: np.ndarray = field(repr=False)
     gamma_eigenvalues: np.ndarray = field(repr=False)
 
@@ -200,23 +204,27 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     factor = cholesky_lower(cov, what="covariance")
     # The diagonal blocks of each size are factored as one stack, which gives
     # the bits of one potrf per block, and then every pivot is checked at once
-    # by cholesky_lower's rule. A block whose stack failed (its factor is left
-    # zero) or whose pivot fails goes through that function in block order, so
-    # the first failing block raises its error, named by ``what``. A
-    # covariance that passes its own check passes every block's, which is
-    # asserted independently.
-    block_factor = np.zeros_like(cov)
-    sizes = np.array(partition.block_sizes)
+    # by cholesky_lower's rule on diag(L_B). A block whose stack failed (its
+    # factor is left zero) or whose pivot fails goes through that function in
+    # block order, so the first failing block raises its error, named by
+    # ``what``, and its factor goes back into its stack. A covariance that
+    # passes its own check passes every block's, which is asserted
+    # independently.
+    sizes, offsets = np.array(partition.block_sizes), np.array(partition.offsets)
+    factors, block_diagonal = {}, np.empty(d)
     for b in sorted(set(partition.block_sizes)):
-        index = np.array(partition.offsets)[sizes == b, None] + np.arange(b)
-        cells = index[:, :, None], index[:, None, :]
-        with contextlib.suppress(np.linalg.LinAlgError):
-            block_factor[cells] = np.linalg.cholesky(cov[cells])
-    passed = np.square(np.diagonal(block_factor)) > _pivot_thresholds(np.diagonal(cov), np.repeat(sizes, sizes))
+        index = offsets[sizes == b, None] + np.arange(b)
+        try:
+            factors[b] = np.linalg.cholesky(cov[index[:, :, None], index[:, None, :]])
+        except np.linalg.LinAlgError:
+            factors[b] = np.zeros((len(index), b, b))
+        block_diagonal[index] = np.diagonal(factors[b], axis1=1, axis2=2)
+    passed = np.square(block_diagonal) > _pivot_thresholds(np.diagonal(cov), np.repeat(sizes, sizes))
     for n in np.flatnonzero(~np.logical_and.reduceat(passed, partition.offsets)):
-        sl = partition.block_slice(n)
-        block_factor[sl, sl] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
-    gamma, eigenvalues = compute_gamma(cov, block_factor, partition)
+        sl, block = partition.block_slice(n), factors[sizes[n]][np.count_nonzero(sizes[:n] == sizes[n])]
+        block[...] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
+        block_diagonal[sl] = np.diagonal(block)
+    gamma, eigenvalues = compute_gamma(cov, factors, partition)
     # Every eigenvalue exceeds -1 in exact arithmetic, but a covariance this
     # close to singular can round the smallest to -1 or below.
     if not 1.0 + eigenvalues[0] > 0.0:
@@ -229,50 +237,55 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
         covariance=_frozen(cov),
         partition=partition,
         factor=_frozen(factor),
-        block_factor=_frozen(block_factor),
+        block_factor_diagonal=_frozen(block_diagonal),
         gamma=_frozen(gamma),
         gamma_eigenvalues=_frozen(eigenvalues),
     )
 
 
-def compute_gamma(covariance: np.ndarray, block_factor: np.ndarray, partition: Partition):
+def compute_gamma(covariance: np.ndarray, factors: dict[int, np.ndarray], partition: Partition):
     """G = S blockdiag(S_nn)^{-1} - I and its ascending spectrum, as ``(G, eigenvalues)``.
 
-    Block by block, with H = L_B^{-1} S: G's block column n is (L_n^{-T} H_n)^T
-    for the row strip H_n of block n (block (m, n) regresses m on n), and the
-    spectrum is that of W - I, W = H L_B^{-T} real-symmetric and similar to
-    G + I. A size-1 block is a scaling: its column of G is divided by s_jj,
-    its row of H and column of W by sqrt(s_jj). A larger block inverts its
-    factor once and forms its b x d strips by products with that inverse.
-    Diagonal blocks of G and W - I are exact zeros, so tr G = 0 exactly.
-    The size-1 scaling stays beside the strips, although validation factors
-    the blocks as one stack per size: forming G by block size too made
-    ``validate_model`` slower (medians 1.45 against 1.22 ms at 100 scalar
-    blocks, 213 against 182 ms at 1000; 2-vCPU x86, one BLAS thread) and
-    moved G's last bits. The scalings span the whole matrix when some block
-    has size 1 and are skipped when none has: scaling only the slices of each
-    run of size-1 blocks made this function slower where the runs are many
-    (medians of 7, 4.07 against 3.45 ms at block sizes [1, 2, 1, 1, 3] x 20;
-    same host).
+    ``factors`` maps each block size b to the (count, b, b) stack of the
+    lower Cholesky factors L_n of the diagonal blocks of that size, in block
+    order, as ``validate_model`` factors them; no block-diagonal L_B is
+    formed. Block by block, with H = L_B^{-1} S: G's block column n is
+    (L_n^{-T} H_n)^T for the row strip H_n of block n (block (m, n)
+    regresses m on n), and the spectrum is that of W - I, W = H L_B^{-T}
+    real-symmetric and similar to G + I. A size-1 block is a scaling: its
+    column of G is divided by s_jj, its row of H and column of W by its
+    factor sqrt(s_jj). A larger block inverts its factor once and forms its
+    b x d strips by products with that inverse. Diagonal blocks of G and
+    W - I are exact zeros, so tr G = 0 exactly. The size-1 scaling stays
+    beside the strips, although validation factors the blocks as one stack
+    per size: forming G by block size too made ``validate_model`` slower
+    (medians 1.45 against 1.22 ms at 100 scalar blocks, 213 against 182 ms
+    at 1000; 2-vCPU x86, one BLAS thread) and moved G's last bits. The
+    scalings span the whole matrix when some block has size 1 and are
+    skipped when none has: scaling only the slices of each run of size-1
+    blocks made this function slower where the runs are many (medians of 7,
+    4.07 against 3.45 ms at block sizes [1, 2, 1, 1, 3] x 20; same host).
     """
-    sizes = np.array(partition.block_sizes)
-    scalar = np.array(partition.offsets)[sizes == 1]
-    larger = [partition.block_slice(n) for n in np.flatnonzero(sizes > 1)]
-    inverses = [_inverse_lower(block_factor[sl, sl]) for sl in larger]
-    # Scaling every row and column serves the size-1 blocks; the strips of the
-    # larger blocks are then overwritten by their products. With no size-1
-    # block the strips write every entry, so nothing is scaled.
-    diagonal = np.diagonal(block_factor)
+    sizes, offsets = np.array(partition.block_sizes), np.array(partition.offsets)
+    scalar = offsets[sizes == 1]
+    larger = [(slice(start, start + b), _inverse_lower(block)) for b, stack in factors.items() if b > 1
+              for start, block in zip(offsets[sizes == b].tolist(), stack)]
+    # Scaling every row and column serves the size-1 blocks; the rows and
+    # columns of the larger blocks are divided by 1, since their strips are
+    # then overwritten by their products. With no size-1 block the strips
+    # write every entry, so nothing is scaled.
     if scalar.size:
-        half = covariance / diagonal[:, None]
+        root = np.ones(len(covariance))
+        root[scalar] = factors[1].reshape(-1)
+        half = covariance / root[:, None]
         g = covariance / np.diagonal(covariance)
     else:
         half, g = np.empty_like(covariance), np.empty_like(covariance)
-    for sl, inverse in zip(larger, inverses):
+    for sl, inverse in larger:
         half[sl] = inverse @ covariance[sl]
         g[:, sl] = half[sl].T @ inverse
-    w = half / diagonal if scalar.size else np.empty_like(half)
-    for sl, inverse in zip(larger, inverses):
+    w = half / root if scalar.size else np.empty_like(half)
+    for sl, inverse in larger:
         w[:, sl] = half[:, sl] @ inverse.T
         w[sl, sl] = g[sl, sl] = 0.0
     w[scalar, scalar] = g[scalar, scalar] = 0.0

@@ -47,7 +47,7 @@ import numpy as np
 from ._linalg import _blas_threads_held, _inverse_lower, _usable_cpus
 from .errors import BatchTooSmall
 from .measures import CumulantSequence, cumulants, multiinformation
-from .model import GaussianModel
+from .model import GaussianModel, _integral_at_least
 
 # Draws per chunk: each chunk has its own stream, so the draws depend on it.
 CHUNK_SIZE = 65536
@@ -79,8 +79,12 @@ def _normal_stream(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _worker_count(threads: int, n: int) -> int:
-    """Threads ``sample_density`` runs: ``threads``, at most one per usable CPU and per chunk."""
-    return min(threads, _usable_cpus(), -(-n // CHUNK_SIZE))
+    """Threads ``sample_density`` runs: ``threads``, at most one per usable CPU and per chunk.
+
+    ``threads`` is read by the package's integral rule and must be >= 1;
+    anything else raises ValueError.
+    """
+    return min(_integral_at_least(threads, 1, "threads"), _usable_cpus(), -(-n // CHUNK_SIZE))
 
 
 def _folded_kernel(model: GaussianModel) -> np.ndarray:
@@ -182,14 +186,17 @@ def sample_density(
     2-vCPU x86 host), so inside the hold the result would depend on
     ``threads``. Up to d = 64 the result does not depend on the BLAS thread
     settings; above that the set-up's rounding can depend on them.
+
+    ``n``, ``seed`` and ``threads`` are integral by ``Partition``'s rule:
+    1e5 is 100000; 2.5 or True raises ValueError, and so does a ``threads``
+    below 1. Fewer than 2 draws raise ``BatchTooSmall``.
     """
+    n, seed = _integral_at_least(n, -math.inf, "n"), _integral_at_least(seed, -math.inf, "seed")
     if n < 2:
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = _worker_count(threads, n)
     kernel = _folded_kernel(model)
     n_chunks = -(-n // CHUNK_SIZE)
-    workers = _worker_count(threads, n)
     # One queue hands out, ends and stops the work (deque calls are thread-safe): a thread
     # ends at its first None, and a stop puts one None per thread at the front.
     chunks = deque(range(n_chunks))
@@ -305,12 +312,15 @@ def mc_validate(
     ``corrupt_order`` shifts one analytic value by 25 standard errors; it
     exists only so a harness can verify that the check actually fails when
     the analytic side is wrong, so an order outside 1..max_order, which
-    would shift nothing, raises ValueError.
+    would shift nothing, raises ValueError. ``n``, ``seed`` and ``threads``
+    are read as ``sample_density`` reads them, and fewer than 4 draws raise
+    ``BatchTooSmall``.
     """
     if not 1 <= max_order <= 4:
         raise ValueError(f"max_order must be in 1..4, got {max_order}")
     if corrupt_order is not None and not 1 <= corrupt_order <= max_order:
         raise ValueError(f"corrupt_order must be in 1..max_order = {max_order}, got {corrupt_order}")
+    n, seed = _integral_at_least(n, -math.inf, "n"), _integral_at_least(seed, -math.inf, "seed")
     if n < 4:
         raise BatchTooSmall(f"need at least 4 draws for finite standard errors, got {n}")
     estimates = k_statistics(sample_density(model, n, seed, threads=threads))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import infodensity.model
 from infodensity import (
     BadPartition,
     CgfDomain,
@@ -101,6 +102,19 @@ def count_loop_trace(monkeypatch):
     return calls
 
 
+def record_block_factors(monkeypatch):
+    """Wrap ``compute_gamma`` for the test; the returned list gets a copy of each call's per-size factor stacks."""
+    received = []
+    original = infodensity.model.compute_gamma
+
+    def recorded(covariance, factors, partition):
+        received.append({b: stack.copy() for b, stack in factors.items()})
+        return original(covariance, factors, partition)
+
+    monkeypatch.setattr(infodensity.model, "compute_gamma", recorded)
+    return received
+
+
 def squared_multiple_correlation(model):
     """R^2 of coordinate 0 on all the others: 1 - 1 / (s_00 (S^-1)_00)."""
     s = model.covariance
@@ -177,8 +191,9 @@ def canonical_correlations(model):
     one keeps its digits, which the eigenvalues of Y Y^T would lose. Each side
     is whitened by its own factor, Y = L_0^{-1} (L_1^{-1} S_10)^T: taken left
     to right, the product lost the weak value of the 2 + 3 model the tests pin
-    to 3.7e-5 relative. Only the diagonal-block factors and S_01 are read,
-    never G, so this is a route to the two-block spectrum apart from G's.
+    to 3.7e-5 relative. Only S_00, S_11 and S_01 are read, and each diagonal
+    block is factored here, never G or validation's factors, so this is a
+    route to the two-block spectrum apart from G's.
     They add up to the variance. With a scalar block the one value is the
     squared multiple correlation of that coordinate on the other block, and
     with two scalar blocks the squared correlation coefficient.
@@ -186,8 +201,9 @@ def canonical_correlations(model):
     if model.partition.n_blocks != 2:
         raise BadPartition(f"two-block analysis needs exactly 2 blocks, got {model.partition.n_blocks}")
     first, second = (model.partition.block_slice(n) for n in (0, 1))
-    half = _inverse_lower(model.block_factor[second, second]) @ model.covariance[second, first]
-    whitened = _inverse_lower(model.block_factor[first, first]) @ half.T
+    factor_0, factor_1 = (np.linalg.cholesky(model.diagonal_block(n)) for n in (0, 1))
+    half = _inverse_lower(factor_1) @ model.covariance[second, first]
+    whitened = _inverse_lower(factor_0) @ half.T
     values = tuple(float(s) ** 2 for s in np.linalg.svd(whitened, compute_uv=False))
     if values[0] >= 1.0:
         raise ValueError(f"squared canonical correlation {values[0]} >= 1; model is singular")

@@ -5,7 +5,8 @@ factorization and pairwise variance sum, kept here as references. The loop
 Cholesky uses the per-coordinate pivot threshold d * eps * a_jj of the current
 ``cholesky_lower``, so the two must name the same failing pivot.
 ``_coupling_matrix`` is the earlier dense path to G and W, three d x d
-solves against the block-diagonal L_B.
+solves against the block-diagonal L_B, which it builds from its own LAPACK
+factors of the diagonal blocks.
 
 ``_reference_normal_block``, ``_reference_sample_density`` and
 ``_reference_k_statistics`` are the earlier sampler kernels: a chunk's normals
@@ -38,6 +39,7 @@ from conftest import (
     random_block_diagonal_model,
     random_model,
     random_partition,
+    record_block_factors,
     sampled_values,
     standard_normal_block,
     two_pass_batch,
@@ -85,9 +87,13 @@ def _loop_solve(L, b):
 
 def _coupling_matrix(model):
     """(G, W) from H = L_B^{-1} S: G = (L_B^{-T} H)^T, W = L_B^{-1} H^T, diagonal blocks zeroed."""
-    half = np.linalg.solve(model.block_factor, model.covariance)
-    w = np.linalg.solve(model.block_factor, half.T)
-    g = np.linalg.solve(model.block_factor.T, half).T
+    block_factor = np.zeros_like(model.covariance)
+    for n in range(model.partition.n_blocks):
+        sl = model.partition.block_slice(n)
+        block_factor[sl, sl] = np.linalg.cholesky(model.diagonal_block(n))
+    half = np.linalg.solve(block_factor, model.covariance)
+    w = np.linalg.solve(block_factor, half.T)
+    g = np.linalg.solve(block_factor.T, half).T
     for start, size in zip(model.partition.offsets, model.partition.block_sizes):
         g[start : start + size, start : start + size] = 0.0
         w[start : start + size, start : start + size] = 0.0
@@ -292,16 +298,16 @@ class TestFactorOnce:
     def test_model_carries_its_factors(self):
         rng = np.random.default_rng(1300)
         model = random_model(rng, d=7, sizes=[3, 1, 3])
-        L, L_B = model.factor, model.block_factor
+        L, diagonal = model.factor, model.block_factor_diagonal
         assert np.allclose(L @ L.T, model.covariance, rtol=0, atol=1e-12 * np.max(model.covariance))
+        assert diagonal.shape == (model.dimension,)
         for n in range(model.partition.n_blocks):
             sl = model.partition.block_slice(n)
             block = model.diagonal_block(n)
-            assert np.allclose(L_B[sl, sl] @ L_B[sl, sl].T, block, rtol=0, atol=1e-12 * np.max(block))
-            outside = np.ones(model.dimension, dtype=bool)
-            outside[sl] = False
-            assert not np.any(L_B[sl][:, outside])
-        assert not L.flags.writeable and not L_B.flags.writeable
+            # diag(L_n) of the block's own factor; the squares are its pivots, whose product is det(S_nn).
+            assert np.array_equal(diagonal[sl], np.diagonal(np.linalg.cholesky(block)))
+            assert np.prod(np.square(diagonal[sl])) == pytest.approx(np.linalg.det(block), rel=1e-12)
+        assert not L.flags.writeable and not diagonal.flags.writeable
 
     def test_analyses_never_refactor(self, monkeypatch):
         rng = np.random.default_rng(1301)
@@ -459,21 +465,28 @@ class TestBlockStructuredCoupling:
         assert np.max(np.abs(lam - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("kind", sorted(PARTITIONS))
-    def test_block_factor_as_per_block_cholesky(self, kind):
+    def test_block_factor_as_per_block_cholesky(self, kind, monkeypatch):
+        # The per-size stacks that compute_gamma receives, and the model's diag(L_B).
+        received = record_block_factors(monkeypatch)
         sizes = self.PARTITIONS[kind]
         model = random_model(np.random.default_rng(1470), d=sum(sizes), sizes=sizes)
-        expected = np.zeros_like(model.covariance)
+        expected = {}
         for n in range(model.partition.n_blocks):
             sl = model.partition.block_slice(n)
-            expected[sl, sl] = cholesky_lower(model.covariance[sl, sl])
-        assert np.array_equal(model.block_factor, expected)
+            expected.setdefault(sizes[n], []).append(cholesky_lower(model.covariance[sl, sl]))
+        (factors,) = received
+        assert sorted(factors) == sorted(expected)
+        for b, stack in factors.items():
+            assert np.array_equal(stack, np.array(expected[b])), b
+        diagonal = [np.diagonal(expected[b][sizes[:n].count(b)]) for n, b in enumerate(sizes)]
+        assert np.array_equal(model.block_factor_diagonal, np.concatenate(diagonal))
 
     def test_scalar_factors_as_one_by_one_cholesky(self):
         tiny = np.finfo(float).tiny
         variances = [1.0, 2.0, 1e-300, 5e-324, tiny, 1e300, 3.7]
         model = validate_model(None, np.diag(variances), [1] * len(variances))
         factors = [cholesky_lower(np.array([[v]]))[0, 0] for v in variances]
-        assert np.array_equal(model.block_factor, np.diag(factors))
+        assert np.array_equal(model.block_factor_diagonal, factors)
 
     def test_eigvalsh_matches_numpy(self):
         # The symmetric solver's spectrum of W - I against the general solver on G itself.

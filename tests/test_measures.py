@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +133,18 @@ class TestDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             density_at(scalar_pair_model(0.2), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("density", [density_at, density_at_direct])
+    @pytest.mark.parametrize(
+        "point, d, shape",
+        [([[1.0, 2.0], [3.0, 4.0]], 4, "(2, 2)"), ([[1.0], [2.0]], 2, "(2, 1)"), (1.0, 2, "()")],
+        ids=["2x2 on d=4", "2x1 on d=2", "scalar on d=2"],
+    )
+    def test_point_of_another_shape_rejected(self, density, point, d, shape):
+        # Only shape (d,) is a point: the entries of a 2 x 2 or 2 x 1 array are not read as a flat one.
+        model = validate_model(None, np.eye(d) + 0.25, [1] * d)
+        with pytest.raises(DimensionMismatch, match=rf"^point has shape {re.escape(shape)}, model dimension is {d}$"):
+            density(model, point)
 
 
 class TestCgfDomain:

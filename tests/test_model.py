@@ -12,6 +12,7 @@ from conftest import (
     phi_from_definition,
     random_block_diagonal_model,
     random_model,
+    record_block_factors,
     scalar_pair_model,
 )
 
@@ -177,7 +178,7 @@ class TestValidateModel:
         expected = validate_model(None, cov, [50] * 4)
         model = validate_model(None, np.asfortranarray(cov), [50] * 4)
         assert model.covariance.flags.c_contiguous
-        for name in ("covariance", "factor", "block_factor", "gamma", "gamma_eigenvalues"):
+        for name in ("covariance", "factor", "block_factor_diagonal", "gamma", "gamma_eigenvalues"):
             assert np.array_equal(getattr(model, name), getattr(expected, name)), name
 
     def test_default_mean_is_zero(self):
@@ -191,7 +192,7 @@ class TestValidateModel:
         assert mean.flags.writeable and cov.flags.writeable
         assert not np.shares_memory(model.mean, mean) and not np.shares_memory(model.covariance, cov)
         arrays = [f.name for f in dataclasses.fields(model) if isinstance(getattr(model, f.name), np.ndarray)]
-        assert arrays == ["mean", "covariance", "factor", "block_factor", "gamma", "gamma_eigenvalues"]
+        assert arrays == ["mean", "covariance", "factor", "block_factor_diagonal", "gamma", "gamma_eigenvalues"]
         for name in arrays:
             assert not getattr(model, name).flags.writeable, name
 
@@ -242,15 +243,20 @@ class TestValidateModel:
     def test_failed_scalar_block_goes_through_cholesky(self, monkeypatch):
         cov = np.eye(5) + 0.1 * np.arange(1, 6)[:, None] * np.arange(1, 6) / 5
         reference = validate_model(None, cov, [1, 2, 1, 1])
+        received = record_block_factors(monkeypatch)
         self._stacks_fail(monkeypatch, {1})
         factored = self._spied_cholesky(monkeypatch)
         model = validate_model(None, cov, [1, 2, 1, 1])
         # The size-1 blocks, in block order; the 2 x 2 block's stack passed.
         assert factored == ["covariance", "diagonal block 0", "diagonal block 2", "diagonal block 3"]
-        assert np.array_equal(model.block_factor, reference.block_factor)
-        for n in range(4):
-            sl = model.partition.block_slice(n)
-            assert np.array_equal(model.block_factor[sl, sl], np.linalg.cholesky(model.diagonal_block(n)))
+        assert np.array_equal(model.block_factor_diagonal, reference.block_factor_diagonal)
+        assert np.array_equal(model.gamma, reference.gamma)
+        # Each re-factored block went back into its stack, with the bits of one potrf per block.
+        (factors,) = received
+        assert sorted(factors) == [1, 2]
+        for b, blocks in ((1, [0, 2, 3]), (2, [1])):
+            expected = [np.linalg.cholesky(model.diagonal_block(n)) for n in blocks]
+            assert np.array_equal(factors[b], np.array(expected)), b
 
     def test_first_failing_block_named_across_sizes(self, monkeypatch):
         # Blocks 0 (size 3) and 1 (size 1) of [3, 1, 2, 1] are not positive
@@ -476,3 +482,33 @@ class TestNonFinitePoint:
                 density(model, [math.inf, 0.0])
             with pytest.raises(NonFiniteInput):
                 density(model, [0.0, math.nan])
+
+
+class TestValidationMemory:
+    """What a validated model keeps and what validation peaks at, by ``tracemalloc``.
+
+    The model keeps S, L and G, 3 d^2 doubles, plus O(d): the mean, diag(L_B),
+    the spectrum and the partition; no d x d block-diagonal factor. At these
+    two shapes validation peaks under 6.4 d^2 doubles (5.8 and 6.0
+    measured). Two very unequal blocks peak higher, near 8 d^2 at 1 + 199,
+    since the larger block's factor, its inverse and their product strips
+    are each nearly d^2.
+    """
+
+    RETAINED_PER_D = 10
+    PEAK_D2 = 6.4
+
+    @pytest.mark.parametrize("sizes", [[50] * 4, [1] * 100], ids=["4x50", "100x1"])
+    def test_retained_and_peak_memory(self, sizes):
+        d = sum(sizes)
+        cov = random_model(np.random.default_rng(5), d=d, sizes=sizes).covariance.copy()
+        validate_model(None, cov, sizes)
+        tracemalloc.start()
+        try:
+            model = validate_model(None, cov, sizes)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.dimension == d
+        assert retained <= (3 * d * d + self.RETAINED_PER_D * d) * 8
+        assert peak < self.PEAK_D2 * d * d * 8

@@ -33,8 +33,8 @@ def mutate_gamma(monkeypatch, change, change_spectrum=lambda eigenvalues: eigenv
     """Make ``validate_model`` keep change(G) and change_spectrum of the spectrum computed from the true W."""
     original = model.compute_gamma
 
-    def mutated(covariance, block_factor, partition):
-        gamma, eigenvalues = original(covariance, block_factor, partition)
+    def mutated(covariance, factors, partition):
+        gamma, eigenvalues = original(covariance, factors, partition)
         return change(gamma), change_spectrum(eigenvalues)
 
     monkeypatch.setattr(model, "compute_gamma", mutated)
@@ -89,11 +89,12 @@ def test_scaled_spectrum_fails_every_spectrum_record(capsys, model_file, monkeyp
 def test_diagonal_block_factor_fails(capsys, model_file, monkeypatch):
     original = model.compute_gamma
 
-    def diagonal_second_block(covariance, block_factor, partition):
-        block_factor = block_factor.copy()
-        block = block_factor[2:5, 2:5]
+    def diagonal_second_block(covariance, factors, partition):
+        # Block 1 is the only block of size 3, so its factor is the first of that size's stack.
+        factors = {b: stack.copy() for b, stack in factors.items()}
+        block = factors[3][0]
         block[...] = np.diag(np.diag(block))
-        return original(covariance, block_factor, partition)
+        return original(covariance, factors, partition)
 
     monkeypatch.setattr(model, "compute_gamma", diagonal_second_block)
     # G and its spectrum agree with each other, but not with the log-determinants of the

@@ -58,7 +58,7 @@ class TestSampleDensity:
         assert np.max(np.abs(values)) < 1e-10
 
     # A kernel formed from the factors alone, L^T S_B^{-1} L - I, leaves rounding where K = 0.
-    # At d = 200, model.factor and model.block_factor also differ in their last bits.
+    # At d = 200, the factor of S and those of its diagonal blocks also differ in their last bits.
     @pytest.mark.parametrize("sizes", [[2, 3, 1], [50, 50, 50, 50]], ids=["2+3+1", "4x50"])
     def test_block_diagonal_sums_and_z_scores_exactly_zero(self, set_chunk_size, sizes):
         set_chunk_size(1000)
@@ -122,6 +122,28 @@ class TestSampleDensity:
     def test_thread_count_must_be_positive(self, threads):
         with pytest.raises(ValueError, match="threads"):
             sample_density(scalar_pair_model(0.5), 1000, seed=0, threads=threads)
+
+    def test_integral_counts_of_any_type_accepted(self):
+        # n, seed and threads by the package's integral rule: 2e4 is 20000, as cumulants reads its order.
+        model = scalar_pair_model(0.5)
+        batch = sample_density(model, 20_000, seed=7, threads=2)
+        report = mc_validate(model, 20_000, seed=7, threads=2)
+        for n, seed, threads in ((2e4, 7.0, 2.0), (np.int64(20_000), np.uint8(7), np.float32(2))):
+            assert sample_density(model, n, seed=seed, threads=threads) == batch
+            assert mc_validate(model, n, seed=seed, threads=threads) == report
+        assert type(batch.n) is int
+        assert [type(report[key]) for key in ("n", "seed", "threads")] == [int, int, int]
+
+    @pytest.mark.parametrize("function", [sample_density, mc_validate])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n", 2.5), ("n", True), ("n", "1000"), ("seed", 1.5), ("seed", False), ("threads", 2.5), ("threads", True)],
+    )
+    def test_non_integral_counts_rejected(self, function, name, value):
+        arguments = {"n": 1000, "seed": 0, "threads": 1, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$") as exc:
+            function(scalar_pair_model(0.5), **arguments)
+        assert not isinstance(exc.value, BatchTooSmall)
 
     def test_threads_capped_at_cpu_count(self, monkeypatch, set_chunk_size):
         # 10**9 draws are 15,259 chunks: uncapped, 100,000 threads would start
