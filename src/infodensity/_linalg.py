@@ -103,16 +103,18 @@ def _inverse_lower(L: np.ndarray) -> np.ndarray:
     the halves recurse and the corner is two matrix products, about 2 d^3 / 3
     flops in all. ``np.linalg.inv`` (LU of L, then d solves) takes four times
     that and at d = 250 ran 7.5 ms against 1 ms for the recursion (2 vCPUs).
+    A (count, d, d) stack is inverted matrix by matrix in the same calls, each
+    with the bits of its own 2-D inverse.
     """
-    d = L.shape[0]
+    d = L.shape[-1]
     if d <= _INVERSE_BASE:
         return np.tril(np.linalg.inv(L))
     h = d // 2
-    top, bottom = _inverse_lower(L[:h, :h]), _inverse_lower(L[h:, h:])
+    top, bottom = _inverse_lower(L[..., :h, :h]), _inverse_lower(L[..., h:, h:])
     inverse = np.zeros_like(L)
-    inverse[:h, :h] = top
-    inverse[h:, h:] = bottom
-    inverse[h:, :h] = -(bottom @ (L[h:, :h] @ top))
+    inverse[..., :h, :h] = top
+    inverse[..., h:, h:] = bottom
+    inverse[..., h:, :h] = -(bottom @ (L[..., h:, :h] @ top))
     return inverse
 
 

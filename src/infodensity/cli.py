@@ -49,7 +49,7 @@ from .homogeneous import (
 )
 from .loops import DEFAULT_LOOP_CAP, _loop_counts, trace_via_loops
 from .measures import _matrix_traces, cgf, cgf_domain, cumulants, multiinformation_from_gamma, variance
-from .model import _float_array, model_fingerprint, validate_model
+from .model import _float_array, _integral_at_least, model_fingerprint, validate_model
 from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
@@ -229,12 +229,14 @@ def _cmd_analyze(args):
     }
 
     if grid is not None:
-        values = cgf(model, grid)  # OutOfDomain -> exit 3
-        report["cgf_grid"] = {"t": grid.tolist(), "cgf": values.tolist()}
+        report["cgf_grid"] = {"t": grid.tolist(), "cgf": cgf(model, grid).tolist()}  # OutOfDomain -> exit 3
+    # mc_validate refuses too few draws before it samples. It runs ahead of the oracle's
+    # loops, so that the refusal comes before any loop is walked; its section still ends the report.
+    monte_carlo = None if args.mc_n is None else mc_validate(model, args.mc_n, args.mc_seed, threads=_usable_cpus())
     if loop_counts is not None:
         report["oracle"] = _oracle_section(model, loop_counts)
-    if args.mc_n is not None:
-        report["monte_carlo"] = mc_validate(model, args.mc_n, args.mc_seed, threads=_usable_cpus())
+    if monte_carlo is not None:
+        report["monte_carlo"] = monte_carlo
     return report
 
 
@@ -254,7 +256,8 @@ def _cmd_oracle_check(args):
 
 def _cmd_homogeneous(args):
     models = [HomogeneousModel(dimension=d, rho=args.rho) for d in args.d]
-    # Every dimension is validated, then held to the cap, before the first model is formed.
+    # Every dimension and the order are validated, and each d held to the cap, before the first model is formed.
+    _integral_at_least(args.max_l, 1, "order")
     for d in (hm.dimension for hm in models):
         if d * d > MAX_ARRAY_ENTRIES:
             raise MemoryError(

@@ -6,12 +6,13 @@ G = S * blockdiag(S_11..S_NN)^{-1} - I with exact-zero diagonal blocks, and
 its real spectrum; its off-diagonal block (m, n) is the regression
 coefficients C_{m|n} = S_mn S_nn^{-1}, which the package holds nowhere else.
 
-Validation factors the covariance and its diagonal blocks once, then forms G
-and its spectrum from those factors. The model carries the covariance's
-factor, the diagonal of the blocks' factors, G and the spectrum, and every
-analytic quantity reads them instead of factoring again; the blocks' factors
-themselves are freed once G is formed. All types are frozen dataclasses
-holding read-only arrays.
+Validation factors the covariance once, and ``compute_gamma`` factors the
+diagonal blocks once and forms G and its spectrum from those factors. The
+model carries the covariance's factor, the diagonal of the blocks' factors,
+G and the spectrum, and every analytic quantity reads them instead of
+factoring again; the blocks' factors themselves are freed once inverted,
+before G is formed. All types are frozen dataclasses holding read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     not a number, or an int beyond the double range, raises ValueError. The
     model holds copies of the inputs; the caller's arrays are left as they
     are. Positive definiteness is established by Cholesky pivots both for
-    the full matrix and for every diagonal block; the model keeps those
+    the full matrix and for every diagonal block (``compute_gamma``); the
+    model keeps the full matrix's factor, the diagonal of the blocks'
     factors, and the coupling matrix and its spectrum formed from them. A
     computed spectrum with an eigenvalue at or below -1 raises
     EigenvalueOutOfRange.
@@ -202,29 +204,7 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     del differs
 
     factor = cholesky_lower(cov, what="covariance")
-    # The diagonal blocks of each size are factored as one stack, which gives
-    # the bits of one potrf per block, and then every pivot is checked at once
-    # by cholesky_lower's rule on diag(L_B). A block whose stack failed (its
-    # factor is left zero) or whose pivot fails goes through that function in
-    # block order, so the first failing block raises its error, named by
-    # ``what``, and its factor goes back into its stack. A covariance that
-    # passes its own check passes every block's, which is asserted
-    # independently.
-    sizes, offsets = np.array(partition.block_sizes), np.array(partition.offsets)
-    factors, block_diagonal = {}, np.empty(d)
-    for b in sorted(set(partition.block_sizes)):
-        index = offsets[sizes == b, None] + np.arange(b)
-        try:
-            factors[b] = np.linalg.cholesky(cov[index[:, :, None], index[:, None, :]])
-        except np.linalg.LinAlgError:
-            factors[b] = np.zeros((len(index), b, b))
-        block_diagonal[index] = np.diagonal(factors[b], axis1=1, axis2=2)
-    passed = np.square(block_diagonal) > _pivot_thresholds(np.diagonal(cov), np.repeat(sizes, sizes))
-    for n in np.flatnonzero(~np.logical_and.reduceat(passed, partition.offsets)):
-        sl, block = partition.block_slice(n), factors[sizes[n]][np.count_nonzero(sizes[:n] == sizes[n])]
-        block[...] = cholesky_lower(cov[sl, sl], what=f"diagonal block {n}")
-        block_diagonal[sl] = np.diagonal(block)
-    gamma, eigenvalues = compute_gamma(cov, factors, partition)
+    gamma, eigenvalues, block_diagonal = compute_gamma(cov, partition)
     # Every eigenvalue exceeds -1 in exact arithmetic, but a covariance this
     # close to singular can round the smallest to -1 or below.
     if not 1.0 + eigenvalues[0] > 0.0:
@@ -243,57 +223,80 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     )
 
 
-def compute_gamma(covariance: np.ndarray, factors: dict[int, np.ndarray], partition: Partition):
-    """G = S blockdiag(S_nn)^{-1} - I and its ascending spectrum, as ``(G, eigenvalues)``.
+def compute_gamma(covariance: np.ndarray, partition: Partition):
+    """G = S blockdiag(S_nn)^{-1} - I, its ascending spectrum and diag(L_B), as ``(G, eigenvalues, diagonal)``.
 
-    ``factors`` maps each block size b to the (count, b, b) stack of the
-    lower Cholesky factors L_n of the diagonal blocks of that size, in block
-    order, as ``validate_model`` factors them; no block-diagonal L_B is
-    formed. Block by block, with H = L_B^{-1} S: G's block column n is
-    (L_n^{-T} H_n)^T for the row strip H_n of block n (block (m, n)
-    regresses m on n), and the spectrum is that of W - I, W = H L_B^{-T}
-    real-symmetric and similar to G + I. A size-1 block is a scaling: its
-    column of G is divided by s_jj, its row of H and column of W by its
-    factor sqrt(s_jj). A larger block inverts its factor once and forms its
-    b x d strips by products with that inverse. Diagonal blocks of G and
-    W - I are exact zeros, so tr G = 0 exactly. The size-1 scaling stays
-    beside the strips, although validation factors the blocks as one stack
-    per size: forming G by block size too made ``validate_model`` slower
-    (medians 1.45 against 1.22 ms at 100 scalar blocks, 213 against 182 ms
-    at 1000; 2-vCPU x86, one BLAS thread) and moved G's last bits. The
-    scalings span the whole matrix when some block has size 1 and are
-    skipped when none has: scaling only the slices of each run of size-1
-    blocks made this function slower where the runs are many (medians of 7,
-    4.07 against 3.45 ms at block sizes [1, 2, 1, 1, 3] x 20; same host).
+    The diagonal blocks S_n of each size are factored as one stack, which
+    gives the bits of one potrf per block, and then every pivot is checked
+    at once by ``cholesky_lower``'s rule on diag(L_B), the diagonal of the
+    block-diagonal L_B = blockdiag(L_1..L_N). A block whose stack failed (its
+    factor is left zero) or whose pivot fails goes through that function in
+    block order, so the first failing block raises its error, named by
+    ``what``, and its factor goes back into its stack. A covariance that
+    passes its own check, which ``validate_model`` makes first, passes every
+    block's; the blocks are checked all the same. Each size's stack of
+    factors is inverted in one call and freed before any d x d array is
+    formed; no L_B is formed.
+
+    Block by block, with H = L_B^{-1} S: G's block column n is (L_n^{-T} H_n)^T
+    for the row strip H_n of block n (block (m, n) regresses m on n), and the
+    spectrum is that of W - I, W = H L_B^{-T} real-symmetric and similar to
+    G + I. A size-1 block is a scaling: its column of G is divided by s_jj,
+    its row of H and column of W by its factor sqrt(s_jj), read from
+    diag(L_B). A larger block forms its b x d strips by products with its
+    factor's inverse, written into H, G and W in place, so that no strip is
+    held twice. Diagonal blocks of G and W - I are exact zeros, so
+    tr G = 0 exactly. The size-1 scaling stays beside the strips, although
+    the blocks are factored as one stack per size: forming G by block size
+    too made ``validate_model`` slower (medians 1.45 against 1.22 ms at 100
+    scalar blocks, 213 against 182 ms at 1000; 2-vCPU x86, one BLAS thread)
+    and moved G's last bits. The scalings span the whole matrix when some
+    block has size 1 and are skipped when none has: scaling only the slices
+    of each run of size-1 blocks made this function slower where the runs
+    are many (medians of 7, 4.07 against 3.45 ms at block sizes
+    [1, 2, 1, 1, 3] x 20; same host).
     """
     sizes, offsets = np.array(partition.block_sizes), np.array(partition.offsets)
+    factors, diagonal = {}, np.empty(len(covariance))
+    for b in sorted(set(partition.block_sizes)):
+        index = offsets[sizes == b, None] + np.arange(b)
+        try:
+            factors[b] = np.linalg.cholesky(covariance[index[:, :, None], index[:, None, :]])
+        except np.linalg.LinAlgError:
+            factors[b] = np.zeros((len(index), b, b))
+        diagonal[index] = np.diagonal(factors[b], axis1=1, axis2=2)
+    passed = np.square(diagonal) > _pivot_thresholds(np.diagonal(covariance), np.repeat(sizes, sizes))
+    for n in np.flatnonzero(~np.logical_and.reduceat(passed, partition.offsets)):
+        sl, i = partition.block_slice(n), np.count_nonzero(sizes[:n] == sizes[n])
+        factors[sizes[n]][i] = cholesky_lower(covariance[sl, sl], what=f"diagonal block {n}")
+        diagonal[sl] = np.diagonal(factors[sizes[n]][i])
+    larger = [(slice(start, start + b), inverse) for b, stack in factors.items() if b > 1
+              for start, inverse in zip(offsets[sizes == b].tolist(), _inverse_lower(stack))]
+    del factors
     scalar = offsets[sizes == 1]
-    larger = [(slice(start, start + b), _inverse_lower(block)) for b, stack in factors.items() if b > 1
-              for start, block in zip(offsets[sizes == b].tolist(), stack)]
     # Scaling every row and column serves the size-1 blocks; the rows and
     # columns of the larger blocks are divided by 1, since their strips are
     # then overwritten by their products. With no size-1 block the strips
     # write every entry, so nothing is scaled.
     if scalar.size:
-        root = np.ones(len(covariance))
-        root[scalar] = factors[1].reshape(-1)
+        root = np.where(np.repeat(sizes, sizes) == 1, diagonal, 1.0)
         half = covariance / root[:, None]
         g = covariance / np.diagonal(covariance)
     else:
         half, g = np.empty_like(covariance), np.empty_like(covariance)
     for sl, inverse in larger:
-        half[sl] = inverse @ covariance[sl]
-        g[:, sl] = half[sl].T @ inverse
+        np.matmul(inverse, covariance[sl], out=half[sl])
+        np.matmul(half[sl].T, inverse, out=g[:, sl])
     w = half / root if scalar.size else np.empty_like(half)
     for sl, inverse in larger:
-        w[:, sl] = half[:, sl] @ inverse.T
+        np.matmul(half[:, sl], inverse.T, out=w[:, sl])
         w[sl, sl] = g[sl, sl] = 0.0
     w[scalar, scalar] = g[scalar, scalar] = 0.0
     del half
     # symmetrize(w) in place, so that no two temporaries of its size are held: (w / 2) + (w / 2).T has its bits.
     w /= 2.0
     w += w.T
-    return g, np.linalg.eigvalsh(w, UPLO="L")
+    return g, np.linalg.eigvalsh(w, UPLO="L"), diagonal
 
 
 def model_fingerprint(model: GaussianModel) -> str:

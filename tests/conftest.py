@@ -103,15 +103,18 @@ def count_loop_trace(monkeypatch):
 
 
 def record_block_factors(monkeypatch):
-    """Wrap ``compute_gamma`` for the test; the returned list gets a copy of each call's per-size factor stacks."""
+    """Wrap ``compute_gamma``'s inverse for the test; the returned list gets a copy of each stack it inverts.
+
+    Those are the (count, b, b) stacks of the factors of the diagonal blocks of each size b > 1, in block order.
+    """
     received = []
-    original = infodensity.model.compute_gamma
+    original = infodensity.model._inverse_lower
 
-    def recorded(covariance, factors, partition):
-        received.append({b: stack.copy() for b, stack in factors.items()})
-        return original(covariance, factors, partition)
+    def recorded(stack):
+        received.append(stack.copy())
+        return original(stack)
 
-    monkeypatch.setattr(infodensity.model, "compute_gamma", recorded)
+    monkeypatch.setattr(infodensity.model, "_inverse_lower", recorded)
     return received
 
 

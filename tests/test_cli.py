@@ -210,6 +210,19 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["error"] == "BatchTooSmall"
 
+    def test_too_few_draws_refused_before_any_loop(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "eight.json"
+        model = random_model(np.random.default_rng(1620), d=16, sizes=[2] * 8)
+        path.write_text(json.dumps({"covariance": model.covariance.tolist(), "partition": [2] * 8}))
+        calls = count_loop_trace(monkeypatch)
+        code, out, err = run(capsys, ["analyze", str(path), "--oracle-max-l", "6", "--mc-n", "3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "BatchTooSmall",
+            "message": "need at least 4 draws for finite standard errors, got 3",
+        }
+        assert calls[0] == 0
+
     def test_grid_values_reported(self, capsys, scalar_pair_file):
         code, out, _ = run(capsys, ["analyze", scalar_pair_file, "--t-grid=-1:1:3"])
         report = json.loads(out)
@@ -700,6 +713,14 @@ class TestHomogeneous:
         gaps = [abs(r["standardized"] - 2.828427) for r in rows]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 0.01 * 2.828427
+
+    def test_max_l_below_one_refused_before_any_model(self, capsys, monkeypatch):
+        formed = []
+        monkeypatch.setattr(cli, "homogeneous_covariance", formed.append)
+        code, out, err = run(capsys, ["homogeneous", "--d", "1500", "--rho", "0.3", "--max-l", "0"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "order must be >= 1, got 0"}
+        assert formed == []
 
     def test_invalid_rho_exit_2(self, capsys):
         code, _, err = run(capsys, ["homogeneous", "--d", "3", "--rho", "-0.5"])

@@ -448,6 +448,22 @@ class TestCouplingOnce:
         assert calls[0] == 1
         assert lapack == {"cholesky": [(12, 12), (12, 1, 1)], "eigvalsh": [(12, 12)]}
 
+    def test_block_factors_inverted_one_stack_per_size(self, capsys, tmp_path, monkeypatch):
+        path = self._model_file(tmp_path, 32, sizes=[1, 2, 1, 1, 3] * 4)
+        inverted = []
+        inv = np.linalg.inv
+
+        def counting(a, *args, **kwargs):
+            inverted.append(np.shape(a))
+            return inv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        assert cli.main(["analyze", path, "--cumulants", "8", "--t-grid=-0.1:0.1:11"]) == 0
+        capsys.readouterr()
+        # The four blocks of size 2 and the four of size 3 are each one stack; the
+        # size-1 blocks are scalings and need no inverse.
+        assert inverted == [(4, 2, 2), (4, 3, 3)]
+
 
 class TestBlockStructuredCoupling:
     PARTITIONS = {"scalar": [1] * 30, "four-blocks": [6] * 4, "mixed": [1, 3, 1, 5, 2], "large": [130, 70]}
@@ -466,7 +482,7 @@ class TestBlockStructuredCoupling:
 
     @pytest.mark.parametrize("kind", sorted(PARTITIONS))
     def test_block_factor_as_per_block_cholesky(self, kind, monkeypatch):
-        # The per-size stacks that compute_gamma receives, and the model's diag(L_B).
+        # The per-size stacks that compute_gamma inverts, one per size above 1, and the model's diag(L_B).
         received = record_block_factors(monkeypatch)
         sizes = self.PARTITIONS[kind]
         model = random_model(np.random.default_rng(1470), d=sum(sizes), sizes=sizes)
@@ -474,12 +490,21 @@ class TestBlockStructuredCoupling:
         for n in range(model.partition.n_blocks):
             sl = model.partition.block_slice(n)
             expected.setdefault(sizes[n], []).append(cholesky_lower(model.covariance[sl, sl]))
-        (factors,) = received
-        assert sorted(factors) == sorted(expected)
-        for b, stack in factors.items():
-            assert np.array_equal(stack, np.array(expected[b])), b
+        assert [stack.shape[-1] for stack in received] == sorted(b for b in expected if b > 1)
+        for stack in received:
+            assert np.array_equal(stack, np.array(expected[stack.shape[-1]])), stack.shape
         diagonal = [np.diagonal(expected[b][sizes[:n].count(b)]) for n, b in enumerate(sizes)]
         assert np.array_equal(model.block_factor_diagonal, np.concatenate(diagonal))
+
+    @pytest.mark.parametrize("b", [2, 50, 100, 130])
+    def test_stacked_inverse_matches_each_block(self, b):
+        # b = 2 and 50 are inverted by LAPACK alone; 100 and 130 recurse through halves.
+        rng = np.random.default_rng(1490 + b)
+        stack = np.array([np.linalg.cholesky(_random_spd(rng, b)) for _ in range(3)])
+        inverses = _inverse_lower(stack)
+        assert inverses.shape == stack.shape
+        for inverse, factor in zip(inverses, stack):
+            assert np.array_equal(inverse, _inverse_lower(factor))
 
     def test_scalar_factors_as_one_by_one_cholesky(self):
         tiny = np.finfo(float).tiny

@@ -33,9 +33,9 @@ def mutate_gamma(monkeypatch, change, change_spectrum=lambda eigenvalues: eigenv
     """Make ``validate_model`` keep change(G) and change_spectrum of the spectrum computed from the true W."""
     original = model.compute_gamma
 
-    def mutated(covariance, factors, partition):
-        gamma, eigenvalues = original(covariance, factors, partition)
-        return change(gamma), change_spectrum(eigenvalues)
+    def mutated(covariance, partition):
+        gamma, eigenvalues, block_diagonal = original(covariance, partition)
+        return change(gamma), change_spectrum(eigenvalues), block_diagonal
 
     monkeypatch.setattr(model, "compute_gamma", mutated)
 
@@ -87,16 +87,16 @@ def test_scaled_spectrum_fails_every_spectrum_record(capsys, model_file, monkeyp
 
 
 def test_diagonal_block_factor_fails(capsys, model_file, monkeypatch):
-    original = model.compute_gamma
+    original = model._inverse_lower
 
-    def diagonal_second_block(covariance, factors, partition):
+    def diagonal_second_block(stack):
         # Block 1 is the only block of size 3, so its factor is the first of that size's stack.
-        factors = {b: stack.copy() for b, stack in factors.items()}
-        block = factors[3][0]
-        block[...] = np.diag(np.diag(block))
-        return original(covariance, factors, partition)
+        if stack.shape[-1] == 3:
+            stack = stack.copy()
+            stack[0] = np.diag(np.diag(stack[0]))
+        return original(stack)
 
-    monkeypatch.setattr(model, "compute_gamma", diagonal_second_block)
+    monkeypatch.setattr(model, "_inverse_lower", diagonal_second_block)
     # G and its spectrum agree with each other, but not with the log-determinants of the
     # true factors, which give the MI and the sampler's center.
     assert analyze(capsys, model_file) == (1, ["multiinformation_agreement", "monte_carlo"])
