@@ -36,8 +36,6 @@ from .measures import (
     cgf,
     cgf_domain,
     cumulants,
-    density_at,
-    density_at_direct,
     multiinformation,
     multiinformation_from_gamma,
     variance,
@@ -82,8 +80,6 @@ __all__ = [
     "cgf",
     "cgf_domain",
     "cumulants",
-    "density_at",
-    "density_at_direct",
     "homogeneous_covariance",
     "homogeneous_cumulant",
     "k_statistics",

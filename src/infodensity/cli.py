@@ -48,8 +48,16 @@ from .homogeneous import (
     standardized_cumulant,
 )
 from .loops import DEFAULT_LOOP_CAP, _loop_counts, trace_via_loops
-from .measures import _matrix_traces, cgf, cgf_domain, cumulants, multiinformation_from_gamma, variance
-from .model import _float_array, _integral_at_least, model_fingerprint, validate_model
+from .measures import (
+    _cumulant_order,
+    _matrix_traces,
+    cgf,
+    cgf_domain,
+    cumulants,
+    multiinformation_from_gamma,
+    variance,
+)
+from .model import _float_array, model_fingerprint, validate_model
 from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
@@ -256,8 +264,9 @@ def _cmd_oracle_check(args):
 
 def _cmd_homogeneous(args):
     models = [HomogeneousModel(dimension=d, rho=args.rho) for d in args.d]
-    # Every dimension and the order are validated, and each d held to the cap, before the first model is formed.
-    _integral_at_least(args.max_l, 1, "order")
+    # Every dimension and the order are validated, and the order and each d held to their caps,
+    # before the first model is formed.
+    _cumulant_order(args.max_l)
     for d in (hm.dimension for hm in models):
         if d * d > MAX_ARRAY_ENTRIES:
             raise MemoryError(

@@ -1,4 +1,4 @@
-"""Multiinformation, its density, the CGF with exact domain, and cumulants.
+"""Multiinformation, the CGF with exact domain, and cumulants of the density.
 
 For a partitioned Gaussian model the log-ratio of the joint density to the
 product of block marginals is
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _inverse_lower, cholesky_lower, logdet_from_lower
-from .errors import CumulantOverflow, DimensionMismatch, NonFiniteInput, OutOfDomain
+from ._linalg import logdet_from_lower
+from .errors import CumulantOverflow, OutOfDomain
 from .model import GaussianModel, _integral_at_least
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
@@ -88,49 +88,6 @@ def multiinformation_from_gamma(model: GaussianModel) -> float:
     return 0.0 - 0.5 * float(np.sum(np.log1p(model.gamma_eigenvalues)))
 
 
-def density_at(model: GaussianModel, x) -> float:
-    """Evaluate the multiinformation density at a point, in nats.
-
-    With P = S^{-1} G and S = L L^T, the quadratic form r^T P r is
-    (L^{-1} r) . (L^{-1} G r), so no d x d P is formed. G r is small when the
-    coupling is weak, so the form keeps its relative accuracy there, where
-    |L_B^{-1} r|^2 - |L^{-1} r|^2, equal in exact arithmetic, would cancel.
-    """
-    r = _point(model, x) - model.mean
-    inverse = _inverse_lower(model.factor)
-    return multiinformation(model) + 0.5 * float((inverse @ r) @ (inverse @ (model.gamma @ r)))
-
-
-def density_at_direct(model: GaussianModel, x) -> float:
-    """Same quantity from its definition, ln f(x) - sum_n ln f_n(x_n).
-
-    Independent of the quadratic-form path; used as its oracle.
-    """
-    x = _point(model, x)
-    total = _gaussian_logpdf(x, model.mean, model.covariance)
-    for n in range(model.partition.n_blocks):
-        sl = model.partition.block_slice(n)
-        total -= _gaussian_logpdf(x[sl], model.mean[sl], model.diagonal_block(n))
-    return total
-
-
-def _point(model: GaussianModel, x) -> np.ndarray:
-    """An evaluation point as an array of shape (d,); any other shape raises DimensionMismatch."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dimension,):
-        raise DimensionMismatch(f"point has shape {x.shape}, model dimension is {model.dimension}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("evaluation point must be finite (no NaN or inf)")
-    return x
-
-
-def _gaussian_logpdf(x, mean, cov) -> float:
-    L = cholesky_lower(cov)
-    y = _inverse_lower(L) @ (x - mean)
-    k = len(x)
-    return -0.5 * (k * math.log(2.0 * math.pi) + logdet_from_lower(L) + float(y @ y))
-
-
 def cgf_domain(model: GaussianModel) -> CgfDomain:
     """Exact maximal open interval where the CGF is finite.
 
@@ -184,17 +141,28 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True raises
     ValueError.
     """
+    order = _cumulant_order(order)
+    lam = model.gamma_eigenvalues
+    top, binary, e = _binary_scaled(lam)
+    unit = lam / top if top and order > _EXACT_FACTORIAL_MAX_ORDER else None
+    kappas = [_kappa_from_spectrum(binary, e, unit, top, l) if top else 0.0 for l in range(2, order + 1)]
+    return CumulantSequence(values=(multiinformation(model), *kappas))
+
+
+def _cumulant_order(order) -> int:
+    """``order`` as an int by ``_integral_at_least``'s rule, at least 1 and at most MAX_CUMULANT_ORDER.
+
+    An order above the cap raises CumulantOverflow with ``order``
+    MAX_CUMULANT_ORDER + 1; ``cumulants`` and the ``homogeneous`` subcommand
+    both refuse it here, before any work.
+    """
     order = _integral_at_least(order, 1, "order")
     if order > MAX_CUMULANT_ORDER:
         raise CumulantOverflow(
             MAX_CUMULANT_ORDER + 1,
             f"cumulant order {order} exceeds the cap of {MAX_CUMULANT_ORDER} (MAX_CUMULANT_ORDER)",
         )
-    lam = model.gamma_eigenvalues
-    top, binary, e = _binary_scaled(lam)
-    unit = lam / top if top and order > _EXACT_FACTORIAL_MAX_ORDER else None
-    kappas = [_kappa_from_spectrum(binary, e, unit, top, l) if top else 0.0 for l in range(2, order + 1)]
-    return CumulantSequence(values=(multiinformation(model), *kappas))
+    return order
 
 
 def _kappa_from_spectrum(binary: np.ndarray, e: int, unit: np.ndarray | None, top: float, l: int) -> float:

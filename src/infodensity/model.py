@@ -137,12 +137,6 @@ class GaussianModel:
     def dimension(self) -> int:
         return self.partition.dimension
 
-    def covariance_block(self, m: int, n: int) -> np.ndarray:
-        return self.covariance[self.partition.block_slice(m), self.partition.block_slice(n)]
-
-    def diagonal_block(self, n: int) -> np.ndarray:
-        return self.covariance_block(n, n)
-
 
 def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     """Validate raw inputs and return a symmetrized, PD-checked model.

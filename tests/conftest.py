@@ -1,4 +1,4 @@
-"""Shared seeded-model builders, closed forms and comparisons for the test suite."""
+"""Shared seeded-model builders, closed forms, oracles and comparisons for the test suite."""
 
 import math
 
@@ -11,6 +11,8 @@ from infodensity import (
     BadPartition,
     CgfDomain,
     CumulantSequence,
+    DimensionMismatch,
+    NonFiniteInput,
     OutOfDomain,
     cgf,
     cgf_domain,
@@ -19,7 +21,7 @@ from infodensity import (
     sampling,
     validate_model,
 )
-from infodensity._linalg import _inverse_lower
+from infodensity._linalg import _inverse_lower, cholesky_lower, logdet_from_lower
 from infodensity.model import _integral, _integral_at_least
 from infodensity.sampling import (
     SampleBatch,
@@ -166,12 +168,61 @@ def standard_normal_block(seed, chunk_index, count):
     return _normal_stream(seed, chunk_index).standard_normal(count)
 
 
+def diagonal_block(model, n):
+    """The diagonal block S_nn of the model's covariance."""
+    sl = model.partition.block_slice(n)
+    return model.covariance[sl, sl]
+
+
+def density_at(model, x):
+    """Evaluate the multiinformation density at a point, in nats.
+
+    With P = S^{-1} G and S = L L^T, the quadratic form r^T P r is
+    (L^{-1} r) . (L^{-1} G r), so no d x d P is formed. G r is small when the
+    coupling is weak, so the form keeps its relative accuracy there, where
+    |L_B^{-1} r|^2 - |L^{-1} r|^2, equal in exact arithmetic, would cancel.
+    """
+    r = _point(model, x) - model.mean
+    inverse = _inverse_lower(model.factor)
+    return multiinformation(model) + 0.5 * float((inverse @ r) @ (inverse @ (model.gamma @ r)))
+
+
+def density_at_direct(model, x):
+    """Same quantity from its definition, ln f(x) - sum_n ln f_n(x_n).
+
+    Independent of the quadratic-form path; used as its oracle.
+    """
+    x = _point(model, x)
+    total = _gaussian_logpdf(x, model.mean, model.covariance)
+    for n in range(model.partition.n_blocks):
+        sl = model.partition.block_slice(n)
+        total -= _gaussian_logpdf(x[sl], model.mean[sl], diagonal_block(model, n))
+    return total
+
+
+def _point(model, x):
+    """An evaluation point as an array of shape (d,); any other shape raises DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.dimension,):
+        raise DimensionMismatch(f"point has shape {x.shape}, model dimension is {model.dimension}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput("evaluation point must be finite (no NaN or inf)")
+    return x
+
+
+def _gaussian_logpdf(x, mean, cov):
+    L = cholesky_lower(cov)
+    y = _inverse_lower(L) @ (x - mean)
+    k = len(x)
+    return -0.5 * (k * math.log(2.0 * math.pi) + logdet_from_lower(L) + float(y @ y))
+
+
 def phi_from_definition(model):
     """P = blockdiag(S_nn)^{-1} - S^{-1}, the kernel of the density I + r^T P r / 2, by its definition."""
     block_diagonal = np.zeros_like(model.covariance)
     for n in range(model.partition.n_blocks):
         sl = model.partition.block_slice(n)
-        block_diagonal[sl, sl] = model.diagonal_block(n)
+        block_diagonal[sl, sl] = diagonal_block(model, n)
     return np.linalg.inv(block_diagonal) - np.linalg.inv(model.covariance)
 
 
@@ -182,7 +233,8 @@ def rel_close(a, b, tol):
 
 def regression_block(model, m, n):
     """C_{m|n} = S_mn S_nn^{-1} by numpy's solve of S_nn X = S_nm, apart from G and the model's factors."""
-    return np.linalg.solve(model.diagonal_block(n), model.covariance_block(n, m)).T
+    cross = model.covariance[model.partition.block_slice(n), model.partition.block_slice(m)]
+    return np.linalg.solve(diagonal_block(model, n), cross).T
 
 
 def canonical_correlations(model):
@@ -204,7 +256,7 @@ def canonical_correlations(model):
     if model.partition.n_blocks != 2:
         raise BadPartition(f"two-block analysis needs exactly 2 blocks, got {model.partition.n_blocks}")
     first, second = (model.partition.block_slice(n) for n in (0, 1))
-    factor_0, factor_1 = (np.linalg.cholesky(model.diagonal_block(n)) for n in (0, 1))
+    factor_0, factor_1 = (np.linalg.cholesky(diagonal_block(model, n)) for n in (0, 1))
     half = _inverse_lower(factor_1) @ model.covariance[second, first]
     whitened = _inverse_lower(factor_0) @ half.T
     values = tuple(float(s) ** 2 for s in np.linalg.svd(whitened, compute_uv=False))

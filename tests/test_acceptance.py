@@ -11,6 +11,7 @@ import numpy as np
 from conftest import (
     canonical_correlations,
     cgf_numeric_cumulants,
+    density_at,
     equicorrelation_gamma_power,
     random_block_diagonal_model,
     random_correlation_model,
@@ -27,7 +28,6 @@ from infodensity import (
     cgf,
     cgf_domain,
     cumulants,
-    density_at,
     homogeneous_covariance,
     homogeneous_cumulant,
     mc_validate,

@@ -25,8 +25,8 @@ QUEUED_FOR_REMOVAL = {
     "linalg.rel_close",
     "linalg.solve_pd_from_lower",
 }
-# cli.main is the root span of every op, reported as cli.self_s; no workload reaches the direct-density pair.
-UNLISTED = {"cli.main", "measures.density_at", "measures.density_at_direct"}
+# cli.main is the root span of every op, reported as cli.self_s.
+UNLISTED = {"cli.main"}
 
 
 def _public_functions():

@@ -462,7 +462,7 @@ class TestAnalyze:
 
     def test_peak_memory_at_4x50(self, capsys, tmp_path):
         # One op of the benchmark's shape. The file's bytes and the decoded lists (4 d^2 doubles)
-        # are dropped before validation, and the op then peaks near 8 d^2 doubles.
+        # are dropped before validation, and the op then peaks near 6.5 d^2 doubles (7.0 at 100 x 1).
         sizes = [50] * 4
         d = sum(sizes)
         path = tmp_path / "model.json"
@@ -720,6 +720,18 @@ class TestHomogeneous:
         code, out, err = run(capsys, ["homogeneous", "--d", "1500", "--rho", "0.3", "--max-l", "0"])
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "ValueError", "message": "order must be >= 1, got 0"}
+        assert formed == []
+
+    def test_max_l_over_cap_refused_before_any_model(self, capsys, monkeypatch):
+        formed = []
+        monkeypatch.setattr(cli, "homogeneous_covariance", formed.append)
+        code, out, err = run(capsys, ["homogeneous", "--d", "300", "--rho", "0.3", "--max-l", "100000"])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "CumulantOverflow",
+            "message": "cumulant order 100000 exceeds the cap of 10000 (MAX_CUMULANT_ORDER)",
+            "order": 10_001,
+        }
         assert formed == []
 
     def test_invalid_rho_exit_2(self, capsys):

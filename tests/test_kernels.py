@@ -35,6 +35,8 @@ from hypothesis import strategies as st
 from conftest import (
     DERANDOMIZED,
     correlation_model,
+    density_at,
+    diagonal_block,
     phi_from_definition,
     random_block_diagonal_model,
     random_model,
@@ -52,7 +54,6 @@ from infodensity import (
     cgf,
     cgf_domain,
     cumulants,
-    density_at,
     k_statistics,
     multiinformation,
     sample_density,
@@ -90,7 +91,7 @@ def _coupling_matrix(model):
     block_factor = np.zeros_like(model.covariance)
     for n in range(model.partition.n_blocks):
         sl = model.partition.block_slice(n)
-        block_factor[sl, sl] = np.linalg.cholesky(model.diagonal_block(n))
+        block_factor[sl, sl] = np.linalg.cholesky(diagonal_block(model, n))
     half = np.linalg.solve(block_factor, model.covariance)
     w = np.linalg.solve(block_factor, half.T)
     g = np.linalg.solve(block_factor.T, half).T
@@ -303,7 +304,7 @@ class TestFactorOnce:
         assert diagonal.shape == (model.dimension,)
         for n in range(model.partition.n_blocks):
             sl = model.partition.block_slice(n)
-            block = model.diagonal_block(n)
+            block = diagonal_block(model, n)
             # diag(L_n) of the block's own factor; the squares are its pivots, whose product is det(S_nn).
             assert np.array_equal(diagonal[sl], np.diagonal(np.linalg.cholesky(block)))
             assert np.prod(np.square(diagonal[sl])) == pytest.approx(np.linalg.det(block), rel=1e-12)
@@ -317,7 +318,9 @@ class TestFactorOnce:
             raise AssertionError("analysis re-factored a validated model")
 
         monkeypatch.setattr("infodensity.model.cholesky_lower", refuse)
-        monkeypatch.setattr("infodensity.measures.cholesky_lower", refuse)
+        # The measures module cannot factor or invert a model: it binds neither routine.
+        assert not hasattr(infodensity.measures, "cholesky_lower")
+        assert not hasattr(infodensity.measures, "_inverse_lower")
         multiinformation(model)
         variance(model)
         cumulants(model, 6)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import (
     DERANDOMIZED,
     cgf_numeric_cumulants,
+    density_at,
+    density_at_direct,
     random_block_diagonal_model,
     random_model,
     rel_close,
@@ -25,8 +27,6 @@ from infodensity import (
     cgf,
     cgf_domain,
     cumulants,
-    density_at,
-    density_at_direct,
     homogeneous_covariance,
     homogeneous_cumulant,
     multiinformation,
@@ -471,3 +471,61 @@ class TestTaylorConsistency:
         for t in (-0.9 / lam_abs, 0.9 / lam_abs):
             remainder = d * 0.9**31 / (62 * (1 - 0.9))
             assert abs(cgf(model, float(t)) - t * info - partial_sum(t, 30)) < remainder + 1e-8
+
+
+def precision_model(model):
+    """The zero-mean model of P = S^{-1}, with P from numpy's own factor of S, never the model's."""
+    inverse = np.linalg.inv(np.linalg.cholesky(model.covariance))
+    return validate_model(None, inverse.T @ inverse, model.partition.block_sizes)
+
+
+def duality_bound(d, value):
+    """64 d u max(1, |value|), with u = 2^-53 the unit roundoff."""
+    return 64 * d * 2.0**-53 * max(1.0, abs(value))
+
+
+def logdet(a):
+    return 2.0 * float(np.sum(np.log(np.diagonal(np.linalg.cholesky(a)))))
+
+
+class TestPrecisionDuality:
+    """The model of S against the model of its precision matrix P = S^{-1} (ROADMAP item 24).
+
+    P's model is validated on its own, so validation, G, the spectrum and the
+    density run on a matrix that shares no arithmetic with S's: a defect must
+    hit both the same way to hide. For two blocks the duality leaves the
+    density unchanged, and for any number of blocks I(P) is the dual total
+    correlation of S (Han 1978).
+    """
+
+    @pytest.mark.parametrize("sizes, seed", [([3, 5], 2400), ([1, 1], 2401)])
+    def test_two_blocks_are_self_dual(self, sizes, seed):
+        # I(P) = I(S), the spectra agree, and iota_S(x) = 2I - iota_P(P(x - mu)).
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, sum(sizes), sizes)
+        dual = precision_model(model)
+        d, info = model.dimension, multiinformation(model)
+        assert abs(multiinformation(dual) - info) <= duality_bound(d, info)
+        lam = model.gamma_eigenvalues
+        assert np.max(np.abs(dual.gamma_eigenvalues - lam)) <= duality_bound(d, np.max(np.abs(lam)))
+        for x in model.mean + rng.standard_normal((5, d)):
+            value = density_at_direct(model, x)
+            mirrored = 2.0 * info - density_at_direct(dual, dual.covariance @ (x - model.mean))
+            assert abs(value - mirrored) <= duality_bound(d, value)
+
+    @pytest.mark.parametrize("sizes, seed", [([2, 3, 4], 2402), ([1] * 5, 2403), ([10, 20, 30, 40], 2404)])
+    def test_precision_multiinformation_is_dual_total_correlation(self, sizes, seed):
+        # H(X) - sum_n H(X_n | X_-n) = (ln|S| - sum_n ln|S_n|-n|) / 2, each conditional covariance
+        # S_nn - S_n,-n S_-n,-n^{-1} S_-n,n formed and factored on its own.
+        model = random_model(np.random.default_rng(seed), sum(sizes), sizes)
+        s = model.covariance
+        conditional = 0.0
+        for n in range(model.partition.n_blocks):
+            block = np.zeros(len(s), dtype=bool)
+            block[model.partition.block_slice(n)] = True
+            rest = s[~block][:, ~block]
+            cross = s[~block][:, block]
+            conditional += logdet(s[block][:, block] - cross.T @ np.linalg.solve(rest, cross))
+        dual_total_correlation = 0.5 * (logdet(s) - conditional)
+        value = multiinformation(precision_model(model))
+        assert abs(value - dual_total_correlation) <= duality_bound(model.dimension, dual_total_correlation)

@@ -9,6 +9,9 @@ import pytest
 
 from conftest import (
     correlation_model,
+    density_at,
+    density_at_direct,
+    diagonal_block,
     phi_from_definition,
     random_block_diagonal_model,
     random_model,
@@ -25,8 +28,6 @@ from infodensity import (
     NotSymmetric,
     Partition,
     cumulants,
-    density_at,
-    density_at_direct,
     model_fingerprint,
     multiinformation,
     validate_model,
@@ -254,10 +255,10 @@ class TestValidateModel:
         # Each re-factored block went back into its stack, whose diagonal the model keeps
         # and the size-1 scaling reads; the one stack inverted, the 2 x 2 block's, has the
         # bits of one potrf.
-        scalars = [np.linalg.cholesky(model.diagonal_block(n))[0, 0] for n in (0, 2, 3)]
+        scalars = [np.linalg.cholesky(diagonal_block(model, n))[0, 0] for n in (0, 2, 3)]
         assert np.array_equal(model.block_factor_diagonal[[0, 3, 4]], scalars)
         (stack,) = received
-        assert np.array_equal(stack, np.linalg.cholesky(model.diagonal_block(1))[None])
+        assert np.array_equal(stack, np.linalg.cholesky(diagonal_block(model, 1))[None])
 
     def test_first_failing_block_named_across_sizes(self, monkeypatch):
         # Blocks 0 (size 3) and 1 (size 1) of [3, 1, 2, 1] are not positive
@@ -350,7 +351,7 @@ class TestComputeGamma:
         diag = np.zeros((d, d))
         for n in range(model.partition.n_blocks):
             sl = model.partition.block_slice(n)
-            diag[sl, sl] = model.diagonal_block(n)
+            diag[sl, sl] = diagonal_block(model, n)
         direct = model.covariance @ np.linalg.inv(diag) - np.eye(d)
         scale = max(1.0, np.max(np.abs(direct)))
         assert np.max(np.abs(model.gamma - direct)) < 1e-10 * scale

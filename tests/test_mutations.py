@@ -11,9 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import density_at, density_at_direct, random_model
 
-from infodensity import CgfDomain, CumulantSequence, cli, model, sampling
+from infodensity import CgfDomain, CumulantSequence, cli, model, sampling, validate_model
 from infodensity._linalg import _inverse_lower
 
 SIZES = [2, 3, 4]
@@ -72,6 +72,21 @@ def test_transposed_gamma_fails_monte_carlo(capsys, model_file, monkeypatch):
     # does not change under transposition, so neither can the variance record: only the
     # sampler's kernel reads it.
     assert analyze(capsys, model_file) == (1, ["monte_carlo"])
+
+
+def test_transposed_gamma_fails_direct_density(monkeypatch):
+    # No report has a density record yet (ROADMAP item 2); this pins the detection that
+    # record will rely on. The clean pair is held to 1e-9, as in test_measures' TestDensity.
+    covariance = random_model(np.random.default_rng(31), sum(SIZES), SIZES).covariance
+    points = np.random.default_rng(32).standard_normal((5, sum(SIZES)))
+
+    def gaps():
+        m = validate_model(None, covariance, SIZES)
+        return [abs(density_at(m, x) - density_at_direct(m, x)) for x in points]
+
+    assert max(gaps()) <= 1e-9
+    mutate_gamma(monkeypatch, lambda gamma: gamma.T.copy())
+    assert min(gaps()) > 1e-9
 
 
 def test_variance_of_squares_fails(capsys, model_file, monkeypatch):

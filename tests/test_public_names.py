@@ -29,20 +29,14 @@ REMOVED = (
     "KStatistics",
     "canonical_correlations",
     "cgf_numeric_cumulants",
-)
-
-# Exports that only the tests call: the direct-density pair, kept for the
-# `analyze --verify` record planned in ROADMAP.md, which is to call both from
-# a report and so empty this set. The tests' other oracles live in conftest.
-UNUSED_UNTIL_VERIFY = {
     "density_at",
     "density_at_direct",
-}
+)
 
 
 def test_every_exported_name_resolves_once():
     names = infodensity.__all__
-    assert len(names) == len(set(names)) == 40
+    assert len(names) == len(set(names)) == 38
     for name in names:
         assert getattr(infodensity, name) is not None
 
@@ -74,7 +68,8 @@ def _package_uses():
 
 
 def test_every_export_used_by_the_package():
-    assert set(infodensity.__all__) - _package_uses() == UNUSED_UNTIL_VERIFY
+    # The tests' oracles live in conftest, so every export has a caller in the package.
+    assert set(infodensity.__all__) - _package_uses() == set()
 
 
 def _library_example():

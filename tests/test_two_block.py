@@ -71,7 +71,8 @@ class TestAsTwoBlock:
 
     def test_cross_blocks_are_transposes(self):
         model = random_model(np.random.default_rng(0), d=5, sizes=[2, 3])
-        assert np.array_equal(model.covariance_block(1, 0), model.covariance_block(0, 1).T)
+        first, second = (model.partition.block_slice(n) for n in (0, 1))
+        assert np.array_equal(model.covariance[second, first], model.covariance[first, second].T)
 
 
 class TestTwoBlockTrace:
