@@ -10,6 +10,7 @@ shares no linear algebra with it beyond the regression blocks themselves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -44,20 +45,24 @@ def loop_trace(closing: np.ndarray, walk: np.ndarray) -> float:
     to the root's. ``_loop_terms`` splits every loop at its last-but-one
     node: the closing is a two-arrow product, and at l = 2 the walk is the
     identity. The result is tr(closing @ walk), the trace of a square matrix
-    sized by the root block.
+    sized by the root block, taken as the dot product of closing.T with walk.
+    Any layout gives the same value; a C-ordered walk with a Fortran-ordered
+    closing, as ``_loop_terms`` passes them, is read without a copy.
     """
-    if closing.shape != walk.shape[::-1]:
+    transposed = closing.T
+    if transposed.shape != walk.shape:
         raise ValueError(f"closing block {closing.shape} does not close a walk of shape {walk.shape}")
-    return float(np.vdot(closing, walk.T))
+    return float(np.vdot(transposed, walk))
 
 
 def _walk_products(n_blocks: int, length: int) -> int:
     """Walk products ``_loop_terms`` forms at this length: n * sum_{k=1}^{l-2} (n-1)^k on n blocks.
 
-    Each root's depth-first walk forms one product for each of its (n-1)^k
-    paths of k arrows, k = 1..l-2. With two blocks that is 2 (l-2) products
-    against at most 2 loops, so ``_loop_counts`` holds these, not only the
-    loop count, to the cap.
+    Each root's depth-first walk forms one walk product for each of its
+    (n-1)^k paths of k arrows, k = 1..l-2, as a row block of the one product
+    that extends the path's parent along all its arrows. With two blocks that
+    is 2 (l-2) walks against at most 2 loops, so ``_loop_counts`` holds these,
+    not only the loop count, to the cap.
     """
     n, depth = n_blocks, length - 2
     if depth < 1:
@@ -67,46 +72,67 @@ def _walk_products(n_blocks: int, length: int) -> int:
     return n * ((n - 1) ** (depth + 1) - (n - 1)) // (n - 2)
 
 
-def _loop_terms(weights: list[list[np.ndarray]], length: int) -> Iterator[float]:
-    """Yield loop_trace of every rooted loop of length >= 2, depth-first in lexicographic node order.
+def _loop_terms(gamma: np.ndarray, spans: Sequence[tuple[int, int]], length: int) -> Iterator[list[float]]:
+    """Yield loop_trace of every rooted loop of length >= 2 in lists, depth-first in lexicographic node order.
 
-    ``weights[n][m]`` is the weight of the arrow m -> n. For each root, the
-    two-arrow closings n -> q -> root, weights[root][q] @ weights[q][n] for
-    every q other than n and the root, are formed once for each node n that
-    can be a loop's last-but-one node: the root itself at l = 2, every node
-    above (the root's closings go unused at l = 3). The depth-first walk
-    then stops at depth l-2. A stack entry (depth, node, parent, walk) stands for a path of
-    ``depth`` arrows from the root whose last arrow is parent -> node, and
-    holds the product along the path up to parent; the root's entry, at
-    depth 0, holds the identity. A node's walk is formed when its entry is
-    popped, once, and every loop below the node shares it, so the stack
-    holds at most l-1 walks and (l-2)(n-1) entries (one at l = 2). Each loop
-    is one call ``loop_trace(closing, walk)``, looked up as a module global
-    so a wrapper installed on the module sees each call; no two loops'
-    closings or walks are summed before their traces are taken.
+    ``spans`` holds each block's (offset, size) in ``gamma``, whose block
+    (n, m) is the weight of the arrow m -> n. Once per call, each node's
+    out-arrows, the blocks (q, node) for every q other than node, are stacked
+    by rows, so one product ``stacked[node] @ walk`` extends a walk to node
+    along every arrow out of it: the children's walks are its contiguous row
+    blocks. For each root, the two-arrow closings n -> q -> root are formed
+    by one product per q, for every end n at once. A stack entry (depth,
+    node, walk) stands for a path of ``depth`` arrows from the root to node
+    and holds the product along it; the root's entry, at depth 0, holds
+    None, and its children's walks are the rows of ``stacked[root]`` itself.
+    A node's product is formed when its entry is popped, once, and every
+    loop below the node shares it. The stack holds at most (l-3)(n-1)
+    entries, views into one product for each depth 1..l-4; a node at depth
+    l-3 closes all its children's loops at once, and yields their traces as
+    one list. So at most l-2 products are alive at once, the one formed last
+    and its predecessor at depth l-3 among them. At l = 2 each root yields its
+    loops, closed on the identity.
+    Each loop is still one call ``loop_trace(closing, walk)``, looked up as a
+    module global so a wrapper installed on the module sees each call; no
+    two loops' closings or walks are summed before their traces are taken.
+    Walks are C-ordered and closings Fortran-ordered, so neither operand of
+    ``loop_trace`` is copied.
     """
-    n_blocks = len(weights)
-    for root in range(n_blocks):
-        back = weights[root]
-        ends = [root] if length == 2 else range(n_blocks)
-        closings = {
-            n: [np.dot(back[q], weights[q][n]) for q in range(n_blocks) if q != n and q != root] for n in ends
-        }
-        # Walks are kept in Fortran order, so the walk.T that loop_trace takes
-        # is contiguous and np.vdot reads it without a copy. Products with the
-        # identity are exact.
-        stack = [(0, root, root, np.eye(back[root].shape[0], order="F"))]
+    stacked, children = [], []
+    for node, (start, size) in enumerate(spans):
+        column = gamma[:, start : start + size]
+        stacked.append(np.concatenate((column[:start], column[start + size :])))
+        # (q, the rows of block (q, node) in stacked[node]) for every child q.
+        rows = []
+        for q, (offset, height) in enumerate(spans):
+            if q != node:
+                offset -= size if q > node else 0
+                rows.append((q, slice(offset, offset + height)))
+        children.append(rows)
+    for root, (start, size) in enumerate(spans):
+        # closings[n] lists the products of blocks (root, q) and (q, n), in the order of q.
+        # One product for each q forms them for every n: its row block n is n's closing, transposed.
+        closings = [[] for _ in spans]
+        for q, (offset, height) in enumerate(spans):
+            if q != root:
+                back = gamma[start : start + size, offset : offset + height]
+                through = np.dot(gamma[offset : offset + height].T, back.T)
+                for n, (first, width) in enumerate(spans):
+                    if n != q:
+                        closings[n].append(through[first : first + width].T)
+        if length == 2:
+            identity = np.eye(size)
+            yield [loop_trace(closing, identity) for closing in closings[root]]
+            continue
+        stack = [(0, root, None)]
         while stack:
-            depth, node, parent, walk = stack.pop()
-            if depth:
-                walk = np.dot(walk.T, weights[node][parent].T).T
-            if depth == length - 2:
-                for closing in closings[node]:
-                    yield loop_trace(closing, walk)
-                continue
-            for q in range(n_blocks - 1, -1, -1):
-                if q != node:
-                    stack.append((depth + 1, q, node, walk))
+            depth, node, walk = stack.pop()
+            product = stacked[node] if walk is None else np.dot(stacked[node], walk)
+            walks = [(q, product[rows]) for q, rows in children[node]]
+            if depth == length - 3:
+                yield [loop_trace(closing, walk) for q, walk in walks for closing in closings[q]]
+            else:
+                stack.extend((depth + 1, q, walk) for q, walk in reversed(walks))
 
 
 def _loop_counts(n_blocks: int, lengths: Sequence[int]) -> list[int]:
@@ -144,18 +170,20 @@ def trace_via_loops(model: GaussianModel, length: int) -> float:
     The loop count, and then the number of walk products the enumeration
     forms, are held to ``DEFAULT_LOOP_CAP`` in closed form (``_loop_counts``)
     before any work: two blocks have at most 2 loops a length, but
-    2 (length-2) products. The loops are streamed from a depth-first walk that
-    forms each prefix product once and stops two arrows short of the root;
-    each loop is closed by one of the root's two-arrow products, formed once
-    per root.
-    Beyond one copy of the blocks of G, memory is O(length * b^2) for the
-    walks, for the largest block size b, plus the closings of one root, at
-    most (n-1)^2 blocks for n blocks: whatever the loop count. G^length is
-    never formed. The terms are summed with math.fsum, which is correctly
-    rounded, so the result does not depend on the enumeration order. Returns
-    0 for length 1 (no loops exist, matching the exact-zero trace). The
-    length is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True (which
-    equals 1) raises ValueError.
+    2 (length-2) products. The loops are streamed from a depth-first walk
+    (``_loop_terms``) that forms each prefix product once, all of a node's
+    children's walks in one product with its stacked out-arrows, and stops
+    two arrows short of the root; each loop is closed by one of the root's
+    two-arrow products, formed once per root, and costs one ``loop_trace``
+    call. In doubles, for d = sum(b_i), n blocks and b the root's size,
+    memory beyond G is d^2 - sum(b_i^2) for the stacked out-arrows, (n-1) d b
+    for one root's closings and (length-2)(d - min b_i) b for the walks,
+    whatever the loop count. G^length is never formed. Each node's terms come
+    as one list, and the lists are chained into one math.fsum, which is
+    correctly rounded, so the result does not depend on the enumeration
+    order. Returns 0 for length 1 (no loops exist, matching the exact-zero
+    trace). The length is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or
+    True (which equals 1) raises ValueError.
     """
     length = _integral_at_least(length, 1, "length")
     if length == 1:
@@ -163,8 +191,4 @@ def trace_via_loops(model: GaussianModel, length: int) -> float:
     partition = model.partition
     _loop_counts(partition.n_blocks, [length])
     spans = list(zip(partition.offsets, partition.block_sizes))
-    weights = [
-        [np.ascontiguousarray(model.gamma[row : row + height, col : col + width]) for col, width in spans]
-        for row, height in spans
-    ]
-    return math.fsum(_loop_terms(weights, length))
+    return math.fsum(itertools.chain.from_iterable(_loop_terms(model.gamma, spans, length)))

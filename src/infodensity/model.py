@@ -43,8 +43,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _float_array(value, name: str) -> np.ndarray:
     """A new C-ordered float copy of ``value``; what cannot be one raises ValueError.
 
+    numpy's float conversion reads booleans and numeric strings as numbers.
     An int beyond the double range, such as a JSON integer literal of 400
-    digits, is one. C order, so that the products forming G see one layout
+    digits, cannot be one. C order, so that the products forming G see one layout
     whatever the caller's.
     """
     try:
@@ -145,13 +146,16 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
     bound or the repair. Otherwise asymmetry with |s_ij - s_ji| <= 1e-8 *
     sqrt(|s_ii s_jj|) in every pair is repaired by averaging each entry that
     differs from its mirror with it, by halves; anything larger raises
-    NotSymmetric. Any NaN or inf raises NonFiniteInput, and an entry that is
-    not a number, or an int beyond the double range, raises ValueError. The
-    model holds copies of the inputs; the caller's arrays are left as they
-    are. Positive definiteness is established by Cholesky pivots both for
-    the full matrix and for every diagonal block (``compute_gamma``); the
-    model keeps the full matrix's factor, the diagonal of the blocks'
-    factors, and the coupling matrix and its spectrum formed from them. A
+    NotSymmetric. Entries are read by numpy's float conversion, so a boolean
+    reads as 1.0 or 0.0, a numeric string such as "1" or "1e-3" as its
+    value, and None as NaN. Any NaN or inf raises NonFiniteInput; an entry
+    that converts to no float, such as "x", or an int beyond the double
+    range, raises ValueError. The model holds copies of the inputs; the
+    caller's arrays are left as they are. Positive definiteness is
+    established by Cholesky pivots both for the full matrix and for every
+    diagonal block (``compute_gamma``); the model keeps the full matrix's
+    factor, the diagonal of the blocks' factors, and the coupling matrix and
+    its spectrum formed from them. A
     computed spectrum with an eigenvalue at or below -1 raises
     EigenvalueOutOfRange.
     """

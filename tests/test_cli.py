@@ -343,6 +343,21 @@ class TestAnalyze:
             "message": f"{key} must be an array of numbers: int too large to convert to float",
         }
 
+    def test_entries_read_by_numpy_float_conversion(self, capsys, tmp_path, scalar_pair_file):
+        # A numeric string and a boolean read as numbers; a string that is no number exits 2.
+        assert validate_model(None, [["1", 0.5], [0.5, 1]], [1, 1]).covariance.tolist() == [[1.0, 0.5], [0.5, 1.0]]
+        _, expected, _ = run(capsys, ["analyze", scalar_pair_file])
+        path = tmp_path / "entries.json"
+        path.write_text('{"covariance": [[true, 0.5], [0.5, true]], "partition": [1, 1]}')
+        assert run(capsys, ["analyze", str(path)]) == (0, expected, "")
+        path.write_text('{"covariance": [["x", 0.5], [0.5, 1]], "partition": [1, 1]}')
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert (code, out) == (2, "")
+        assert strict_loads(err) == {
+            "error": "ValueError",
+            "message": "covariance must be an array of numbers: could not convert string to float: 'x'",
+        }
+
     def test_non_vector_mean_exit_2(self, capsys, tmp_path):
         path = tmp_path / "mean.json"
         path.write_text(json.dumps({"mean": [[1, 2], [3, 4]], "covariance": np.eye(4).tolist(), "partition": [2, 2]}))
@@ -1017,13 +1032,29 @@ class TestBrokenPipe:
         ids=["homogeneous", "failing-simulate"],
     )
     def test_closed_stdout(self, scalar_pair_file, argv, code):
+        proc = self.run_into_closed_pipe([a.format(model=scalar_pair_file) for a in argv])
+        assert proc.returncode == code
+        assert proc.stderr == ""
+
+    def test_report_larger_than_the_pipe_buffer(self, tmp_path):
+        # The print itself, not the flush after it, meets the closed pipe.
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((20, 20))
+        path = tmp_path / "m20.json"
+        path.write_text(json.dumps({"covariance": (a @ a.T + 10 * np.eye(20)).tolist(), "partition": [5] * 4}))
+        proc = self.run_into_closed_pipe(["analyze", str(path), "--t-grid=-0.1:0.1:5000"])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    @staticmethod
+    def run_into_closed_pipe(argv):
+        """Run the CLI in a fresh process whose stdout is a pipe with its read end already closed."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(infodensity.__file__)))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-c", "import sys; from infodensity.cli import main; sys.exit(main())"]
-                + [a.format(model=scalar_pair_file) for a in argv],
+            return subprocess.run(
+                [sys.executable, "-c", "import sys; from infodensity.cli import main; sys.exit(main())", *argv],
                 env=dict(os.environ, PYTHONPATH=src),
                 stdout=write_end,
                 stderr=subprocess.PIPE,
@@ -1032,8 +1063,6 @@ class TestBrokenPipe:
             )
         finally:
             os.close(write_end)
-        assert proc.returncode == code
-        assert proc.stderr == ""
 
 
 def strict_loads(text):

@@ -70,6 +70,20 @@ def _closing_and_walk(nodes, model):
     return _block(model, nodes[0], nodes[-1]), _reference_walk(nodes, model, len(nodes) - 1)
 
 
+def _peak_bound(sizes, length):
+    """Bytes ``trace_via_loops`` may hold at once for loops of ``length`` on blocks of ``sizes``.
+
+    In doubles, for d = sum(sizes), n blocks and largest block b: the stacked
+    out-arrows, d^2 - sum(b_i^2); one root's closings, n-1 products of d x b;
+    and l-2 walk products of at most (d - min(sizes)) x b, one for each depth
+    below the root whose walk views the stack holds, plus the last one's
+    predecessor at the deepest depth. 64 KB more for the Python objects.
+    """
+    d, n, b = sum(sizes), len(sizes), max(sizes)
+    doubles = d * d - sum(s * s for s in sizes) + (n - 1) * d * b + (length - 2) * (d - min(sizes)) * b
+    return 8 * doubles + 64 * 1024
+
+
 class TestEnumerateLoops:
     def test_two_nodes_odd_length_empty(self):
         assert _enumerate_loops(2, 3) == []
@@ -136,6 +150,23 @@ class TestLoopTrace:
         model = random_model(np.random.default_rng(5), d=5, sizes=[2, 3])
         with pytest.raises(ValueError):
             loop_trace(_block(model, 0, 1), _block(model, 0, 1))
+
+    def test_value_independent_of_operand_layout(self):
+        rng = np.random.default_rng(12)
+        closing, walk = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+        expected = float(np.trace(closing @ walk))
+        # Strided views: every other row and column of arrays twice the size.
+        wide_closing, wide_walk = np.zeros((6, 4)), np.zeros((4, 6))
+        wide_closing[::2, ::2], wide_walk[::2, ::2] = closing, walk
+        for c in (closing, np.asfortranarray(closing), wide_closing[::2, ::2]):
+            for w in (walk, np.asfortranarray(walk), wide_walk[::2, ::2]):
+                assert abs(loop_trace(c, w) - expected) <= 1e-14 * np.abs(closing.T * walk).sum()
+
+    def test_transposed_walk_refused_with_both_shapes(self):
+        closing, walk = np.ones((3, 2)), np.ones((2, 3))
+        with pytest.raises(ValueError) as exc:
+            loop_trace(closing, walk.T)
+        assert str(exc.value) == "closing block (3, 2) does not close a walk of shape (3, 2)"
 
 
 class TestTraceViaLoops:
@@ -290,16 +321,18 @@ class TestStreaming:
             assert _walk_products(n_blocks, length) == expected
 
     def test_peak_memory_independent_of_loop_count(self):
-        # 16,800 loops at l = 5 and 117,656 at l = 6, under one bound.
-        model = random_model(np.random.default_rng(9), d=16, sizes=[2] * 8)
-        for length in (5, 6):
-            tracemalloc.start()
-            try:
-                trace_via_loops(model, length)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 256 * 1024
+        # 8 blocks of 2: 16,800 loops at l = 5 and 117,656 at l = 6, under one bound.
+        # 4 blocks of 50: 48 and 732 loops, held to the oracle's closed form.
+        for sizes in ([2] * 8, [50] * 4):
+            model = random_model(np.random.default_rng(9), d=sum(sizes), sizes=sizes)
+            for length in (5, 6):
+                tracemalloc.start()
+                try:
+                    trace_via_loops(model, length)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < _peak_bound(sizes, length)
 
 
 class TestPerRootConsistency:

@@ -491,6 +491,23 @@ class TestBlasHold:
         monkeypatch.setattr(_linalg, "_openblas_threads", lambda: None)
         assert sample_density(model, 5003, seed=6, threads=2) == reference
 
+    def test_openblas_not_found(self, monkeypatch):
+        # Neither directory can be listed; or a library is listed, but none loads with both symbols.
+        def unlisted(directory):
+            raise FileNotFoundError(directory)
+
+        def unloadable(path):
+            raise OSError(f"cannot load {path}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_linalg.os, "listdir", unlisted)
+            assert _linalg._openblas_threads.__wrapped__() is None
+        with monkeypatch.context() as patch:
+            patch.setattr(_linalg.os, "listdir", lambda directory: ["libscipy_openblas64_-0.so"])
+            for load in (unloadable, lambda path: object()):
+                patch.setattr(_linalg.ctypes, "CDLL", load)
+                assert _linalg._openblas_threads.__wrapped__() is None
+
 
 class TestKStatistics:
     def test_estimates_are_a_cumulant_sequence(self):
