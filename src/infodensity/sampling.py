@@ -14,16 +14,19 @@ a chunk tile by tile gives the same normals as one call. Every chunk but the
 last holds ``CHUNK_SIZE`` draws, so the draws are a function of (seed, n) and
 of numpy's ``Generator`` algorithms, which numpy may change between versions.
 
-Each chunk streams through its stream one row tile at a time (normals,
-kernel product, quadratic form in two tile-sized buffers), writes its
-centered values y and reduces them to the power sums of y, y^2, y^3 and
-y^4. The chunks' sums are added by ``math.fsum``, which is correctly rounded
-and so independent of the order of its terms: the result is bit-identical
-for a given (model, n, seed) whatever the thread count. No n-length array of
-draws is ever formed: what grows with n is only the queue of chunk indices
-the threads share, about 40 bytes per chunk (61 MB at n = 10**11). The sums are
-taken about the exact mean I, not about a sample mean, so they do not cancel
-the way raw sums of the density would when I is large against its spread.
+Each chunk streams through its stream one row tile of at most 2048 draws at
+a time: normals and kernel product in two 2048-row buffers, the centered
+values y of the quadratic form in a 2048-value buffer, which is reduced
+right there to the power sums of y, y^2, y^3 and y^4. Each thread adds its
+tiles' sums exactly, as integers in units of 2**-1074, and the threads'
+totals are added and rounded once at the end: each sum is the correctly
+rounded sum of every tile's sum, as ``math.fsum`` of them would give, so the
+result is bit-identical for a given (model, n, seed) whatever the thread
+count. Neither an n-length array nor anything per chunk is kept: the
+threads share one counter of chunk indices, so the sampler's memory does
+not depend on n or on ``CHUNK_SIZE``. The sums are taken about the exact
+mean I, not about a sample mean, so they do not cancel the way raw sums of
+the density would when I is large against its spread.
 The chunk products, like the set-up and the analytic core, run on numpy's
 OpenBLAS, the only BLAS build the package loads, so every BLAS call of a
 process shares one thread pool; while the chunk threads run, that pool is
@@ -38,7 +41,8 @@ exact sampling-variance formulas evaluated at the model's analytic cumulants.
 from __future__ import annotations
 
 import math
-from collections import deque
+import threading
+from collections.abc import Iterator
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -55,6 +59,8 @@ CHUNK_SIZE = 65536
 # fast as one chunk-wide product.
 _TILE_ROWS = 2048
 _MASK64 = (1 << 64) - 1
+# Every finite double is an integral multiple of 2**-1074, the least subnormal.
+_UNIT_EXPONENT = 1074
 # The calling thread waits for the chunk threads in timed waits of this many
 # seconds, so an interrupt that lands as a wait begins is acted on within one.
 _WAIT_SECONDS = 0.25
@@ -102,25 +108,26 @@ def _folded_kernel(model: GaussianModel) -> np.ndarray:
     return _inverse_lower(L) @ model.gamma @ L
 
 
-def _chunk_values(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) -> np.ndarray:
-    """z^T K z / 2 at chunk ``chunk_index``'s first ``rows`` draws, as a new array.
+def _chunk_tiles(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) -> Iterator[np.ndarray]:
+    """z^T K z / 2 at chunk ``chunk_index``'s first ``rows`` draws, yielded one tile of at most 2048 at a time.
 
-    The draws are made and mapped in row tiles of 2048 rows at every d. The
-    two tile buffers are freed on return, so a chunk holds its values and
-    then ``_moment_sums``' work buffer, never both with the tiles.
+    Each tile's normals are drawn and mapped into two 2048-row buffers, and
+    its values are written into one 2048-value buffer, which is what each
+    yield hands out: the next tile overwrites it, so a caller that keeps a
+    tile copies it. The three buffers are freed when the chunk ends.
     """
     stream = _normal_stream(seed, chunk_index)
-    out = np.empty(rows)
     z = np.empty((min(_TILE_ROWS, rows), kernel.shape[0]))
     zk = np.empty_like(z)
+    y = np.empty(len(z))
     for t in range(0, rows, _TILE_ROWS):
-        zt = z[: min(_TILE_ROWS, rows - t)]
-        zkt = zk[: len(zt)]
+        count = min(_TILE_ROWS, rows - t)
+        zt, zkt, yt = z[:count], zk[:count], y[:count]
         stream.standard_normal(out=zt)
         np.matmul(zt, kernel, out=zkt)
-        np.einsum("ij,ij->i", zkt, zt, out=out[t : t + len(zt)])
-    out *= 0.5
-    return out
+        np.einsum("ij,ij->i", zkt, zt, out=yt)
+        yt *= 0.5
+        yield yt
 
 
 def _moment_sums(y: np.ndarray) -> tuple[float, float, float, float]:
@@ -134,6 +141,28 @@ def _moment_sums(y: np.ndarray) -> tuple[float, float, float, float]:
     s3 = float(np.sum(np.multiply(squares, y, out=y)))
     s4 = float(np.sum(np.multiply(squares, squares, out=squares)))
     return s1, s2, s3, s4
+
+
+class _Chunks:
+    """The chunk indices 0..count-1, handed out in order until the last is taken or the run stops."""
+
+    def __init__(self, count: int):
+        self._lock = threading.Lock()
+        self._next = 0
+        self._count = count
+
+    def take(self) -> int | None:
+        """The next index not yet taken, or None once every index is taken or ``stop`` was called."""
+        with self._lock:
+            if self._next >= self._count:
+                return None
+            self._next += 1
+            return self._next - 1
+
+    def stop(self) -> None:
+        """Hand out no further index: every later ``take`` returns None."""
+        with self._lock:
+            self._next = self._count
 
 
 def sample_density(
@@ -151,36 +180,39 @@ def sample_density(
     factor (w = L z are the centered draws). K is used as formed: the form
     reads only its symmetric part. The density is I + y, so the
     returned batch holds, with ``center`` = I = ``multiinformation(model)``,
-    the sums of y^p for p = 1..4: each chunk's sums are added by
-    ``math.fsum``. The draws depend on (seed, n) and on numpy's ``Generator``
-    algorithms. ``threads`` is capped at the CPUs the process may run on (its
-    affinity set, else ``os.cpu_count()``, else 1) and at the number of
-    chunks, and every count runs on one thread pool: each of the W threads
-    that run takes the next chunk not yet started, in chunk order, so a fast
-    thread takes up what a slow one would have left. ``fsum`` is correctly
-    rounded, so neither the thread count nor the schedule changes the result.
-    For independent blocks K = 0, and every sum is 0.0.
+    the sums of y^p for p = 1..4. The draws depend on (seed, n) and on numpy's
+    ``Generator`` algorithms. ``threads`` is capped at the CPUs the process
+    may run on (its affinity set, else ``os.cpu_count()``, else 1) and at the
+    number of chunks, and every count runs on one thread pool: each of the W
+    threads that run takes the next chunk not yet started, in chunk order, so
+    a fast thread takes up what a slow one would have left.
 
     Each chunk draws and maps its normals in row tiles of 2048 rows at every
-    d. While the W threads run, numpy's OpenBLAS is held to at most
-    max(1, CPUs // W) threads, so BLAS threads do not compete with the
-    chunk threads for the CPUs; the count in effect before is restored on
+    d, and reduces each tile's values to their four power sums as soon as
+    they are formed. Each thread adds its tiles' sums exactly, as integers in
+    units of 2**-1074, and each of the batch's sums is the threads' totals
+    added and divided once by 2**1074, which Python rounds correctly: the
+    sum ``math.fsum`` would give over every tile's sum. So neither the thread
+    count nor the schedule changes the result. For independent blocks K = 0,
+    and every sum is 0.0. While the W threads run, numpy's OpenBLAS is held
+    to at most max(1, CPUs // W) threads, so BLAS threads do not compete with
+    the chunk threads for the CPUs; the count in effect before is restored on
     return, whatever ends the call.
 
-    The threads take the chunk indices from one queue, followed by one None
-    per thread, at which a thread ends. When a chunk raises, or the calling
-    thread leaves with an exception (KeyboardInterrupt included), one None
-    per thread goes to the front of the queue, so each thread ends after its
-    current chunk and takes no other index. The calling thread waits in
-    timed waits of 0.25 s, so an interrupt ends the call within the longer
-    of one chunk's work per thread (a few seconds at d = 1000) and one such
-    wait. Each chunk allocates its own buffers, so the run holds
-    threads * (524288 + max(524288, 32768 * d)) bytes: each thread's 65536
-    values, then either two 2048-row tiles or one work buffer. The queue
-    adds about 40 bytes per chunk, 0.6 MB at n = 10**9 and 61 MB at
-    n = 10**11. The d x d set-up reads L from ``model.factor``, inverts it once
-    and forms K = L^{-1} G L by two BLAS products, holding two d x d arrays
-    at a time, before the hold begins:
+    The threads take the chunk indices from one lock-guarded counter, and a
+    thread ends when the counter has none left. When a chunk raises, or the
+    calling thread leaves with an exception (KeyboardInterrupt included), the
+    counter is stopped, so each thread ends after its current chunk and takes
+    no other index. The calling thread waits in timed waits of 0.25 s, so an
+    interrupt ends the call within the longer of one chunk's work per thread
+    (a few seconds at d = 1000) and one such wait. Each chunk allocates its
+    own buffers, so the run holds threads * 32768 * (d + 1) bytes: per
+    thread two 2048-row tiles of normals and their product, the tile of
+    values and, while it is reduced, their squares. Nothing else grows with
+    n or with ``CHUNK_SIZE``: each thread keeps four integers. The d x d
+    set-up reads L from ``model.factor``, inverts it once and forms
+    K = L^{-1} G L by two BLAS products, holding two d x d arrays at a time
+    (K itself is kept until the threads end), before the hold begins:
     the hold's count follows ``threads``, and K's last bits can follow the
     BLAS thread count (1 and 2 threads gave different K at d = 300 on a
     2-vCPU x86 host), so inside the hold the result would depend on
@@ -196,17 +228,16 @@ def sample_density(
         raise BatchTooSmall(f"need at least 2 draws, got {n}")
     workers = _worker_count(threads, n)
     kernel = _folded_kernel(model)
-    n_chunks = -(-n // CHUNK_SIZE)
-    # One queue hands out, ends and stops the work (deque calls are thread-safe): a thread
-    # ends at its first None, and a stop puts one None per thread at the front.
-    chunks = deque(range(n_chunks))
-    chunks.extend([None] * workers)
+    chunks = _Chunks(-(-n // CHUNK_SIZE))
 
-    def summarize() -> list[tuple[float, float, float, float]]:
-        return [
-            _moment_sums(_chunk_values(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)))
-            for c in iter(chunks.popleft, None)
-        ]
+    def summarize() -> list[int]:
+        totals = [0, 0, 0, 0]  # in units of 2**-1074, so every addition is exact
+        for c in iter(chunks.take, None):
+            for y in _chunk_tiles(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)):
+                for p, s in enumerate(_moment_sums(y)):
+                    numerator, denominator = s.as_integer_ratio()
+                    totals[p] += numerator << (_UNIT_EXPONENT + 1 - denominator.bit_length())
+        return totals
 
     with _blas_threads_held(workers), ThreadPoolExecutor(max_workers=workers) as pool:
         try:
@@ -214,9 +245,10 @@ def sample_density(
             while pending and not any(future.exception() for future in futures if future.done()):
                 pending = wait(pending, timeout=_WAIT_SECONDS, return_when=FIRST_EXCEPTION).not_done
         finally:
-            chunks.extendleft([None] * workers)
-    sums = zip(*(chunk for future in futures for chunk in future.result()))
-    return SampleBatch(n, multiinformation(model), *map(math.fsum, sums))
+            chunks.stop()
+    # int / int is correctly rounded: each sum is rounded once, from the exact total.
+    sums = (sum(column) / (1 << _UNIT_EXPONENT) for column in zip(*(future.result() for future in futures)))
+    return SampleBatch(n, multiinformation(model), *sums)
 
 
 def k_statistics(batch: SampleBatch) -> CumulantSequence:
@@ -255,9 +287,11 @@ def kstat_sampling_variances(kappa: CumulantSequence, n: int) -> tuple[float, fl
     """Sampling variances of k_1..k_4 given the true cumulants ``kappa`` of order >= 8.
 
     The classical finite-sample formulas, read from kappa_2..kappa_8 (kappa_1
-    and kappa_7 do not enter); a shorter sequence raises IndexError. They
-    divide by n - 3, so fewer than 4 draws raise ``BatchTooSmall``.
+    and kappa_7 do not enter); a shorter sequence raises IndexError. ``n`` is
+    integral by ``Partition``'s rule, as ``sample_density`` reads it. The
+    formulas divide by n - 3, so fewer than 4 draws raise ``BatchTooSmall``.
     """
+    n = _integral_at_least(n, -math.inf, "n")
     if n < 4:
         raise BatchTooSmall(f"need at least 4 draws, got {n}")
     nf = float(n)
@@ -312,14 +346,18 @@ def mc_validate(
     ``corrupt_order`` shifts one analytic value by 25 standard errors; it
     exists only so a harness can verify that the check actually fails when
     the analytic side is wrong, so an order outside 1..max_order, which
-    would shift nothing, raises ValueError. ``n``, ``seed`` and ``threads``
-    are read as ``sample_density`` reads them, and fewer than 4 draws raise
-    ``BatchTooSmall``.
+    would shift nothing, raises ValueError. ``max_order``, ``corrupt_order``
+    (when given), ``n``, ``seed`` and ``threads`` are integral by the rule
+    ``sample_density`` reads its counts by: 2.0 is 2; 2.5 or True raises
+    ValueError. Fewer than 4 draws raise ``BatchTooSmall``.
     """
+    max_order = _integral_at_least(max_order, -math.inf, "max_order")
     if not 1 <= max_order <= 4:
         raise ValueError(f"max_order must be in 1..4, got {max_order}")
-    if corrupt_order is not None and not 1 <= corrupt_order <= max_order:
-        raise ValueError(f"corrupt_order must be in 1..max_order = {max_order}, got {corrupt_order}")
+    if corrupt_order is not None:
+        corrupt_order = _integral_at_least(corrupt_order, -math.inf, "corrupt_order")
+        if not 1 <= corrupt_order <= max_order:
+            raise ValueError(f"corrupt_order must be in 1..max_order = {max_order}, got {corrupt_order}")
     n, seed = _integral_at_least(n, -math.inf, "n"), _integral_at_least(seed, -math.inf, "seed")
     if n < 4:
         raise BatchTooSmall(f"need at least 4 draws for finite standard errors, got {n}")

@@ -25,7 +25,7 @@ from infodensity._linalg import _inverse_lower, cholesky_lower, logdet_from_lowe
 from infodensity.model import _integral, _integral_at_least
 from infodensity.sampling import (
     SampleBatch,
-    _chunk_values,
+    _chunk_tiles,
     _folded_kernel,
     _moment_sums,
     _normal_stream,
@@ -136,20 +136,24 @@ def set_chunk_size(monkeypatch):
     return lambda size: monkeypatch.setattr(sampling, "CHUNK_SIZE", size)
 
 
-def sampled_values(model, n, seed):
-    """The n density values I + y, in chunk order, whose parts y ``sample_density`` summarizes.
+def sampled_tiles(model, n, seed):
+    """Copies of the tiles of values y, in chunk and tile order, that ``sample_density`` reduces to its sums.
 
-    ``sample_density`` keeps no draws; this concatenates the per-chunk
-    function its threads call, over chunks of ``sampling.CHUNK_SIZE``, and
-    adds the multiinformation I.
+    ``sample_density`` keeps no draws; this runs the per-chunk generator its
+    threads run, over chunks of ``sampling.CHUNK_SIZE``.
     """
     kernel = _folded_kernel(model)
-    info = multiinformation(model)
     chunk_size = sampling.CHUNK_SIZE
-    chunks = range(-(-n // chunk_size))
-    return np.concatenate(
-        [_chunk_values(kernel, seed, c, min(chunk_size, n - c * chunk_size)) for c in chunks]
-    ) + info
+    return [
+        tile.copy()
+        for c in range(-(-n // chunk_size))
+        for tile in _chunk_tiles(kernel, seed, c, min(chunk_size, n - c * chunk_size))
+    ]
+
+
+def sampled_values(model, n, seed):
+    """The n density values I + y, in chunk order: the tiles of ``sampled_tiles`` plus the multiinformation I."""
+    return np.concatenate(sampled_tiles(model, n, seed)) + multiinformation(model)
 
 
 def two_pass_batch(values):

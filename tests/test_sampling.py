@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ from conftest import (
     DERANDOMIZED,
     random_block_diagonal_model,
     random_model,
+    sampled_tiles,
     sampled_values,
     scalar_pair_model,
     standard_normal_block,
@@ -32,11 +32,20 @@ from infodensity import (
     k_statistics,
     kstat_sampling_variances,
     mc_validate,
+    multiinformation,
     sample_density,
     validate_model,
 )
 from infodensity import _linalg, sampling
 from infodensity.sampling import SampleBatch, _moment_sums
+
+
+def sampler_bytes(threads, d):
+    """The sampler's closed-form memory less the d x d set-up: per thread, two 2048 x d tiles and two of 2048 values.
+
+    The value tiles hold y and, while a tile is reduced, its squares.
+    """
+    return threads * 8 * 2048 * (2 * d + 2)
 
 
 def _exact_k_statistics(x):
@@ -82,13 +91,13 @@ class TestSampleDensity:
         if delay_seed is not None:
             # A seeded delay of 0-2 ms before each chunk varies which thread takes which chunk.
             delays = np.random.default_rng(delay_seed).uniform(0.0, 0.002, size=8)
-            chunk_values = sampling._chunk_values
+            chunk_tiles = sampling._chunk_tiles
 
             def delayed(kernel, seed, chunk_index, rows):
                 time.sleep(delays[chunk_index])
-                return chunk_values(kernel, seed, chunk_index, rows)
+                return chunk_tiles(kernel, seed, chunk_index, rows)
 
-            monkeypatch.setattr(sampling, "_chunk_values", delayed)
+            monkeypatch.setattr(sampling, "_chunk_tiles", delayed)
         model = scalar_pair_model(0.5)
         one = sample_density(model, 200_000, seed=11, threads=1)
         for threads in (2, 4):
@@ -133,6 +142,18 @@ class TestSampleDensity:
             assert mc_validate(model, n, seed=seed, threads=threads) == report
         assert type(batch.n) is int
         assert [type(report[key]) for key in ("n", "seed", "threads")] == [int, int, int]
+        # max_order and corrupt_order by the same rule: 2.0 is 2.
+        corrupted = mc_validate(model, 20_000, seed=7, max_order=2, corrupt_order=2)
+        assert mc_validate(model, 20_000, seed=7, max_order=2.0, corrupt_order=np.float64(2)) == corrupted
+        assert type(corrupted["max_order"]) is int
+
+    @pytest.mark.parametrize(
+        "name, value", [("max_order", True), ("max_order", 2.5), ("corrupt_order", True), ("corrupt_order", 1.5)]
+    )
+    def test_non_integral_orders_rejected(self, name, value):
+        # Read as an int, max_order=True would run order 1 alone, and corrupt_order=True would corrupt order 1.
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            mc_validate(scalar_pair_model(0.5), 1000, seed=0, **{name: value})
 
     @pytest.mark.parametrize("function", [sample_density, mc_validate])
     @pytest.mark.parametrize(
@@ -220,7 +241,7 @@ class TestStop:
     its first chunk (each thread's first chunk, one of 0..3) until the pool
     shuts down, which the calling thread reaches only once it has left its
     wait. Without a stop the three other threads would then draw every chunk
-    left. The stop also leaves every other index in the queue, untaken.
+    left. The stop also leaves every other index untaken.
     """
 
     WORKERS = 4
@@ -231,20 +252,20 @@ class TestStop:
     def _held_run(self, monkeypatch, set_chunk_size, first_chunk, started, taken):
         """A 100-chunk run whose thread w calls ``first_chunk(w)`` in its first chunk.
 
-        ``started`` gets each chunk run, and ``taken`` each entry popped from the queue.
+        ``started`` gets each chunk run, and ``taken`` each entry the threads take from the chunk counter.
         """
         shutting_down = threading.Event()
         barrier = threading.Barrier(self.WORKERS, timeout=30)
-        chunk_values = sampling._chunk_values
+        chunk_tiles = sampling._chunk_tiles
 
         class Pool(ThreadPoolExecutor):
             def shutdown(self, *args, **kwargs):
                 shutting_down.set()
                 super().shutdown(*args, **kwargs)
 
-        class Queue(deque):
-            def popleft(self):
-                entry = super().popleft()
+        class Chunks(sampling._Chunks):
+            def take(self):
+                entry = super().take()
                 taken.append(entry)
                 return entry
 
@@ -254,11 +275,11 @@ class TestStop:
                 barrier.wait()  # every thread is running before any chunk fails
                 first_chunk(chunk_index)
                 assert shutting_down.wait(timeout=30)
-            return chunk_values(kernel, seed, chunk_index, rows)
+            return chunk_tiles(kernel, seed, chunk_index, rows)
 
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(sampling, "deque", Queue)
-        monkeypatch.setattr(sampling, "_chunk_values", held)
+        monkeypatch.setattr(sampling, "_Chunks", Chunks)
+        monkeypatch.setattr(sampling, "_chunk_tiles", held)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: self.WORKERS)
         set_chunk_size(64)
         sample_density(scalar_pair_model(0.5), 100 * 64, seed=0, threads=self.WORKERS)
@@ -302,31 +323,6 @@ class TestStop:
         assert sorted(started) == list(range(self.WORKERS))
         assert sorted(c for c in taken if c is not None) == list(range(self.WORKERS))
 
-    def test_queue_built_without_a_list(self, monkeypatch):
-        # At n = 10**10 the queue holds 152,588 chunk indices, about 6 MB. Built from a
-        # list, it would hold 8 more bytes per index (1.2 MB) beside the deque for a while.
-        n = 10**10
-        model = scalar_pair_model(0.5)
-        sample_density(model, 1000, seed=0, threads=1)
-
-        def fail(kernel, seed, chunk_index, rows):
-            raise self.ChunkFailed
-
-        monkeypatch.setattr(sampling, "_chunk_values", fail)
-        tracemalloc.start()
-        try:
-            queue = deque(range(-(-n // sampling.CHUNK_SIZE)))
-            queue_bytes = tracemalloc.get_traced_memory()[0]
-            del queue
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            with pytest.raises(self.ChunkFailed):
-                sample_density(model, n, seed=0, threads=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak - queue_bytes < 0.5 * 2**20
-
 
 class TestWorkSharing:
     """Each thread takes the next chunk not yet started, so a free thread takes up a held one's share."""
@@ -337,7 +333,7 @@ class TestWorkSharing:
         set_chunk_size(64)
         model = scalar_pair_model(0.5)
         reference = sample_density(model, 8 * 64, seed=6, threads=1)
-        chunk_values = sampling._chunk_values
+        chunk_tiles = sampling._chunk_tiles
         others_returned = threading.Event()
         taken = []
         returned = []
@@ -347,14 +343,13 @@ class TestWorkSharing:
             taken.append((chunk_index, threading.get_ident()))
             if chunk_index == 0:
                 held.append(others_returned.wait(timeout=10))
-            values = chunk_values(kernel, seed, chunk_index, rows)
+            yield from chunk_tiles(kernel, seed, chunk_index, rows)
             if chunk_index > 0:
                 returned.append(chunk_index)
                 if len(returned) == 7:
                     others_returned.set()
-            return values
 
-        monkeypatch.setattr(sampling, "_chunk_values", recorded)
+        monkeypatch.setattr(sampling, "_chunk_tiles", recorded)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
         batch = sample_density(model, 8 * 64, seed=6, threads=2)
         assert held == [True]
@@ -362,6 +357,24 @@ class TestWorkSharing:
         assert sorted(index for index, _ in taken) == list(range(8))
         assert {ran_on[c] for c in range(1, 8)} == {ran_on[1]} != {ran_on[0]}
         assert batch == reference
+
+
+    def test_every_index_taken_once_under_contention(self):
+        # Eight threads on one counter, switching every microsecond. Where threads can
+        # interleave inside ``take`` (free-threaded builds), an unguarded
+        # read-modify-write would hand an index out twice or skip one.
+        chunks = sampling._Chunks(20_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                runs = [pool.submit(lambda: list(iter(chunks.take, None))) for _ in range(8)]
+                taken = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(index for indices in taken for index in indices) == list(range(20_000))
+        assert all(indices == sorted(indices) for indices in taken)
+        assert chunks.take() is None
 
 
 @pytest.fixture
@@ -381,16 +394,16 @@ class TestBlasHold:
 
     @staticmethod
     def _recording(monkeypatch, get, before_chunk=lambda seed: None):
-        """Patch ``_chunk_values`` to call ``before_chunk(seed)`` and record the BLAS count in each chunk."""
+        """Patch ``_chunk_tiles`` to call ``before_chunk(seed)`` and record the BLAS count in each chunk."""
         seen = []
-        chunk_values = sampling._chunk_values
+        chunk_tiles = sampling._chunk_tiles
 
         def recorded(kernel, seed, chunk_index, rows):
             before_chunk(seed)
             seen.append(get())
-            return chunk_values(kernel, seed, chunk_index, rows)
+            return chunk_tiles(kernel, seed, chunk_index, rows)
 
-        monkeypatch.setattr(sampling, "_chunk_values", recorded)
+        monkeypatch.setattr(sampling, "_chunk_tiles", recorded)
         return seen
 
     @staticmethod
@@ -419,7 +432,7 @@ class TestBlasHold:
             assert get() == 1
             raise error
 
-        monkeypatch.setattr(sampling, "_chunk_values", fail)
+        monkeypatch.setattr(sampling, "_chunk_tiles", fail)
         with pytest.raises(error):
             sample_density(scalar_pair_model(0.5), 4000, seed=1, threads=2)
         assert get() == 2
@@ -549,6 +562,13 @@ class TestKStatistics:
         with pytest.raises(BatchTooSmall, match=f"need at least 4 draws, got {n}"):
             kstat_sampling_variances(CumulantSequence((1.0,) * 8), n)
 
+    @pytest.mark.parametrize("n", [10.5, True, "100"])
+    def test_sampling_variances_read_n_as_an_integer(self, n):
+        kappa = CumulantSequence((1.0,) * 8)
+        assert kstat_sampling_variances(kappa, 1e2) == kstat_sampling_variances(kappa, 100)
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+            kstat_sampling_variances(kappa, n)
+
     def test_sampling_variances_need_order_eight(self):
         with pytest.raises(IndexError, match="order 8 outside 1..7"):
             kstat_sampling_variances(CumulantSequence((1.0,) * 7), 100)
@@ -595,8 +615,10 @@ class TestStreaming:
             a, b = got.kappa(order), expected.kappa(order)
             assert abs(a - b) <= 1e-12 * abs(b)
 
-    # The n-length value array of earlier versions alone was 1.6 / 6.4 MB,
-    # and each thread held 2 * 65536 * 20 * 8 bytes (21 MB) of chunk buffers.
+    # The n-length value array of earlier versions alone was 1.6 / 6.4 MB, and
+    # each thread held 2 * 65536 * 20 * 8 bytes (21 MB) of chunk buffers. Here the
+    # two threads' tiles and K come to 1,379,456 bytes, and the rest of the run
+    # (the analytic cumulants, the pool, the exact totals) to under 32 kB.
     @pytest.mark.parametrize("n", [200_000, 800_000])
     def test_peak_memory_independent_of_n(self, n):
         model = random_model(np.random.default_rng(1522), d=20, sizes=[5, 5, 5, 5])
@@ -608,7 +630,37 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert report["n"] == n
-        assert peak < 4 * 2**20
+        assert peak < sampler_bytes(2, 20) + 8 * 20**2 + 48 * 2**10
+
+    # One thread, so its tiles are all live at the peak: the closed form, K, and
+    # under 32 kB for the rest of the run.
+    def test_peak_memory_of_one_thread_is_the_closed_form(self):
+        model = random_model(np.random.default_rng(1522), d=20, sizes=[5, 5, 5, 5])
+        sample_density(model, 1000, seed=0)
+        tracemalloc.start()
+        try:
+            sample_density(model, 2 * 65536, seed=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floor = sampler_bytes(1, 20) + 8 * 20**2
+        assert floor <= peak < floor + 32 * 2**10
+
+    # 2,000 and 20,000 chunks of 64 draws. A queue of the chunk indices and a
+    # result per chunk kept to the end of the run added about 240 bytes per chunk.
+    def test_peak_memory_independent_of_the_chunk_count(self, set_chunk_size):
+        set_chunk_size(64)
+        model = scalar_pair_model(0.5)
+        sample_density(model, 1000, seed=0)
+        peaks = []
+        for chunks in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                sample_density(model, chunks * 64, seed=1, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4 * 2**10
 
     # Two 65536-draw chunks at d = 200 on one thread: 2048-row tiles hold
     # 2 * 2048 * 200 * 8 bytes (6.6 MB); one chunk-wide product would hold 210 MB.
@@ -622,7 +674,28 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert report["n"] == 2 * 65536
-        assert peak < 24 * 2**20
+        floor = sampler_bytes(1, 200) + 8 * 200**2
+        assert floor <= peak < floor + 48 * 2**10
+
+
+class TestExactSum:
+    """The batch's sums are every tile's sums added exactly and rounded once: ``math.fsum`` of them, bit for bit."""
+
+    # 20,003 draws in chunks of 4500: four chunks of 2048, 2048 and 404 rows, then one of 2003.
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_batch_is_the_fsum_of_the_tile_sums(self, monkeypatch, set_chunk_size, threads):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
+        set_chunk_size(4500)
+        model = random_model(np.random.default_rng(1525), d=20, sizes=[5, 5, 5, 5])
+        tiles = sampled_tiles(model, 20_003, seed=12)
+        assert [tile.size for tile in tiles] == [2048, 2048, 404] * 4 + [2003]
+        columns = list(zip(*(_moment_sums(tile) for tile in tiles)))
+        # Added in tile order, the terms round differently: the order must not matter.
+        assert any(sum(column) != math.fsum(column) for column in columns)
+        batch = sample_density(model, 20_003, seed=12, threads=threads)
+        assert (batch.n, batch.center) == (20_003, multiinformation(model))
+        got = [value.hex() for value in (batch.s1, batch.s2, batch.s3, batch.s4)]
+        assert got == [math.fsum(column).hex() for column in columns]
 
 
 SEEDS = st.one_of(st.sampled_from([-1, 2**64, 2**64 + 7]), st.integers(-(2**70), 2**70))
@@ -675,7 +748,10 @@ class TestSamplerProperties:
 
 
 class TestMerge:
-    """Chunk power sums about a fixed center, added by ``math.fsum``, as ``sample_density`` adds them."""
+    """Power sums of the pieces of a sample about a fixed center, added by ``math.fsum``.
+
+    ``sample_density`` adds its tiles' sums to the same correctly rounded totals (``TestExactSum``).
+    """
 
     SPLITS = {
         "ones": [1] * 9,
