@@ -57,7 +57,7 @@ from .measures import (
     multiinformation_from_gamma,
     variance,
 )
-from .model import _float_array, model_fingerprint, validate_model
+from .model import _float_array, _integral_at_least, model_fingerprint, validate_model
 from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
@@ -171,13 +171,6 @@ def _parse_t_grid(text: str, dimension: int) -> np.ndarray:
     return np.linspace(a, b, steps)
 
 
-def _oracle_loop_counts(model, max_l: int) -> list[int]:
-    """The rooted loop count of each length 1..max_l, held to the loop cap before any oracle work."""
-    if max_l < 1:
-        raise ValueError(f"the longest loop length must be >= 1, got {max_l}")
-    return _loop_counts(model.partition.n_blocks, range(1, max_l + 1))
-
-
 def _oracle_section(model, loop_counts: list[int]) -> dict:
     """The loop oracle's section: one row per length 1..L, the loop sum against Σλˡ, and the bound.
 
@@ -213,7 +206,10 @@ def _oracle_section(model, loop_counts: list[int]) -> dict:
 def _cmd_analyze(args):
     model = _load_model(args)
     grid = _parse_t_grid(args.t_grid, model.dimension) if args.t_grid else None
-    loop_counts = None if args.oracle_max_l is None else _oracle_loop_counts(model, args.oracle_max_l)
+    loop_counts = None
+    if args.oracle_max_l is not None:
+        max_l = _integral_at_least(args.oracle_max_l, 1, "the longest loop length")
+        loop_counts = _loop_counts(model.partition.n_blocks, range(1, max_l + 1))
     # One call gives κ₁ (the multiinformation), κ₂ for the variance record and the L cumulants
     # printed; it runs to order 2 when only κ₁ is printed, and refuses an L below 1 or over the cap.
     seq = cumulants(model, 2 if args.cumulants == 1 else args.cumulants)
@@ -250,15 +246,16 @@ def _cmd_analyze(args):
 
 def _cmd_simulate(args):
     model = _load_model(args)
-    checks = mc_validate(
-        model, args.n, args.seed, args.max_order, threads=args.threads, corrupt_order=args.corrupt_order
-    )
+    # The usable CPUs are counted here, on every run: the parser, and any default it holds, is built once.
+    threads = _usable_cpus() if args.threads is None else args.threads
+    checks = mc_validate(model, args.n, args.seed, args.max_order, threads=threads, corrupt_order=args.corrupt_order)
     return {"fingerprint": model_fingerprint(model), **checks}
 
 
 def _cmd_oracle_check(args):
     model = _load_model(args)
-    loop_counts = _oracle_loop_counts(model, args.max_l)
+    max_l = _integral_at_least(args.max_l, 1, "the longest loop length")
+    loop_counts = _loop_counts(model.partition.n_blocks, range(1, max_l + 1))
     return {"fingerprint": model_fingerprint(model), **_oracle_section(model, loop_counts)}
 
 
@@ -353,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, required=True, help="number of draws")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--max-order", type=int, default=4)
-    simulate.add_argument("--threads", type=int, default=_usable_cpus())
+    simulate.add_argument("--threads", type=int)
     simulate.add_argument(
         "--corrupt-order",
         type=int,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CumulantOverflow, ZeroVariance
 from .loops import rooted_loop_count
 from .measures import _EXACT_FACTORIAL_MAX_ORDER, _LOG_DBL_MAX
-from .model import GaussianModel, _integral, _integral_at_least, validate_model
+from .model import GaussianModel, _integral_at_least, validate_model
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,15 @@ class HomogeneousModel:
     """Equicorrelation parameters: dimension d >= 2 and -1/(d-1) < rho < 1.
 
     The lower bound is strict; at equality the largest-eigenvector direction
-    becomes degenerate and the covariance is singular. d must be integral, by
-    ``Partition``'s rule for block sizes: 4.0 is 4; 3.7, "5" or True is refused.
+    becomes degenerate and the covariance is singular. d is read by the
+    package's integral rule.
     """
 
     dimension: int
     rho: float
 
     def __post_init__(self):
-        d = _integral(self.dimension)
-        if d is None or d < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension!r}")
+        d = _integral_at_least(self.dimension, 2, "dimension")
         rho = float(self.rho)
         lower = -1.0 / (d - 1)
         if not lower < rho < 1.0:
@@ -66,9 +64,9 @@ def homogeneous_cumulant(hm: HomogeneousModel, l: int) -> float:
     (l-1)!/2 * count is formed exactly, so the result is one float product;
     above, or past 1000 bits, the magnitude is taken in log space with the
     sign carried by rho^l, and neither factor is formed. CumulantOverflow is
-    raised instead of returning infinity. The order is integral by
-    ``Partition``'s rule here and in ``standardized_cumulant`` and
-    ``asymptotic_standardized_limit``: 4.0 is 4; 3.5 or True raises ValueError.
+    raised instead of returning infinity. The order is read by the package's
+    integral rule here and in ``standardized_cumulant`` and
+    ``asymptotic_standardized_limit``.
     """
     l = _integral_at_least(l, 1, "order")
     d, rho = hm.dimension, hm.rho

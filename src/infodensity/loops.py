@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CombinatorialLimit
-from .model import GaussianModel, _integral, _integral_at_least
+from .model import GaussianModel, _integral_at_least
 
 DEFAULT_LOOP_CAP = 10_000_000
 
@@ -26,12 +26,11 @@ def rooted_loop_count(n_blocks: int, length: int) -> int:
     """Number of rooted directed loops of the given length on n_blocks nodes.
 
     Closed form tr[(J - I)^length] = (n-1)^length + (n-1)(-1)^length; zero
-    for length 1 since self-connections are excluded. Arguments must be integral,
-    by ``Partition``'s rule for block sizes: 4.0 is 4; 2.5 or True raises ValueError.
+    for length 1 since self-connections are excluded. Both arguments are
+    read by the package's integral rule; n_blocks < 2 or length < 1 raises
+    ValueError.
     """
-    n, length = _integral(n_blocks), _integral(length)
-    if n is None or length is None or n < 2 or length < 1:
-        raise ValueError("need n_blocks >= 2 and length >= 1")
+    n, length = _integral_at_least(n_blocks, 2, "n_blocks"), _integral_at_least(length, 1, "length")
     return (n - 1) ** length + (n - 1) * (-1) ** length
 
 
@@ -182,8 +181,7 @@ def trace_via_loops(model: GaussianModel, length: int) -> float:
     as one list, and the lists are chained into one math.fsum, which is
     correctly rounded, so the result does not depend on the enumeration
     order. Returns 0 for length 1 (no loops exist, matching the exact-zero
-    trace). The length is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or
-    True (which equals 1) raises ValueError.
+    trace). The length is read by the package's integral rule.
     """
     length = _integral_at_least(length, 1, "length")
     if length == 1:

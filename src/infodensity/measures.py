@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import logdet_from_lower
-from .errors import CumulantOverflow, OutOfDomain
+from .errors import CumulantOverflow, NonFiniteInput, OutOfDomain
 from .model import GaussianModel, _integral_at_least
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
@@ -40,6 +40,8 @@ MAX_CUMULANT_ORDER = 10_000
 class CumulantSequence:
     """Cumulants kappa_1..kappa_L in nats^l, 1-indexed via ``kappa``.
 
+    ``kappa(l)`` reads l by the package's integral rule: 2.0 is 2, and 2.5
+    or True raises ValueError; an integral l outside 1..L raises IndexError.
     Estimates use the same type: ``k_statistics`` returns k_1..k_4, with NaN
     at an order the sample is too small for.
     """
@@ -51,6 +53,7 @@ class CumulantSequence:
         return len(self.values)
 
     def kappa(self, l: int) -> float:
+        l = _integral_at_least(l, -math.inf, "order")
         if not 1 <= l <= self.order:
             raise IndexError(f"order {l} outside 1..{self.order}")
         return self.values[l - 1]
@@ -109,11 +112,14 @@ def cgf(model: GaussianModel, t):
     Evaluated as t*I - sum(ln(1 - t*lambda))/2 over the coupling spectrum.
     ``t`` is a scalar (a float comes back) or an array of points (an array of
     the same shape comes back); the multiinformation is computed once either
-    way. Raises OutOfDomain for the first t on or outside the boundary of the
+    way. Raises NonFiniteInput for the first t that is NaN or infinite, and
+    then OutOfDomain for the first t on or outside the boundary of the
     finite range.
     """
-    domain = cgf_domain(model)
     ts = np.asarray(t, dtype=float)
+    if not np.isfinite(ts).all():
+        raise NonFiniteInput(f"t={ts[~np.isfinite(ts)][0]} is not finite")
+    domain = cgf_domain(model)
     outside = ~((domain.lower < ts) & (ts < domain.upper))
     if np.any(outside):
         raise OutOfDomain(float(ts.flat[np.argmax(outside)]), domain)
@@ -138,8 +144,7 @@ def cumulants(model: GaussianModel, order: int) -> CumulantSequence:
     raises CumulantOverflow rather than saturating. An order above
     MAX_CUMULANT_ORDER raises CumulantOverflow before any work, with
     ``order`` MAX_CUMULANT_ORDER + 1, the first order refused. ``order``
-    is integral by ``Partition``'s rule: 4.0 is 4; 2.5 or True raises
-    ValueError.
+    is read by the package's integral rule.
     """
     order = _cumulant_order(order)
     lam = model.gamma_eigenvalues

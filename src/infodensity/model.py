@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,12 @@ def _float_array(value, name: str) -> np.ndarray:
 
 
 def _integral(value) -> int | None:
-    """``value`` as an int when it equals one, else None. A bool is refused by type, since True == 1."""
+    """``value`` as an int when it equals one, else None: the package's rule for every integer argument.
+
+    4.0 and ``np.int64(4)`` are 4. 2.5, nan, inf, None and the string "4"
+    are not integral, and a bool (``np.bool_`` too) is refused by type,
+    since True == 1.
+    """
     if type(value) is int:
         return value
     try:
@@ -78,16 +84,25 @@ def _integral_at_least(value, low: float, name: str) -> int:
 class Partition:
     """Block sizes of a partition, with derived starting offsets.
 
-    Blocks are indexed 0..n_blocks-1.
+    ``block_sizes`` is any iterable of sizes, each read by the package's
+    integral rule and kept as a tuple of ints; a non-iterable, fewer than 2
+    blocks, or a size that is not an integer >= 1 raises BadPartition.
+    Blocks are indexed 0..n_blocks-1, and ``block_slice`` reads its index
+    by the same rule: 1.0 is 1, True raises ValueError, and an integral
+    index outside 0..n_blocks-1 raises IndexError.
     """
 
     block_sizes: tuple[int, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(_integral(s) for s in self.block_sizes)
+        try:
+            given = tuple(self.block_sizes)
+        except TypeError:
+            raise BadPartition(f"block sizes must be a sequence of integers, got {self.block_sizes!r}") from None
+        sizes = tuple(map(_integral, given))
         if None in sizes:
-            raise BadPartition(f"block sizes must be integers, got {tuple(self.block_sizes)}")
+            raise BadPartition(f"block sizes must be integers, got {given}")
         if len(sizes) < 2:
             raise BadPartition(f"need at least 2 blocks, got {len(sizes)}")
         if any(s < 1 for s in sizes):
@@ -104,6 +119,7 @@ class Partition:
         return self.offsets[-1] + self.block_sizes[-1]
 
     def block_slice(self, n: int) -> slice:
+        n = _integral_at_least(n, -math.inf, "block index")
         if not 0 <= n < self.n_blocks:
             raise IndexError(f"block index {n} out of range for {self.n_blocks} blocks")
         start = self.offsets[n]
@@ -171,11 +187,7 @@ def validate_model(mean, covariance, block_sizes) -> GaussianModel:
             raise NonFiniteInput(f"{name} has {np.count_nonzero(~np.isfinite(a))} non-finite entries (NaN or inf)")
     del a  # else an unsymmetrized covariance lives on beside its repair while G is formed
 
-    try:
-        sizes = tuple(block_sizes)
-    except TypeError:
-        raise BadPartition(f"block sizes must be a sequence of integers, got {block_sizes!r}") from None
-    partition = Partition(sizes)
+    partition = Partition(block_sizes)
     if partition.dimension != d:
         raise BadPartition(
             f"block sizes {partition.block_sizes} sum to {partition.dimension}, "
@@ -272,20 +284,18 @@ def compute_gamma(covariance: np.ndarray, partition: Partition):
               for start, inverse in zip(offsets[sizes == b].tolist(), _inverse_lower(stack))]
     del factors
     scalar = offsets[sizes == 1]
-    # Scaling every row and column serves the size-1 blocks; the rows and
-    # columns of the larger blocks are divided by 1, since their strips are
-    # then overwritten by their products. With no size-1 block the strips
-    # write every entry, so nothing is scaled.
+    # Scaling every row and column by diag(L_B) serves the size-1 blocks; the
+    # strips of the larger blocks then overwrite their rows and columns. With
+    # no size-1 block the strips write every entry, so nothing is scaled.
     if scalar.size:
-        root = np.where(np.repeat(sizes, sizes) == 1, diagonal, 1.0)
-        half = covariance / root[:, None]
+        half = covariance / diagonal[:, None]
         g = covariance / np.diagonal(covariance)
     else:
         half, g = np.empty_like(covariance), np.empty_like(covariance)
     for sl, inverse in larger:
         np.matmul(inverse, covariance[sl], out=half[sl])
         np.matmul(half[sl].T, inverse, out=g[:, sl])
-    w = half / root if scalar.size else np.empty_like(half)
+    w = half / diagonal if scalar.size else np.empty_like(half)
     for sl, inverse in larger:
         np.matmul(half[:, sl], inverse.T, out=w[:, sl])
         w[sl, sl] = g[sl, sl] = 0.0

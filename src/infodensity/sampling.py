@@ -219,9 +219,9 @@ def sample_density(
     ``threads``. Up to d = 64 the result does not depend on the BLAS thread
     settings; above that the set-up's rounding can depend on them.
 
-    ``n``, ``seed`` and ``threads`` are integral by ``Partition``'s rule:
-    1e5 is 100000; 2.5 or True raises ValueError, and so does a ``threads``
-    below 1. Fewer than 2 draws raise ``BatchTooSmall``.
+    ``n``, ``seed`` and ``threads`` are read by the package's integral rule,
+    and a ``threads`` below 1 raises ValueError. Fewer than 2 draws raise
+    ``BatchTooSmall``.
     """
     n, seed = _integral_at_least(n, -math.inf, "n"), _integral_at_least(seed, -math.inf, "seed")
     if n < 2:
@@ -288,8 +288,8 @@ def kstat_sampling_variances(kappa: CumulantSequence, n: int) -> tuple[float, fl
 
     The classical finite-sample formulas, read from kappa_2..kappa_8 (kappa_1
     and kappa_7 do not enter); a shorter sequence raises IndexError. ``n`` is
-    integral by ``Partition``'s rule, as ``sample_density`` reads it. The
-    formulas divide by n - 3, so fewer than 4 draws raise ``BatchTooSmall``.
+    read by the package's integral rule. The formulas divide by n - 3, so
+    fewer than 4 draws raise ``BatchTooSmall``.
     """
     n = _integral_at_least(n, -math.inf, "n")
     if n < 4:
@@ -347,9 +347,10 @@ def mc_validate(
     exists only so a harness can verify that the check actually fails when
     the analytic side is wrong, so an order outside 1..max_order, which
     would shift nothing, raises ValueError. ``max_order``, ``corrupt_order``
-    (when given), ``n``, ``seed`` and ``threads`` are integral by the rule
-    ``sample_density`` reads its counts by: 2.0 is 2; 2.5 or True raises
-    ValueError. Fewer than 4 draws raise ``BatchTooSmall``.
+    (when given), ``n``, ``seed`` and ``threads`` are read by the package's
+    integral rule. The analytic cumulants and their sampling variances are
+    formed first, so fewer than 4 draws raise ``BatchTooSmall`` before any
+    draw.
     """
     max_order = _integral_at_least(max_order, -math.inf, "max_order")
     if not 1 <= max_order <= 4:
@@ -358,12 +359,11 @@ def mc_validate(
         corrupt_order = _integral_at_least(corrupt_order, -math.inf, "corrupt_order")
         if not 1 <= corrupt_order <= max_order:
             raise ValueError(f"corrupt_order must be in 1..max_order = {max_order}, got {corrupt_order}")
-    n, seed = _integral_at_least(n, -math.inf, "n"), _integral_at_least(seed, -math.inf, "seed")
-    if n < 4:
-        raise BatchTooSmall(f"need at least 4 draws for finite standard errors, got {n}")
-    estimates = k_statistics(sample_density(model, n, seed, threads=threads))
     analytic = cumulants(model, 8)
     variances = kstat_sampling_variances(analytic, n)
+    seed = _integral_at_least(seed, -math.inf, "seed")
+    batch = sample_density(model, n, seed, threads=threads)
+    estimates = k_statistics(batch)
 
     rows = []
     for order in range(1, max_order + 1):
@@ -389,11 +389,11 @@ def mc_validate(
             }
         )
     return {
-        "n": n,
+        "n": batch.n,
         "seed": seed & _MASK64,
         "max_order": max_order,
         "z_threshold": Z_THRESHOLD,
         "rows": rows,
         "ok": all(row["ok"] for row in rows),
-        "threads": _worker_count(threads, n),
+        "threads": _worker_count(threads, batch.n),
     }

@@ -85,6 +85,21 @@ def random_correlation_model(rng, d, sizes=None):
     return correlation_model(validate_model(np.zeros(d), cov, sizes or [1] * d))[1]
 
 
+def scalar_ring(n_blocks, c):
+    """``(model, reference)``: S = I + c (C + C^T) on ``n_blocks`` >= 3 scalar blocks, C the cyclic shift.
+
+    G = c (C + C^T), whose spectrum is 2c cos(2 pi k / N), k = 0..N-1 (ROADMAP
+    item 27). ``reference`` holds those values, each from ``math.cos``, in
+    ascending order. On an even ring the spectrum is symmetric about 0, so
+    every odd power sum, and every odd cumulant, is exactly 0.
+    """
+    cov = np.eye(n_blocks)
+    i = np.arange(n_blocks)
+    cov[i, (i + 1) % n_blocks] = cov[(i + 1) % n_blocks, i] = c
+    reference = sorted(2.0 * c * math.cos(2.0 * math.pi * k / n_blocks) for k in range(n_blocks))
+    return validate_model(None, cov, [1] * n_blocks), np.array(reference)
+
+
 def equicorrelation_gamma_power(d, rho, l):
     """rho^l [(-1)^l I + ((d-1)^l - (-1)^l)/d U], the l-th power of G = rho (U - I)."""
     u_coef = float(((d - 1) ** l - (-1) ** l) // d)

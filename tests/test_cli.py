@@ -219,7 +219,7 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert json.loads(err) == {
             "error": "BatchTooSmall",
-            "message": "need at least 4 draws for finite standard errors, got 3",
+            "message": "need at least 4 draws, got 3",
         }
         assert calls[0] == 0
 
@@ -1201,3 +1201,18 @@ class TestParserReuse:
         assert (first[0], second[0]) == (1, 0)
         assert self._fresh(capsys, corrupted) == first
         assert self._fresh(capsys, plain) == second
+
+    def test_simulate_threads_default_follows_the_cpus_of_each_run(self, capsys, monkeypatch, scalar_pair_file):
+        # The parser is built under one usable CPU, and the count widens to two before the second run.
+        _build_parser.cache_clear()
+        argv = ["simulate", scalar_pair_file, "--n", "200000"]  # four chunks
+        parsers, reports = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            parsers.append(_build_parser())
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert parsers[0] is parsers[1]
+        assert [report.pop("threads") for report in reports] == [1, 2]
+        assert reports[0] == reports[1]

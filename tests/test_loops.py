@@ -10,6 +10,7 @@ per-loop fold, kept here as the reference: every block sliced from
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -303,15 +304,19 @@ class TestStreaming:
 
     def test_fewer_than_two_blocks_refused_before_any_logarithm(self):
         for n_blocks in (-1, 0, 1):
-            with pytest.raises(ValueError, match="need n_blocks >= 2"):
+            with pytest.raises(ValueError, match=rf"^n_blocks must be >= 2, got {n_blocks}$"):
                 _loop_counts(n_blocks, [10**6])
 
     def test_rooted_loop_count_needs_integral_arguments(self):
         assert rooted_loop_count(4.0, 2) == rooted_loop_count(np.int64(4), 2.0) == 12
         assert type(rooted_loop_count(3.0, 2)) is int
-        for n_blocks, length in [(4, 2.5), (3.5, 2), (True, 2), (4, True), (4, np.bool_(True)), ("4", 2),
-                                 (4, None), (4, float("nan")), (4, float("inf"))]:
-            with pytest.raises(ValueError, match="need n_blocks >= 2 and length >= 1"):
+        for value in (2.5, 3.5, True, np.bool_(True), "4", None, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=rf"^n_blocks must be an integer, got {re.escape(repr(value))}$"):
+                rooted_loop_count(value, 2)
+            with pytest.raises(ValueError, match=rf"^length must be an integer, got {re.escape(repr(value))}$"):
+                rooted_loop_count(4, value)
+        for n_blocks, length, message in [(1, 2, "n_blocks must be >= 2, got 1"), (3, 0, "length must be >= 1, got 0")]:
+            with pytest.raises(ValueError, match=rf"^{message}$"):
                 rooted_loop_count(n_blocks, length)
 
     @pytest.mark.parametrize("n_blocks", [2, 3, 4, 8])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 from fractions import Fraction
@@ -17,12 +18,14 @@ from conftest import (
     random_model,
     rel_close,
     scalar_pair_model,
+    scalar_ring,
 )
 
 from infodensity import (
     CumulantOverflow,
     DimensionMismatch,
     HomogeneousModel,
+    NonFiniteInput,
     OutOfDomain,
     cgf,
     cgf_domain,
@@ -174,6 +177,23 @@ class TestCgf:
             cgf(scalar_pair_model(0.5), 2.0)
         assert exc.value.domain.upper == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused_before_the_domain(self, t):
+        with pytest.raises(NonFiniteInput, match=rf"^t={t} is not finite$"):
+            cgf(scalar_pair_model(0.5), t)
+        # On independent blocks the domain is the whole line, and inf is still no point of it.
+        with pytest.raises(NonFiniteInput, match=rf"^t={t} is not finite$"):
+            cgf(validate_model(None, np.eye(3), [1, 2]), t)
+
+    def test_first_non_finite_point_named_before_an_earlier_point_outside(self):
+        with pytest.raises(NonFiniteInput, match=r"^t=-inf is not finite$"):
+            cgf(scalar_pair_model(0.5), [0.5, 5.0, -math.inf, math.nan])
+
+    def test_finite_point_outside_still_out_of_domain(self):
+        with pytest.raises(OutOfDomain) as exc:
+            cgf(scalar_pair_model(0.5), [0.5, -3.0, 5.0])
+        assert exc.value.t == -3.0
+
     @pytest.mark.parametrize("seed", range(20))
     def test_logdet_path_agreement(self, seed):
         rng = np.random.default_rng(500 + seed)
@@ -324,6 +344,104 @@ class TestCumulants:
         # The spectrum is exactly {-rho, rho}; numpy's powers of the two round apart at 0.55 and 0.65.
         seq = cumulants(scalar_pair_model(rho), 9)
         assert [seq.kappa(l) for l in (3, 5, 7, 9)] == [0.0] * 4
+
+
+RING_BLOCKS = 1000
+UNIT_ROUNDOFF = 2.0**-53
+# 1 + lambda_min = 1e-4 (near-singular), and max|lambda| = 2e-8 (weakly coupled).
+RING_COUPLINGS = {"near-singular": (1.0 - 1e-4) / 2.0, "weak": 1e-8}
+
+
+@functools.cache
+def _ring(name):
+    """``(model, reference, delta)`` for the ring of that name, built once per session."""
+    c = RING_COUPLINGS[name]
+    return (*scalar_ring(RING_BLOCKS, c), _ring_eigenvalue_bound(c))
+
+
+@pytest.fixture(params=list(RING_COUPLINGS))
+def ring(request):
+    return _ring(request.param)
+
+
+def _ring_eigenvalue_bound(c):
+    """delta, the bound on |computed - reference| for each eigenvalue of the ring, in ascending order.
+
+    G and the whitened matrix W that ``eigvalsh`` reads are c (C + C^T)
+    exactly: the diagonal is 1, so the scalings divide by 1, and halving W
+    and adding its transpose are exact. ``eigvalsh`` is backward stable: its
+    values are the exact spectrum of W + E with ||E||_2 <= p(d) u ||W||_2,
+    LAPACK's p(d) taken as d, and by Weyl's inequality the i-th smallest
+    moves by at most ||E||_2, with ||W||_2 = 2|c|. The reference angle
+    2 pi k / N carries math.pi's error and two roundings, at most 3u
+    relative, so its cosine moves by at most 3u * 2 pi; math.cos adds an ulp
+    and the product with 2c one rounding: 2|c| (6 pi + 2) u in all.
+    """
+    return 2.0 * abs(c) * (RING_BLOCKS + 6.0 * math.pi + 2.0) * UNIT_ROUNDOFF
+
+
+def _ring_mi_bound(reference, delta):
+    """Bound on |multiinformation_from_gamma - (-1/2) sum log1p(reference)|.
+
+    First order in delta: each log1p(lambda) moves by at most
+    delta / (1 + lambda - delta). Rounding, first order in u: each log1p is
+    within 2 ulp (4u relative) on each side, the package's sum of d terms in
+    any order adds at most (d - 1) u sum|log1p|, and the reference's fsum u.
+    """
+    logs = np.abs(np.log1p(reference))
+    perturbation = math.fsum((delta / (1.0 + reference - delta)).tolist())
+    return 0.5 * (perturbation + (RING_BLOCKS + 8) * UNIT_ROUNDOFF * math.fsum(logs.tolist()))
+
+
+def _ring_kappa_bound(reference, delta, l):
+    """Bound on |kappa_l - (l-1)!/2 sum lambda^l| with lambda the reference, or the exact spectrum.
+
+    lambda^l moves by at most l (|lambda| + delta)^(l-1) delta, the first
+    order term at its worst over the interval each eigenvalue can move in.
+    Rounding: each l-th power is within an ulp (2u) on each side, each fsum
+    and the product with (l-1)!/2 round once more, 8u of sum (|lambda| + delta)^l.
+    """
+    top = np.abs(reference) + delta
+    terms = l * top ** (l - 1) * delta + 8.0 * UNIT_ROUNDOFF * top**l
+    return math.factorial(l - 1) / 2.0 * math.fsum(terms.tolist())
+
+
+class TestScalarRing:
+    """The scalar ring S = I + c (C + C^T) at d = 1000 against its reference spectrum 2c cos(2 pi k / N).
+
+    Every bound is derived from the eigenvalue bound of ``_ring_eigenvalue_bound``.
+    """
+
+    def test_spectrum_within_weyl_bound(self, ring):
+        model, reference, delta = ring
+        assert np.max(np.abs(model.gamma_eigenvalues - reference)) <= delta
+
+    def test_multiinformation_from_gamma(self, ring):
+        model, reference, delta = ring
+        expected = -0.5 * math.fsum(np.log1p(reference).tolist())
+        assert abs(multiinformation_from_gamma(model) - expected) <= _ring_mi_bound(reference, delta)
+
+    @pytest.mark.parametrize("l", [2, 4, 6])
+    def test_even_cumulants(self, ring, l):
+        model, reference, delta = ring
+        expected = math.factorial(l - 1) / 2.0 * math.fsum((reference**l).tolist())
+        assert abs(cumulants(model, l).kappa(l) - expected) <= _ring_kappa_bound(reference, delta, l)
+
+    @pytest.mark.parametrize("l", [3, 5])
+    def test_odd_cumulants_vanish_on_an_even_ring(self, ring, l):
+        model, reference, delta = ring
+        assert abs(cumulants(model, l).kappa(l)) <= _ring_kappa_bound(reference, delta, l)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 22: the log-det multiinformation is a difference of two O(d) sums and keeps no "
+        "digit of a value near 5e-14",
+    )
+    def test_logdet_multiinformation_under_weak_coupling(self):
+        model, reference, _ = _ring("weak")
+        expected = -0.5 * math.fsum(np.log1p(reference).tolist())
+        # Not even one correct digit is asked for.
+        assert abs(multiinformation(model) - expected) <= 0.1 * expected
 
 
 class TestVariance:
