@@ -213,7 +213,7 @@ def _cmd_analyze(args):
     # One call gives κ₁ (the multiinformation), κ₂ for the variance record and the L cumulants
     # printed; it runs to order 2 when only κ₁ is printed, and refuses an L below 1 or over the cap.
     seq = cumulants(model, 2 if args.cumulants == 1 else args.cumulants)
-    info_logdet, kappa_2 = seq.kappa(1), seq.kappa(2)
+    info, kappa_2 = seq.kappa(1), seq.kappa(2)
     info_gamma = multiinformation_from_gamma(model)
     var = variance(model)
     domain = cgf_domain(model)
@@ -222,9 +222,9 @@ def _cmd_analyze(args):
         "fingerprint": model_fingerprint(model),
         "dimension": model.dimension,
         "block_sizes": list(model.partition.block_sizes),
-        "multiinformation": info_logdet,
+        "multiinformation": info,
         "multiinformation_from_gamma": info_gamma,
-        "multiinformation_agreement": _check(info_logdet, info_gamma, AGREEMENT_TOL),
+        "multiinformation_agreement": _check(info, info_gamma, AGREEMENT_TOL),
         "variance": var,
         "variance_agreement": _check(var, kappa_2, ORACLE_TOL * max(1.0, abs(var), abs(kappa_2))),
         "cumulants": list(seq.values[: args.cumulants]),

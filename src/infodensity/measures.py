@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import logdet_from_lower
 from .errors import CumulantOverflow, NonFiniteInput, OutOfDomain
 from .model import GaussianModel, _integral_at_least
 
@@ -73,14 +72,22 @@ class CgfDomain:
 
 
 def multiinformation(model: GaussianModel) -> float:
-    """Multiinformation in nats via Cholesky log-determinants.
+    """Multiinformation in nats, one ``math.fsum`` of ln(diag(L_B)_j / diag(L)_j) over the coordinates.
 
     Equals (sum_n ln|S_nn| - ln|S|) / 2; zero iff the blocks are mutually
-    independent. Both log-determinants come from the model's stored factors:
-    ln|S| from L, and sum_n ln|S_nn| as twice the sum of the logs of
-    diag(L_B), the model's ``block_factor_diagonal``.
+    independent. Term j is -ln(1 - R^2_j) / 2 >= 0, with R^2_j the share of
+    coordinate j's variance that the earlier blocks explain beyond the
+    earlier coordinates of its own block; both diagonals are the model's
+    (``block_factor_diagonal`` and ``factor``). Each term is taken as
+    -ln(diag(L)_j / diag(L_B)_j): that ratio is at most 1, where doubles lie
+    twice as densely as just above 1, so a ratio near 1 rounds half as far.
+    Each ratio is scale-free, so scaling a block's coordinates by a power of
+    two leaves every bit of the value as it is. On a block-diagonal model
+    the two diagonals can differ in their last bits, so the value is a
+    residue of order d*u, not exactly 0.0. It is not a weak-coupling fix:
+    the Cholesky of S still sets its error there (ROADMAP item 22).
     """
-    return 0.5 * (2.0 * float(np.sum(np.log(model.block_factor_diagonal))) - logdet_from_lower(model.factor))
+    return 0.0 - math.fsum(np.log(np.diagonal(model.factor) / model.block_factor_diagonal).tolist())
 
 
 def multiinformation_from_gamma(model: GaussianModel) -> float:

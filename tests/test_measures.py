@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import json
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +39,7 @@ from infodensity import (
     validate_model,
     variance,
 )
+from infodensity.cli import main
 from infodensity.measures import MAX_CUMULANT_ORDER
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
@@ -434,8 +437,8 @@ class TestScalarRing:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 22: the log-det multiinformation is a difference of two O(d) sums and keeps no "
-        "digit of a value near 5e-14",
+        reason="ROADMAP item 22: the pivot-ratio multiinformation, one fsum of ln(diag L_B / diag L), takes its "
+        "error from the Cholesky of S and keeps no digit of a value near 5e-14",
     )
     def test_logdet_multiinformation_under_weak_coupling(self):
         model, reference, _ = _ring("weak")
@@ -564,6 +567,39 @@ class TestVarianceIrrelevance:
         b = cumulants(scaled, 6)
         for l in range(1, 7):
             assert rel_close(a.kappa(l), b.kappa(l), 1e-9)
+
+
+class TestScaleExactness:
+    """Scaling block n's coordinates by 2^{k_n} changes no ``analyze`` field but the fingerprint, bit for bit.
+
+    S -> D S D and mu -> D mu with D = diag(2^k) are exact in binary floating
+    point, and so is every step the report takes from them: the factors
+    scale by D, and every reported quantity reads a ratio in which the
+    powers of two cancel. The Monte Carlo section is left out, because the
+    sampler's kernel L^{-1} G L still moves with the scaling (ROADMAP item 25).
+    The 20+30+50 model is large enough that the factors' bits follow the
+    BLAS thread count, so CI runs this file under one BLAS thread as well.
+    """
+
+    @staticmethod
+    def _report(capsys, path, mean, cov, sizes):
+        path.write_text(json.dumps({"mean": mean.tolist(), "covariance": cov.tolist(), "partition": sizes}))
+        assert main(["analyze", str(path), "--cumulants", "8", "--t-grid=-0.2:0.2:5", "--oracle-max-l", "3"]) == 0
+        report = orjson.loads(capsys.readouterr().out)
+        del report["fingerprint"]
+        return orjson.dumps(report)
+
+    @pytest.mark.parametrize("sizes", [[2, 3, 4], [3, 1, 4, 1, 5], [4] * 10, [1] * 30, [20, 30, 50]])
+    def test_power_of_two_block_scaling(self, capsys, tmp_path, sizes):
+        rng = np.random.default_rng(sum(sizes) + len(sizes))
+        d = sum(sizes)
+        a = rng.standard_normal((d, 2 * d))
+        cov = a @ a.T / (2 * d) + 0.5 * np.eye(d)
+        mean = rng.standard_normal(d)
+        k = np.repeat(rng.integers(-300, 301, size=len(sizes)), sizes)
+        plain = self._report(capsys, tmp_path / "plain.json", mean, cov, sizes)
+        scaled = self._report(capsys, tmp_path / "scaled.json", np.ldexp(mean, k), np.ldexp(cov, k[:, None] + k), sizes)
+        assert scaled == plain
 
 
 class TestTaylorConsistency:

@@ -84,3 +84,15 @@ def test_readme_library_example_runs():
     code = _library_example()
     assert code.strip(), "README's Library use section has no python block"
     exec(compile(code, "README.md (Library use)", "exec"), {"__name__": "__main__"})
+
+
+def test_measures_imports_nothing_from_the_factor_layer():
+    # Every analytic measure reads what the model holds; none factors, inverts or takes a log-determinant itself.
+    imported = set()
+    for node in ast.walk(ast.parse((Path(infodensity.__file__).parent / "measures.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # "from ._linalg import x" names the module; "from . import _linalg" names it as an alias.
+            imported.update([node.module or "", *(alias.name for alias in node.names)])
+    assert not [name for name in imported if "_linalg" in name.split(".")]
