@@ -6,7 +6,7 @@ matrices. Every LAPACK/BLAS call of the package is numpy's, so a process maps
 one OpenBLAS build with one thread pool. numpy has no triangular solve: a
 factor is inverted once (``_inverse_lower``) and its strips are formed by
 matrix products, so no positive-definite matrix is ever inverted whole.
-``_blas_threads_held`` caps that pool's thread count while the sampler's own
+``_blas_threads_held`` holds that pool at one thread while the sampler's own
 threads run.
 """
 
@@ -158,8 +158,8 @@ _count_before_holds = 0
 
 
 @contextlib.contextmanager
-def _blas_threads_held(sampler_threads: int):
-    """Hold numpy's OpenBLAS to min(its count in effect, max(1, CPUs // ``sampler_threads``)) threads.
+def _blas_threads_held():
+    """Hold numpy's OpenBLAS at one thread.
 
     The count in effect before the first of overlapping holds is restored
     when the last one exits, however it exits. Nothing happens where
@@ -172,13 +172,10 @@ def _blas_threads_held(sampler_threads: int):
         return
     get, set_ = functions
     with _hold_lock:
-        current = get()
         if _holds == 0:
-            _count_before_holds = current
+            _count_before_holds = get()
+            set_(1)
         _holds += 1
-        share = max(1, _usable_cpus() // sampler_threads)
-        if share < current:
-            set_(share)
     try:
         yield
     finally:

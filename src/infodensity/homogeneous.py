@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CumulantOverflow, ZeroVariance
 from .loops import rooted_loop_count
 from .measures import _EXACT_FACTORIAL_MAX_ORDER, _LOG_DBL_MAX
-from .model import GaussianModel, _integral_at_least, validate_model
+from .model import GaussianModel, _float_array, _integral_at_least, validate_model
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class HomogeneousModel:
 
     The lower bound is strict; at equality the largest-eigenvector direction
     becomes degenerate and the covariance is singular. d is read by the
-    package's integral rule.
+    package's integral rule, and rho as the model's arrays are, so a complex
+    rho raises ValueError.
     """
 
     dimension: int
@@ -37,7 +38,7 @@ class HomogeneousModel:
 
     def __post_init__(self):
         d = _integral_at_least(self.dimension, 2, "dimension")
-        rho = float(self.rho)
+        rho = float(_float_array(self.rho, "rho"))
         lower = -1.0 / (d - 1)
         if not lower < rho < 1.0:
             raise ValueError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CumulantOverflow, NonFiniteInput, OutOfDomain
-from .model import GaussianModel, _integral_at_least
+from .model import GaussianModel, _float_array, _integral_at_least
 
 # (l-1)! stays exactly representable territory up to here; beyond, log-space.
 _EXACT_FACTORIAL_MAX_ORDER = 20
@@ -119,11 +119,12 @@ def cgf(model: GaussianModel, t):
     Evaluated as t*I - sum(ln(1 - t*lambda))/2 over the coupling spectrum.
     ``t`` is a scalar (a float comes back) or an array of points (an array of
     the same shape comes back); the multiinformation is computed once either
-    way. Raises NonFiniteInput for the first t that is NaN or infinite, and
-    then OutOfDomain for the first t on or outside the boundary of the
-    finite range.
+    way. ``t`` is read as the model's arrays are, so a complex or non-numeric
+    t raises ValueError. Raises NonFiniteInput for the first t that is NaN or
+    infinite, and then OutOfDomain for the first t on or outside the boundary
+    of the finite range.
     """
-    ts = np.asarray(t, dtype=float)
+    ts = _float_array(t, "t")
     if not np.isfinite(ts).all():
         raise NonFiniteInput(f"t={ts[~np.isfinite(ts)][0]} is not finite")
     domain = cgf_domain(model)

@@ -46,9 +46,12 @@ def _float_array(value, name: str) -> np.ndarray:
 
     numpy's float conversion reads booleans and numeric strings as numbers.
     An int beyond the double range, such as a JSON integer literal of 400
-    digits, cannot be one. C order, so that the products forming G see one layout
-    whatever the caller's.
+    digits, cannot be one, nor can a complex array or numpy scalar, whose
+    imaginary part numpy would drop with only a warning. C order, so that the
+    products forming G see one layout whatever the caller's.
     """
+    if isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {value.dtype}")
     try:
         return np.array(value, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:

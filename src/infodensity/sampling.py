@@ -30,7 +30,8 @@ the density would when I is large against its spread.
 The chunk products, like the set-up and the analytic core, run on numpy's
 OpenBLAS, the only BLAS build the package loads, so every BLAS call of a
 process shares one thread pool; while the chunk threads run, that pool is
-held to their share of the CPUs.
+held at one thread. So every tile product rounds alike at every thread count
+and every d, and the chunk threads are all the CPUs the draws use.
 
 Cumulants are estimated with the classical unbiased k-statistics, returned
 as a ``CumulantSequence`` of orders 1..4 like the analytic cumulants; the
@@ -69,7 +70,10 @@ Z_THRESHOLD = 5.0
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """n draws summarized about ``center``: s_p is the sum of (x - center)^p, p = 1..4."""
+    """n draws summarized about ``center``: s_p is the sum of (x - center)^p, p = 1..4.
+
+    ``n`` is read by the package's integral rule.
+    """
 
     n: int
     center: float
@@ -77,6 +81,9 @@ class SampleBatch:
     s2: float
     s3: float
     s4: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integral_at_least(self.n, 0, "n"))
 
 
 def _normal_stream(seed: int, chunk_index: int) -> np.random.Generator:
@@ -103,9 +110,18 @@ def _folded_kernel(model: GaussianModel) -> np.ndarray:
     of factors minus I (such as L^T S_B^{-1} L - I): that difference loses
     K's relative accuracy under weak coupling, and leaves rounding where
     independent blocks give K = 0 exactly.
+
+    L^{-1} is formed as inv(D L) D, with D = diag(2^{-e_i}) for e_i the
+    binary exponent of L_ii, so that every row of D L has a diagonal entry
+    in [1/2, 1). Scaling by powers of two is exact, and scaling a block's
+    coordinates by 2^k scales L's rows by 2^k and D by 2^-k: D L keeps its
+    bits, and the powers of two that L^{-1}, G and L then carry cancel
+    exactly in each of K's entries. Inverting L itself, the LU pivoting of
+    ``_inverse_lower``'s base case could follow the scaling.
     """
     L = model.factor
-    return _inverse_lower(L) @ model.gamma @ L
+    scale = np.ldexp(1.0, -np.frexp(np.diagonal(L))[1])
+    return (_inverse_lower(scale[:, None] * L) * scale) @ model.gamma @ L
 
 
 def _chunk_tiles(kernel: np.ndarray, seed: int, chunk_index: int, rows: int) -> Iterator[np.ndarray]:
@@ -194,10 +210,11 @@ def sample_density(
     added and divided once by 2**1074, which Python rounds correctly: the
     sum ``math.fsum`` would give over every tile's sum. So neither the thread
     count nor the schedule changes the result. For independent blocks K = 0,
-    and every sum is 0.0. While the W threads run, numpy's OpenBLAS is held
-    to at most max(1, CPUs // W) threads, so BLAS threads do not compete with
-    the chunk threads for the CPUs; the count in effect before is restored on
-    return, whatever ends the call.
+    and every sum is 0.0. While the threads run, numpy's OpenBLAS is held at
+    one thread, so each tile product rounds the same way whatever
+    ``threads`` is, and the W chunk threads are the only CPUs the draws
+    use; the count in effect before is restored on return, whatever ends the
+    call.
 
     The threads take the chunk indices from one lock-guarded counter, and a
     thread ends when the counter has none left. When a chunk raises, or the
@@ -212,12 +229,10 @@ def sample_density(
     n or with ``CHUNK_SIZE``: each thread keeps four integers. The d x d
     set-up reads L from ``model.factor``, inverts it once and forms
     K = L^{-1} G L by two BLAS products, holding two d x d arrays at a time
-    (K itself is kept until the threads end), before the hold begins:
-    the hold's count follows ``threads``, and K's last bits can follow the
-    BLAS thread count (1 and 2 threads gave different K at d = 300 on a
-    2-vCPU x86 host), so inside the hold the result would depend on
-    ``threads``. Up to d = 64 the result does not depend on the BLAS thread
-    settings; above that the set-up's rounding can depend on them.
+    (K itself is kept until the threads end), before the hold begins, so
+    that it runs on the BLAS threads in effect. Up to d = 64 the result does
+    not depend on the BLAS thread settings; above that the set-up's rounding
+    can depend on them, but never on ``threads``.
 
     ``n``, ``seed`` and ``threads`` are read by the package's integral rule,
     and a ``threads`` below 1 raises ValueError. Fewer than 2 draws raise
@@ -239,7 +254,7 @@ def sample_density(
                     totals[p] += numerator << (_UNIT_EXPONENT + 1 - denominator.bit_length())
         return totals
 
-    with _blas_threads_held(workers), ThreadPoolExecutor(max_workers=workers) as pool:
+    with _blas_threads_held(), ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             futures = pending = [pool.submit(summarize) for _ in range(workers)]
             while pending and not any(future.exception() for future in futures if future.done()):

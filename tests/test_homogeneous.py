@@ -47,6 +47,19 @@ class TestHomogeneousModel:
                 HomogeneousModel(dimension, 0.1)
 
     @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.complex128(0.3 + 2j), "rho must be real, got dtype complex128"),
+            (np.array(0.3 + 2j), "rho must be real, got dtype complex128"),
+            (0.3 + 2j, "rho must be an array of numbers: "),
+        ],
+        ids=["numpy scalar", "0-d array", "Python complex"],
+    )
+    def test_complex_rho_rejected(self, rho, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            HomogeneousModel(5, rho)
+
+    @pytest.mark.parametrize(
         "function", [homogeneous_cumulant, standardized_cumulant, lambda hm, l: asymptotic_standardized_limit(l)]
     )
     def test_order_must_be_integral(self, function):

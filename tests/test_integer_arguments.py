@@ -17,6 +17,7 @@ from infodensity import (
     CumulantSequence,
     HomogeneousModel,
     Partition,
+    SampleBatch,
     asymptotic_standardized_limit,
     cumulants,
     homogeneous_cumulant,
@@ -57,6 +58,7 @@ ARGUMENTS = [
     ("mc_validate max_order", lambda v: mc_validate(PAIR, 100, 0, max_order=v), ValueError),
     ("mc_validate corrupt_order", lambda v: mc_validate(PAIR, 100, 0, corrupt_order=v), ValueError),
     ("kstat_sampling_variances n", lambda v: kstat_sampling_variances(KAPPAS, v), ValueError),
+    ("SampleBatch n", lambda v: SampleBatch(v, 0.0, 1.0, 2.0, 3.0, 4.0), ValueError),
 ]
 NOT_INTEGRAL = [2.5, True, np.bool_(True), "4", None, math.nan, math.inf]
 

@@ -188,6 +188,19 @@ class TestCgf:
         with pytest.raises(NonFiniteInput, match=rf"^t={t} is not finite$"):
             cgf(validate_model(None, np.eye(3), [1, 2]), t)
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (np.array([0.1 + 1j]), "t must be real, got dtype complex128"),
+            (np.complex128(0.1 + 1j), "t must be real, got dtype complex128"),
+            (0.1 + 1j, "t must be an array of numbers: "),
+        ],
+        ids=["array", "numpy scalar", "Python complex"],
+    )
+    def test_complex_point_refused(self, t, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            cgf(scalar_pair_model(0.5), t)
+
     def test_first_non_finite_point_named_before_an_earlier_point_outside(self):
         with pytest.raises(NonFiniteInput, match=r"^t=-inf is not finite$"):
             cgf(scalar_pair_model(0.5), [0.5, 5.0, -math.inf, math.nan])
@@ -570,24 +583,28 @@ class TestVarianceIrrelevance:
 
 
 class TestScaleExactness:
-    """Scaling block n's coordinates by 2^{k_n} changes no ``analyze`` field but the fingerprint, bit for bit.
+    """Scaling block n's coordinates by 2^{k_n} changes no ``analyze`` or ``simulate`` field but the fingerprint, bit for bit.
 
     S -> D S D and mu -> D mu with D = diag(2^k) are exact in binary floating
     point, and so is every step the report takes from them: the factors
     scale by D, and every reported quantity reads a ratio in which the
-    powers of two cancel. The Monte Carlo section is left out, because the
-    sampler's kernel L^{-1} G L still moves with the scaling (ROADMAP item 25).
+    powers of two cancel. The sampler's kernel L^{-1} G L keeps its bits
+    because it inverts L with each row scaled to a unit-range diagonal.
     The 20+30+50 model is large enough that the factors' bits follow the
     BLAS thread count, so CI runs this file under one BLAS thread as well.
     """
 
     @staticmethod
-    def _report(capsys, path, mean, cov, sizes):
+    def _reports(capsys, path, mean, cov, sizes):
         path.write_text(json.dumps({"mean": mean.tolist(), "covariance": cov.tolist(), "partition": sizes}))
-        assert main(["analyze", str(path), "--cumulants", "8", "--t-grid=-0.2:0.2:5", "--oracle-max-l", "3"]) == 0
-        report = orjson.loads(capsys.readouterr().out)
-        del report["fingerprint"]
-        return orjson.dumps(report)
+        analyze = ["--cumulants", "8", "--t-grid=-0.2:0.2:5", "--oracle-max-l", "3", "--mc-n", "70000"]
+        reports = []
+        for argv in (["analyze", str(path), *analyze], ["simulate", str(path), "--n", "70000"]):
+            assert main(argv) == 0
+            report = orjson.loads(capsys.readouterr().out)
+            del report["fingerprint"]
+            reports.append(orjson.dumps(report))
+        return reports
 
     @pytest.mark.parametrize("sizes", [[2, 3, 4], [3, 1, 4, 1, 5], [4] * 10, [1] * 30, [20, 30, 50]])
     def test_power_of_two_block_scaling(self, capsys, tmp_path, sizes):
@@ -597,8 +614,8 @@ class TestScaleExactness:
         cov = a @ a.T / (2 * d) + 0.5 * np.eye(d)
         mean = rng.standard_normal(d)
         k = np.repeat(rng.integers(-300, 301, size=len(sizes)), sizes)
-        plain = self._report(capsys, tmp_path / "plain.json", mean, cov, sizes)
-        scaled = self._report(capsys, tmp_path / "scaled.json", np.ldexp(mean, k), np.ldexp(cov, k[:, None] + k), sizes)
+        plain = self._reports(capsys, tmp_path / "plain.json", mean, cov, sizes)
+        scaled = self._reports(capsys, tmp_path / "scaled.json", np.ldexp(mean, k), np.ldexp(cov, k[:, None] + k), sizes)
         assert scaled == plain
 
 

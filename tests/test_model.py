@@ -78,6 +78,13 @@ class TestValidateModel:
         with pytest.raises(NonFiniteInput):
             validate_model([bad, 0.0], np.eye(2), [1, 1])
 
+    # numpy's float conversion would keep the real parts, with only a warning.
+    def test_complex_arrays_rejected(self):
+        with pytest.raises(ValueError, match="^covariance must be real, got dtype complex128$"):
+            validate_model(None, np.array([[2, 0.5 + 3j], [0.5 - 3j, 1]]), [1, 1])
+        with pytest.raises(ValueError, match="^mean must be real, got dtype complex64$"):
+            validate_model(np.array([1, 1j], dtype=np.complex64), np.eye(2), [1, 1])
+
     def test_partition_sum_mismatch(self):
         with pytest.raises(BadPartition):
             validate_model([0, 0, 0], np.eye(3), [2, 2])

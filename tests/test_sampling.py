@@ -390,7 +390,7 @@ def blas_threads():
 
 
 class TestBlasHold:
-    """While the chunk threads run, BLAS is held to max(1, CPUs // threads) threads, then restored."""
+    """While the chunk threads run, BLAS is held at one thread, then restored."""
 
     @staticmethod
     def _recording(monkeypatch, get, before_chunk=lambda seed: None):
@@ -408,6 +408,7 @@ class TestBlasHold:
 
     @staticmethod
     def _cpus(monkeypatch, count):
+        """Patch the usable CPUs for the worker count, and in ``_linalg``, where a hold that read them would."""
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: count)
         monkeypatch.setattr(_linalg, "_usable_cpus", lambda: count)
 
@@ -418,6 +419,18 @@ class TestBlasHold:
         set_chunk_size(1000)
         seen = self._recording(monkeypatch, get)
         sample_density(scalar_pair_model(0.5), 4000, seed=1, threads=2)
+        assert seen == [1] * 4
+        assert get() == 2
+
+    # Fewer sampler threads than CPUs: no share of the CPUs goes to BLAS.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_thread_whatever_the_cpus(self, monkeypatch, set_chunk_size, blas_threads, threads):
+        get, set_ = blas_threads
+        set_(2)
+        self._cpus(monkeypatch, 4)
+        set_chunk_size(1000)
+        seen = self._recording(monkeypatch, get)
+        sample_density(scalar_pair_model(0.5), 4000, seed=1, threads=threads)
         assert seen == [1] * 4
         assert get() == 2
 
@@ -577,18 +590,18 @@ class TestKStatistics:
 class TestStreaming:
     def test_summaries_and_reports_identical_across_threads(self, monkeypatch, set_chunk_size):
         # At d = 200 each 2500-draw chunk runs as a 2048-row and a 452-row tile.
-        # At d = 300 the last bits of the kernel K = L^{-1} G L depend on
-        # OpenBLAS's thread count, which the hold sets from the sampler's, so
-        # K must be formed before the hold. There OpenBLAS runs on 2 threads,
-        # also where OPENBLAS_NUM_THREADS=1 started it on one, so the hold
-        # sets 2 at 1 and 2 sampler threads and 1 at 3 and 4.
+        # From d = 300 on, OpenBLAS rounds the tile products differently at 1
+        # and 2 threads, so it runs on 2 here, also where OPENBLAS_NUM_THREADS=1
+        # started it on one: the hold must set 1 at every sampler thread count.
+        # A share of the 4 CPUs patched here would leave 2 at 1 and 2 sampler
+        # threads and 1 at 3 and 4, and at d = 400 and 600 the batches differ.
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
         monkeypatch.setattr(_linalg, "_usable_cpus", lambda: 4)
         functions = _linalg._openblas_threads()
         before = functions[0]() if functions else None
         try:
-            for d, chunk_size in ((20, 1000), (200, 2500), (300, 2500)):
-                if d == 300 and functions:
+            for d, chunk_size in ((20, 1000), (200, 2500), (300, 2500), (400, 2500), (600, 2500)):
+                if d >= 300 and functions:
                     functions[1](2)
                 set_chunk_size(chunk_size)
                 model = random_model(np.random.default_rng(1520), d=d, sizes=[d // 4] * 4)
@@ -646,14 +659,15 @@ class TestStreaming:
         floor = sampler_bytes(1, 20) + 8 * 20**2
         assert floor <= peak < floor + 32 * 2**10
 
-    # 2,000 and 20,000 chunks of 64 draws. A queue of the chunk indices and a
-    # result per chunk kept to the end of the run added about 240 bytes per chunk.
+    # 200 and 2,000 chunks of 64 draws. A queue of the chunk indices and a
+    # result per chunk kept to the end of the run added about 240 bytes per chunk,
+    # and one Python int kept per chunk adds about 40.
     def test_peak_memory_independent_of_the_chunk_count(self, set_chunk_size):
         set_chunk_size(64)
         model = scalar_pair_model(0.5)
         sample_density(model, 1000, seed=0)
         peaks = []
-        for chunks in (2_000, 20_000):
+        for chunks in (200, 2_000):
             tracemalloc.start()
             try:
                 sample_density(model, chunks * 64, seed=1, threads=1)
