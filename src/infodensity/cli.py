@@ -57,7 +57,7 @@ from .measures import (
     multiinformation_from_gamma,
     variance,
 )
-from .model import _float_array, _integral_at_least, model_fingerprint, validate_model
+from .model import _float_array, model_fingerprint, validate_model
 from .sampling import mc_validate
 
 AGREEMENT_TOL = 1e-9
@@ -174,26 +174,26 @@ def _parse_t_grid(text: str, dimension: int) -> np.ndarray:
 def _oracle_section(model, loop_counts: list[int]) -> dict:
     """The loop oracle's section: one row per length 1..L, the loop sum against Σλˡ, and the bound.
 
-    Σλˡ over G's spectrum is reported as ``matrix_trace``, since it equals
-    tr(Gˡ). It comes from ``measures._matrix_traces``, the power sums every
-    κ_l is computed from, over the same spectrum scaled by 2^e, so that up to
-    order 20 (l−1)!/2 · ``matrix_trace`` is κ_l bit for bit. ``oracle-check``
-    reports this section after the fingerprint, and ``analyze --oracle-max-l``
-    embeds it.
+    The loop sums of every length come from one ``trace_via_loops(model, L)``
+    call, one depth-first walk per root. Σλˡ over G's spectrum is reported as
+    ``matrix_trace``, since it equals tr(Gˡ). It comes from
+    ``measures._matrix_traces``, the power sums every κ_l is computed from,
+    over the same spectrum scaled by 2^e, so that up to order 20
+    (l−1)!/2 · ``matrix_trace`` is κ_l bit for bit. ``oracle-check`` reports
+    this section after the fingerprint, and ``analyze --oracle-max-l`` embeds
+    it.
     """
-    rows = []
-    traces = _matrix_traces(model, len(loop_counts))
-    for l, (count, matrix_trace) in enumerate(zip(loop_counts, traces), start=1):
-        loop_sum = trace_via_loops(model, l)
-        rows.append(
-            {
-                "l": l,
-                "loop_count": count,
-                "loop_sum": loop_sum,
-                "matrix_trace": matrix_trace,
-                **_check(loop_sum, matrix_trace, ORACLE_TOL * max(1.0, abs(loop_sum), abs(matrix_trace))),
-            }
-        )
+    sums = zip(loop_counts, trace_via_loops(model, len(loop_counts)), _matrix_traces(model, len(loop_counts)))
+    rows = [
+        {
+            "l": l,
+            "loop_count": count,
+            "loop_sum": loop_sum,
+            "matrix_trace": matrix_trace,
+            **_check(loop_sum, matrix_trace, ORACLE_TOL * max(1.0, abs(loop_sum), abs(matrix_trace))),
+        }
+        for l, (count, loop_sum, matrix_trace) in enumerate(sums, start=1)
+    ]
     return {
         "max_l": len(loop_counts),
         "loop_cap": DEFAULT_LOOP_CAP,
@@ -206,10 +206,7 @@ def _oracle_section(model, loop_counts: list[int]) -> dict:
 def _cmd_analyze(args):
     model = _load_model(args)
     grid = _parse_t_grid(args.t_grid, model.dimension) if args.t_grid else None
-    loop_counts = None
-    if args.oracle_max_l is not None:
-        max_l = _integral_at_least(args.oracle_max_l, 1, "the longest loop length")
-        loop_counts = _loop_counts(model.partition.n_blocks, range(1, max_l + 1))
+    loop_counts = None if args.oracle_max_l is None else _loop_counts(model.partition.n_blocks, args.oracle_max_l)
     # One call gives κ₁ (the multiinformation), κ₂ for the variance record and the L cumulants
     # printed; it runs to order 2 when only κ₁ is printed, and refuses an L below 1 or over the cap.
     seq = cumulants(model, 2 if args.cumulants == 1 else args.cumulants)
@@ -254,8 +251,7 @@ def _cmd_simulate(args):
 
 def _cmd_oracle_check(args):
     model = _load_model(args)
-    max_l = _integral_at_least(args.max_l, 1, "the longest loop length")
-    loop_counts = _loop_counts(model.partition.n_blocks, range(1, max_l + 1))
+    loop_counts = _loop_counts(model.partition.n_blocks, args.max_l)
     return {"fingerprint": model_fingerprint(model), **_oracle_section(model, loop_counts)}
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -55,24 +55,23 @@ def loop_trace(closing: np.ndarray, walk: np.ndarray) -> float:
 
 
 def _walk_products(n_blocks: int, length: int) -> int:
-    """Walk products ``_loop_terms`` forms at this length: n * sum_{k=1}^{l-2} (n-1)^k on n blocks.
+    """Walk products one walk to this length forms: n * sum_{k=1}^{l-2} (n-1)^k on n blocks.
 
-    Each root's depth-first walk forms one walk product for each of its
-    (n-1)^k paths of k arrows, k = 1..l-2, as a row block of the one product
-    that extends the path's parent along all its arrows. With two blocks that
-    is 2 (l-2) walks against at most 2 loops, so ``_loop_counts`` holds these,
+    Each root's depth-first walk (``_loop_terms``) forms one walk product for
+    each of its (n-1)^k paths of k arrows, k = 1..l-2, as a row block of the
+    one product that extends the path's parent along all its arrows; the walk
+    to length l serves every length up to l. With two blocks that is 2 (l-2)
+    walks against at most 2 loops a length, so ``_loop_counts`` holds these,
     not only the loop count, to the cap.
     """
-    n, depth = n_blocks, length - 2
-    if depth < 1:
-        return 0
+    n, depth = n_blocks, max(length - 2, 0)
     if n == 2:
         return 2 * depth
     return n * ((n - 1) ** (depth + 1) - (n - 1)) // (n - 2)
 
 
-def _loop_terms(gamma: np.ndarray, spans: Sequence[tuple[int, int]], length: int) -> Iterator[list[float]]:
-    """Yield loop_trace of every rooted loop of length >= 2 in lists, depth-first in lexicographic node order.
+def _loop_terms(gamma: np.ndarray, spans: list[tuple[int, int]], max_length: int) -> Iterator[tuple[int, list[float]]]:
+    """Yield (l, loop_trace of loops of length l) for every rooted loop of length 2..max_length, depth-first.
 
     ``spans`` holds each block's (offset, size) in ``gamma``, whose block
     (n, m) is the weight of the arrow m -> n. Once per call, each node's
@@ -80,17 +79,19 @@ def _loop_terms(gamma: np.ndarray, spans: Sequence[tuple[int, int]], length: int
     by rows, so one product ``stacked[node] @ walk`` extends a walk to node
     along every arrow out of it: the children's walks are its contiguous row
     blocks. For each root, the two-arrow closings n -> q -> root are formed
-    by one product per q, for every end n at once. A stack entry (depth,
+    once, by one product per q for every end n at once, and the root first
+    yields its length-2 loops, closed on the identity. A stack entry (depth,
     node, walk) stands for a path of ``depth`` arrows from the root to node
     and holds the product along it; the root's entry, at depth 0, holds
     None, and its children's walks are the rows of ``stacked[root]`` itself.
     A node's product is formed when its entry is popped, once, and every
-    loop below the node shares it. The stack holds at most (l-3)(n-1)
-    entries, views into one product for each depth 1..l-4; a node at depth
-    l-3 closes all its children's loops at once, and yields their traces as
-    one list. So at most l-2 products are alive at once, the one formed last
-    and its predecessor at depth l-3 among them. At l = 2 each root yields its
-    loops, closed on the identity.
+    loop through the node shares it: the node closes all its children's
+    loops, of length depth+3, and yields their traces as one list, then
+    pushes its children while depth+3 < max_length. So one walk serves every
+    length; the stack holds at most (L-3)(n-1) entries for L = max_length,
+    views into one product for each depth 1..L-4, and at most L-2 products
+    are alive at once, the one formed last and its predecessor at depth L-3
+    among them.
     Each loop is still one call ``loop_trace(closing, walk)``, looked up as a
     module global so a wrapper installed on the module sees each call; no
     two loops' closings or walks are summed before their traces are taken.
@@ -119,74 +120,99 @@ def _loop_terms(gamma: np.ndarray, spans: Sequence[tuple[int, int]], length: int
                 for n, (first, width) in enumerate(spans):
                     if n != q:
                         closings[n].append(through[first : first + width].T)
-        if length == 2:
-            identity = np.eye(size)
-            yield [loop_trace(closing, identity) for closing in closings[root]]
-            continue
-        stack = [(0, root, None)]
+        identity = np.eye(size)
+        yield 2, [loop_trace(closing, identity) for closing in closings[root]]
+        stack = [(0, root, None)] if max_length > 2 else []
         while stack:
             depth, node, walk = stack.pop()
             product = stacked[node] if walk is None else np.dot(stacked[node], walk)
             walks = [(q, product[rows]) for q, rows in children[node]]
-            if depth == length - 3:
-                yield [loop_trace(closing, walk) for q, walk in walks for closing in closings[q]]
-            else:
+            yield depth + 3, [loop_trace(closing, walk) for q, walk in walks for closing in closings[q]]
+            if depth + 3 < max_length:
                 stack.extend((depth + 1, q, walk) for q, walk in reversed(walks))
 
 
-def _loop_counts(n_blocks: int, lengths: Sequence[int]) -> list[int]:
-    """The rooted loop count of each length in ``lengths``, checked before any loop work.
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of ``terms``: math.fsum's correctly rounded remainders.
 
-    The first length whose loop count, or the running total of walk products
-    (``_walk_products``) over the lengths so far, passes ``DEFAULT_LOOP_CAP``
-    raises CombinatorialLimit; a count that would pass 64 bits (length *
-    log2(n-1) > 63) is refused unformed, with ``count`` None and its order of
-    magnitude in the message. ``trace_via_loops`` passes its one length; the
-    CLI's oracle passes 1..L, so a whole run is bounded before its first
-    length runs (and stops far below 64 bits).
+    The first part is the sum of the terms rounded once, and each later one
+    the sum of the terms less the parts before it. Sums of doubles are
+    multiples of 2^-1074, so a remainder rounds to 0 only when it is 0, and
+    each is at most half an ulp of the part before it: the parts stop after
+    a few. Loop terms are finite, so no remainder overflows.
     """
-    counts, walks = [], 0
-    for length in lengths:
-        if n_blocks > 2 and length * math.log2(n_blocks - 1) > 63:
-            digits = math.floor(length * math.log10(n_blocks - 1))
-            message = f"about 10^{digits} rooted loops of length {length} exceed cap {DEFAULT_LOOP_CAP}"
-            raise CombinatorialLimit(count=None, cap=DEFAULT_LOOP_CAP, length=length, message=message)
-        count = rooted_loop_count(n_blocks, length)
+    rest = math.fsum(terms)
+    return [rest, *_exact_parts(terms + [-rest])] if rest else []
+
+
+def _loop_counts(n_blocks: int, max_length: int) -> list[int]:
+    """The rooted loop counts of lengths 1..max_length, checked before any loop work.
+
+    One walk per root serves every length up to max_length: it makes one
+    ``loop_trace`` call per loop and forms ``_walk_products(n_blocks,
+    max_length)`` walk products. Each length is held to ``DEFAULT_LOOP_CAP``
+    by its own rooted loops and by the walk products one walk to it forms.
+    Both grow with the length (two blocks have 0 or 2 loops at every
+    length), so max_length's decide: either one past the cap raises
+    CombinatorialLimit for max_length. A count that would pass 64 bits
+    (max_length * log2(n-1) > 63) is refused unformed, with ``count`` None
+    and its order of magnitude in the message. max_length is read by the
+    package's integral rule.
+    """
+    max_length = _integral_at_least(max_length, 1, "the longest loop length")
+    if n_blocks > 2 and max_length * math.log2(n_blocks - 1) > 63:
+        digits = math.floor(max_length * math.log10(n_blocks - 1))
+        message = f"about 10^{digits} rooted loops of length {max_length} exceed cap {DEFAULT_LOOP_CAP}"
+        raise CombinatorialLimit(count=None, cap=DEFAULT_LOOP_CAP, length=max_length, message=message)
+    loops, walks = rooted_loop_count(n_blocks, max_length), _walk_products(n_blocks, max_length)
+    for count, what in ((loops, "rooted loops"), (walks, "walk products for loops")):
         if count > DEFAULT_LOOP_CAP:
-            raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=length)
-        walks += _walk_products(n_blocks, length)
-        if walks > DEFAULT_LOOP_CAP:
-            span = f"length {length}" if length == lengths[0] else f"lengths {lengths[0]}..{length}"
-            message = f"{walks} walk products for loop {span} exceed cap {DEFAULT_LOOP_CAP}"
-            raise CombinatorialLimit(count=walks, cap=DEFAULT_LOOP_CAP, length=length, message=message)
-        counts.append(count)
-    return counts
+            message = f"{count} {what} of length {max_length} exceed cap {DEFAULT_LOOP_CAP}"
+            raise CombinatorialLimit(count=count, cap=DEFAULT_LOOP_CAP, length=max_length, message=message)
+    return [rooted_loop_count(n_blocks, length) for length in range(1, max_length + 1)]
 
 
-def trace_via_loops(model: GaussianModel, length: int) -> float:
-    """tr(G^length) as the sum of loop_trace over every rooted loop.
+def trace_via_loops(model: GaussianModel, max_length: int) -> list[float]:
+    """[tr(G^l) for l = 1..max_length], each the sum of loop_trace over every rooted loop of length l.
 
-    The loop count, and then the number of walk products the enumeration
-    forms, are held to ``DEFAULT_LOOP_CAP`` in closed form (``_loop_counts``)
-    before any work: two blocks have at most 2 loops a length, but
-    2 (length-2) products. The loops are streamed from a depth-first walk
-    (``_loop_terms``) that forms each prefix product once, all of a node's
-    children's walks in one product with its stacked out-arrows, and stops
-    two arrows short of the root; each loop is closed by one of the root's
-    two-arrow products, formed once per root, and costs one ``loop_trace``
-    call. In doubles, for d = sum(b_i), n blocks and b the root's size,
-    memory beyond G is d^2 - sum(b_i^2) for the stacked out-arrows, (n-1) d b
-    for one root's closings and (length-2)(d - min b_i) b for the walks,
-    whatever the loop count. G^length is never formed. Each node's terms come
-    as one list, and the lists are chained into one math.fsum, which is
-    correctly rounded, so the result does not depend on the enumeration
-    order. Returns 0 for length 1 (no loops exist, matching the exact-zero
-    trace). The length is read by the package's integral rule.
+    The loop count of max_length, and the number of walk products one walk
+    to it forms, are held to ``DEFAULT_LOOP_CAP`` in closed form
+    (``_loop_counts``) before any work: two blocks have at most 2 loops a
+    length, but 2 (max_length-2) products. The loops of every length come
+    from one depth-first walk per root (``_loop_terms``) that forms each
+    prefix product once, all of a node's children's walks in one product
+    with its stacked out-arrows, and stops two arrows short of the root;
+    each loop is closed by one of the root's two-arrow products, formed once
+    per root, and costs one ``loop_trace`` call. In doubles, for d =
+    sum(b_i), n blocks and b the root's size, memory beyond G is d^2 -
+    sum(b_i^2) for the stacked out-arrows, (n-1) d b for one root's closings
+    and (max_length-2)(d - min b_i) b for the walks, whatever the loop
+    count. No power of G is formed. The terms of max_length stream into one
+    math.fsum; those of each shorter length are held until 64 are, and then
+    replaced by the few floats of their exact sum (``_exact_parts``), which
+    one math.fsum sums at the end. math.fsum is correctly rounded, so each
+    length's sum is its loops' terms' exact sum rounded once, bit for bit
+    the last entry of a call that stops at that length. tr(G) is 0 (no loops
+    of length 1 exist, matching the exact-zero trace). The length is read
+    by the package's integral rule.
     """
-    length = _integral_at_least(length, 1, "length")
-    if length == 1:
-        return 0.0
-    partition = model.partition
-    _loop_counts(partition.n_blocks, [length])
-    spans = list(zip(partition.offsets, partition.block_sizes))
-    return math.fsum(itertools.chain.from_iterable(_loop_terms(model.gamma, spans, length)))
+    max_length = _integral_at_least(max_length, 1, "length")
+    if max_length == 1:
+        return [0.0]
+    _loop_counts(model.partition.n_blocks, max_length)
+    spans = list(zip(model.partition.offsets, model.partition.block_sizes))
+    # held[l - 1] holds the terms of length l < max_length: once 64 are held (about 2 KB), they and the
+    # next node's terms are replaced by the few floats of their exact sum.
+    held = [[] for _ in range(max_length - 1)]
+
+    def longest():
+        for length, terms in _loop_terms(model.gamma, spans, max_length):
+            if length == max_length:
+                yield terms
+            elif len(held[length - 1]) < 64:
+                held[length - 1] += terms
+            else:
+                held[length - 1] = _exact_parts(held[length - 1] + terms)
+
+    last = math.fsum(itertools.chain.from_iterable(longest()))
+    return [math.fsum(terms) for terms in held] + [last]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .errors import (
 )
 
 SYMMETRY_RTOL = 1e-8
+# Cast to float, a complex value loses its imaginary part with only this warning (np.exceptions is numpy >= 1.25).
+_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -46,14 +49,20 @@ def _float_array(value, name: str) -> np.ndarray:
 
     numpy's float conversion reads booleans and numeric strings as numbers.
     An int beyond the double range, such as a JSON integer literal of 400
-    digits, cannot be one, nor can a complex array or numpy scalar, whose
-    imaginary part numpy would drop with only a warning. C order, so that the
+    digits, cannot be one, nor can anything complex: an array, a numpy
+    scalar or a list holding numpy complex scalars, whose imaginary parts
+    numpy would drop with only a ComplexWarning. That warning is raised as
+    an error for the conversion's duration, so a value converts in one pass
+    whatever it holds; the warnings filters are process-wide, and no other
+    thread of the package runs while they are set. C order, so that the
     products forming G see one layout whatever the caller's.
     """
-    if isinstance(value, (np.ndarray, np.generic)) and value.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got dtype {value.dtype}")
     try:
-        return np.array(value, dtype=float, order="C")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", _COMPLEX_WARNING)
+            return np.array(value, dtype=float, order="C")
+    except _COMPLEX_WARNING:
+        raise ValueError(f"{name} must be real, got dtype {np.asarray(value).dtype}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
 

@@ -576,11 +576,11 @@ def two_by_two_file(tmp_path):
 
 
 def assert_walk_cap_error(err):
-    # sum over l = 3..3164 of 2 (l - 2) = 3162 * 3163: the first total over the cap.
+    # One walk to length l forms 2 (l - 2) walk products on two blocks: l = 5,000,003 is the first over the cap.
     doc = json.loads(err)
     assert doc["error"] == "CombinatorialLimit"
-    assert doc["count"] == 10_001_406
-    assert doc["length"] == 3164
+    assert doc["count"] == 10_000_002
+    assert doc["length"] == 5_000_003
     assert doc["cap"] == DEFAULT_LOOP_CAP
     assert "walk products" in doc["message"]
 
@@ -664,19 +664,32 @@ class TestOracleCheck:
         assert calls[0] == 0
 
     @pytest.mark.parametrize("command", [["oracle-check", "--max-l"], ["analyze", "--oracle-max-l"]])
-    def test_two_block_walk_total_exceeded_exit_3(self, capsys, monkeypatch, two_by_two_file, command):
+    def test_two_block_walk_cap_exceeded_exit_3(self, capsys, monkeypatch, two_by_two_file, command):
         calls = count_loop_trace(monkeypatch)
-        code, out, err = run(capsys, [command[0], two_by_two_file, command[1], "100000"])
+        code, out, err = run(capsys, [command[0], two_by_two_file, command[1], "5000003"])
         assert code == 3
         assert out == ""
         assert_walk_cap_error(err)
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("sizes, max_l", [([2] * 8, 5), ([1] * 4, 14), ([2, 2], 3163)])
-    def test_walk_total_under_cap_accepted(self, sizes, max_l):
-        # Closed forms only: 8 blocks of 2 total 3,696 walk products through l = 5,
-        # 4 scalar blocks 4,782,888 through l = 14 and 2 blocks 9,995,082 through l = 3163.
-        assert len(_loop_counts(len(sizes), range(1, max_l + 1))) == max_l
+    @pytest.mark.parametrize("command", [["oracle-check", "--max-l"], ["analyze", "--oracle-max-l"]])
+    def test_two_block_long_run_accepted(self, capsys, monkeypatch, two_by_two_file, command):
+        # One walk to l = 3164 forms 2 * 3162 walk products and serves every length; a walk per
+        # length would form 3162 * 3163, over the cap.
+        calls = count_loop_trace(monkeypatch)
+        code, out, _ = run(capsys, [command[0], two_by_two_file, command[1], "3164"])
+        assert code == 0
+        report = json.loads(out)
+        oracle = report["oracle"] if command[0] == "analyze" else report
+        assert [row["l"] for row in oracle["rows"]] == list(range(1, 3165))
+        assert calls[0] == sum(row["loop_count"] for row in oracle["rows"]) == 3164
+
+    @pytest.mark.parametrize("sizes, max_l", [([2] * 8, 5), ([1] * 4, 14), ([2, 2], 3164)])
+    def test_longest_length_under_cap_accepted(self, sizes, max_l):
+        # Closed forms only, each run held to its longest length: 8 blocks of 2 have 16,800 loops
+        # and 3,192 walk products at l = 5, 4 scalar blocks 4,782,972 and 3,188,640 at l = 14,
+        # and 2 blocks 2 and 6,324 at l = 3164.
+        assert len(_loop_counts(len(sizes), max_l)) == max_l
 
     def test_loop_cap_ignores_environment(self, capsys, equicorrelation_file, monkeypatch):
         monkeypatch.setenv("INFODENSITY_LOOP_CAP", "10")  # 18 loops at l = 4 would exceed it
@@ -919,8 +932,10 @@ class TestCheckRecords:
     def test_failing_oracle_row(self, capsys, equicorrelation_file, monkeypatch, command):
         loops = cli.trace_via_loops
 
-        def shifted(model, l):
-            return loops(model, l) + (1e-6 if l == 2 else 0.0)
+        def shifted(model, max_length):
+            sums = loops(model, max_length)
+            sums[1] += 1e-6
+            return sums
 
         monkeypatch.setattr(cli, "trace_via_loops", shifted)
         flag = "--oracle-max-l" if command == "analyze" else "--max-l"
@@ -1116,9 +1131,9 @@ class TestJsonDocuments:
             ([[1, 2], [2, 1]], ["analyze", "{model}"], 2, {"error": "NotPositiveDefinite", "pivot_index": 1}),
             (
                 [[1, 0.5], [0.5, 1]],
-                ["oracle-check", "{model}", "--max-l", "100000"],
+                ["oracle-check", "{model}", "--max-l", "5000003"],
                 3,
-                {"error": "CombinatorialLimit", "count": 10_001_406, "cap": DEFAULT_LOOP_CAP, "length": 3164},
+                {"error": "CombinatorialLimit", "count": 10_000_002, "cap": DEFAULT_LOOP_CAP, "length": 5_000_003},
             ),
             ([[1, 0.5], [0.5, 1]], ["simulate", "{model}", "--n", "3"], 2, {"error": "BatchTooSmall"}),
         ],

@@ -51,9 +51,10 @@ class TestHomogeneousModel:
         [
             (np.complex128(0.3 + 2j), "rho must be real, got dtype complex128"),
             (np.array(0.3 + 2j), "rho must be real, got dtype complex128"),
+            ([np.complex128(0.3 + 2j)], "rho must be real, got dtype complex128"),
             (0.3 + 2j, "rho must be an array of numbers: "),
         ],
-        ids=["numpy scalar", "0-d array", "Python complex"],
+        ids=["numpy scalar", "0-d array", "list of a numpy scalar", "Python complex"],
     )
     def test_complex_rho_rejected(self, rho, message):
         with pytest.raises(ValueError, match=f"^{message}"):

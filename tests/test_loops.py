@@ -33,7 +33,7 @@ from infodensity import (
     trace_via_loops,
     validate_model,
 )
-from infodensity.loops import _loop_counts, _walk_products
+from infodensity.loops import _exact_parts, _loop_counts, _walk_products
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
 
@@ -173,7 +173,7 @@ class TestLoopTrace:
 class TestTraceViaLoops:
     def test_length_one_is_zero(self):
         model = random_model(np.random.default_rng(2))
-        assert trace_via_loops(model, 1) == 0.0
+        assert trace_via_loops(model, 1) == [0.0]
 
     def test_length_must_be_integral(self):
         assert trace_via_loops(EQUI3, 3.0) == trace_via_loops(EQUI3, np.int64(3)) == trace_via_loops(EQUI3, 3)
@@ -185,12 +185,12 @@ class TestTraceViaLoops:
             trace_via_loops(EQUI3, 0)
 
     def test_equicorrelation_third_power(self):
-        assert trace_via_loops(EQUI3, 3) == pytest.approx(0.75, abs=1e-12)
+        assert trace_via_loops(EQUI3, 3)[-1] == pytest.approx(0.75, abs=1e-12)
 
     def test_two_block_fourth_power(self):
         rng = np.random.default_rng(3)
         model = random_model(rng, d=5, sizes=[2, 3])
-        assert rel_close(trace_via_loops(model, 4), two_block_trace(model, 4), 1e-9)
+        assert rel_close(trace_via_loops(model, 4)[-1], two_block_trace(model, 4), 1e-9)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_matrix_powers(self, seed):
@@ -198,15 +198,17 @@ class TestTraceViaLoops:
         n_blocks = int(rng.integers(2, 6))
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
         model = random_model(rng, d=sum(sizes), sizes=sizes)
+        sums = trace_via_loops(model, 6)
+        assert len(sums) == 6
         for l in range(1, 7):
             reference = float(np.trace(np.linalg.matrix_power(model.gamma, l)))
-            assert rel_close(trace_via_loops(model, l), reference, 1e-9)
+            assert rel_close(sums[l - 1], reference, 1e-9)
 
     def test_two_block_odd_sums_exactly_zero(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, d=6, sizes=[3, 3])
-        for l in (3, 5):
-            assert trace_via_loops(model, l) == 0.0
+        sums = trace_via_loops(model, 5)
+        assert sums[2] == sums[4] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_fsum_of_reference_terms(self, seed):
@@ -214,31 +216,84 @@ class TestTraceViaLoops:
         n_blocks = int(rng.integers(2, 7))
         sizes = [int(rng.integers(1, 4)) for _ in range(n_blocks)]
         model = random_model(rng, d=sum(sizes), sizes=sizes)
+        sums = trace_via_loops(model, 6)
         for l in range(1, 7):
             reference = math.fsum(_reference_loop_trace(loop, model) for loop in _enumerate_loops(n_blocks, l))
-            assert rel_close(trace_via_loops(model, l), reference, 1e-12)
+            assert rel_close(sums[l - 1], reference, 1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_length_has_the_bits_of_its_own_walk(self, seed):
+        # One walk to L gives every length's sum the bits a walk to that length alone gives it.
+        rng = np.random.default_rng(600 + seed)
+        n_blocks = int(rng.integers(2, 6))
+        sizes = [int(rng.integers(1, 5)) for _ in range(n_blocks)]
+        model = random_model(rng, d=sum(sizes), sizes=sizes)
+        longest = 8 if n_blocks < 5 else 7
+        sums = trace_via_loops(model, longest)
+        assert len(sums) == longest
+        for l in range(1, longest + 1):
+            assert sums[l - 1].hex() == trace_via_loops(model, l)[-1].hex()
+
+    def test_exact_parts_hold_the_exact_sum(self):
+        # 2^60 + 1 + 2^-60 + 3 * 2^-70 needs three doubles; each part is the rest rounded once.
+        parts = _exact_parts([2.0**60, 2.0**-60, 1.0, 3 * 2.0**-70])
+        assert parts == [2.0**60, 1.0, 2.0**-60 + 3 * 2.0**-70]
+        assert _exact_parts([1.5, -1.5]) == []
+
+    def test_shorter_lengths_summed_exactly(self, monkeypatch):
+        # Each term scaled by 2^-60, 1 or 2^60, by its hash: a shorter length's held terms rounded
+        # to one float on the way would lose the bits the longest length's single fsum keeps.
+        def spread(closing, walk):
+            value = loop_trace(closing, walk)
+            return math.ldexp(value, 60 * (hash(value) % 3 - 1))
+
+        monkeypatch.setattr("infodensity.loops.loop_trace", spread)
+        model = random_model(np.random.default_rng(12), d=7, sizes=[1, 2, 1, 2, 1])
+        sums = trace_via_loops(model, 6)
+        for l in range(2, 6):
+            assert sums[l - 1].hex() == trace_via_loops(model, l)[-1].hex()
+
+    def test_each_node_product_formed_once(self, monkeypatch):
+        # On n = 3 blocks to length 6: n (n - 1) = 6 products form the roots' two-arrow closings,
+        # and one product per node at depths 1..3 forms its children's walks, n (2 + 4 + 8) = 42
+        # (the root's are rows of its stacked out-arrows). A walk per length 3..6 would form 90.
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dot(self, a, b):
+                products[0] += 1
+                return np.dot(a, b)
+
+        products = [0]
+        model = random_model(np.random.default_rng(11), d=6, sizes=[1, 2, 3])
+        monkeypatch.setattr("infodensity.loops.np", CountingNumpy())
+        assert len(trace_via_loops(model, 6)) == 6
+        assert products[0] == 6 + 42
 
 
 class TestStreaming:
     @pytest.mark.parametrize(
         "sizes, length, loops",
         [
-            ([2] * 8, 5, 16_800),
-            ([1, 2], 3, 0),
-            ([2, 3], 5, 0),
-            ([1, 2, 3], 4, 18),
+            # the benchmark's oracle op: 56 + 336 + 2,408 + 16,800 loops
+            ([2] * 8, 5, 19_600),
+            ([1, 2], 3, 2),
+            ([2, 3], 5, 4),
+            ([1, 2, 3], 4, 30),
             # l = 2: every loop closes at the root itself, on the identity walk
             ([1, 3, 2], 2, 6),
             ([2] * 8, 2, 56),
             # unequal blocks: closings and walks of every shape, some walks back at the root
-            ([3, 1, 2, 2], 6, 732),
+            ([3, 1, 2, 2], 6, 1_092),
         ],
     )
     def test_one_loop_trace_call_per_rooted_loop(self, monkeypatch, sizes, length, loops):
+        # One run to ``length`` calls loop_trace once for each rooted loop of every length 1..length.
         model = random_model(np.random.default_rng(6), d=sum(sizes), sizes=sizes)
         calls = count_loop_trace(monkeypatch)
         trace_via_loops(model, length)
-        assert calls[0] == loops == rooted_loop_count(len(sizes), length)
+        assert calls[0] == loops == sum(rooted_loop_count(len(sizes), l) for l in range(1, length + 1))
 
     def test_cap_raises_before_any_term(self, monkeypatch):
         # 7^9 - 7 = 40,353,600 loops on 8 blocks of 2 at l = 9.
@@ -263,20 +318,20 @@ class TestStreaming:
         assert exc.value.cap == DEFAULT_LOOP_CAP
         assert "walk products" in str(exc.value)
 
-    def test_one_length_and_running_total_rules(self):
-        # Two blocks: 2 (l - 2) walk products at length l. One length is held to its own
-        # products, a run over 1..L to their running total, 3162 * 3163 at l = 3164.
-        assert _loop_counts(2, [3164]) == [2]
+    def test_each_length_held_to_its_own_walk(self):
+        # Two blocks: 2 (l - 2) walk products at length l, formed once for a whole run to l,
+        # so a run is held to its longest length's products alone: 2 * 3162 at l = 3164.
+        assert _loop_counts(2, 3164) == [rooted_loop_count(2, l) for l in range(1, 3165)]
+        assert _walk_products(2, 5_000_002) == DEFAULT_LOOP_CAP
         with pytest.raises(CombinatorialLimit) as exc:
-            _loop_counts(2, [5_000_003])
-        assert (exc.value.count, exc.value.length) == (10_000_002, 5_000_003)
-        assert str(exc.value) == "10000002 walk products for loop length 5000003 exceed cap 10000000"
+            _loop_counts(2, 5_000_003)
+        assert (exc.value.count, exc.value.length, exc.value.cap) == (10_000_002, 5_000_003, DEFAULT_LOOP_CAP)
+        assert str(exc.value) == "10000002 walk products for loops of length 5000003 exceed cap 10000000"
+        # Three blocks: 2^23 - 2 loops pass at l = 23, but 3 (2^22 - 2) walk products do not.
         with pytest.raises(CombinatorialLimit) as exc:
-            _loop_counts(2, range(1, 3165))
-        assert (exc.value.count, exc.value.length, exc.value.cap) == (10_001_406, 3164, DEFAULT_LOOP_CAP)
-        assert str(exc.value) == "10001406 walk products for loop lengths 1..3164 exceed cap 10000000"
-        counts = _loop_counts(2, range(1, 3164))
-        assert counts == [rooted_loop_count(2, l) for l in range(1, 3164)]
+            _loop_counts(3, 23)
+        assert rooted_loop_count(3, 23) < DEFAULT_LOOP_CAP
+        assert (exc.value.count, exc.value.length) == (_walk_products(3, 23), 23) == (12_582_906, 23)
 
     @pytest.mark.parametrize(("n_blocks", "length"), [(4, 9_000), (4, 10_000), (218, 4_000_000)])
     def test_count_past_64_bits_refused_unformed(self, monkeypatch, n_blocks, length):
@@ -295,17 +350,17 @@ class TestStreaming:
     def test_64_bit_boundary(self):
         # On 3 blocks, 2^63 - 2 loops at l = 63 are formed and reported; l = 64 would pass 64 bits.
         with pytest.raises(CombinatorialLimit) as exc:
-            _loop_counts(3, [63])
+            _loop_counts(3, 63)
         assert exc.value.count == rooted_loop_count(3, 63) == 2**63 - 2
         with pytest.raises(CombinatorialLimit) as exc:
-            _loop_counts(3, [64])
+            _loop_counts(3, 64)
         assert exc.value.count is None
         assert str(exc.value) == "about 10^19 rooted loops of length 64 exceed cap 10000000"
 
     def test_fewer_than_two_blocks_refused_before_any_logarithm(self):
         for n_blocks in (-1, 0, 1):
             with pytest.raises(ValueError, match=rf"^n_blocks must be >= 2, got {n_blocks}$"):
-                _loop_counts(n_blocks, [10**6])
+                _loop_counts(n_blocks, 10**6)
 
     def test_rooted_loop_count_needs_integral_arguments(self):
         assert rooted_loop_count(4.0, 2) == rooted_loop_count(np.int64(4), 2.0) == 12

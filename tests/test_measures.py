@@ -193,9 +193,10 @@ class TestCgf:
         [
             (np.array([0.1 + 1j]), "t must be real, got dtype complex128"),
             (np.complex128(0.1 + 1j), "t must be real, got dtype complex128"),
+            ([np.complex128(0.1 + 1j)], "t must be real, got dtype complex128"),
             (0.1 + 1j, "t must be an array of numbers: "),
         ],
-        ids=["array", "numpy scalar", "Python complex"],
+        ids=["array", "numpy scalar", "list of a numpy scalar", "Python complex"],
     )
     def test_complex_point_refused(self, t, message):
         with pytest.raises(ValueError, match=f"^{message}"):

@@ -85,6 +85,19 @@ class TestValidateModel:
         with pytest.raises(ValueError, match="^mean must be real, got dtype complex64$"):
             validate_model(np.array([1, 1j], dtype=np.complex64), np.eye(2), [1, 1])
 
+    @pytest.mark.parametrize(
+        "mean, covariance, name",
+        [
+            (None, [[2, np.complex128(0.5 + 3j)], [np.complex128(0.5 - 3j), 1]], "covariance"),
+            ([np.complex128(1), 0.0], [[2, 0.5], [0.5, 1]], "mean"),
+        ],
+        ids=["covariance", "mean"],
+    )
+    def test_lists_of_numpy_complex_scalars_rejected(self, mean, covariance, name):
+        # A list is converted entry by entry, and numpy drops each imaginary part with only a warning.
+        with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
+            validate_model(mean, covariance, [1, 1])
+
     def test_partition_sum_mismatch(self):
         with pytest.raises(BadPartition):
             validate_model([0, 0, 0], np.eye(3), [2, 2])
