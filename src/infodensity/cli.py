@@ -33,6 +33,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -273,9 +274,7 @@ def _cmd_homogeneous(args):
         seq = cumulants(model, args.max_l)
         for l in range(1, args.max_l + 1):
             closed = homogeneous_cumulant(hm, l)
-            standardized = (
-                None if l == 1 or args.rho == 0 else _within_double_range(standardized_cumulant, hm, l)
-            )
+            standardized = None if l == 1 or args.rho == 0 else _within_double_range(standardized_cumulant, hm, l)
             limit = None if standardized is None else _within_double_range(asymptotic_standardized_limit, l)
             rows.append(
                 {
@@ -316,7 +315,18 @@ def _add_model_arguments(sub):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise, so that ``main`` reports them as JSON; subparsers share the class."""
+    """A parser whose usage errors raise, so that ``main`` reports them as JSON; subparsers share the class.
+
+    argparse reads an argument that starts with "-" as a value only when it
+    looks like -5 or -0.5; this parser also reads the exponent forms -1e-3,
+    -1E-3 and -2.5e+1 as values, so ``--rho -1e-3`` parses like
+    ``--rho -0.001``. Anything else that starts with "-", such as -x, is
+    still an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)

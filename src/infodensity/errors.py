@@ -14,7 +14,7 @@ class NotSymmetric(InfoDensityError, ValueError):
 
 
 class NonFiniteInput(InfoDensityError, ValueError):
-    """A mean, covariance or evaluation point contains NaN or +-inf."""
+    """A mean, covariance, evaluation point or equicorrelation rho contains NaN or +-inf."""
 
 
 class NotPositiveDefinite(InfoDensityError, ValueError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CumulantOverflow, ZeroVariance
+from .errors import CumulantOverflow, NonFiniteInput, ZeroVariance
 from .loops import rooted_loop_count
 from .measures import _EXACT_FACTORIAL_MAX_ORDER, _LOG_DBL_MAX
 from .model import GaussianModel, _float_array, _integral_at_least, validate_model
@@ -30,7 +30,8 @@ class HomogeneousModel:
     The lower bound is strict; at equality the largest-eigenvector direction
     becomes degenerate and the covariance is singular. d is read by the
     package's integral rule, and rho as the model's arrays are, so a complex
-    rho raises ValueError.
+    rho raises ValueError, and a NaN or infinite one NonFiniteInput, before
+    its range is checked.
     """
 
     dimension: int
@@ -39,11 +40,11 @@ class HomogeneousModel:
     def __post_init__(self):
         d = _integral_at_least(self.dimension, 2, "dimension")
         rho = float(_float_array(self.rho, "rho"))
+        if not math.isfinite(rho):
+            raise NonFiniteInput(f"rho must be finite, got {rho}")
         lower = -1.0 / (d - 1)
         if not lower < rho < 1.0:
-            raise ValueError(
-                f"rho must lie strictly in ({lower:.6g}, 1) for dimension {d}, got {rho}"
-            )
+            raise ValueError(f"rho must lie strictly in ({lower:.6g}, 1) for dimension {d}, got {rho}")
         object.__setattr__(self, "dimension", d)
         object.__setattr__(self, "rho", rho)
 

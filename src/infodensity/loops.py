@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CombinatorialLimit
-from .model import GaussianModel, _integral_at_least
+from .model import GaussianModel, _add_exactly, _integral_at_least
 
 DEFAULT_LOOP_CAP = 10_000_000
 
@@ -132,19 +132,6 @@ def _loop_terms(gamma: np.ndarray, spans: list[tuple[int, int]], max_length: int
                 stack.extend((depth + 1, q, walk) for q, walk in reversed(walks))
 
 
-def _exact_parts(terms: list[float]) -> list[float]:
-    """A few floats whose exact sum is that of ``terms``: math.fsum's correctly rounded remainders.
-
-    The first part is the sum of the terms rounded once, and each later one
-    the sum of the terms less the parts before it. Sums of doubles are
-    multiples of 2^-1074, so a remainder rounds to 0 only when it is 0, and
-    each is at most half an ulp of the part before it: the parts stop after
-    a few. Loop terms are finite, so no remainder overflows.
-    """
-    rest = math.fsum(terms)
-    return [rest, *_exact_parts(terms + [-rest])] if rest else []
-
-
 def _loop_counts(n_blocks: int, max_length: int) -> list[int]:
     """The rooted loop counts of lengths 1..max_length, checked before any loop work.
 
@@ -188,11 +175,13 @@ def trace_via_loops(model: GaussianModel, max_length: int) -> list[float]:
     sum(b_i^2) for the stacked out-arrows, (n-1) d b for one root's closings
     and (max_length-2)(d - min b_i) b for the walks, whatever the loop
     count. No power of G is formed. The terms of max_length stream into one
-    math.fsum; those of each shorter length are held until 64 are, and then
-    replaced by the few floats of their exact sum (``_exact_parts``), which
-    one math.fsum sums at the end. math.fsum is correctly rounded, so each
-    length's sum is its loops' terms' exact sum rounded once, bit for bit
-    the last entry of a call that stops at that length. tr(G) is 0 (no loops
+    math.fsum; those of each shorter length are folded, a node's at a time,
+    into the few floats of their exact sum by the package's exact-sum rule
+    (``model._add_exactly``, which holds at most 64 floats before it
+    compacts), and one math.fsum sums those at the end. math.fsum is
+    correctly rounded, so each length's sum is its loops' terms' exact sum
+    rounded once, bit for bit the last entry of a call that stops at that
+    length. tr(G) is 0 (no loops
     of length 1 exist, matching the exact-zero trace). The length is read
     by the package's integral rule.
     """
@@ -201,18 +190,15 @@ def trace_via_loops(model: GaussianModel, max_length: int) -> list[float]:
         return [0.0]
     _loop_counts(model.partition.n_blocks, max_length)
     spans = list(zip(model.partition.offsets, model.partition.block_sizes))
-    # held[l - 1] holds the terms of length l < max_length: once 64 are held (about 2 KB), they and the
-    # next node's terms are replaced by the few floats of their exact sum.
+    # held[l - 1] holds the exact-sum parts of the terms of length l < max_length.
     held = [[] for _ in range(max_length - 1)]
 
     def longest():
         for length, terms in _loop_terms(model.gamma, spans, max_length):
             if length == max_length:
                 yield terms
-            elif len(held[length - 1]) < 64:
-                held[length - 1] += terms
             else:
-                held[length - 1] = _exact_parts(held[length - 1] + terms)
+                held[length - 1] = _add_exactly(held[length - 1], terms)
 
     last = math.fsum(itertools.chain.from_iterable(longest()))
     return [math.fsum(terms) for terms in held] + [last]

@@ -92,6 +92,34 @@ def _integral_at_least(value, low: float, name: str) -> int:
     return number
 
 
+def _exact_parts(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of ``terms``: math.fsum's correctly rounded remainders.
+
+    The first part is the sum of the terms rounded once, and each later one
+    the sum of the terms less the parts before it. Sums of doubles are
+    multiples of 2^-1074, so a remainder rounds to 0 only when it is 0, and
+    each is at most half an ulp of the part before it: the parts stop after
+    a few. The terms must be finite, and so are the package's: loop traces
+    and the sampler's tile sums, which on a validated model stay far below
+    the double range.
+    """
+    rest = math.fsum(terms)
+    return [rest, *_exact_parts(terms + [-rest])] if rest else []
+
+
+def _add_exactly(parts: list[float], values: list[float]) -> list[float]:
+    """``parts`` and ``values`` joined, or, once ``parts`` holds 64 floats, the few floats of their exact sum.
+
+    The package's one rule for a sum too long to hold: fold each batch of
+    terms in as it comes, and take one math.fsum of the parts at the end,
+    which is the terms' exact sum rounded once, bit for bit math.fsum over
+    all of them, whatever the batches and their order. Between compactions
+    the parts grow by the values of each call, so they hold at most 64
+    floats plus the longest batch; at 64 floats that is about 2 KB.
+    """
+    return _exact_parts(parts + values) if len(parts) >= 64 else parts + values
+
+
 @dataclass(frozen=True)
 class Partition:
     """Block sizes of a partition, with derived starting offsets.

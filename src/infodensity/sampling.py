@@ -17,14 +17,16 @@ of numpy's ``Generator`` algorithms, which numpy may change between versions.
 Each chunk streams through its stream one row tile of at most 2048 draws at
 a time: normals and kernel product in two 2048-row buffers, the centered
 values y of the quadratic form in a 2048-value buffer, which is reduced
-right there to the power sums of y, y^2, y^3 and y^4. Each thread adds its
-tiles' sums exactly, as integers in units of 2**-1074, and the threads'
-totals are added and rounded once at the end: each sum is the correctly
-rounded sum of every tile's sum, as ``math.fsum`` of them would give, so the
-result is bit-identical for a given (model, n, seed) whatever the thread
-count. Neither an n-length array nor anything per chunk is kept: the
-threads share one counter of chunk indices, so the sampler's memory does
-not depend on n or on ``CHUNK_SIZE``. The sums are taken about the exact
+right there to the power sums of y, y^2, y^3 and y^4. Each thread folds its
+tiles' sums into the few floats of their exact sum, by the package's one
+exact-sum rule (``model._add_exactly``, which the loop oracle's sums use
+too), and one ``math.fsum`` over every thread's floats rounds each sum once
+at the end: each is the correctly rounded sum of every tile's sum, as
+``math.fsum`` of them would give, so the result is bit-identical for a
+given (model, n, seed) whatever the thread count. Neither an n-length array
+nor anything per chunk is kept: the threads share one counter of chunk
+indices, so the sampler's memory does not depend on n or on
+``CHUNK_SIZE``. The sums are taken about the exact
 mean I, not about a sample mean, so they do not cancel the way raw sums of
 the density would when I is large against its spread.
 The chunk products, like the set-up and the analytic core, run on numpy's
@@ -52,7 +54,7 @@ import numpy as np
 from ._linalg import _blas_threads_held, _inverse_lower, _usable_cpus
 from .errors import BatchTooSmall
 from .measures import CumulantSequence, cumulants, multiinformation
-from .model import GaussianModel, _integral_at_least
+from .model import GaussianModel, _add_exactly, _integral_at_least
 
 # Draws per chunk: each chunk has its own stream, so the draws depend on it.
 CHUNK_SIZE = 65536
@@ -60,8 +62,6 @@ CHUNK_SIZE = 65536
 # fast as one chunk-wide product.
 _TILE_ROWS = 2048
 _MASK64 = (1 << 64) - 1
-# Every finite double is an integral multiple of 2**-1074, the least subnormal.
-_UNIT_EXPONENT = 1074
 # The calling thread waits for the chunk threads in timed waits of this many
 # seconds, so an interrupt that lands as a wait begins is acted on within one.
 _WAIT_SECONDS = 0.25
@@ -205,10 +205,11 @@ def sample_density(
 
     Each chunk draws and maps its normals in row tiles of 2048 rows at every
     d, and reduces each tile's values to their four power sums as soon as
-    they are formed. Each thread adds its tiles' sums exactly, as integers in
-    units of 2**-1074, and each of the batch's sums is the threads' totals
-    added and divided once by 2**1074, which Python rounds correctly: the
-    sum ``math.fsum`` would give over every tile's sum. So neither the thread
+    they are formed. Each thread folds its tiles' sums of each power into
+    the few floats of their exact sum (``model._add_exactly``, at most 65
+    floats a power), and each of the batch's sums is one ``math.fsum`` over every
+    thread's floats of its power, which is correctly rounded: the sum
+    ``math.fsum`` would give over every tile's sum. So neither the thread
     count nor the schedule changes the result. For independent blocks K = 0,
     and every sum is 0.0. While the threads run, numpy's OpenBLAS is held at
     one thread, so each tile product rounds the same way whatever
@@ -226,11 +227,11 @@ def sample_density(
     own buffers, so the run holds threads * 32768 * (d + 1) bytes: per
     thread two 2048-row tiles of normals and their product, the tile of
     values and, while it is reduced, their squares. Nothing else grows with
-    n or with ``CHUNK_SIZE``: each thread keeps four integers. The d x d
-    set-up reads L from ``model.factor``, inverts it once and forms
-    K = L^{-1} G L by two BLAS products, holding two d x d arrays at a time
-    (K itself is kept until the threads end), before the hold begins, so
-    that it runs on the BLAS threads in effect. Up to d = 64 the result does
+    n or with ``CHUNK_SIZE``: each thread keeps four lists of at most 65
+    floats. The d x d set-up reads L from ``model.factor``, inverts it once
+    and forms K = L^{-1} G L by two BLAS products, holding two d x d arrays
+    at a time (K itself is kept until the threads end), before the hold
+    begins, so that it runs on the BLAS threads in effect. Up to d = 64 the result does
     not depend on the BLAS thread settings; above that the set-up's rounding
     can depend on them, but never on ``threads``.
 
@@ -245,14 +246,12 @@ def sample_density(
     kernel = _folded_kernel(model)
     chunks = _Chunks(-(-n // CHUNK_SIZE))
 
-    def summarize() -> list[int]:
-        totals = [0, 0, 0, 0]  # in units of 2**-1074, so every addition is exact
+    def summarize() -> list[list[float]]:
+        parts = [[], [], [], []]  # per power, floats whose exact sum is that of the thread's tile sums
         for c in iter(chunks.take, None):
             for y in _chunk_tiles(kernel, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE)):
-                for p, s in enumerate(_moment_sums(y)):
-                    numerator, denominator = s.as_integer_ratio()
-                    totals[p] += numerator << (_UNIT_EXPONENT + 1 - denominator.bit_length())
-        return totals
+                parts = [_add_exactly(held, [s]) for held, s in zip(parts, _moment_sums(y))]
+        return parts
 
     with _blas_threads_held(), ThreadPoolExecutor(max_workers=workers) as pool:
         try:
@@ -261,8 +260,8 @@ def sample_density(
                 pending = wait(pending, timeout=_WAIT_SECONDS, return_when=FIRST_EXCEPTION).not_done
         finally:
             chunks.stop()
-    # int / int is correctly rounded: each sum is rounded once, from the exact total.
-    sums = (sum(column) / (1 << _UNIT_EXPONENT) for column in zip(*(future.result() for future in futures)))
+    # One fsum a power over every thread's parts: each sum is rounded once, from the exact total.
+    sums = (math.fsum(part for parts in column for part in parts) for column in zip(*(f.result() for f in futures)))
     return SampleBatch(n, multiinformation(model), *sums)
 
 

@@ -767,6 +767,29 @@ class TestHomogeneous:
         assert code == 2
         assert json.loads(err)["error"] == "ValueError"
 
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf", "-Infinity"])
+    def test_non_finite_rho_exit_2_as_non_finite_input(self, capsys, rho):
+        # "-inf" does not look like a number to argparse, so it is passed in the "=" form.
+        code, out, err = run(capsys, ["homogeneous", "--d", "3", f"--rho={rho}"])
+        assert (code, out) == (2, "")
+        assert strict_loads(err) == {"error": "NonFiniteInput", "message": f"rho must be finite, got {float(rho)}"}
+
+    @pytest.mark.parametrize("text", ["-1e-3", "-1E-3", "-1.e-3", "-.1e-2", "-1e-03"])
+    def test_negative_exponent_forms_are_values(self, capsys, text):
+        expected = run(capsys, ["homogeneous", "--d", "3,4", "--rho", "-0.001", "--max-l", "3"])
+        assert expected[0] == 0 and json.loads(expected[1])["parameters"]["rho"] == -0.001
+        assert run(capsys, ["homogeneous", "--d", "3,4", "--rho", text, "--max-l", "3"]) == expected
+
+    def test_negative_values_and_options_still_told_apart(self, capsys, scalar_pair_file):
+        # -2.5e+1 is read as rho and refused by its range, not by the parser.
+        code, _, err = run(capsys, ["homogeneous", "--d", "3", "--rho", "-2.5e+1"])
+        assert code == 2 and strict_loads(err)["error"] == "ValueError"
+        code, out, _ = run(capsys, ["simulate", scalar_pair_file, "--n", "100", "--seed", "-5", "--threads", "1"])
+        assert code == 0 and json.loads(out)["seed"] == 2**64 - 5
+        for value in ("-x", "-e3", "-1e", "-1e-3x"):
+            code, _, err = run(capsys, ["homogeneous", "--d", "3", "--rho", value])
+            assert code == 2 and strict_loads(err)["error"] == "ArgumentError"
+
     def test_max_l_over_cap_exit_3(self, capsys):
         # The cap itself is accepted: the closed forms form no loop count or factorial above
         # order 20, and a ratio past the double range is null.

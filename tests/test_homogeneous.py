@@ -10,6 +10,7 @@ import infodensity.homogeneous as homogeneous
 from infodensity import (
     CumulantOverflow,
     HomogeneousModel,
+    NonFiniteInput,
     NotPositiveDefinite,
     ZeroVariance,
     asymptotic_standardized_limit,
@@ -37,6 +38,13 @@ class TestHomogeneousModel:
             HomogeneousModel(3, 1.0)
         with pytest.raises(ValueError):
             HomogeneousModel(1, 0.2)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, np.float64("nan"), np.array(-np.inf)])
+    @pytest.mark.parametrize("d", [2, 3, 50])
+    def test_non_finite_rho_is_non_finite_input(self, d, rho):
+        # Not a range error: the range check would call nan, like a number outside it, out of range.
+        with pytest.raises(NonFiniteInput, match="^rho must be finite, got (nan|inf|-inf)$"):
+            HomogeneousModel(d, rho)
 
     def test_dimension_must_be_integral(self):
         hm = HomogeneousModel(4.0, 0.1)

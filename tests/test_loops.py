@@ -33,7 +33,8 @@ from infodensity import (
     trace_via_loops,
     validate_model,
 )
-from infodensity.loops import _exact_parts, _loop_counts, _walk_products
+from infodensity.loops import _loop_counts, _walk_products
+from infodensity.model import _exact_parts
 
 EQUI3 = validate_model(None, np.full((3, 3), 0.5) + 0.5 * np.eye(3), [1, 1, 1])
 

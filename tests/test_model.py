@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
+    DERANDOMIZED,
     correlation_model,
     density_at,
     density_at_direct,
@@ -34,6 +37,7 @@ from infodensity import (
     variance,
 )
 from infodensity._linalg import cholesky_lower
+from infodensity.model import _add_exactly
 
 
 class TestValidateModel:
@@ -537,3 +541,40 @@ class TestValidationMemory:
         assert model.dimension == d
         assert retained <= (3 * d * d + self.RETAINED_PER_D * d) * 8
         assert peak < self.PEAK_D2 * d * d * 8
+
+
+@st.composite
+def spread_terms_and_cuts(draw):
+    """Floats spanning 2^-1000..2^1000, subnormals among them, and negated copies, shuffled; and cut points.
+
+    The largest few terms are always among those negated, so the sum is left
+    to terms far below them, whose bits a fold that rounded its parts would lose.
+    """
+    spread = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1000, 1000))
+    subnormal = st.floats(-(2.0**-1022), 2.0**-1022)
+    terms = draw(st.lists(st.one_of(spread, subnormal), min_size=64, max_size=200))
+    largest = sorted(terms, key=abs)[-draw(st.integers(1, 8)) :]
+    terms += [-term for term in largest + draw(st.lists(st.sampled_from(terms), max_size=len(terms)))]
+    terms = draw(st.permutations(terms))
+    # At least one cut per 8 terms, so that the parts pass 64 floats and are compacted.
+    return terms, sorted(draw(st.lists(st.integers(0, len(terms)), min_size=len(terms) // 8, max_size=len(terms))))
+
+
+class TestExactSumRule:
+    """``_add_exactly`` folds batches of terms into parts whose one fsum is the fsum of every term."""
+
+    @DERANDOMIZED
+    @given(spread_terms_and_cuts())
+    def test_any_split_gives_the_fsum_of_the_whole(self, terms_and_cuts):
+        terms, cuts = terms_and_cuts
+        parts = []
+        for start, stop in zip([0, *cuts], [*cuts, len(terms)]):
+            parts = _add_exactly(parts, terms[start:stop])
+        assert math.fsum(parts).hex() == math.fsum(terms).hex()
+
+    def test_compacts_once_64_floats_are_held(self):
+        held = [2.0**k for k in range(64)]
+        assert _add_exactly(held[:63], [1.0]) == held[:63] + [1.0]
+        # 2^0 + ... + 2^63 = 2^64 - 1 needs 65 bits: two parts hold it exactly.
+        assert _add_exactly(held, [2.0**-80, -(2.0**-80)]) == [2.0**64, -1.0]
+        assert _add_exactly(held, [-(2.0**k) for k in range(64)]) == []

@@ -711,6 +711,52 @@ class TestExactSum:
         got = [value.hex() for value in (batch.s1, batch.s2, batch.s3, batch.s4)]
         assert got == [math.fsum(column).hex() for column in columns]
 
+    # 30,000 draws in chunks of 100: 300 one-tile chunks, so even at 4 threads some thread
+    # folds at least 75 tile sums and compacts its parts.
+    N, CHUNK, SEED = 30_000, 100, 21
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch, set_chunk_size):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 4)
+        set_chunk_size(self.CHUNK)
+        return random_model(np.random.default_rng(1526), d=4, sizes=[1, 1, 2])
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_tile_sums_spanning_the_exponent_range_cancel_exactly(self, monkeypatch, small_chunks, threads):
+        # Tile i's sums are scaled by 2^k, k spread over -900..900, and every third tile's
+        # sums are the negatives of those two tiles before it, so huge terms cancel exactly.
+        tiles = sampled_tiles(small_chunks, self.N, self.SEED)
+        crafted = []
+        for i, tile in enumerate(tiles):
+            if i % 3 == 2:
+                crafted.append(tuple(-value for value in crafted[i - 2]))
+            else:
+                k = i * 337 % 1801 - 900
+                crafted.append(tuple(math.ldexp(s, k) for s in _moment_sums(tile.copy())))
+        by_first_value = {float(tile[0]): sums for tile, sums in zip(tiles, crafted)}
+        assert len(by_first_value) == len(tiles) == 300
+        monkeypatch.setattr(sampling, "_moment_sums", lambda y: by_first_value[float(y[0])])
+        columns = list(zip(*crafted))
+        assert all(sum(column) != math.fsum(column) for column in columns)
+        batch = sample_density(small_chunks, self.N, self.SEED, threads=threads)
+        got = [value.hex() for value in (batch.s1, batch.s2, batch.s3, batch.s4)]
+        assert got == [math.fsum(column).hex() for column in columns]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_each_thread_holds_at_most_65_floats_a_power(self, monkeypatch, small_chunks, threads):
+        sizes = []
+
+        def recording(parts, values):
+            sizes.append(len(parts) + len(values))
+            return add_exactly(parts, values)
+
+        add_exactly = sampling._add_exactly
+        monkeypatch.setattr(sampling, "_add_exactly", recording)
+        sample_density(small_chunks, self.N, self.SEED, threads=threads)
+        # One call a power for each of the 300 tiles; the parts reach 65 and are compacted.
+        assert len(sizes) == 4 * 300
+        assert max(sizes) == 65
+
 
 SEEDS = st.one_of(st.sampled_from([-1, 2**64, 2**64 + 7]), st.integers(-(2**70), 2**70))
 
